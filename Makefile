@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-serve bench-serve-quick benchcheck trace-smoke attack-campaign attack-soak degraded-campaign fuzz docs ci
+.PHONY: all build vet test race bench bench-serve bench-serve-quick benchcheck perfbench trace-smoke attack-campaign attack-soak degraded-campaign fuzz docs ci
 
 all: build
 
@@ -61,15 +61,21 @@ bench-serve-quick:
 benchcheck:
 	$(GO) run ./tools/benchcheck BENCH_serving.json BENCH_serving_audit.json
 
+# The repository benchmark (perfbench/, BENCHMARK.json) is a nested
+# module, so `go build ./...` never compiles it: vet and build it here
+# so a signature change in device, lfs or workload cannot break the
+# benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
 # Observability smoke: a small traced serving run exported as Chrome
 # trace_event JSON, validated by tracecheck (Perfetto-loadable shape,
-# at least one span), plus the in-terminal e20 rendition. Run by
-# `make ci` so the span plumbing — ring buffer, session attribution,
-# Chrome export — is exercised on every change.
+# at least one span). Run by `make ci` so the span plumbing — ring
+# buffer, session attribution, Chrome export — is exercised on every
+# change.
 trace-smoke:
 	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 2 -out /tmp/sero-trace-smoke.json
 	$(GO) run ./tools/tracecheck /tmp/sero-trace-smoke.json
-	$(GO) run ./cmd/serosim e20-observability >/dev/null
 
 # The concurrent attack campaign suite under the race detector: the §5
 # tampering matrix raced against live workload sessions, the
@@ -131,4 +137,4 @@ docs:
 # full -race suite; attack-campaign and degraded-campaign narrow in on
 # the concurrent campaign and array-resilience tests so a failure
 # there is named in the CI log.
-ci: build test race docs benchcheck bench-serve-quick trace-smoke attack-campaign degraded-campaign
+ci: build test race docs benchcheck perfbench bench-serve-quick trace-smoke attack-campaign degraded-campaign

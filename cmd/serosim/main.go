@@ -3,23 +3,19 @@
 //
 // Usage:
 //
-//	serosim [-seed N] [-j workers] [-writeback N] [-ckpt-every N] [-watermark N] [experiment ...]
+//	serosim [-seed N] [-j workers] [-ckpt-every N] [-sessions N] [experiment ...]
 //
 // Flags (all validated, nonsensical values are rejected rather than
 // silently clamped):
 //
 //	-seed N       deterministic seed for stochastic experiments (default 42)
-//	-j N          worker fan-out for e14-writepath and e16-background-clean;
+//	-j N          worker fan-out for e17-mount-scale's fanned walk;
 //	              must be positive, 1 = serial (default 4)
-//	-writeback N  group-commit granularity for e14-writepath; must be 0
-//	              (whole segments) or positive, 1 = block-at-a-time (default 0)
 //	-ckpt-every N checkpoint interval in appended blocks, swept by
 //	              e15-recovery; must be positive, 1 = checkpoint every
 //	              sync (default 256)
-//	-watermark N  free-segment threshold for e16-background-clean's
-//	              policy demo; must be positive (default 8)
-//	-sessions N   concurrent-session ceiling for e18-serving's sweep
-//	              (1, 2, 4, … up to N); must be positive (default 4)
+//	-sessions N   concurrent sessions for e22-striping's serving runs;
+//	              must be positive (default 4)
 //
 // With no arguments every experiment runs. Experiments:
 //
@@ -41,30 +37,11 @@
 //	e11-worm    §2 WORM technology comparison under the rewrite attack
 //	e12-ffs     heat clustering across FS designs (LFS vs FFS-style)
 //	e13-scrub   background-scrub tradeoff: detection latency vs overhead
-//	e14-writepath batched write pipeline: group commit and cleaner fan-out
 //	e15-recovery  roll-forward recovery: sync latency vs replay time
-//	e16-background-clean  foreground append latency vs an in-flight
-//	              cleaning pass: exclusive lock vs phased/overlapped,
-//	              plus the CleanWatermark background-goroutine policy
 //	e17-mount-scale  mount cost vs namespace width: the checkpointed
 //	              liveness table (O(segments + replayed tail)) against
 //	              the full inode walk (O(files)), serial and fanned
 //	              over -j worker planes
-//	e18-serving   serving tier: the zipfian read-mostly mix replayed
-//	              from 1, 2, 4, … -sessions concurrent sessions over one
-//	              FS, with per-op virtual-time latency percentiles and
-//	              sustained throughput (the in-process rendition of
-//	              `serocli bench-serve`)
-//	e19-parallel-write  the parallel write path: mixed hot+cold appends
-//	              over eight affinity classes, per-class runs flushed
-//	              serially (j=1, the single-frontier baseline) vs
-//	              fanned over worker planes up to -j — byte-identical
-//	              layout, slowest-class virtual time
-//	e20-observability  the tracing plane: one traced serving-mix run
-//	              rendered as a per-span-kind text profile, the
-//	              per-session latency decomposition (own device time
-//	              vs lock wait vs queueing), and the counters
-//	              snapshot (re-anchors, fall-backs, stale moves)
 //	e21-online-verify  continuous verification: detection latency of a
 //	              random live tamper vs the incremental auditor's
 //	              2*ceil(L/batch) bound across batch sizes, and the
@@ -79,12 +56,9 @@
 //
 // Example invocations:
 //
-//	serosim e14-writepath                  # defaults: j=4, whole-segment commits
-//	serosim -j 8 -writeback 16 e14-writepath
 //	serosim -ckpt-every 64 e15-recovery    # denser checkpoints, shorter replay
-//	serosim -j 4 -watermark 8 e16-background-clean
 //	serosim -j 4 e17-mount-scale           # fanned-walk column at 4 workers
-//	serosim -sessions 8 e18-serving        # sweep sessions 1..8
+//	serosim -sessions 8 e22-striping       # serving runs with 8 sessions
 package main
 
 import (
@@ -98,11 +72,9 @@ import (
 
 func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed for stochastic experiments")
-	workers := flag.Int("j", 4, "cleaner fan-out width for e14-writepath (1 = serial)")
-	writeback := flag.Int("writeback", 0, "group-commit granularity for e14-writepath (1 = block-at-a-time, 0 = whole segments)")
+	workers := flag.Int("j", 4, "worker fan-out for e17-mount-scale's fanned walk (1 = serial)")
 	ckptEvery := flag.Int("ckpt-every", 256, "extra checkpoint interval (appended blocks) swept by e15-recovery")
-	watermark := flag.Int("watermark", 8, "background-cleaner free-segment threshold for e16-background-clean")
-	sessions := flag.Int("sessions", 4, "concurrent-session ceiling for e18-serving's sweep")
+	sessions := flag.Int("sessions", 4, "concurrent sessions for e22-striping's serving runs")
 	flag.Parse()
 	// Nonsensical values are rejected, not silently clamped: a typo'd
 	// experiment configuration should fail loudly, not quietly measure
@@ -111,31 +83,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serosim: -j must be positive (got %d)\n", *workers)
 		os.Exit(2)
 	}
-	if *writeback < 0 {
-		fmt.Fprintf(os.Stderr, "serosim: -writeback must be 0 (whole segments) or positive (got %d)\n", *writeback)
-		os.Exit(2)
-	}
 	if *ckptEvery <= 0 {
 		fmt.Fprintf(os.Stderr, "serosim: -ckpt-every must be positive (got %d)\n", *ckptEvery)
-		os.Exit(2)
-	}
-	if *watermark <= 0 {
-		fmt.Fprintf(os.Stderr, "serosim: -watermark must be positive (got %d)\n", *watermark)
 		os.Exit(2)
 	}
 	if *sessions <= 0 {
 		fmt.Fprintf(os.Stderr, "serosim: -sessions must be positive (got %d)\n", *sessions)
 		os.Exit(2)
 	}
-	fsFlags = fsFlagValues{workers: *workers, writeback: *writeback, ckptEvery: *ckptEvery, watermark: *watermark, sessions: *sessions}
+	fsFlags = fsFlagValues{workers: *workers, ckptEvery: *ckptEvery, sessions: *sessions}
 
 	all := []string{
 		"fig2", "fig3", "fig7", "fig8", "fig9",
 		"e1-latency", "e2-gc", "e3-bimodal", "e4-attacks",
 		"e5-overhead", "e6-archival", "e7-erb", "e8-aging", "e9-defects", "e10-pulse", "e11-worm", "e12-ffs", "e13-scrub",
-		"e14-writepath", "e15-recovery", "e16-background-clean",
-		"e17-mount-scale", "e18-serving", "e19-parallel-write",
-		"e20-observability", "e21-online-verify", "e22-striping",
+		"e15-recovery", "e17-mount-scale", "e21-online-verify", "e22-striping",
 	}
 	wanted := flag.Args()
 	if len(wanted) == 0 {
@@ -240,44 +202,14 @@ func run(name string, seed uint64) error {
 			return err
 		}
 		fmt.Print(res.Table())
-	case "e14-writepath":
-		res, err := experiments.RunE14(fsFlags.workers, fsFlags.writeback)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
 	case "e15-recovery":
 		res, err := experiments.RunE15(192, 96, fsFlags.ckptEvery)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.Table())
-	case "e16-background-clean":
-		res, err := experiments.RunE16(fsFlags.workers, fsFlags.watermark)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
 	case "e17-mount-scale":
 		res, err := experiments.RunE17(fsFlags.workers, 8)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-	case "e18-serving":
-		res, err := experiments.RunE18(fsFlags.sessions, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-	case "e19-parallel-write":
-		res, err := experiments.RunE19(fsFlags.workers)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-	case "e20-observability":
-		res, err := experiments.RunE20(fsFlags.sessions, seed)
 		if err != nil {
 			return err
 		}
@@ -300,15 +232,12 @@ func run(name string, seed uint64) error {
 	return nil
 }
 
-// fsFlagValues carries the -j/-writeback/-ckpt-every/-watermark/-sessions
-// settings into run without threading them through every experiment's
-// arguments.
+// fsFlagValues carries the -j/-ckpt-every/-sessions settings into run
+// without threading them through every experiment's arguments.
 type fsFlagValues struct {
 	workers   int
-	writeback int
 	ckptEvery int
-	watermark int
 	sessions  int
 }
 
-var fsFlags = fsFlagValues{workers: 4, ckptEvery: 256, watermark: 8, sessions: 4}
+var fsFlags = fsFlagValues{workers: 4, ckptEvery: 256, sessions: 4}

@@ -18,13 +18,3 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 }
-
-func TestRunServingDispatch(t *testing.T) {
-	// e18-serving routes through fsFlags.sessions; keep the sweep tiny.
-	old := fsFlags
-	defer func() { fsFlags = old }()
-	fsFlags.sessions = 1
-	if err := run("e18-serving", 42); err != nil {
-		t.Fatal(err)
-	}
-}

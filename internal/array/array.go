@@ -333,6 +333,39 @@ func (a *Array) splitRun(start uint64, blocks [][]byte) []memberRun {
 	return out
 }
 
+// scatter is the array's one member fan-out: the per-member grouping
+// behind WriteRunsFanned, ReadBlocksFanned and VerifyLines. place maps
+// item i (of n) to its member-local pieces, calling add(m, v) once per
+// piece; an item that places nothing is skipped. Each member's pieces
+// keep input order and are dispatched member by member: to live(m,
+// idx, vs), one batched member call over vs where idx[k] is the item
+// piece vs[k] came from, or — when m is marked failed — piece by piece
+// to failed(m, i, v).
+func scatter[T any](a *Array, n int,
+	place func(i int, add func(m int, v T)),
+	live func(m int, idx []int, vs []T),
+	failed func(m, i int, v T)) {
+	idx := make([][]int, a.n)
+	vals := make([][]T, a.n)
+	for i := 0; i < n; i++ {
+		place(i, func(m int, v T) {
+			idx[m] = append(idx[m], i)
+			vals[m] = append(vals[m], v)
+		})
+	}
+	for m := range idx {
+		switch {
+		case len(idx[m]) == 0:
+		case a.Failed(m):
+			for k, i := range idx[m] {
+				failed(m, i, vals[m][k])
+			}
+		default:
+			live(m, idx[m], vals[m])
+		}
+	}
+}
+
 // checkRange validates a global range.
 func (a *Array) checkRange(start uint64, n int) error {
 	if start+uint64(n) > uint64(a.blocks) {
@@ -544,14 +577,25 @@ func (a *Array) applyFailedWrite(m int, lpba uint64, data []byte) {
 	}
 }
 
+// applyFailedRun records a run targeted at failed member m, block by
+// block (see applyFailedWrite).
+func (a *Array) applyFailedRun(m int, r device.WriteRun) {
+	for i, b := range r.Blocks {
+		a.applyFailedWrite(m, r.Start+uint64(i), b)
+	}
+}
+
 // flushParity writes every dirty parity block as batched runs on its
 // member. flushMu serialises flushes per member: the pending set and
 // the values are captured under it, so device write order matches
-// mirror order.
-func (a *Array) flushParity(task *trace.Task) {
+// mirror order. Every member is flushed; the first refusal is
+// returned. A refused parity run leaves the parity mirror as the only
+// copy, so the caller must not acknowledge the data it covers.
+func (a *Array) flushParity(task *trace.Task) error {
 	if a.p == 0 {
-		return
+		return nil
 	}
+	var first error
 	for pm := 0; pm < a.n; pm++ {
 		a.mu.Lock()
 		dirty := len(a.pending[pm]) > 0
@@ -559,18 +603,22 @@ func (a *Array) flushParity(task *trace.Task) {
 		if !dirty {
 			continue
 		}
-		a.flushMember(task, pm)
+		if err := a.flushMember(task, pm); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
-// flushMember drains member pm's dirty parity blocks.
-func (a *Array) flushMember(task *trace.Task, pm int) {
+// flushMember drains member pm's dirty parity blocks, returning the
+// first run the member refused.
+func (a *Array) flushMember(task *trace.Task, pm int) error {
 	a.flushMu[pm].Lock()
 	defer a.flushMu[pm].Unlock()
 	a.mu.Lock()
 	if len(a.pending[pm]) == 0 {
 		a.mu.Unlock()
-		return
+		return nil
 	}
 	pbas := make([]uint64, 0, len(a.pending[pm]))
 	for lpba := range a.pending[pm] {
@@ -587,26 +635,18 @@ func (a *Array) flushMember(task *trace.Task, pm int) {
 	a.cnt.parityWrites += uint64(len(pbas))
 	a.mu.Unlock()
 	if failed {
-		return // mirror holds the truth; the rebuild rewrites it
+		return nil // mirror holds the truth; the rebuild rewrites it
 	}
 	var runs []device.WriteRun
-	for i := 0; i < len(pbas); {
-		j := i + 1
-		for j < len(pbas) && pbas[j] == pbas[j-1]+1 {
-			j++
-		}
+	for i, j := range device.ConsecutiveRuns(len(pbas), func(k int) uint64 { return pbas[k] }) {
 		runs = append(runs, device.WriteRun{Start: pbas[i], Blocks: vals[i:j]})
-		i = j
 	}
-	errs := a.members[pm].WriteRunsFannedTraced(task, runs, a.Concurrency())
-	for _, err := range errs {
+	for _, err := range a.members[pm].WriteRunsFannedTraced(task, runs, a.Concurrency()) {
 		if err != nil {
-			// Parity landing on a bad block is survivable — the
-			// mirror still covers it and a scrub can relocate — but
-			// it should never happen on an honestly operated member.
-			panic(fmt.Sprintf("array: parity flush refused on member %d: %v", pm, err))
+			return fmt.Errorf("array: parity flush refused on member %d: %w", pm, err)
 		}
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -622,10 +662,7 @@ func (a *Array) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 		return nil, err
 	}
 	m, lpba, _, _ := a.locate(pba)
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if !failed {
+	if !a.Failed(m) {
 		buf, err := a.members[m].MRSTraced(task, lpba)
 		if err == nil {
 			a.syncClock()
@@ -663,24 +700,27 @@ func (a *Array) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byt
 		a.syncClock()
 		return err
 	}
+	err := a.writeSplit(task, start, blocks)
+	if ferr := a.flushParity(task); err == nil {
+		err = ferr
+	}
+	a.syncClock()
+	return err
+}
+
+// writeSplit commits a global run member by member without flushing
+// parity: sub-runs on failed members land in the mirror and parity
+// only; the first member refusal stops the run.
+func (a *Array) writeSplit(task *trace.Task, start uint64, blocks [][]byte) error {
 	for _, mr := range a.splitRun(start, blocks) {
-		a.mu.Lock()
-		failed := a.failed[mr.member]
-		a.mu.Unlock()
-		if failed {
-			for i, b := range mr.run.Blocks {
-				a.applyFailedWrite(mr.member, mr.run.Start+uint64(i), b)
-			}
+		if a.Failed(mr.member) {
+			a.applyFailedRun(mr.member, mr.run)
 			continue
 		}
 		if err := a.members[mr.member].WriteBlocksTraced(task, mr.run.Start, mr.run.Blocks); err != nil {
-			a.flushParity(task)
-			a.syncClock()
 			return err
 		}
 	}
-	a.flushParity(task)
-	a.syncClock()
 	return nil
 }
 
@@ -692,7 +732,9 @@ func (a *Array) WriteRunsFanned(runs []device.WriteRun, workers int) []error {
 // WriteRunsFannedTraced fans the runs twice: across members (distinct
 // sleds overlap on their own clocks) and, per member, across its
 // worker planes. Run order is preserved within each member, so the
-// width-1 array delegates the exact call.
+// width-1 array delegates the exact call. A refused parity flush is
+// reported on every run without an error of its own: none of them is
+// covered until parity lands.
 func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, workers int) []error {
 	if a.n == 1 {
 		// Identity mapping: the member must see the exact run list so
@@ -702,48 +744,30 @@ func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, 
 		return errs
 	}
 	errs := make([]error, len(runs))
-	type sub struct {
-		runIdx int
-		run    device.WriteRun
-	}
-	perMember := make([][]sub, a.n)
-	for i, r := range runs {
-		if err := a.checkRange(r.Start, len(r.Blocks)); err != nil {
-			errs[i] = err
-			continue
-		}
-		for _, mr := range a.splitRun(r.Start, r.Blocks) {
-			perMember[mr.member] = append(perMember[mr.member], sub{runIdx: i, run: mr.run})
-		}
-	}
-	for m := 0; m < a.n; m++ {
-		subs := perMember[m]
-		if len(subs) == 0 {
-			continue
-		}
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
-			for _, s := range subs {
-				for i, b := range s.run.Blocks {
-					a.applyFailedWrite(m, s.run.Start+uint64(i), b)
+	scatter(a, len(runs),
+		func(i int, add func(int, device.WriteRun)) {
+			if errs[i] = a.checkRange(runs[i].Start, len(runs[i].Blocks)); errs[i] != nil {
+				return
+			}
+			for _, mr := range a.splitRun(runs[i].Start, runs[i].Blocks) {
+				add(mr.member, mr.run)
+			}
+		},
+		func(m int, idx []int, rs []device.WriteRun) {
+			for k, err := range a.members[m].WriteRunsFannedTraced(task, rs, workers) {
+				if errs[idx[k]] == nil {
+					errs[idx[k]] = err
 				}
 			}
-			continue
-		}
-		mruns := make([]device.WriteRun, len(subs))
-		for i, s := range subs {
-			mruns[i] = s.run
-		}
-		merrs := a.members[m].WriteRunsFannedTraced(task, mruns, workers)
-		for i, err := range merrs {
-			if err != nil && errs[subs[i].runIdx] == nil {
-				errs[subs[i].runIdx] = err
+		},
+		func(m, _ int, r device.WriteRun) { a.applyFailedRun(m, r) })
+	if ferr := a.flushParity(task); ferr != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = ferr
 			}
 		}
 	}
-	a.flushParity(task)
 	a.syncClock()
 	return errs
 }
@@ -758,45 +782,23 @@ func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)
 	}
 	bufs := make([][]byte, len(pbas))
 	errs := make([]error, len(pbas))
-	type slot struct {
-		idx  int
-		lpba uint64
-	}
-	perMember := make([][]slot, a.n)
-	for i, g := range pbas {
-		if err := a.checkRange(g, 1); err != nil {
-			errs[i] = err
-			continue
-		}
-		m, lpba, _, _ := a.locate(g)
-		perMember[m] = append(perMember[m], slot{idx: i, lpba: lpba})
-	}
-	for m := 0; m < a.n; m++ {
-		slots := perMember[m]
-		if len(slots) == 0 {
-			continue
-		}
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
-			for _, s := range slots {
-				bufs[s.idx], errs[s.idx] = a.reconstructBlock(nil, m, s.lpba)
+	scatter(a, len(pbas),
+		func(i int, add func(int, uint64)) {
+			if errs[i] = a.checkRange(pbas[i], 1); errs[i] == nil {
+				m, lpba, _, _ := a.locate(pbas[i])
+				add(m, lpba)
 			}
-			continue
-		}
-		lp := make([]uint64, len(slots))
-		for i, s := range slots {
-			lp[i] = s.lpba
-		}
-		mbufs, merrs := a.members[m].ReadBlocksFanned(lp, workers)
-		for i, s := range slots {
-			if merrs[i] != nil && a.p > 0 {
-				mbufs[i], merrs[i] = a.reconstructBlock(nil, m, s.lpba)
+		},
+		func(m int, idx []int, lp []uint64) {
+			mbufs, merrs := a.members[m].ReadBlocksFanned(lp, workers)
+			for k, i := range idx {
+				bufs[i], errs[i] = mbufs[k], merrs[k]
+				if errs[i] != nil && a.p > 0 {
+					bufs[i], errs[i] = a.reconstructBlock(nil, m, lp[k])
+				}
 			}
-			bufs[s.idx], errs[s.idx] = mbufs[i], merrs[i]
-		}
-	}
+		},
+		func(m, i int, lpba uint64) { bufs[i], errs[i] = a.reconstructBlock(nil, m, lpba) })
 	a.syncClock()
 	return bufs, errs
 }
@@ -804,7 +806,9 @@ func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)
 // MoveGroups relocates groups of blocks (the cleaner's engine). The
 // width-1 array delegates the whole call; wider arrays run each group
 // through the global read/write paths so moves may cross members, with
-// the raw device's prefix-completion semantics per group.
+// the raw device's prefix-completion semantics per group. A refused
+// parity flush fails every group without an error of its own, with no
+// move completed: none of the copies is covered until parity lands.
 func (a *Array) MoveGroups(groups [][]device.BlockMove, workers int) []device.MoveResult {
 	if a.n == 1 {
 		res := a.members[0].MoveGroups(groups, workers)
@@ -815,7 +819,13 @@ func (a *Array) MoveGroups(groups [][]device.BlockMove, workers int) []device.Mo
 	for gi, moves := range groups {
 		out[gi] = a.moveGroup(moves)
 	}
-	a.flushParity(nil)
+	if ferr := a.flushParity(nil); ferr != nil {
+		for gi := range out {
+			if out[gi].Err == nil {
+				out[gi] = device.MoveResult{Err: ferr}
+			}
+		}
+	}
 	a.syncClock()
 	return out
 }
@@ -823,28 +833,21 @@ func (a *Array) MoveGroups(groups [][]device.BlockMove, workers int) []device.Mo
 // moveGroup relocates one group, chunked by consecutive destinations
 // exactly like the raw device's engine.
 func (a *Array) moveGroup(moves []device.BlockMove) device.MoveResult {
-	done := 0
-	for i := 0; i < len(moves); {
-		j := i + 1
-		for j < len(moves) && moves[j].Dst == moves[j-1].Dst+1 {
-			j++
-		}
+	for i, j := range device.ConsecutiveRuns(len(moves), func(k int) uint64 { return moves[k].Dst }) {
 		chunk := moves[i:j]
 		bufs := make([][]byte, len(chunk))
 		for k, mv := range chunk {
 			buf, err := a.readForMove(mv.Src)
 			if err != nil {
-				return device.MoveResult{Completed: done, Err: err}
+				return device.MoveResult{Completed: i, Err: err}
 			}
 			bufs[k] = buf
 		}
 		if err := a.writeForMove(chunk[0].Dst, bufs); err != nil {
-			return device.MoveResult{Completed: done, Err: err}
+			return device.MoveResult{Completed: i, Err: err}
 		}
-		done += len(chunk)
-		i = j
 	}
-	return device.MoveResult{Completed: done}
+	return device.MoveResult{Completed: len(moves)}
 }
 
 // readForMove reads one global block for relocation (degrading to
@@ -854,10 +857,7 @@ func (a *Array) readForMove(g uint64) ([]byte, error) {
 		return nil, err
 	}
 	m, lpba, _, _ := a.locate(g)
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return a.reconstructBlock(nil, m, lpba)
 	}
 	buf, err := a.members[m].MRS(lpba)
@@ -873,21 +873,7 @@ func (a *Array) writeForMove(start uint64, blocks [][]byte) error {
 	if err := a.checkRange(start, len(blocks)); err != nil {
 		return err
 	}
-	for _, mr := range a.splitRun(start, blocks) {
-		a.mu.Lock()
-		failed := a.failed[mr.member]
-		a.mu.Unlock()
-		if failed {
-			for i, b := range mr.run.Blocks {
-				a.applyFailedWrite(mr.member, mr.run.Start+uint64(i), b)
-			}
-			continue
-		}
-		if err := a.members[mr.member].WriteBlocks(mr.run.Start, mr.run.Blocks); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.writeSplit(nil, start, blocks)
 }
 
 // ---------------------------------------------------------------------
@@ -915,10 +901,7 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		n := uint64(1) << logN
 		zero := make([]byte, device.DataBytes)
 		for i := uint64(0); i < n-1; i++ {
@@ -928,14 +911,14 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 			}
 			a.applyFailedWrite(m, lpba+1+i, b)
 		}
-		a.flushParity(nil)
-		a.syncClock()
-		return nil
+	} else {
+		err = a.members[m].WriteLineBatch(lpba, logN, blocks)
 	}
-	werr := a.members[m].WriteLineBatch(lpba, logN, blocks)
-	a.flushParity(nil)
+	if ferr := a.flushParity(nil); err == nil {
+		err = ferr
+	}
 	a.syncClock()
-	return werr
+	return err
 }
 
 // HeatLine freezes the line at global start. The heat record the
@@ -946,10 +929,7 @@ func (a *Array) HeatLine(start uint64, logN uint8) (device.LineInfo, error) {
 	if err != nil {
 		return device.LineInfo{}, err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.LineInfo{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	li, herr := a.members[m].HeatLine(lpba, logN)
@@ -980,15 +960,11 @@ func (a *Array) translateReport(m int, rep device.VerifyReport) device.VerifyRep
 
 // VerifyLine checks the heated line at global start.
 func (a *Array) VerifyLine(start uint64) (device.VerifyReport, error) {
-	m, lpba, entry, err := a.lineAt(start)
+	m, lpba, _, err := a.lineAt(start)
 	if err != nil {
 		return device.VerifyReport{}, err
 	}
-	_ = entry
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.VerifyReport{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, verr := a.members[m].VerifyLine(lpba)
@@ -1003,10 +979,7 @@ func (a *Array) VerifyLineOffClock(start uint64) (device.VerifyReport, time.Dura
 	if err != nil {
 		return device.VerifyReport{}, 0, err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.VerifyReport{}, 0, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, shadow, verr := a.members[m].VerifyLineOffClock(lpba)
@@ -1033,42 +1006,24 @@ func (a *Array) lineAt(start uint64) (int, uint64, lineEntry, error) {
 // over its worker planes), preserving input order in the outcomes.
 func (a *Array) VerifyLines(starts []uint64, workers int) []device.VerifyOutcome {
 	out := make([]device.VerifyOutcome, len(starts))
-	type slot struct {
-		idx  int
-		lpba uint64
-	}
-	perMember := make([][]slot, a.n)
-	for i, g := range starts {
-		m, lpba, _, err := a.lineAt(g)
-		if err != nil {
-			out[i] = device.VerifyOutcome{Err: err}
-			continue
-		}
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
-			out[i] = device.VerifyOutcome{Err: fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, g)}
-			continue
-		}
-		perMember[m] = append(perMember[m], slot{idx: i, lpba: lpba})
-	}
-	for m := 0; m < a.n; m++ {
-		slots := perMember[m]
-		if len(slots) == 0 {
-			continue
-		}
-		lp := make([]uint64, len(slots))
-		for i, s := range slots {
-			lp[i] = s.lpba
-		}
-		res := a.members[m].VerifyLines(lp, workers)
-		for i, s := range slots {
-			oc := res[i]
-			oc.Report = a.translateReport(m, oc.Report)
-			out[s.idx] = oc
-		}
-	}
+	scatter(a, len(starts),
+		func(i int, add func(int, uint64)) {
+			m, lpba, _, err := a.lineAt(starts[i])
+			if err != nil {
+				out[i].Err = err
+				return
+			}
+			add(m, lpba)
+		},
+		func(m int, idx []int, lp []uint64) {
+			for k, oc := range a.members[m].VerifyLines(lp, workers) {
+				oc.Report = a.translateReport(m, oc.Report)
+				out[idx[k]] = oc
+			}
+		},
+		func(m, i int, _ uint64) {
+			out[i].Err = fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, starts[i])
+		})
 	a.syncClock()
 	return out
 }
@@ -1080,10 +1035,7 @@ func (a *Array) Lines() []device.LineInfo {
 	var out []device.LineInfo
 	seen := make(map[uint64]bool)
 	for m, dev := range a.members {
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			continue
 		}
 		for _, li := range dev.Lines() {
@@ -1123,10 +1075,7 @@ func (a *Array) Scan() (recovered []device.LineInfo, unparseable []uint64, err e
 	newLines := make(map[uint64]lineEntry)
 	var findings []ScanFinding
 	for m, dev := range a.members {
-		a.mu.Lock()
-		failed := a.failed[m]
-		a.mu.Unlock()
-		if failed {
+		if a.Failed(m) {
 			continue
 		}
 		rec, unp, serr := dev.Scan()
@@ -1183,10 +1132,7 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 	if err != nil {
 		return device.ShredReport{}, err
 	}
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.ShredReport{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, serr := a.members[m].ShredLine(lpba)
@@ -1209,11 +1155,11 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 			}
 		}
 		a.mu.Unlock()
-		a.flushParity(nil)
+		serr = a.flushParity(nil)
 	}
 	a.syncClock()
 	rep.Line.Start = start
-	return rep, nil
+	return rep, serr
 }
 
 // logNOr returns the entry's logN, falling back to the report's.

@@ -2,6 +2,7 @@ package array
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -448,5 +449,52 @@ func TestSaveImageContainer(t *testing.T) {
 	}
 	if off != len(img) {
 		t.Fatalf("trailing %d bytes", len(img)-off)
+	}
+}
+
+// TestRefusedParityFlushIsAnError marks row 0's parity block bad on
+// its member, so every write that dirties row-0 parity has its flush
+// refused. Each write entry point must report that refusal as an
+// error on the data it covers instead of acknowledging it.
+func TestRefusedParityFlushIsAnError(t *testing.T) {
+	build := func() *Array {
+		a := mustBuild(t, 3, 1, 8, 64)
+		for m := 0; m < a.Members(); m++ {
+			if _, isP := a.parityMember(0, m); isP {
+				if err := a.MemberDevice(m).MarkBad(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return a
+	}
+	// Global blocks 0..15 are row 0's data; 16.. are row 1's.
+	a := build()
+	if err := a.WriteBlocks(0, [][]byte{payload(1)}); !errors.Is(err, device.ErrBadBlock) {
+		t.Fatalf("WriteBlocks: err %v, want the refused parity flush", err)
+	}
+
+	a = build()
+	errs := a.WriteRunsFanned([]device.WriteRun{
+		{Start: 0, Blocks: [][]byte{payload(2)}},
+		{Start: 16, Blocks: [][]byte{payload(3)}},
+		{Start: uint64(a.Blocks()), Blocks: [][]byte{payload(4)}},
+	}, 2)
+	for i := 0; i < 2; i++ {
+		if !errors.Is(errs[i], device.ErrBadBlock) {
+			t.Fatalf("WriteRunsFanned run %d: err %v, want the refused parity flush", i, errs[i])
+		}
+	}
+	if errs[2] == nil || errors.Is(errs[2], device.ErrBadBlock) {
+		t.Fatalf("WriteRunsFanned out-of-range run: err %v, want its own range error", errs[2])
+	}
+
+	a = build()
+	if err := a.WriteBlocks(16, [][]byte{payload(5)}); err != nil {
+		t.Fatal(err)
+	}
+	res := a.MoveGroups([][]device.BlockMove{{{Src: 16, Dst: 0}}}, 1)
+	if !errors.Is(res[0].Err, device.ErrBadBlock) || res[0].Completed != 0 {
+		t.Fatalf("MoveGroups: %+v, want the refused parity flush and no completed move", res[0])
 	}
 }

@@ -130,17 +130,12 @@ func (a *Array) RepairMember(m int) error {
 	}
 	sort.Slice(lpbas, func(i, j int) bool { return lpbas[i] < lpbas[j] })
 	var runs []device.WriteRun
-	for i := 0; i < len(lpbas); {
-		j := i + 1
-		for j < len(lpbas) && lpbas[j] == lpbas[j-1]+1 {
-			j++
-		}
+	for i, j := range device.ConsecutiveRuns(len(lpbas), func(k int) uint64 { return lpbas[k] }) {
 		blocks := make([][]byte, j-i)
 		for k := i; k < j; k++ {
 			blocks[k-i] = vals[lpbas[k]]
 		}
 		runs = append(runs, device.WriteRun{Start: lpbas[i], Blocks: blocks})
-		i = j
 	}
 	for _, err := range fresh.WriteRunsFannedTraced(nil, runs, a.Concurrency()) {
 		if err != nil {
@@ -178,10 +173,7 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 		return device.LineInfo{}, fmt.Errorf("array: no heated line registered at %d", start)
 	}
 	m := entry.member
-	a.mu.Lock()
-	failed := a.failed[m]
-	a.mu.Unlock()
-	if failed {
+	if a.Failed(m) {
 		return device.LineInfo{}, fmt.Errorf("%w: member %d holds line %d (repair the member)", ErrMemberFailed, m, start)
 	}
 	if a.p == 0 {
@@ -211,10 +203,10 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 	a.mu.Lock()
 	a.cnt.repairedLines++
 	a.mu.Unlock()
-	a.flushParity(nil)
+	err = a.flushParity(nil)
 	a.syncClock()
 	li.Start = start
-	return li, nil
+	return li, err
 }
 
 // Stats is the array-level health and accounting snapshot (member

@@ -2,7 +2,7 @@ package device
 
 import (
 	"fmt"
-	"sync"
+	"iter"
 
 	"sero/internal/trace"
 )
@@ -11,8 +11,8 @@ import (
 // fanned-out verification engine. WriteBlocks (device.go) commits a
 // contiguous run as one command; WriteLineBatch specialises that to a
 // future heated line; MoveGroups is the cleaner's engine, relocating
-// groups of blocks on concurrent worker planes with the same
-// slowest-worker virtual-time contract as VerifyLines.
+// groups of blocks on concurrent worker planes through the one
+// fan-out engine (fanOut).
 
 // WriteLineBatch writes the member blocks of a future heated line in
 // one batched command: blocks[i] lands at start+1+i and the slack up
@@ -57,13 +57,11 @@ type MoveResult struct {
 }
 
 // MoveGroups executes groups of block moves with a pool of workers —
-// the cleaner's fan-out engine. Worker w handles groups w, w+workers,
-// … on a private latency plane (static partition, like VerifyLines),
-// and when the pool drains the device clock advances by the *maximum*
-// per-worker elapsed virtual time: a fanned-out cleaning pass costs
-// its slowest worker, not the sum. The data placement is entirely the
-// caller's (every Dst is preassigned), so the post-move medium layout
-// is identical for any worker count; only the virtual time changes.
+// the cleaner's fan-out. Groups are split strided over the worker
+// planes ("move-fanout"; see fanOut for the slowest-worker virtual-time
+// contract). The data placement is entirely the caller's (every Dst
+// is preassigned), so the post-move medium layout is identical for
+// any worker count; only the virtual time changes.
 //
 // Within a group, moves whose destinations are consecutive are
 // committed as one batched write command (one settle per contiguous
@@ -80,55 +78,27 @@ type MoveResult struct {
 // other blocks interleaves under the ordinary stripe-lock rules.
 func (d *Device) MoveGroups(groups [][]BlockMove, workers int) []MoveResult {
 	out := make([]MoveResult, len(groups))
-	if len(groups) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		pl := d.newPlane(int32(w+1), fanBase)
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane) {
-			defer wg.Done()
-			for g := w; g < len(groups); g += workers {
-				out[g] = d.moveGroupOn(pl, groups[g])
-			}
-		}(w, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "move-fanout")
+	d.fanOut(len(groups), workers, strided, nil, "move-fanout", func(pl *plane, _, g int) {
+		out[g] = d.moveGroupOn(pl, groups[g])
+	})
 	return out
 }
 
 // moveGroupOn relocates one group of moves on the given plane. Caller
 // holds the gate read lock.
 func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
-	for i := 0; i < len(moves); {
-		// Chunk: maximal run of consecutive destinations.
-		j := i + 1
-		for j < len(moves) && moves[j].Dst == moves[j-1].Dst+1 {
-			j++
-		}
+	// Chunk: maximal run of consecutive destinations.
+	for i, j := range ConsecutiveRuns(len(moves), func(k int) uint64 { return moves[k].Dst }) {
 		chunk := moves[i:j]
 		bufs, err := d.readMoveSources(pl, chunk)
 		if err != nil {
 			return MoveResult{Completed: i, Err: err}
 		}
-		dst := chunk[0].Dst
-		if err := d.writeMoveRun(pl, dst, bufs); err != nil {
+		if err := d.writeMoveRun(pl, chunk[0].Dst, bufs); err != nil {
 			return MoveResult{Completed: i, Err: err}
 		}
-		i = j
 	}
 	return MoveResult{Completed: len(moves)}
 }
@@ -137,11 +107,7 @@ func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
 // consecutive sources under one range lock.
 func (d *Device) readMoveSources(pl *plane, chunk []BlockMove) ([][]byte, error) {
 	bufs := make([][]byte, len(chunk))
-	for i := 0; i < len(chunk); {
-		j := i + 1
-		for j < len(chunk) && chunk[j].Src == chunk[j-1].Src+1 {
-			j++
-		}
+	for i, j := range ConsecutiveRuns(len(chunk), func(k int) uint64 { return chunk[k].Src }) {
 		start, end := chunk[i].Src, chunk[j-1].Src+1
 		if err := d.checkPBA(end - 1); err != nil {
 			return nil, err
@@ -160,7 +126,6 @@ func (d *Device) readMoveSources(pl *plane, chunk []BlockMove) ([][]byte, error)
 			}
 		}
 		d.unlockRange(locked)
-		i = j
 	}
 	return bufs, nil
 }
@@ -194,16 +159,32 @@ type WriteRun struct {
 	Blocks [][]byte
 }
 
+// ConsecutiveRuns yields the maximal runs [i, j) of a sequence of n
+// block addresses (addr(k) is the k-th) in which each address is one
+// past the previous — the unit one batched command covers.
+func ConsecutiveRuns(n int, addr func(k int) uint64) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && addr(j) == addr(j-1)+1 {
+				j++
+			}
+			if !yield(i, j) {
+				return
+			}
+			i = j
+		}
+	}
+}
+
 // WriteRunsFanned commits independent contiguous write runs on a pool
 // of worker planes — the foreground write path's fan-out engine, used
 // by the lfs Sync path to flush per-affinity-class group-commit
-// buffers in one pass. Worker w handles runs w, w+workers, … on a
-// private latency plane (static partition, like MoveGroups), and when
-// the pool drains the device clock advances by the *maximum*
-// per-worker elapsed virtual time: a fanned-out flush costs its
-// slowest worker, not the sum. Every run's destination is the
-// caller's (preassigned frontiers), so the post-flush medium layout is
-// identical for any worker count; only the virtual time changes.
+// buffers in one pass. Runs are split strided over the worker planes
+// ("write-fanout"; see fanOut for the slowest-worker virtual-time
+// contract). Every run's destination is the caller's (preassigned
+// frontiers), so the post-flush medium layout is identical for any
+// worker count; only the virtual time changes.
 //
 // Each run carries WriteBlocks' exact per-run contract: every payload
 // and target block is checked before the first bit of that run is
@@ -223,33 +204,11 @@ func (d *Device) WriteRunsFanned(runs []WriteRun, workers int) []error {
 // own device time includes its fanned flush.
 func (d *Device) WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, workers int) []error {
 	errs := make([]error, len(runs))
-	if len(runs) == 0 {
-		return errs
-	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		pl := d.newPlane(int32(w+1), fanBase)
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane) {
-			defer wg.Done()
-			for g := w; g < len(runs); g += workers {
-				errs[g] = d.writeRunChecked(pl, runs[g])
-			}
-		}(w, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, task, "write-fanout")
+	d.fanOut(len(runs), workers, strided, task, "write-fanout", func(pl *plane, _, i int) {
+		errs[i] = d.writeRunChecked(pl, runs[i])
+	})
 	return errs
 }
 
@@ -286,17 +245,13 @@ func (d *Device) writeRunChecked(pl *plane, r WriteRun) error {
 }
 
 // ReadBlocksFanned magnetically reads an arbitrary set of blocks on a
-// pool of worker planes — the mount-time inode walk's engine. The
-// input is split into contiguous index ranges, one per worker (a
-// static partition, like VerifyLines, so virtual time is a function of
-// the workload alone, never of host scheduling) — contiguous rather
-// than round-robin because seek cost scales with travel distance: a
-// caller that presents an address-sorted run keeps every worker's
-// seeks inside its own 1/workers-th of the span, where a strided split
-// would march every worker across the whole of it. When the pool
-// drains the device clock advances by the *maximum* per-worker elapsed
-// virtual time: a fanned-out walk costs its slowest worker, not the
-// sum. Results are assembled in input order for any worker count; a
+// pool of worker planes — the mount-time inode walk's fan-out. The
+// input is split into contiguous index ranges, one per worker
+// ("read-fanout"; see fanOut) — contiguous rather than strided because
+// a caller that presents an address-sorted run then keeps every
+// worker's seeks inside its own 1/workers-th of the span, where a
+// strided split would march every worker across the whole of it.
+// Results are assembled in input order for any worker count; a
 // block that cannot be read yields a nil buffer and its error in the
 // matching errs slot (other reads proceed — the caller decides whether
 // a failure is fatal). workers <= 0 means the device's configured
@@ -304,41 +259,11 @@ func (d *Device) writeRunChecked(pl *plane, r WriteRun) error {
 func (d *Device) ReadBlocksFanned(pbas []uint64, workers int) (bufs [][]byte, errs []error) {
 	bufs = make([][]byte, len(pbas))
 	errs = make([]error, len(pbas))
-	if len(pbas) == 0 {
-		return bufs, errs
-	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(pbas) {
-		workers = len(pbas)
-	}
-	per := (len(pbas) + workers - 1) / workers
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	planes := make([]*plane, 0, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(pbas) {
-			hi = len(pbas)
-		}
-		if lo >= hi {
-			break
-		}
-		pl := d.newPlane(int32(len(planes)+1), fanBase)
-		planes = append(planes, pl)
-		wg.Add(1)
-		go func(lo, hi int, pl *plane) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				bufs[i], errs[i] = d.readBlockOn(pl, pbas[i])
-			}
-		}(lo, hi, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "read-fanout")
+	d.fanOut(len(pbas), workers, contiguous, nil, "read-fanout", func(pl *plane, _, i int) {
+		bufs[i], errs[i] = d.readBlockOn(pl, pbas[i])
+	})
 	return bufs, errs
 }
 

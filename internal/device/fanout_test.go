@@ -284,7 +284,9 @@ func readEngine() fanEngine {
 }
 
 func TestFanOutJoinSpansAndClock(t *testing.T) {
-	engines := []fanEngine{verifyEngine(), scanEngine(1024), moveEngine(), writeEngine(), readEngine()}
+	engines := []fanEngine{verifyEngine(), scanEngine(1024), moveEngine(), writeEngine(), readEngine(),
+		// Three 16-block chunks: at j=4 only three planes have work.
+		scanEngine(40)}
 	for _, e := range engines {
 		all := make([]int, e.items)
 		for i := range all {

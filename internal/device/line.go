@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"sero/internal/manchester"
-	"sero/internal/trace"
 )
 
 // Line operations (§3 "Heat a line" / "Verify a heated line").
@@ -378,75 +376,17 @@ type VerifyOutcome struct {
 // count; with read noise, workers interleave draws from the shared
 // noise stream (see the package sero concurrency notes).
 //
-// Work is partitioned statically: worker w verifies lines w,
-// w+workers, w+2·workers, … — not a dynamic queue. That makes the
-// virtual-time accounting deterministic too: each worker verifies on a
-// private latency plane (its own probe array and clock), and when the
-// pool drains the device clock advances by the *maximum* per-worker
-// elapsed virtual time — the model of parallel verification hardware,
-// where wall virtual time is the slowest worker, not the sum. A
-// dynamic queue would let host scheduling decide the split (on a
-// single-CPU host one worker can drain the whole queue), turning
-// virtual time into a function of the host; the static split keeps it
-// a function of the workload alone. With workers == 1 this degenerates
-// to the single-sled serial sum (charged on the pass's own plane,
-// which starts from the sled home position).
+// Lines are split strided over the worker planes ("verify-fanout"):
+// worker w verifies lines w, w+workers, w+2·workers, … and the pass
+// costs its slowest worker (see fanOut). With workers == 1 this
+// degenerates to the single-sled serial sum. Each line takes the gate
+// and its stripe locks itself (verifyStart).
 func (d *Device) VerifyLines(starts []uint64, workers int) []VerifyOutcome {
 	out := make([]VerifyOutcome, len(starts))
-	if len(starts) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = d.Concurrency()
-	}
-	if workers > len(starts) {
-		workers = len(starts)
-	}
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	for w := 0; w < workers; w++ {
-		pl := d.newPlane(int32(w+1), fanBase)
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane) {
-			defer wg.Done()
-			for i := w; i < len(starts); i += workers {
-				out[i].Report, out[i].Err = d.verifyStart(pl, starts[i])
-			}
-		}(w, pl)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "verify-fanout")
+	d.fanOut(len(starts), workers, strided, nil, "verify-fanout", func(pl *plane, _, i int) {
+		out[i].Report, out[i].Err = d.verifyStart(pl, starts[i])
+	})
 	return out
-}
-
-// drainPlanes closes out a fan-out pass: it folds every worker's
-// stats into the device counters and advances the device clock by the
-// maximum per-worker elapsed virtual time — the parallel-hardware
-// contract shared by VerifyLines and Scan. The advance happens under
-// arrMu so it cannot land inside a foreground operation's stopwatch
-// window and inflate its per-op latency stats. The advance is also the
-// fan-out's cost to its owner: it accumulates into task (nil-safe),
-// and when tracing is on a join span named name covers the pass from
-// launch to the slowest worker (name "" suppresses the span for
-// fan-outs whose call sites emit their own).
-func (d *Device) drainPlanes(planes []*plane, task *trace.Task, name string) {
-	var maxElapsed time.Duration
-	for _, pl := range planes {
-		if e := pl.clock.Now(); e > maxElapsed {
-			maxElapsed = e
-		}
-		d.mergeStats(pl.stats)
-	}
-	d.arrMu.Lock()
-	d.clock.Advance(maxElapsed)
-	d.arrMu.Unlock()
-	task.AddDevice(maxElapsed)
-	if tr := d.tracer.Load(); tr != nil && name != "" && len(planes) > 0 {
-		tr.Emit(trace.Span{Name: name, Cat: "device", Track: d.p.TrackOffset, Session: -1,
-			Start: planes[0].base, Dur: int64(maxElapsed), V1: int64(len(planes))})
-	}
 }
 
 // Lines returns the heated lines known to the device, sorted by start.
@@ -480,54 +420,28 @@ type scanResult struct {
 // tampering or a shredded block).
 //
 // The scan holds the exclusive device gate and fans the block probe
-// out over the configured Concurrency, each worker charging a private
-// latency plane; the device clock advances by the slowest worker.
-// Like VerifyLines, the block space is partitioned statically
-// (interleaved chunks per worker), so the virtual-time cost is
-// independent of host scheduling, and on a noiseless medium the
-// merged results are too (results are merged in block order either
-// way).
+// out over the configured Concurrency ("scan-fanout"): the block space
+// is cut into 16-block chunks split strided over the worker planes,
+// and the pass costs its slowest worker (see fanOut). On a noiseless
+// medium the merged results are independent of the worker count too
+// (results are merged in block order either way).
 func (d *Device) Scan() (recovered []LineInfo, unparseable []uint64, err error) {
 	d.gate.Lock()
 	defer d.gate.Unlock()
 
+	const chunk = 16 // contiguous blocks per stride step
 	blocks := uint64(d.p.Blocks)
 	workers := d.Concurrency()
-	if workers > int(blocks) {
-		workers = int(blocks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	results := make([]*scanResult, workers)
-	planes := make([]*plane, workers)
-	var wg sync.WaitGroup
-	fanBase := int64(d.clock.Now())
-	const chunk = 16 // contiguous blocks per stride step
-	for w := 0; w < workers; w++ {
-		res := &scanResult{}
-		pl := d.newPlane(int32(w+1), fanBase)
-		results[w] = res
-		planes[w] = pl
-		wg.Add(1)
-		go func(w int, pl *plane, res *scanResult) {
-			defer wg.Done()
-			for lo := uint64(w) * chunk; lo < blocks; lo += uint64(workers) * chunk {
-				hi := lo + chunk
-				if hi > blocks {
-					hi = blocks
-				}
-				d.scanRange(pl, lo, hi, res)
-			}
-		}(w, pl, res)
-	}
-	wg.Wait()
-	d.drainPlanes(planes, nil, "scan-fanout")
+	results := make([]scanResult, workers)
+	d.fanOut(int((blocks+chunk-1)/chunk), workers, strided, nil, "scan-fanout", func(pl *plane, w, c int) {
+		lo := uint64(c) * chunk
+		d.scanRange(pl, lo, min(lo+chunk, blocks), &results[w])
+	})
 
 	// Surface the lowest-addressed error, deterministically.
 	var firstErr *scanResult
-	for _, res := range results {
+	for i := range results {
+		res := &results[i]
 		if res.err != nil && (firstErr == nil || res.errPBA < firstErr.errPBA) {
 			firstErr = res
 		}

@@ -449,32 +449,6 @@ func TestRunE13ScrubTradeoff(t *testing.T) {
 	}
 }
 
-func TestRunE18ServingSweep(t *testing.T) {
-	res, err := RunE18(2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows, want 2 (sessions 1 and 2)", len(res.Rows))
-	}
-	// The workload is partitioned, not duplicated: every session count
-	// applies (nearly) the same total op budget.
-	for _, row := range res.Rows {
-		if row.Ops == 0 || row.Throughput <= 0 {
-			t.Fatalf("empty row %+v", row)
-		}
-		if row.ReadP50 > row.ReadP99 || row.ReadP99 > row.Worst {
-			t.Fatalf("disordered latencies %+v", row)
-		}
-	}
-	if a, b := res.Rows[0].Ops, res.Rows[1].Ops; a > b+b/8 || b > a+a/8 {
-		t.Fatalf("op totals diverge across session counts: %d vs %d", a, b)
-	}
-	if res.Table() == "" {
-		t.Fatal("empty table")
-	}
-}
-
 // TestRunE22Striping gates the array PR's acceptance bar: ≥1.5x
 // serving throughput at width 4, exact width-1 virtual-time identity,
 // reconstruction under member loss, and a confirmed auditor heal.

@@ -24,7 +24,7 @@ import (
 //  2. Foreground cost: audit work runs off-clock (shadow planes, never
 //     the shared clock), so the serving trajectory with continuous
 //     verification armed must be virtual-time identical to the same
-//     run without it. Measured by replaying the e18 serving mix twice
+//     run without it. Measured by replaying the serving mix twice
 //     — audit off and audit on — and comparing virtual times; the
 //     audit counters report the shadow device cost the sweeps would
 //     have added on-clock.

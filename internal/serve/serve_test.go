@@ -46,6 +46,10 @@ func TestRunSingleSession(t *testing.T) {
 // TestRunConcurrentSessions drives read+rename mixes from many
 // sessions at once; under -race this is the serving tier's race gate.
 func TestRunConcurrentSessions(t *testing.T) {
+	single, err := Run(smallConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sessions := range []int{2, 4, 8} {
 		res, err := Run(smallConfig(sessions))
 		if err != nil {
@@ -56,6 +60,9 @@ func TestRunConcurrentSessions(t *testing.T) {
 		}
 		// Total work is partitioned, not duplicated: op totals match the
 		// single-session stream count to within churn-degradation noise.
+		if a, b := single.TotalOps, res.TotalOps; a > b+b/8 || b > a+a/8 {
+			t.Fatalf("sessions=%d: op total %d diverges from the single-session %d", sessions, b, a)
+		}
 		if res.PerOp["read"].Count == 0 || res.PerOp["rename"].Count == 0 {
 			t.Fatalf("sessions=%d: read/rename missing from mix", sessions)
 		}

@@ -9,9 +9,8 @@ import (
 
 // The text summary: a compact, flamegraph-style aggregation of a span
 // stream — per (category, name): call count, total and mean virtual
-// time, and a proportional bar — the form serosim's e20-observability
-// experiment prints. Like the Chrome exporter it is a pure function of
-// the span contents.
+// time, and a proportional bar. Like the Chrome exporter it is a pure
+// function of the span contents.
 
 // summaryRow is one aggregated (cat, name) line.
 type summaryRow struct {

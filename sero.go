@@ -123,7 +123,7 @@
 // FSOptions.CleanWatermark set, passes run from a background
 // goroutine whenever the free pool dips to the watermark, so
 // foreground appends stop paying for whole cleaning passes (see
-// cmd/serosim's e16-background-clean experiment); FS.Close stops it.
+// BenchmarkAppendDuringClean* in internal/lfs); FS.Close stops it.
 // Latency-critical embedders that want neither inline passes nor a
 // background goroutine can instead drive rounds themselves with
 // FS.CleanStep — one plan/copy/commit round per call, stopping the
@@ -457,8 +457,7 @@ func TraceChromeJSON(spans []TraceSpan, dropped uint64) ([]byte, error) {
 }
 
 // TraceSummary renders spans as a compact text profile (per-span-kind
-// counts, totals, means and share bars) — the form serosim's
-// e20-observability experiment prints.
+// counts, totals, means and share bars).
 func TraceSummary(spans []TraceSpan) string { return trace.Summarize(spans) }
 
 // MetricsSnapshot is a point-in-time counters registry spanning the
