@@ -206,8 +206,27 @@ func TestSessionSeedsDistinct(t *testing.T) {
 }
 
 // TestRunStriped serves over a striped array and checks the width-1
-// equivalence of the trajectory fields plus the degraded path.
+// equivalence of the trajectory fields, the width-4 throughput gain
+// and the degraded path.
 func TestRunStriped(t *testing.T) {
+	// The throughput gate runs one session: a single-session trajectory
+	// is deterministic, while multi-session interleaving (and hence the
+	// cleaning order) depends on the schedule.
+	rawOne, err := Run(smallConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideOne := smallConfig(1)
+	wideOne.Devices = 4
+	wideOne.ParityDevices = 1
+	stripedOne, err := Run(wideOne)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if speedup := stripedOne.ThroughputOpsPerSec / rawOne.ThroughputOpsPerSec; speedup < 1.5 {
+		t.Fatalf("width-4 single-session speedup %.2fx below the 1.5x bar", speedup)
+	}
+
 	base := smallConfig(4)
 	single, err := Run(base)
 	if err != nil {
@@ -257,6 +276,10 @@ func TestRunStriped(t *testing.T) {
 	}
 	if !dres.PerDevice[3].Failed {
 		t.Fatal("failed member not flagged in per-device stats")
+	}
+	if dres.DegradedReads == 0 || dres.ReconstructedBlocks == 0 {
+		t.Fatalf("degraded run never reconstructed: %d reads, %d blocks",
+			dres.DegradedReads, dres.ReconstructedBlocks)
 	}
 }
 
