@@ -1,7 +1,7 @@
 package sero
 
 // One benchmark per reproducible artifact of the paper (Figures 2, 3,
-// 7, 8, 9 and experiments E1–E13 — see DESIGN.md for the index). Each
+// 7, 8, 9 and experiments E1–E13 — cmd/serosim lists them). Each
 // bench regenerates its figure/experiment per iteration and reports
 // the figure's headline quantity via ReportMetric, so
 // `go test -bench=. -benchmem` reproduces the whole evaluation.

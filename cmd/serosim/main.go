@@ -3,19 +3,10 @@
 //
 // Usage:
 //
-//	serosim [-seed N] [-j workers] [-ckpt-every N] [-sessions N] [experiment ...]
+//	serosim [-seed N] [experiment ...]
 //
-// Flags (all validated, nonsensical values are rejected rather than
-// silently clamped):
-//
-//	-seed N       deterministic seed for stochastic experiments (default 42)
-//	-j N          worker fan-out for e17-mount-scale's fanned walk;
-//	              must be positive, 1 = serial (default 4)
-//	-ckpt-every N checkpoint interval in appended blocks, swept by
-//	              e15-recovery; must be positive, 1 = checkpoint every
-//	              sync (default 256)
-//	-sessions N   concurrent sessions for e22-striping's serving runs;
-//	              must be positive (default 4)
+// -seed N is the deterministic seed for stochastic experiments
+// (default 42).
 //
 // With no arguments every experiment runs. Experiments:
 //
@@ -37,28 +28,10 @@
 //	e11-worm    §2 WORM technology comparison under the rewrite attack
 //	e12-ffs     heat clustering across FS designs (LFS vs FFS-style)
 //	e13-scrub   background-scrub tradeoff: detection latency vs overhead
-//	e15-recovery  roll-forward recovery: sync latency vs replay time
-//	e17-mount-scale  mount cost vs namespace width: the checkpointed
-//	              liveness table (O(segments + replayed tail)) against
-//	              the full inode walk (O(files)), serial and fanned
-//	              over -j worker planes
-//	e21-online-verify  continuous verification: detection latency of a
-//	              random live tamper vs the incremental auditor's
-//	              2*ceil(L/batch) bound across batch sizes, and the
-//	              audit tax on the serving mix (virtual-time identical
-//	              audit-on vs audit-off, shadow device cost reported)
-//	e22-striping  the striped multi-volume array: serving throughput
-//	              across widths 1/2/4 with Reed–Solomon parity,
-//	              width-1 virtual-time identity with the raw device,
-//	              degraded serving with one member lost (reads
-//	              reconstructed from the parity group), and auditor
-//	              self-healing of a tampered heated line
 //
-// Example invocations:
+// Example invocation:
 //
-//	serosim -ckpt-every 64 e15-recovery    # denser checkpoints, shorter replay
-//	serosim -j 4 e17-mount-scale           # fanned-walk column at 4 workers
-//	serosim -sessions 8 e22-striping       # serving runs with 8 sessions
+//	serosim -seed 7 e4-attacks e13-scrub
 package main
 
 import (
@@ -72,32 +45,12 @@ import (
 
 func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed for stochastic experiments")
-	workers := flag.Int("j", 4, "worker fan-out for e17-mount-scale's fanned walk (1 = serial)")
-	ckptEvery := flag.Int("ckpt-every", 256, "extra checkpoint interval (appended blocks) swept by e15-recovery")
-	sessions := flag.Int("sessions", 4, "concurrent sessions for e22-striping's serving runs")
 	flag.Parse()
-	// Nonsensical values are rejected, not silently clamped: a typo'd
-	// experiment configuration should fail loudly, not quietly measure
-	// something else.
-	if *workers <= 0 {
-		fmt.Fprintf(os.Stderr, "serosim: -j must be positive (got %d)\n", *workers)
-		os.Exit(2)
-	}
-	if *ckptEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "serosim: -ckpt-every must be positive (got %d)\n", *ckptEvery)
-		os.Exit(2)
-	}
-	if *sessions <= 0 {
-		fmt.Fprintf(os.Stderr, "serosim: -sessions must be positive (got %d)\n", *sessions)
-		os.Exit(2)
-	}
-	fsFlags = fsFlagValues{workers: *workers, ckptEvery: *ckptEvery, sessions: *sessions}
 
 	all := []string{
 		"fig2", "fig3", "fig7", "fig8", "fig9",
 		"e1-latency", "e2-gc", "e3-bimodal", "e4-attacks",
 		"e5-overhead", "e6-archival", "e7-erb", "e8-aging", "e9-defects", "e10-pulse", "e11-worm", "e12-ffs", "e13-scrub",
-		"e15-recovery", "e17-mount-scale", "e21-online-verify", "e22-striping",
 	}
 	wanted := flag.Args()
 	if len(wanted) == 0 {
@@ -202,42 +155,8 @@ func run(name string, seed uint64) error {
 			return err
 		}
 		fmt.Print(res.Table())
-	case "e15-recovery":
-		res, err := experiments.RunE15(192, 96, fsFlags.ckptEvery)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-	case "e17-mount-scale":
-		res, err := experiments.RunE17(fsFlags.workers, 8)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-	case "e21-online-verify":
-		res, err := experiments.RunE21(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-	case "e22-striping":
-		res, err := experiments.RunE22(fsFlags.sessions, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
 }
-
-// fsFlagValues carries the -j/-ckpt-every/-sessions settings into run
-// without threading them through every experiment's arguments.
-type fsFlagValues struct {
-	workers   int
-	ckptEvery int
-	sessions  int
-}
-
-var fsFlags = fsFlagValues{workers: 4, ckptEvery: 256, sessions: 4}

@@ -1060,9 +1060,13 @@ func (a *Array) Lines() []device.LineInfo {
 // ScanFinding is a per-member anomaly a whole-array scan surfaced that
 // has no global address (evidence on parity territory).
 type ScanFinding struct {
+	// Member is the member device the evidence was found on.
 	Member int
-	Local  uint64
-	Kind   string
+	// Local is the member-local block address of the evidence.
+	Local uint64
+	// Kind names the anomaly: "line-on-parity-territory" or
+	// "unparseable-on-parity-territory".
+	Kind string
 }
 
 // Scan recovers the heated-line registry from every live member's

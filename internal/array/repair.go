@@ -212,10 +212,14 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 // Stats is the array-level health and accounting snapshot (member
 // OpStats aggregate separately via Dev.Stats).
 type Stats struct {
-	Members      int
-	Parity       int
+	// Members is the member-device count N, parity members included.
+	Members int
+	// Parity is the number of parity members P.
+	Parity int
+	// StripeBlocks is the stripe unit in blocks.
 	StripeBlocks int
-	Failed       []bool
+	// Failed marks, per member, whether it is currently failed.
+	Failed []bool
 	// DegradedReads counts reads served via reconstruction.
 	DegradedReads uint64
 	// ReconstructedBlocks counts blocks rebuilt from parity (degraded
@@ -223,8 +227,10 @@ type Stats struct {
 	ReconstructedBlocks uint64
 	// ParityBlockWrites counts parity blocks flushed to members.
 	ParityBlockWrites uint64
-	RepairedLines     uint64
-	RepairedMembers   uint64
+	// RepairedLines counts heated lines rebuilt in place by RepairLine.
+	RepairedLines uint64
+	// RepairedMembers counts whole members rebuilt by RepairMember.
+	RepairedMembers uint64
 	// MemberClocks are the per-member virtual timelines; the array
 	// clock is their maximum.
 	MemberClocks []time.Duration

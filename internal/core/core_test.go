@@ -5,11 +5,9 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"sero/internal/device"
 	"sero/internal/medium"
-	"sero/internal/sim"
 )
 
 func testStore(t testing.TB, blocks int) *Store {
@@ -330,83 +328,4 @@ func TestDecommissionable(t *testing.T) {
 	if !s.Decommissionable() {
 		t.Fatal("fully heated device not decommissionable")
 	}
-}
-
-func TestScrubberCleanRun(t *testing.T) {
-	s := testStore(t, 64)
-	start, logN, err := s.WriteLine([][]byte{block(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Heat(start, logN); err != nil {
-		t.Fatal(err)
-	}
-	sched := sim.NewScheduler(s.Device().Clock())
-	scrub := NewScrubber(s, sched, 10*time.Millisecond)
-	scrub.Start()
-	sched.RunUntil(s.Device().Clock().Now() + 100*time.Millisecond)
-	st := scrub.Stats()
-	if st.Audits < 3 {
-		t.Fatalf("only %d audits ran", st.Audits)
-	}
-	if st.Detections != 0 || st.FirstDetection != 0 {
-		t.Fatalf("clean store produced detections: %+v", st)
-	}
-	if st.AuditTime <= 0 {
-		t.Fatal("audits consumed no virtual time")
-	}
-}
-
-func TestScrubberDetectsAndStops(t *testing.T) {
-	s := testStore(t, 64)
-	start, logN, err := s.WriteLine([][]byte{block(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Heat(start, logN); err != nil {
-		t.Fatal(err)
-	}
-	clock := s.Device().Clock()
-	sched := sim.NewScheduler(clock)
-	scrub := NewScrubber(s, sched, 5*time.Millisecond)
-	scrub.StopOnDetect = true
-	fired := 0
-	scrub.OnTamper = func(rep AuditReport) {
-		fired++
-		if rep.Clean() {
-			t.Error("OnTamper with clean report")
-		}
-	}
-	scrub.Start()
-	// Tamper between the second and third pass.
-	sched.At(clock.Now()+12*time.Millisecond, func() {
-		bits := device.ForgedFrameBits(start+1, block(0xBB))
-		med := s.Device().(*device.Device).Medium()
-		base := int(start+1) * device.DotsPerBlock
-		for i, b := range bits {
-			med.MWB(base+i, b)
-		}
-	})
-	sched.RunUntil(clock.Now() + 200*time.Millisecond)
-	st := scrub.Stats()
-	if st.Detections != 1 || fired != 1 {
-		t.Fatalf("detections %d fired %d", st.Detections, fired)
-	}
-	if st.FirstDetection == 0 {
-		t.Fatal("no detection time recorded")
-	}
-	// StopOnDetect: no further passes after detection.
-	if sched.Pending() != 0 {
-		t.Fatalf("scrubber still scheduled after detection: %d pending", sched.Pending())
-	}
-}
-
-func TestScrubberBadIntervalPanics(t *testing.T) {
-	s := testStore(t, 16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewScrubber(s, sim.NewScheduler(s.Device().Clock()), 0)
 }

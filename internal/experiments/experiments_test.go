@@ -448,35 +448,3 @@ func TestRunE13ScrubTradeoff(t *testing.T) {
 		t.Fatal("empty table")
 	}
 }
-
-// TestRunE22Striping gates the array PR's acceptance bar: ≥1.5x
-// serving throughput at width 4, exact width-1 virtual-time identity,
-// reconstruction under member loss, and a confirmed auditor heal.
-func TestRunE22Striping(t *testing.T) {
-	res, err := RunE22(2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Width1Identical {
-		t.Fatalf("width-1 virtual time diverged: raw %v vs array %v", res.RawVirtual, res.Width1Virtual)
-	}
-	wide := res.Widths[len(res.Widths)-1]
-	if wide.Devices != 4 || wide.Speedup < 1.5 {
-		t.Fatalf("width-4 speedup %.2fx below the 1.5x bar", wide.Speedup)
-	}
-	if wide.ParityWrites == 0 {
-		t.Fatal("striped run flushed no parity")
-	}
-	if res.DegradedReads == 0 || res.ReconstructedBlocks == 0 {
-		t.Fatalf("degraded run never reconstructed: %+v", res)
-	}
-	if res.Degraded.Throughput <= 0 {
-		t.Fatal("degraded run has no throughput")
-	}
-	if !res.Healed || res.HealSteps > res.HealBound {
-		t.Fatalf("self-healing failed: healed=%v steps=%d bound=%d", res.Healed, res.HealSteps, res.HealBound)
-	}
-	if res.Table() == "" {
-		t.Fatal("empty table")
-	}
-}

@@ -1,8 +1,8 @@
 // Package experiments contains one driver per reproducible artifact of
-// the paper: Figures 2, 3, 7, 8, 9 and the systems experiments E1–E7
-// catalogued in DESIGN.md. Each driver returns a typed result with a
+// the paper: Figures 2, 3, 7, 8, 9 and the systems experiments E1–E13
+// catalogued in cmd/serosim. Each driver returns a typed result with a
 // Table method rendering the same rows/series the paper reports;
-// cmd/serosim prints them and EXPERIMENTS.md records paper-vs-measured.
+// cmd/serosim prints them.
 package experiments
 
 import (

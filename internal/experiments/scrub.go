@@ -12,10 +12,10 @@ import (
 
 // E13 — detection latency vs scrub overhead: the "performance/security
 // tradeoffs" the paper's §9 simulation agenda calls for, on the
-// discrete-event timeline. A store holds heated lines; an insider
-// tampers at a known virtual instant; a background scrubber audits
-// every T. Short T detects fast but burns device time on audits; long
-// T is cheap but leaves the forgery live for longer.
+// device's virtual clock. A store holds heated lines; an insider
+// tampers at a known virtual instant; a full audit pass runs every T.
+// Short T detects fast but burns device time on audits; long T is
+// cheap but leaves the forgery live for longer.
 
 // E13Point is one scrub-interval configuration.
 type E13Point struct {
@@ -79,45 +79,46 @@ func runE13Point(seed uint64, lines int, interval time.Duration) (E13Point, erro
 		starts = append(starts, start)
 	}
 
+	// The insider strikes a fixed offset into the timeline. Every
+	// interval is at least 100ms, so the tamper lands before the first
+	// audit pass.
 	clock := st.Device().Clock()
-	sched := sim.NewScheduler(clock)
-	scrub := core.NewScrubber(st, sched, interval)
-	scrub.StopOnDetect = true
-	scrub.Start()
+	t0 := clock.Now()
+	tamperAt := t0 + 50*time.Millisecond
+	clock.AdvanceTo(tamperAt)
+	victim := starts[rng.Intn(len(starts))]
+	forged := make([]byte, device.DataBytes)
+	copy(forged, "history, revised")
+	bits := device.ForgedFrameBits(victim+1, forged)
+	med := st.Device().(*device.Device).Medium()
+	base := int(victim+1) * device.DotsPerBlock
+	for i, b := range bits {
+		med.MWB(base+i, b)
+	}
+	tamperedAt := clock.Now()
 
-	// The insider strikes a fixed offset into the timeline.
-	tamperAt := clock.Now() + 50*time.Millisecond
-	var tamperedAt time.Duration
-	sched.At(tamperAt, func() {
-		victim := starts[rng.Intn(len(starts))]
-		forged := make([]byte, device.DataBytes)
-		copy(forged, "history, revised")
-		bits := device.ForgedFrameBits(victim+1, forged)
-		med := st.Device().(*device.Device).Medium()
-		base := int(victim+1) * device.DotsPerBlock
-		for i, b := range bits {
-			med.MWB(base+i, b)
-		}
-		tamperedAt = clock.Now()
-	})
-
-	// Run the timeline until the scrubber catches it (bounded).
+	// Audit every interval until a pass finds the forgery (bounded).
+	// Each pass charges the device clock, so the next one starts one
+	// interval after the previous pass ended.
+	pt := E13Point{Interval: interval}
+	var auditTime, detectedAt time.Duration
 	deadline := tamperAt + 100*interval + time.Second
-	sched.RunUntil(deadline)
-
-	stats := scrub.Stats()
-	if stats.FirstDetection == 0 {
-		return E13Point{}, fmt.Errorf("scrubber never detected the tamper (interval %v)", interval)
+	for next := t0 + interval; next <= deadline; next = clock.Now() + interval {
+		clock.AdvanceTo(next)
+		start := clock.Now()
+		rep := st.Audit()
+		pt.Audits++
+		auditTime += clock.Now() - start
+		if !rep.Clean() {
+			detectedAt = clock.Now()
+			break
+		}
 	}
-	elapsed := stats.FirstDetection
-	pt := E13Point{
-		Interval:         interval,
-		DetectionLatency: stats.FirstDetection - tamperedAt,
-		Audits:           stats.Audits,
+	if detectedAt == 0 {
+		return E13Point{}, fmt.Errorf("scrub never detected the tamper (interval %v)", interval)
 	}
-	if elapsed > 0 {
-		pt.AuditDutyCycle = float64(stats.AuditTime) / float64(elapsed)
-	}
+	pt.DetectionLatency = detectedAt - tamperedAt
+	pt.AuditDutyCycle = float64(auditTime) / float64(detectedAt)
 	return pt, nil
 }
 

@@ -69,8 +69,8 @@ type Params struct {
 	// checkpoint then carries only imap+directory (the pre-table
 	// format) and Mount always rebuilds liveness with the full inode
 	// walk. It exists as the ablation baseline for the mount-scale
-	// experiments and benchmarks; production configurations should
-	// leave it false.
+	// tests and benchmarks (BenchmarkMountReplay{Wide,Deep});
+	// production configurations should leave it false.
 	NoLivenessTable bool
 
 	// CleanWatermark enables background incremental cleaning: when the

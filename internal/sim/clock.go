@@ -1,12 +1,11 @@
-// Package sim provides a deterministic virtual clock and a small
-// discrete-event scheduler used by all latency experiments. Nothing in
-// the repository measures wall time; every latency figure is derived
-// from this virtual clock so experiments are exactly reproducible.
+// Package sim provides the deterministic virtual clock and the seeded
+// RNG. Nothing in the repository measures wall time; every latency
+// figure is derived from this virtual clock so experiments are exactly
+// reproducible.
 package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -74,163 +73,3 @@ func NewStopwatch(c *Clock) Stopwatch {
 
 // Elapsed returns the virtual time since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }
-
-// Event is a scheduled callback in a discrete-event simulation.
-type Event struct {
-	At time.Duration
-	Fn func()
-
-	seq int // tie-breaker preserving schedule order
-}
-
-// Scheduler runs events in virtual-time order against a Clock. It is a
-// minimal calendar queue sufficient for the background-scrub and
-// workload-arrival processes used in the experiments.
-type Scheduler struct {
-	clock  *Clock
-	events []Event
-	next   int
-}
-
-// NewScheduler returns a scheduler driving c.
-func NewScheduler(c *Clock) *Scheduler {
-	return &Scheduler{clock: c}
-}
-
-// Clock returns the clock the scheduler drives.
-func (s *Scheduler) Clock() *Clock { return s.clock }
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past panics, as it would require time travel.
-func (s *Scheduler) At(t time.Duration, fn func()) {
-	if t < s.clock.Now() {
-		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, s.clock.Now()))
-	}
-	s.nextSeq()
-	s.events = append(s.events, Event{At: t, Fn: fn, seq: s.next})
-}
-
-// After schedules fn to run d from now.
-func (s *Scheduler) After(d time.Duration, fn func()) {
-	s.At(s.clock.Now()+d, fn)
-}
-
-func (s *Scheduler) nextSeq() { s.next++ }
-
-// Pending reports how many events have not yet run.
-func (s *Scheduler) Pending() int { return len(s.events) }
-
-// Run executes events in time order until the queue is empty, advancing
-// the clock to each event's timestamp. Events scheduled by running
-// events are honoured.
-func (s *Scheduler) Run() {
-	for len(s.events) > 0 {
-		s.Step()
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances
-// the clock to the deadline. Later events remain queued.
-func (s *Scheduler) RunUntil(deadline time.Duration) {
-	for {
-		i := s.earliest()
-		if i < 0 || s.events[i].At > deadline {
-			break
-		}
-		s.pop(i)
-	}
-	if s.clock.Now() < deadline {
-		s.clock.Advance(deadline - s.clock.Now())
-	}
-}
-
-// Step runs the single earliest pending event. It panics if no events
-// are pending.
-func (s *Scheduler) Step() {
-	i := s.earliest()
-	if i < 0 {
-		panic("sim: Step with no pending events")
-	}
-	s.pop(i)
-}
-
-func (s *Scheduler) earliest() int {
-	if len(s.events) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(s.events); i++ {
-		if s.events[i].At < s.events[best].At ||
-			(s.events[i].At == s.events[best].At && s.events[i].seq < s.events[best].seq) {
-			best = i
-		}
-	}
-	return best
-}
-
-func (s *Scheduler) pop(i int) {
-	ev := s.events[i]
-	s.events = append(s.events[:i], s.events[i+1:]...)
-	if ev.At > s.clock.Now() {
-		s.clock.Advance(ev.At - s.clock.Now())
-	}
-	ev.Fn()
-}
-
-// Timeline collects (time, value) samples of a named metric, e.g.
-// cleaner bandwidth over the course of an experiment.
-type Timeline struct {
-	Name    string
-	Times   []time.Duration
-	Values  []float64
-	maxKeep int
-}
-
-// NewTimeline creates a timeline. maxKeep bounds memory; 0 means
-// unbounded.
-func NewTimeline(name string, maxKeep int) *Timeline {
-	return &Timeline{Name: name, maxKeep: maxKeep}
-}
-
-// Record appends a sample.
-func (t *Timeline) Record(at time.Duration, v float64) {
-	if t.maxKeep > 0 && len(t.Times) >= t.maxKeep {
-		return
-	}
-	t.Times = append(t.Times, at)
-	t.Values = append(t.Values, v)
-}
-
-// Len returns the number of samples recorded.
-func (t *Timeline) Len() int { return len(t.Times) }
-
-// Mean returns the arithmetic mean of the recorded values, or 0 when
-// empty.
-func (t *Timeline) Mean() float64 {
-	if len(t.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range t.Values {
-		sum += v
-	}
-	return sum / float64(len(t.Values))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the recorded values
-// using nearest-rank on a sorted copy, or 0 when empty.
-func (t *Timeline) Quantile(q float64) float64 {
-	if len(t.Values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), t.Values...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}

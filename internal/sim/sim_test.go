@@ -42,90 +42,6 @@ func TestStopwatch(t *testing.T) {
 	}
 }
 
-func TestSchedulerOrdering(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
-	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
-	s.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order %v", order)
-	}
-	if c.Now() != 30 {
-		t.Fatalf("clock %v, want 30", c.Now())
-	}
-}
-
-func TestSchedulerTieBreaksFIFO(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
-	var order []int
-	s.At(10, func() { order = append(order, 1) })
-	s.At(10, func() { order = append(order, 2) })
-	s.Run()
-	if order[0] != 1 || order[1] != 2 {
-		t.Fatalf("tie order %v", order)
-	}
-}
-
-func TestSchedulerNested(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
-	hit := false
-	s.At(10, func() {
-		s.After(5, func() { hit = true })
-	})
-	s.Run()
-	if !hit {
-		t.Fatal("nested event did not run")
-	}
-	if c.Now() != 15 {
-		t.Fatalf("clock %v, want 15", c.Now())
-	}
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	var c Clock
-	s := NewScheduler(&c)
-	var ran []int
-	s.At(10, func() { ran = append(ran, 10) })
-	s.At(50, func() { ran = append(ran, 50) })
-	s.RunUntil(30)
-	if len(ran) != 1 || ran[0] != 10 {
-		t.Fatalf("ran %v", ran)
-	}
-	if c.Now() != 30 {
-		t.Fatalf("clock %v, want 30", c.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d", s.Pending())
-	}
-}
-
-func TestSchedulerPastPanics(t *testing.T) {
-	var c Clock
-	c.Advance(100)
-	s := NewScheduler(&c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	s.At(50, func() {})
-}
-
-func TestSchedulerStepEmptyPanics(t *testing.T) {
-	s := NewScheduler(&Clock{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Step on empty queue did not panic")
-		}
-	}()
-	s.Step()
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {
@@ -215,44 +131,5 @@ func TestRNGExponentialMean(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-5) > 0.1 {
 		t.Fatalf("exponential mean %g, want ~5", mean)
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	tl := NewTimeline("x", 0)
-	for i := 1; i <= 10; i++ {
-		tl.Record(time.Duration(i), float64(i))
-	}
-	if tl.Len() != 10 {
-		t.Fatalf("len %d", tl.Len())
-	}
-	if tl.Mean() != 5.5 {
-		t.Fatalf("mean %g", tl.Mean())
-	}
-	if q := tl.Quantile(0); q != 1 {
-		t.Fatalf("q0 %g", q)
-	}
-	if q := tl.Quantile(1); q != 10 {
-		t.Fatalf("q1 %g", q)
-	}
-	if q := tl.Quantile(0.5); q < 4 || q > 7 {
-		t.Fatalf("median %g", q)
-	}
-}
-
-func TestTimelineBounded(t *testing.T) {
-	tl := NewTimeline("x", 3)
-	for i := 0; i < 10; i++ {
-		tl.Record(time.Duration(i), float64(i))
-	}
-	if tl.Len() != 3 {
-		t.Fatalf("bounded len %d", tl.Len())
-	}
-}
-
-func TestTimelineEmpty(t *testing.T) {
-	tl := NewTimeline("x", 0)
-	if tl.Mean() != 0 || tl.Quantile(0.5) != 0 {
-		t.Fatal("empty timeline stats not zero")
 	}
 }

@@ -33,14 +33,14 @@
 // serialised against each other. Whole-medium operations — Recover's
 // scan and SaveImage — briefly exclude everything else.
 //
-// Audit, Recover and the background scrubber fan out over a worker
-// pool whose width is Options.Concurrency (default 1 = serial). Work
-// is partitioned statically (round-robin), so reports are assembled
-// in line order and, on a noiseless medium (Quiet), are bit-identical
-// for any worker count. With read noise enabled, workers interleave
-// draws from the medium's one seeded noise stream, so individual
-// noise samples land on different dot reads run to run — exactly as
-// they already do between two serial runs that touch the medium in
+// Audit and Recover fan out over a worker pool whose width is
+// Options.Concurrency (default 1 = serial). Work is partitioned
+// statically (round-robin), so reports are assembled in line order
+// and, on a noiseless medium (Quiet), are bit-identical for any
+// worker count. With read noise enabled, workers interleave draws
+// from the medium's one seeded noise stream, so individual noise
+// samples land on different dot reads run to run — exactly as they
+// already do between two serial runs that touch the medium in
 // different orders; at a healthy SNR the decoded results are
 // unaffected.
 //
@@ -105,7 +105,7 @@
 // stamped from one post-read timestamp, so the recovered state — and
 // the cleaner's future victim choices — is byte-identical for either
 // rebuild path and any worker count. FS.MountReport says which path a
-// mount took; serosim e17-mount-scale measures the contrast.
+// mount took; BenchmarkMountReplay{Wide,Deep} measure the contrast.
 //
 // # Cleaning: incremental, backgroundable, off the foreground lock
 //
@@ -193,8 +193,8 @@ type Options struct {
 	Seed uint64
 	// ErbRetries tunes the electrical-read retry count (default 8).
 	ErbRetries int
-	// Concurrency is the worker count Audit, Recover and the scrubber
-	// fan out over. 0 or 1 means serial, keeping the paper's
+	// Concurrency is the worker count Audit and Recover fan out
+	// over. 0 or 1 means serial, keeping the paper's
 	// single-sled virtual-time model (a pass costs the sum of its
 	// per-line work); higher values model
 	// parallel verification hardware (virtual time per pass becomes
@@ -569,13 +569,6 @@ type FSOptions struct {
 	// virtual time changes. 0 defaults to the device's configured
 	// width; negative values clamp to serial.
 	Concurrency int
-	// NoLivenessTable disables the checkpointed liveness table, making
-	// every mount rebuild segment liveness with the full inode walk —
-	// the pre-table behaviour, kept as the ablation baseline for the
-	// mount-scale experiments (serosim e17-mount-scale). Leave it false
-	// for production use: with the table, mount cost is O(segments +
-	// replayed tail) instead of O(namespace).
-	NoLivenessTable bool
 	// CleanWatermark moves cleaning off the foreground lock: when the
 	// free pool dips to this many segments, a background goroutine
 	// runs incremental plan/copy/commit passes — the expensive copy
@@ -617,7 +610,6 @@ func fsParams(d *Device, o FSOptions) lfs.Params {
 		p.Concurrency = d.Concurrency()
 	}
 	p.CleanWatermark = o.CleanWatermark
-	p.NoLivenessTable = o.NoLivenessTable
 	p.AuditEvery = o.AuditEvery
 	return p
 }

@@ -1,6 +1,7 @@
 // Command benchcheck is the recorded-trajectory half of `make ci`: it
 // validates committed BENCH_*.json files against their versioned
-// schema (internal/serve.SchemaV1 or SchemaV2 for the serving bench),
+// schema (internal/serve.SchemaV1, SchemaV2 or SchemaV3 for the
+// serving bench),
 // so a stale, truncated, or hand-edited trajectory fails the pipeline
 // instead of silently anchoring a later regression diff. It re-checks
 // shape only — it does not re-run the (minutes-long) benchmark; `make
