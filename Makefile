@@ -126,13 +126,15 @@ fuzz:
 # file-system core (internal/lfs), the serving tier (internal/serve),
 # the tracing plane (internal/trace), the store/audit core
 # (internal/core), the attack harness (internal/attack), the virtual
-# clock (internal/sim) and the striped array (internal/array) carries a
-# doc comment, so `go doc` reads as a complete reference.
+# clock (internal/sim), the striped array (internal/array), the dot
+# medium (internal/medium), the bit codings (internal/manchester) and
+# the op-stream generators (internal/workload) carries a doc comment,
+# so `go doc` reads as a complete reference.
 docs:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/array
+	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/array ./internal/medium ./internal/manchester ./internal/workload
 
 # docs already runs vet, so ci doesn't list it twice. race runs the
 # full -race suite; attack-campaign and degraded-campaign narrow in on

@@ -318,9 +318,6 @@ func NewInterleaved(parity, ways int) *Interleaved {
 	return &Interleaved{codec: NewCodec(parity), ways: ways}
 }
 
-// Ways returns the interleave factor.
-func (il *Interleaved) Ways() int { return il.ways }
-
 // ParityBytes returns the total parity overhead for any encode.
 func (il *Interleaved) ParityBytes() int { return il.ways * il.codec.parity }
 

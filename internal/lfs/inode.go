@@ -72,9 +72,6 @@ type Inode struct {
 // Heated reports whether the file has been frozen.
 func (in *Inode) Heated() bool { return in.Flags&FlagHeated != 0 }
 
-// NBlocks returns the number of data blocks.
-func (in *Inode) NBlocks() int { return len(in.Blocks) }
-
 // ErrBadInode reports an unparseable inode block.
 var ErrBadInode = errors.New("lfs: malformed inode")
 

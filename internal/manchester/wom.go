@@ -136,61 +136,6 @@ func reachable(cur, target [3]bool) bool {
 	return true
 }
 
-// WOMVector stores a sequence of 2-bit values in WOM cells.
-type WOMVector struct {
-	cells []WOMCell
-}
-
-// NewWOMVector returns a vector of n cells (2n logical bits,
-// 3n dots).
-func NewWOMVector(n int) *WOMVector {
-	if n <= 0 {
-		panic("manchester: non-positive WOM vector size")
-	}
-	return &WOMVector{cells: make([]WOMCell, n)}
-}
-
-// Len returns the number of cells.
-func (v *WOMVector) Len() int { return len(v.cells) }
-
-// Cell returns a pointer to cell i for direct manipulation.
-func (v *WOMVector) Cell(i int) *WOMCell { return &v.cells[i] }
-
-// WriteBytes stores data (2 bits per cell, MSB-first). It requires
-// len(data)*4 <= Len.
-func (v *WOMVector) WriteBytes(data []byte) error {
-	if len(data)*4 > len(v.cells) {
-		return fmt.Errorf("manchester: %d bytes exceed %d WOM cells", len(data), len(v.cells))
-	}
-	for i, b := range data {
-		for p := 0; p < 4; p++ {
-			val := (b >> (6 - 2*p)) & 3
-			if err := v.cells[i*4+p].Write(val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ReadBytes reads n bytes back.
-func (v *WOMVector) ReadBytes(n int) ([]byte, error) {
-	if n*4 > len(v.cells) {
-		return nil, fmt.Errorf("manchester: %d bytes exceed %d WOM cells", n, len(v.cells))
-	}
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		for p := 0; p < 4; p++ {
-			val, err := v.cells[i*4+p].Read()
-			if err != nil {
-				return nil, err
-			}
-			out[i] |= val << (6 - 2*p)
-		}
-	}
-	return out, nil
-}
-
 // DotsPerBit reports the storage efficiency of the codings: Manchester
 // uses 2 dots per bit per single write; the WOM code uses 1.5 dots per
 // bit and supports two writes, i.e. 0.75 dots per bit-write.

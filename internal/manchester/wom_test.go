@@ -1,7 +1,6 @@
 package manchester
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -95,48 +94,6 @@ func TestWOMInvalidPattern(t *testing.T) {
 		if _, err := c.Read(); err != nil {
 			t.Fatalf("pattern %03b failed to decode: %v", bits, err)
 		}
-	}
-}
-
-func TestWOMVectorRoundTrip(t *testing.T) {
-	v := NewWOMVector(64)
-	data := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	if err := v.WriteBytes(data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.ReadBytes(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("got %x", got)
-	}
-}
-
-func TestWOMVectorRewrite(t *testing.T) {
-	v := NewWOMVector(16)
-	if err := v.WriteBytes([]byte{0x12, 0x34}); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.WriteBytes([]byte{0xAB, 0xCD}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.ReadBytes(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{0xAB, 0xCD}) {
-		t.Fatalf("got %x", got)
-	}
-}
-
-func TestWOMVectorOverflow(t *testing.T) {
-	v := NewWOMVector(4)
-	if err := v.WriteBytes([]byte{1, 2}); err == nil {
-		t.Fatal("overflow write accepted")
-	}
-	if _, err := v.ReadBytes(2); err == nil {
-		t.Fatal("overflow read accepted")
 	}
 }
 

@@ -17,7 +17,6 @@ package medium
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sero/internal/physics"
 	"sero/internal/sim"
@@ -68,8 +67,6 @@ type dot struct {
 	// anisotropy no longer beats the shape anisotropy. Monotone:
 	// mixing is irreversible.
 	damage float32
-	// wearWrites counts magnetic writes, for wear diagnostics.
-	wearWrites uint32
 }
 
 // heated reports whether the dot's multilayer is destroyed.
@@ -139,11 +136,12 @@ func DefaultParams(rows, cols int) Params {
 	}
 }
 
-// Medium is a simulated patterned medium. Bit operations on disjoint
-// dot regions may run concurrently: the operation counters are atomic
-// and the noise generator is internally locked. Operations touching
-// the *same* dots must still be serialised by the caller — the device
-// layer's region locks enforce that (and extend write locks over the
+// Medium is a simulated patterned medium. It keeps only the physical
+// state of its dots; operation counts live in the device layer. Bit
+// operations on disjoint dot regions may run concurrently: the noise
+// generator is internally locked. Operations touching the *same* dots
+// must still be serialised by the caller — the device layer's region
+// locks enforce that (and extend write locks over the
 // thermal-crosstalk neighbourhood of electrical writes).
 type Medium struct {
 	p    Params
@@ -153,25 +151,6 @@ type Medium struct {
 	// stream regardless of which region is being read.
 	rngMu sync.Mutex
 	rng   *sim.RNG
-
-	// Counters for experiments, atomically updated.
-	stats atomicStats
-}
-
-// Stats counts low-level operations performed on a medium.
-type Stats struct {
-	MagneticReads  uint64
-	MagneticWrites uint64
-	ElectricWrites uint64
-	CrosstalkFlips uint64
-}
-
-// atomicStats is the lock-free internal representation of Stats.
-type atomicStats struct {
-	magneticReads  atomic.Uint64
-	magneticWrites atomic.Uint64
-	electricWrites atomic.Uint64
-	crosstalkFlips atomic.Uint64
 }
 
 // New creates a medium with the given parameters. It panics on
@@ -197,24 +176,6 @@ func (m *Medium) Params() Params { return m.p }
 
 // Dots returns the total number of dots.
 func (m *Medium) Dots() int { return len(m.dots) }
-
-// Stats returns a copy of the operation counters.
-func (m *Medium) Stats() Stats {
-	return Stats{
-		MagneticReads:  m.stats.magneticReads.Load(),
-		MagneticWrites: m.stats.magneticWrites.Load(),
-		ElectricWrites: m.stats.electricWrites.Load(),
-		CrosstalkFlips: m.stats.crosstalkFlips.Load(),
-	}
-}
-
-// ResetStats zeroes the operation counters.
-func (m *Medium) ResetStats() {
-	m.stats.magneticReads.Store(0)
-	m.stats.magneticWrites.Store(0)
-	m.stats.electricWrites.Store(0)
-	m.stats.crosstalkFlips.Store(0)
-}
 
 // CapacityBits returns the usable bit capacity (one bit per dot).
 func (m *Medium) CapacityBits() int { return len(m.dots) }
@@ -295,7 +256,6 @@ func (m *Medium) readSignal(i int) float64 {
 // or less random" (Fig 2): callers that need to detect heating must use
 // ERB instead — that is the device protocol the paper mandates.
 func (m *Medium) MRB(i int) bool {
-	m.stats.magneticReads.Add(1)
 	return m.readSignal(i) >= 0
 }
 
@@ -303,7 +263,6 @@ func (m *Medium) MRB(i int) bool {
 // Used by the read-channel diagnostics and by tests asserting the
 // Fig 1 peak behaviour.
 func (m *Medium) MRBAnalog(i int) float64 {
-	m.stats.magneticReads.Add(1)
 	return m.readSignal(i)
 }
 
@@ -312,9 +271,7 @@ func (m *Medium) MRBAnalog(i int) float64 {
 // remanence left (§5.1 "Changing the magnetisation of an electrically
 // written bit ... has no effect").
 func (m *Medium) MWB(i int, bit bool) {
-	m.stats.magneticWrites.Add(1)
 	d := m.at(i)
-	d.wearWrites++
 	if d.heated() {
 		return
 	}
@@ -335,7 +292,6 @@ func (m *Medium) MWB(i int, bit bool) {
 // by the heat spill (§7: "the magnetic state, or even the
 // write-ability of the adjacent dot could be affected").
 func (m *Medium) EWB(i int) {
-	m.stats.electricWrites.Add(1)
 	d := m.at(i)
 	m.pulse(d, m.p.PulseTempC)
 
@@ -352,7 +308,6 @@ func (m *Medium) EWB(i int) {
 		if m.p.ThermalCrosstalk > 0 && m.randFloat() < m.p.ThermalCrosstalk {
 			if !n.heated() {
 				n.up = !n.up
-				m.stats.crosstalkFlips.Add(1)
 			}
 		}
 	}
@@ -417,9 +372,6 @@ func (m *Medium) ERB(i int) (heated bool) {
 	}
 	return false
 }
-
-// WearWrites returns the number of magnetic writes dot i has received.
-func (m *Medium) WearWrites(i int) uint32 { return m.at(i).wearWrites }
 
 // HeatedCount returns the number of heated dots — the RO fraction of
 // the medium grows monotonically over its life (§8 "the read/write area

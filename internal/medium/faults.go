@@ -49,8 +49,8 @@ func (m *Medium) CorruptMagnetic(i int) {
 }
 
 // ReplaceRegion swaps factory-fresh dots into [lo, hi): pristine
-// magnetisation, no damage, no defects, zero wear. This is the
-// physical substrate of sled repair — patterned media are manufactured
+// magnetisation, no damage, no defects. This is the physical
+// substrate of sled repair — patterned media are manufactured
 // as regular matrices, so a service action can splice in a spare
 // region (or a whole spare sled) where dots were destroyed. Heating is
 // still irreversible on any given dot; replacement swaps the dots

@@ -8,14 +8,14 @@ import (
 )
 
 // Medium state persistence. A snapshot captures the full physical
-// state of every dot (magnetisation, heat damage, defects, wear) so a
+// state of every dot (magnetisation, heat damage, defects) so a
 // simulated medium can be saved to a file and reattached later —
 // including by a different host that then has to rediscover the heated
 // lines with a scan, exactly the §5.2 recovery scenario.
 
 const (
 	snapMagic   = "SMED"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // ErrBadSnapshot reports an unparseable snapshot.
@@ -51,7 +51,6 @@ func (m *Medium) Snapshot() []byte {
 		// damage quantised to 1/255 — well below the heated threshold's
 		// granularity needs.
 		buf = append(buf, byte(float64(d.damage)*255+0.5))
-		buf = binary.BigEndian.AppendUint32(buf, d.wearWrites)
 	}
 	return buf
 }
@@ -91,16 +90,16 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 		return nil, fmt.Errorf("%w: geometry %dx%d", ErrBadSnapshot, rows, cols)
 	}
 	// Size arithmetic in uint64: rows and cols are attacker-controlled
-	// 32-bit values, and rows*cols*6 can overflow on its way to
+	// 32-bit values, and rows*cols*2 can overflow on its way to
 	// matching a short buffer. The product of two uint32s fits uint64
-	// exactly, so cap it *before* the ×6 (which can wrap): 2^40 dots
+	// exactly, so cap it *before* the ×2 (which can wrap): 2^40 dots
 	// is orders of magnitude beyond any simulatable medium.
 	dots := uint64(rows) * uint64(cols)
 	const maxSnapshotDots = 1 << 40
 	if dots > maxSnapshotDots {
 		return nil, fmt.Errorf("%w: %d dots", ErrBadSnapshot, dots)
 	}
-	need := uint64(off) + dots*6
+	need := uint64(off) + dots*2
 	if uint64(len(buf)) != need {
 		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrBadSnapshot, len(buf), need)
 	}
@@ -138,8 +137,7 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 			d.inPlaneSign = -1
 		}
 		d.stuck = StuckKind(flags >> 3 & 3)
-		d.wearWrites = binary.BigEndian.Uint32(buf[off+2:])
-		off += 6
+		off += 2
 	}
 	return m, nil
 }

@@ -6,20 +6,17 @@ import (
 	"io"
 )
 
-// SchemaV1 is the versioned identifier of the original
-// serving-trajectory JSON schema (no per-session section). Validate
-// still accepts it so recorded v1 trajectories keep gating.
-const SchemaV1 = "sero-serving-bench/v1"
-
-// SchemaV2 extends v1 with the per-session latency decomposition
-// (Result.PerSession: own device time vs lock-wait vs queueing).
+// SchemaV2 is the versioned identifier of the serving-trajectory JSON
+// schema with the per-session latency decomposition
+// (Result.PerSession: own device time vs lock-wait vs queueing). It is
+// the oldest schema Validate accepts, so recorded v2 trajectories keep
+// gating.
 const SchemaV2 = "sero-serving-bench/v2"
 
 // SchemaV3 extends v2 with the striped-array section: member-device
 // count, parity width, degraded flag and the per-device breakdown
 // (Result.Devices/ParityDevices/Degraded/PerDevice). NewReport stamps
-// v3; Validate accepts all three and applies each section's checks
-// only to schemas that carry it.
+// v3; Validate accepts both and applies the array checks only to v3.
 const SchemaV3 = "sero-serving-bench/v3"
 
 // Report is the BENCH_serving.json trajectory file: one schema tag and
@@ -28,8 +25,7 @@ const SchemaV3 = "sero-serving-bench/v3"
 // seed, and the full FS configuration — is embedded in each run's
 // Config.
 type Report struct {
-	// Schema identifies the report format (SchemaV1, SchemaV2 or
-	// SchemaV3).
+	// Schema identifies the report format (SchemaV2 or SchemaV3).
 	Schema string `json:"schema"`
 	// Bench names the benchmark family ("serving").
 	Bench string `json:"bench"`
@@ -67,8 +63,8 @@ func DecodeReport(data []byte) (Report, error) {
 // report whose buffered ops silently lost their flush attribution
 // cannot anchor the regression gate.
 func (r Report) Validate() error {
-	if r.Schema != SchemaV1 && r.Schema != SchemaV2 && r.Schema != SchemaV3 {
-		return fmt.Errorf("serve: schema %q, want %q, %q or %q", r.Schema, SchemaV1, SchemaV2, SchemaV3)
+	if r.Schema != SchemaV2 && r.Schema != SchemaV3 {
+		return fmt.Errorf("serve: schema %q, want %q or %q", r.Schema, SchemaV2, SchemaV3)
 	}
 	if r.Bench != "serving" {
 		return fmt.Errorf("serve: bench %q, want serving", r.Bench)
@@ -110,33 +106,31 @@ func (r Report) Validate() error {
 		if counted != run.TotalOps {
 			return fmt.Errorf("serve: run %d: per-op counts sum to %d, total says %d", i, counted, run.TotalOps)
 		}
-		if r.Schema == SchemaV2 || r.Schema == SchemaV3 {
-			if len(run.PerSession) != c.Sessions {
-				return fmt.Errorf("serve: run %d: %d per-session entries for %d sessions",
-					i, len(run.PerSession), c.Sessions)
+		if len(run.PerSession) != c.Sessions {
+			return fmt.Errorf("serve: run %d: %d per-session entries for %d sessions",
+				i, len(run.PerSession), c.Sessions)
+		}
+		var sessOps uint64
+		for _, ss := range run.PerSession {
+			sessOps += ss.Ops
+			if ss.TotalNS < 0 || ss.DeviceNS < 0 || ss.LockWaitNS < 0 || ss.QueueNS < 0 {
+				return fmt.Errorf("serve: run %d: session %d has negative latency component", i, ss.Session)
 			}
-			var sessOps uint64
-			for _, ss := range run.PerSession {
-				sessOps += ss.Ops
-				if ss.TotalNS < 0 || ss.DeviceNS < 0 || ss.LockWaitNS < 0 || ss.QueueNS < 0 {
-					return fmt.Errorf("serve: run %d: session %d has negative latency component", i, ss.Session)
-				}
-				// Over a striped array, DeviceNS sums member commands
-				// that ran in parallel in virtual time, so it can
-				// legitimately exceed the shared-clock total — but
-				// never by more than the member count.
-				devBound := ss.TotalNS
-				if c.Devices > 1 {
-					devBound = ss.TotalNS * int64(c.Devices)
-				}
-				if devBound < ss.DeviceNS || ss.TotalNS < ss.LockWaitNS {
-					return fmt.Errorf("serve: run %d: session %d decomposition exceeds total (total=%d device=%d lockwait=%d devices=%d)",
-						i, ss.Session, ss.TotalNS, ss.DeviceNS, ss.LockWaitNS, c.Devices)
-				}
+			// Over a striped array, DeviceNS sums member commands
+			// that ran in parallel in virtual time, so it can
+			// legitimately exceed the shared-clock total — but
+			// never by more than the member count.
+			devBound := ss.TotalNS
+			if c.Devices > 1 {
+				devBound = ss.TotalNS * int64(c.Devices)
 			}
-			if sessOps != run.TotalOps {
-				return fmt.Errorf("serve: run %d: per-session ops sum to %d, total says %d", i, sessOps, run.TotalOps)
+			if devBound < ss.DeviceNS || ss.TotalNS < ss.LockWaitNS {
+				return fmt.Errorf("serve: run %d: session %d decomposition exceeds total (total=%d device=%d lockwait=%d devices=%d)",
+					i, ss.Session, ss.TotalNS, ss.DeviceNS, ss.LockWaitNS, c.Devices)
 			}
+		}
+		if sessOps != run.TotalOps {
+			return fmt.Errorf("serve: run %d: per-session ops sum to %d, total says %d", i, sessOps, run.TotalOps)
 		}
 		if r.Schema == SchemaV3 {
 			if err := validateArray(i, run); err != nil {

@@ -253,11 +253,12 @@ type OpStats struct {
 // virtual time the shared clock advanced under *other* sessions' ops
 // while this one was mid-flight, i.e. queueing behind their device
 // work. Over one device TotalNS = DeviceNS + LockWaitNS + QueueNS
-// (QueueNS is clamped at 0 against rounding, but the three windows are
-// disjoint by construction, so the identity holds exactly). Over a
-// striped array DeviceNS sums member commands that ran in parallel in
-// virtual time, so it can exceed TotalNS — by at most the member
-// count — and the identity becomes an inequality.
+// exactly: the three windows are disjoint by construction and virtual
+// time is integer nanoseconds, so an op whose queue term comes out
+// negative fails the run. Over a striped array DeviceNS sums member
+// commands that ran in parallel in virtual time, so it can exceed
+// TotalNS — by at most the member count — and the identity becomes an
+// inequality: a negative per-op queue term is clamped at 0 there.
 type SessionStats struct {
 	// Session is the session id (shard index).
 	Session int `json:"session"`
@@ -560,7 +561,12 @@ func RunTraced(cfg Config, tr *trace.Tracer) (Result, error) {
 				lw, devNS := task.LockWaitNS(), task.DeviceNS()
 				queue := int64(lat) - lw - devNS
 				if queue < 0 {
-					queue = 0 // defensive; the windows are disjoint
+					if cfg.Devices <= 1 {
+						s.err = fmt.Errorf("serve: session %d: %s: latency %d ns < lock wait %d ns + device %d ns",
+							s.id, op.Kind, lat, lw, devNS)
+						return
+					}
+					queue = 0 // parallel member commands overlap
 				}
 				s.stats.Ops++
 				s.stats.TotalNS += int64(lat)

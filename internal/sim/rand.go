@@ -71,15 +71,5 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Exponential returns an exponentially distributed variate with the
-// given mean. Used for workload inter-arrival times.
-func (r *RNG) Exponential(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * ln(u)
-}
-
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func ln(x float64) float64   { return math.Log(x) }

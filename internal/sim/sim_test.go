@@ -120,16 +120,3 @@ func TestRNGPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
-
-func TestRNGExponentialMean(t *testing.T) {
-	r := NewRNG(17)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(5)
-	}
-	mean := sum / n
-	if math.Abs(mean-5) > 0.1 {
-		t.Fatalf("exponential mean %g, want ~5", mean)
-	}
-}

@@ -7,53 +7,14 @@ import (
 	"sero/internal/sim"
 )
 
-// TestHotColdDegenerateFractions is the regression test for the
-// HotCold.Generate panic: HotFraction = 1.0 (or Files = 1, where the
-// minimum hot set already covers the population) used to reach
-// rng.Intn(Files-hot) with a zero argument on every cold draw. All
-// writes must be routed hot instead.
-func TestHotColdDegenerateFractions(t *testing.T) {
-	for _, tc := range []struct {
-		files    int
-		hotFrac  float64
-		skew     float64
-		degener8 bool // whole population hot: every write targets it
-	}{
-		{files: 20, hotFrac: 0, skew: 0.9, degener8: false},
-		{files: 20, hotFrac: 0.5, skew: 0.9, degener8: false},
-		{files: 20, hotFrac: 1.0, skew: 0.9, degener8: true},
-		{files: 1, hotFrac: 0.1, skew: 0.5, degener8: true},
-		{files: 1, hotFrac: 0, skew: 0, degener8: true},
-	} {
-		w := HotCold{Files: tc.files, FileBlocks: 2, HotFraction: tc.hotFrac,
-			AccessSkew: tc.skew, Writes: 200, SyncEvery: 16}
-		ops := w.Generate(sim.NewRNG(11)) // must not panic
-		writes := 0
-		for _, op := range ops {
-			if op.Kind == OpWrite {
-				writes++
-			}
-		}
-		if writes != 200 {
-			t.Errorf("files=%d hot=%g: %d writes, want 200", tc.files, tc.hotFrac, writes)
-		}
-		_ = tc.degener8
-	}
-}
-
 // TestGeneratorValidation: every generator rejects nonsensical
 // parameters with a diagnostic panic instead of emitting a malformed
 // stream.
 func TestGeneratorValidation(t *testing.T) {
 	bad := map[string]func(){
-		"hotcold-files":     func() { HotCold{Files: 0, FileBlocks: 1, Writes: 1}.Generate(sim.NewRNG(1)) },
-		"hotcold-blocks":    func() { HotCold{Files: 1, FileBlocks: 0, Writes: 1}.Generate(sim.NewRNG(1)) },
-		"hotcold-fraction":  func() { HotCold{Files: 4, FileBlocks: 1, HotFraction: 1.5}.Generate(sim.NewRNG(1)) },
-		"hotcold-skew":      func() { HotCold{Files: 4, FileBlocks: 1, AccessSkew: -0.1}.Generate(sim.NewRNG(1)) },
 		"snapshot-tables":   func() { Snapshot{Tables: 0, TableBlocks: 2, Updates: 1}.Generate(sim.NewRNG(1)) },
 		"snapshot-blocks":   func() { Snapshot{Tables: 2, TableBlocks: 0, Updates: 1}.Generate(sim.NewRNG(1)) },
 		"snapshot-updates":  func() { Snapshot{Tables: 2, TableBlocks: 2, Updates: -1}.Generate(sim.NewRNG(1)) },
-		"compliance":        func() { ComplianceIngest{}.Generate(sim.NewRNG(1)) },
 		"mix-files":         func() { Mix{FileBlocks: 1, ReadW: 1}.Generate(sim.NewRNG(1)) },
 		"mix-weights":       func() { Mix{Files: 4, FileBlocks: 1}.Generate(sim.NewRNG(1)) },
 		"mix-neg-weight":    func() { Mix{Files: 4, FileBlocks: 1, ReadW: 1, DeleteW: -1}.Generate(sim.NewRNG(1)) },
@@ -137,21 +98,9 @@ func TestGeneratorsApplicableByConstruction(t *testing.T) {
 			Generate(*sim.RNG) []Op
 		}
 	}
-	var grid []gen
-	for _, files := range []int{1, 7, 32} {
-		for _, frac := range []float64{0, 0.5, 1.0} {
-			grid = append(grid, gen{
-				name:   "hotcold",
-				blocks: 4096,
-				g: HotCold{Files: files, FileBlocks: 2, HotFraction: frac,
-					AccessSkew: 0.9, Writes: 40, SyncEvery: 8},
-			})
-		}
+	grid := []gen{
+		{"snapshot", 8192, Snapshot{Tables: 3, TableBlocks: 2, Updates: 40, SnapshotEvery: 20, Affinity: 1}},
 	}
-	grid = append(grid,
-		gen{"snapshot", 8192, Snapshot{Tables: 3, TableBlocks: 2, Updates: 40, SnapshotEvery: 20, Affinity: 1}},
-		gen{"compliance", 8192, ComplianceIngest{Documents: 10, MaxBlocks: 2, Classes: 2}},
-	)
 	for _, files := range []int{1, 16, 64} {
 		for _, theta := range []float64{0, 0.9} {
 			m := DefaultMix(files, 300)

@@ -1,10 +1,8 @@
 // Package workload provides the synthetic workloads driving the
-// performance experiments: the hot/cold write mix conventional in LFS
-// evaluation [42], the database-snapshot pattern the paper's
+// performance experiments: the database-snapshot pattern the paper's
 // introduction motivates ("most data bases support a snapshot
-// operation that freezes the contents of the data base"), and a
-// compliance-ingest stream with per-retention-class affinity (§8
-// "data to be segregated by expiry date").
+// operation that freezes the contents of the data base") and the
+// zipfian serving mix (Mix).
 package workload
 
 import (
@@ -18,6 +16,7 @@ import (
 
 // Op is one file-system operation produced by a generator.
 type Op struct {
+	// Kind is the operation to perform.
 	Kind OpKind
 	// Name is the target file.
 	Name string
@@ -25,9 +24,10 @@ type Op struct {
 	NewName string
 	// Affinity is the heat-affinity class for creates.
 	Affinity uint8
-	// Offset, Data describe writes; Offset also positions reads.
+	// Offset is the byte offset of a write; it also positions reads.
 	Offset uint64
-	Data   []byte
+	// Data is the payload of a write (OpWrite only).
+	Data []byte
 	// Length is the read size in bytes (OpRead only); 0 reads one
 	// block.
 	Length int
@@ -178,88 +178,6 @@ func Apply(fs *lfs.FS, ops []Op) (applied int, err error) {
 	return applied, nil
 }
 
-// HotCold generates the classic skewed write workload: HotFraction of
-// the files receive AccessSkew of the writes.
-type HotCold struct {
-	// Files is the file population size.
-	Files int
-	// FileBlocks is each file's size in blocks.
-	FileBlocks int
-	// HotFraction of files are hot (e.g. 0.1).
-	HotFraction float64
-	// AccessSkew of writes go to hot files (e.g. 0.9).
-	AccessSkew float64
-	// Writes is the number of write ops to generate.
-	Writes int
-	// SyncEvery inserts a sync after this many writes.
-	SyncEvery int
-}
-
-// DefaultHotCold returns the 10/90 configuration used by the paper's
-// LFS reference.
-func DefaultHotCold(files, writes int) HotCold {
-	return HotCold{
-		Files:       files,
-		FileBlocks:  4,
-		HotFraction: 0.1,
-		AccessSkew:  0.9,
-		Writes:      writes,
-		SyncEvery:   8,
-	}
-}
-
-// Generate produces the op stream. It panics with a diagnostic on a
-// nonsensical configuration (non-positive population or file size,
-// negative counts, fractions outside [0,1]) — a typo'd workload should
-// fail loudly, not quietly measure something else.
-func (w HotCold) Generate(rng *sim.RNG) []Op {
-	if w.Files <= 0 || w.FileBlocks <= 0 || w.Writes < 0 || w.SyncEvery < 0 ||
-		w.HotFraction < 0 || w.HotFraction > 1 || w.AccessSkew < 0 || w.AccessSkew > 1 {
-		panic(fmt.Sprintf("workload: bad HotCold %+v", w))
-	}
-	var ops []Op
-	for i := 0; i < w.Files; i++ {
-		ops = append(ops, Op{Kind: OpCreate, Name: hcName(i), Affinity: 0})
-	}
-	// At least one file is hot; and when the hot set covers the whole
-	// population (HotFraction ≈ 1, or a single file), every write is
-	// routed hot — there is no cold population left to draw from.
-	hot := int(float64(w.Files) * w.HotFraction)
-	if hot < 1 {
-		hot = 1
-	}
-	if hot > w.Files {
-		hot = w.Files
-	}
-	blockBytes := device.DataBytes
-	for i := 0; i < w.Writes; i++ {
-		var file int
-		if toHot := rng.Float64() < w.AccessSkew; toHot || hot == w.Files {
-			file = rng.Intn(hot)
-		} else {
-			file = hot + rng.Intn(w.Files-hot)
-		}
-		blk := rng.Intn(w.FileBlocks)
-		data := make([]byte, blockBytes)
-		for j := range data {
-			data[j] = byte(rng.Uint64())
-		}
-		ops = append(ops, Op{
-			Kind:   OpWrite,
-			Name:   hcName(file),
-			Offset: uint64(blk * blockBytes),
-			Data:   data,
-		})
-		if w.SyncEvery > 0 && (i+1)%w.SyncEvery == 0 {
-			ops = append(ops, Op{Kind: OpSync})
-		}
-	}
-	ops = append(ops, Op{Kind: OpSync})
-	return ops
-}
-
-func hcName(i int) string { return fmt.Sprintf("hc-%04d", i) }
-
 // Snapshot generates the database-snapshot pattern: a set of table
 // files receives continuous updates; periodically the current state is
 // copied into snapshot files which are immediately heated.
@@ -276,20 +194,8 @@ type Snapshot struct {
 	Affinity uint8
 }
 
-// DefaultSnapshot returns a moderate audit workload.
-func DefaultSnapshot(updates int) Snapshot {
-	return Snapshot{
-		Tables:        4,
-		TableBlocks:   6,
-		Updates:       updates,
-		SnapshotEvery: 50,
-		Affinity:      1,
-	}
-}
-
-// Generate produces the op stream. Like the other generators it
-// panics with a diagnostic on a nonsensical configuration instead of
-// emitting a malformed stream.
+// Generate produces the op stream. It panics with a diagnostic on a
+// nonsensical configuration instead of emitting a malformed stream.
 func (w Snapshot) Generate(rng *sim.RNG) []Op {
 	if w.Tables <= 0 || w.TableBlocks <= 0 || w.Updates < 0 || w.SnapshotEvery < 0 {
 		panic(fmt.Sprintf("workload: bad Snapshot %+v", w))
@@ -337,40 +243,3 @@ func (w Snapshot) Generate(rng *sim.RNG) []Op {
 }
 
 func snapTable(t int) string { return fmt.Sprintf("table-%d", t) }
-
-// ComplianceIngest generates a document-retention stream: documents
-// arrive, are written once, and heated immediately; each document
-// belongs to an expiry class that becomes its heat affinity (§8: "We
-// would advocate data to be segregated by expiry date").
-type ComplianceIngest struct {
-	// Documents is the number of documents to ingest.
-	Documents int
-	// MaxBlocks bounds document size.
-	MaxBlocks int
-	// Classes is the number of expiry classes.
-	Classes int
-}
-
-// Generate produces the op stream.
-func (w ComplianceIngest) Generate(rng *sim.RNG) []Op {
-	if w.Documents <= 0 || w.MaxBlocks <= 0 || w.Classes <= 0 {
-		panic(fmt.Sprintf("workload: bad ComplianceIngest %+v", w))
-	}
-	var ops []Op
-	for d := 0; d < w.Documents; d++ {
-		class := uint8(rng.Intn(w.Classes))
-		name := fmt.Sprintf("doc-%05d", d)
-		blocks := 1 + rng.Intn(w.MaxBlocks)
-		data := make([]byte, blocks*device.DataBytes)
-		for j := range data {
-			data[j] = byte(rng.Uint64())
-		}
-		ops = append(ops,
-			Op{Kind: OpCreate, Name: name, Affinity: class},
-			Op{Kind: OpWrite, Name: name, Data: data},
-			Op{Kind: OpHeat, Name: name},
-		)
-	}
-	ops = append(ops, Op{Kind: OpSync})
-	return ops
-}

@@ -25,84 +25,6 @@ func testFS(t testing.TB, blocks int) *lfs.FS {
 	return fs
 }
 
-func TestHotColdGenerate(t *testing.T) {
-	w := DefaultHotCold(20, 100)
-	ops := w.Generate(sim.NewRNG(1))
-	creates, writes, syncs := 0, 0, 0
-	for _, op := range ops {
-		switch op.Kind {
-		case OpCreate:
-			creates++
-		case OpWrite:
-			writes++
-		case OpSync:
-			syncs++
-		}
-	}
-	if creates != 20 || writes != 100 {
-		t.Fatalf("creates %d writes %d", creates, writes)
-	}
-	if syncs == 0 {
-		t.Fatal("no syncs generated")
-	}
-}
-
-func TestHotColdSkew(t *testing.T) {
-	w := DefaultHotCold(100, 5000)
-	ops := w.Generate(sim.NewRNG(2))
-	hotWrites, totalWrites := 0, 0
-	for _, op := range ops {
-		if op.Kind != OpWrite {
-			continue
-		}
-		totalWrites++
-		var idx int
-		if _, err := fmtSscanf(op.Name, &idx); err == nil && idx < 10 {
-			hotWrites++
-		}
-	}
-	frac := float64(hotWrites) / float64(totalWrites)
-	if frac < 0.85 || frac > 0.95 {
-		t.Fatalf("hot write fraction %g, want ≈0.9", frac)
-	}
-}
-
-// fmtSscanf extracts the numeric suffix of a hc-file name.
-func fmtSscanf(name string, idx *int) (int, error) {
-	var n int
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '-' {
-			for j := i + 1; j < len(name); j++ {
-				n = n*10 + int(name[j]-'0')
-			}
-			*idx = n
-			return 1, nil
-		}
-	}
-	return 0, errNoIndex
-}
-
-var errNoIndex = errType{}
-
-type errType struct{}
-
-func (errType) Error() string { return "no index" }
-
-func TestApplyHotCold(t *testing.T) {
-	fs := testFS(t, 4096)
-	ops := DefaultHotCold(10, 60).Generate(sim.NewRNG(3))
-	applied, err := Apply(fs, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != len(ops) {
-		t.Fatalf("applied %d of %d", applied, len(ops))
-	}
-	if len(fs.Names()) != 10 {
-		t.Fatalf("files %d", len(fs.Names()))
-	}
-}
-
 func TestApplySnapshotHeats(t *testing.T) {
 	fs := testFS(t, 8192)
 	w := Snapshot{Tables: 2, TableBlocks: 3, Updates: 60, SnapshotEvery: 30, Affinity: 1}
@@ -129,25 +51,10 @@ func TestApplySnapshotHeats(t *testing.T) {
 	}
 }
 
-func TestApplyComplianceIngest(t *testing.T) {
-	fs := testFS(t, 8192)
-	w := ComplianceIngest{Documents: 12, MaxBlocks: 3, Classes: 3}
-	ops := w.Generate(sim.NewRNG(5))
-	if _, err := Apply(fs, ops); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Stats().HeatedFiles != 12 {
-		t.Fatalf("heated %d of 12 documents", fs.Stats().HeatedFiles)
-	}
-	// Heat-aware clustering by class keeps bimodality at 1.
-	if b := fs.Bimodality(); b != 1 {
-		t.Fatalf("bimodality %g", b)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
-	a := DefaultHotCold(10, 50).Generate(sim.NewRNG(7))
-	b := DefaultHotCold(10, 50).Generate(sim.NewRNG(7))
+	w := Snapshot{Tables: 4, TableBlocks: 6, Updates: 50, SnapshotEvery: 20, Affinity: 1}
+	a := w.Generate(sim.NewRNG(7))
+	b := w.Generate(sim.NewRNG(7))
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -171,8 +78,7 @@ func TestOpKindString(t *testing.T) {
 
 func TestGeneratePanicsOnBadConfig(t *testing.T) {
 	for _, f := range []func(){
-		func() { HotCold{Files: 0, Writes: 1}.Generate(sim.NewRNG(1)) },
-		func() { ComplianceIngest{}.Generate(sim.NewRNG(1)) },
+		func() { Snapshot{}.Generate(sim.NewRNG(1)) },
 	} {
 		func() {
 			defer func() {

@@ -51,9 +51,6 @@ func zeta(n int, theta float64) float64 {
 	return sum
 }
 
-// N returns the population size.
-func (z *Zipfian) N() int { return z.n }
-
 // Next draws the next index. Exactly one rng draw per call, so
 // generators mixing zipfian picks with other draws stay deterministic.
 func (z *Zipfian) Next(rng *sim.RNG) int {

@@ -1,7 +1,6 @@
 // Command benchcheck is the recorded-trajectory half of `make ci`: it
 // validates committed BENCH_*.json files against their versioned
-// schema (internal/serve.SchemaV1, SchemaV2 or SchemaV3 for the
-// serving bench),
+// schema (internal/serve.SchemaV2 or SchemaV3 for the serving bench),
 // so a stale, truncated, or hand-edited trajectory fails the pipeline
 // instead of silently anchoring a later regression diff. It re-checks
 // shape only — it does not re-run the (minutes-long) benchmark; `make
@@ -11,11 +10,11 @@
 // named regression diff: runs are matched by session count, member-
 // device count and degraded flag, and every op kind's p50/p99/worst
 // (and throughput) is printed as old → new with the relative change.
-// All of v1/v2/v3 are accepted, and mixed-schema pairs are fine (the
-// upgrade diff); when both runs carry the v2 per-session section, each
-// session's own-device / lock-wait / queueing decomposition is diffed
-// too, and when either run carries the v3 array section the per-device
-// clocks, degraded-read and parity-write counters are diffed as well.
+// v2 and v3 are accepted, and mixed-schema pairs are fine (the
+// upgrade diff); each session's own-device / lock-wait / queueing
+// decomposition is diffed too, and when either run carries the v3
+// array section the per-device clocks, degraded-read and parity-write
+// counters are diffed as well.
 // Any other schema is a hard error (exit 1).
 //
 // Usage:
@@ -79,16 +78,16 @@ func load(path string) (serve.Report, error) {
 	if err != nil {
 		return r, fmt.Errorf("%s: %v", path, err)
 	}
-	if r.Schema != serve.SchemaV1 && r.Schema != serve.SchemaV2 && r.Schema != serve.SchemaV3 {
-		return r, fmt.Errorf("%s: schema %q, want %q, %q or %q — refusing to diff an unknown schema",
-			path, r.Schema, serve.SchemaV1, serve.SchemaV2, serve.SchemaV3)
+	if r.Schema != serve.SchemaV2 && r.Schema != serve.SchemaV3 {
+		return r, fmt.Errorf("%s: schema %q, want %q or %q — refusing to diff an unknown schema",
+			path, r.Schema, serve.SchemaV2, serve.SchemaV3)
 	}
 	return r, nil
 }
 
 // runKey matches runs across the two reports: session count plus the
 // v3 array geometry. Pre-array runs (devices absent) normalise to
-// width 1, so a v1/v2 old report still pairs with the new baseline.
+// width 1, so a v2 old report still pairs with the new baseline.
 type runKey struct {
 	sessions int
 	devices  int
@@ -205,19 +204,8 @@ func diffDevices(or, nr serve.Result) {
 	}
 }
 
-// diffSessions prints the per-session latency-decomposition deltas
-// when both runs carry the v2 section. A v1 old run (no section) is
-// noted once and skipped — the upgrade diff has nothing to compare
-// against; an empty new section means the new file is v1 and there is
-// nothing to print.
+// diffSessions prints the per-session latency-decomposition deltas.
 func diffSessions(or, nr serve.Result) {
-	if len(nr.PerSession) == 0 {
-		return
-	}
-	if len(or.PerSession) == 0 {
-		fmt.Printf("  per-session: new in this report (old file predates %s)\n", serve.SchemaV2)
-		return
-	}
 	old := make(map[int]serve.SessionStats, len(or.PerSession))
 	for _, ss := range or.PerSession {
 		old[ss.Session] = ss
