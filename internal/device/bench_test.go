@@ -1,0 +1,43 @@
+package device
+
+import "testing"
+
+// BenchmarkMRS reads one block per op from a sled with the default
+// read noise, the serving tier's hot read path.
+func BenchmarkMRS(b *testing.B) {
+	const blocks = 64
+	d := noisyDevice(b, blocks, 1)
+	for pba := uint64(0); pba < blocks; pba++ {
+		if err := d.MWS(pba, pattern(byte(pba))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(DataBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.MRS(uint64(i % blocks)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteBlocks writes a 16-block run per op and reports the
+// cost per block, the log-append write path.
+func BenchmarkWriteBlocks(b *testing.B) {
+	const blocks, run = 64, 16
+	d := noisyDevice(b, blocks, 1)
+	bufs := make([][]byte, run)
+	for i := range bufs {
+		bufs[i] = pattern(byte(i))
+	}
+	b.SetBytes(run * DataBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.WriteBlocks(uint64(i%(blocks/run)*run), bufs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run), "ns/block")
+}

@@ -669,11 +669,7 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
 		pba := start + uint64(i)
 		f := Frame{PBA: pba, Flags: FlagData}
 		copy(f.Data[:], data)
-		bits := bytesToBits(f.Marshal())
-		blockBase := d.dotBase(pba)
-		for j, b := range bits {
-			d.med.MWB(blockBase+j, b)
-		}
+		d.med.MWBImage(d.dotBase(pba), f.Marshal())
 	}
 	pl.record(d, func(st *OpStats) {
 		st.MagneticWrites += uint64(len(blocks))
@@ -778,11 +774,8 @@ func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) (int, error) {
 		tr.Emit(trace.Span{Name: "read", Cat: "device", Track: pl.track + d.p.TrackOffset, Session: -1,
 			Start: pl.base + int64(t0), Dur: int64(elapsed), V1: 1, V2: int64(pba)})
 	}
-	bits := make([]bool, DotsPerBlock)
-	for i := range bits {
-		bits[i] = d.med.MRB(base + i)
-	}
-	img := bitsToBytes(bits)
+	img := make([]byte, PhysicalBytes)
+	d.med.MRBImage(base, img)
 	f, corrected, err := UnmarshalFrame(img, pba)
 	pl.record(d, func(st *OpStats) {
 		st.MagneticReads++

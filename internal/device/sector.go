@@ -147,18 +147,3 @@ func bytesToBits(b []byte) []bool {
 	}
 	return out
 }
-
-// bitsToBytes packs per-bit booleans (MSB-first) into bytes; len(bits)
-// must be a multiple of 8.
-func bitsToBytes(bits []bool) []byte {
-	if len(bits)%8 != 0 {
-		panic("device: bit count not a multiple of 8")
-	}
-	out := make([]byte, len(bits)/8)
-	for i, bit := range bits {
-		if bit {
-			out[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return out
-}

@@ -12,9 +12,27 @@
 // The medium exposes an analog read signal so that the "more or less
 // random result" of magnetically reading a heated dot (Fig 2) emerges
 // from the physics model rather than being hard-coded.
+//
+// Representation. A healthy dot is one bit: magnetisation is packed
+// into 64-bit words, each row padded to whole words. Heat damage, the
+// in-plane orientation of a heated dot and injected defects live in a
+// sparse per-row overlay, allocated the first time a row needs one and
+// dropped when ReplaceRegion leaves it empty. MRBImage and MWBImage
+// move an MSB-first block image word by word.
+//
+// Noise. Every magnetic read of a dot draws one Gaussian from the
+// medium's single deterministic stream. A healthy dot reads ±A + σ·N
+// with |N| < sim.NormBound, so when σ·sim.NormBound < A no draw can
+// change its decoded bit; MRBImage then advances the stream past the
+// range's draws with sim.RNG.SkipNormFloat64 and copies the stored
+// words. Any other read goes dot by dot. Either way the decoded bits
+// and the stream's position match a per-dot MRB loop draw for draw.
+//
+// Snapshots keep format v3 (two bytes per dot), byte for byte.
 package medium
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -49,28 +67,26 @@ func (s DotState) String() string {
 	}
 }
 
-// dot is the internal per-dot record. Dots are kept small: media with
-// tens of millions of dots are routine in the experiments.
-type dot struct {
-	// up is the out-of-plane magnetisation direction (true = up = 1).
-	// Meaningless once the dot is heated.
-	up bool
-	// inPlaneSign is the random in-plane orientation the magnetisation
-	// falls into when the dot is heated; it biases the residual read
-	// signal of a damaged dot.
-	inPlaneSign int8
-	// stuck injects a permanent defect (see faults.go).
-	stuck StuckKind
+// overlayDot is the state of one dot beyond its magnetisation. A
+// healthy dot has the zero value, so only rows holding a heated,
+// partially damaged or defective dot carry these records.
+type overlayDot struct {
 	// damage is the accumulated interface-mixing fraction from heat
 	// pulses, in [0,1]. The dot is "heated" (state H) once damage
 	// exceeds physics.HeatedDamageThreshold: the surviving interface
 	// anisotropy no longer beats the shape anisotropy. Monotone:
 	// mixing is irreversible.
 	damage float32
+	// inPlaneSign is the random in-plane orientation the magnetisation
+	// falls into when the dot is heated; it biases the residual read
+	// signal of a damaged dot.
+	inPlaneSign int8
+	// stuck injects a permanent defect (see faults.go).
+	stuck StuckKind
 }
 
 // heated reports whether the dot's multilayer is destroyed.
-func (d *dot) heated() bool {
+func (d *overlayDot) heated() bool {
 	return float64(d.damage) >= physics.HeatedDamageThreshold
 }
 
@@ -137,15 +153,34 @@ func DefaultParams(rows, cols int) Params {
 }
 
 // Medium is a simulated patterned medium. It keeps only the physical
-// state of its dots; operation counts live in the device layer. Bit
-// operations on disjoint dot regions may run concurrently: the noise
-// generator is internally locked. Operations touching the *same* dots
-// must still be serialised by the caller — the device layer's region
-// locks enforce that (and extend write locks over the
-// thermal-crosstalk neighbourhood of electrical writes).
+// state of its dots; operation counts live in the device layer.
+//
+// Magnetisation is packed one bit per dot into 64-bit words, MSB-first,
+// and each row is padded to whole words so two rows never share a word.
+// Heat damage, in-plane orientation and defects live in a sparse per-row
+// overlay that exists only for rows holding such a dot (heated lines,
+// their crosstalk neighbours, injected faults); a healthy row's overlay
+// is nil and costs the row nothing beyond its words.
+//
+// Bit operations on disjoint rows may run concurrently: the noise
+// generator is internally locked and no word or overlay spans two rows.
+// Operations touching the *same* row must still be serialised by the
+// caller — the device layer's per-block locks enforce that (a block is
+// one row in the standard geometry, and the locks of electrical writes
+// extend over the thermal-crosstalk neighbourhood).
 type Medium struct {
-	p    Params
-	dots []dot
+	p Params
+	// wordsPerRow is ceil(Cols/64): the padded row stride of bits.
+	wordsPerRow int
+	// bits holds the magnetisation (1 = up) of dot (row, col) at bit
+	// 63-col%64 of bits[row*wordsPerRow+col/64].
+	bits []uint64
+	// overlay[row] holds Cols records for a row with any damaged or
+	// defective dot, and is nil for a healthy row.
+	overlay [][]overlayDot
+	// skipNoise reports that no read noise draw can flip a healthy
+	// dot's decoded bit: ReadNoiseSigma·sim.NormBound < SignalAmplitude.
+	skipNoise bool
 
 	// rngMu guards rng: noise draws come from one deterministic
 	// stream regardless of which region is being read.
@@ -163,22 +198,25 @@ func New(p Params) *Medium {
 	if p.SignalAmplitude <= 0 {
 		panic("medium: non-positive signal amplitude")
 	}
-	m := &Medium{
-		p:    p,
-		dots: make([]dot, p.Rows*p.Cols),
-		rng:  sim.NewRNG(p.Seed),
+	wpr := (p.Cols + 63) / 64
+	return &Medium{
+		p:           p,
+		wordsPerRow: wpr,
+		bits:        make([]uint64, p.Rows*wpr),
+		overlay:     make([][]overlayDot, p.Rows),
+		skipNoise:   p.ReadNoiseSigma*sim.NormBound < p.SignalAmplitude,
+		rng:         sim.NewRNG(p.Seed),
 	}
-	return m
 }
 
 // Params returns the medium's parameters.
 func (m *Medium) Params() Params { return m.p }
 
 // Dots returns the total number of dots.
-func (m *Medium) Dots() int { return len(m.dots) }
+func (m *Medium) Dots() int { return m.p.Rows * m.p.Cols }
 
 // CapacityBits returns the usable bit capacity (one bit per dot).
-func (m *Medium) CapacityBits() int { return len(m.dots) }
+func (m *Medium) CapacityBits() int { return m.Dots() }
 
 // AreaCM2 returns the medium area in cm², from the dot pitch.
 func (m *Medium) AreaCM2() float64 {
@@ -202,9 +240,52 @@ func (m *Medium) Index(row, col int) int {
 	return row*m.p.Cols + col
 }
 
-// at addresses a dot by linear index (row-major).
-func (m *Medium) at(i int) *dot {
-	return &m.dots[i]
+// loc splits linear dot index i (row-major) into its row and column.
+// It panics on an index outside the medium.
+func (m *Medium) loc(i int) (row, col int) {
+	if i < 0 || i >= m.Dots() {
+		panic(fmt.Sprintf("medium: dot %d outside %d dots", i, m.Dots()))
+	}
+	return i / m.p.Cols, i % m.p.Cols
+}
+
+// up reports the stored magnetisation of dot (row, col).
+func (m *Medium) up(row, col int) bool {
+	return m.bits[row*m.wordsPerRow+col>>6]&(1<<(63-col&63)) != 0
+}
+
+// setUp stores the magnetisation of dot (row, col).
+func (m *Medium) setUp(row, col int, up bool) {
+	w := &m.bits[row*m.wordsPerRow+col>>6]
+	if up {
+		*w |= 1 << (63 - col&63)
+	} else {
+		*w &^= 1 << (63 - col&63)
+	}
+}
+
+// extra returns dot (row, col)'s overlay record, or nil for a dot in a
+// healthy row.
+func (m *Medium) extra(row, col int) *overlayDot {
+	if ov := m.overlay[row]; ov != nil {
+		return &ov[col]
+	}
+	return nil
+}
+
+// extraFor returns dot (row, col)'s overlay record, creating the row's
+// overlay on first use.
+func (m *Medium) extraFor(row, col int) *overlayDot {
+	if m.overlay[row] == nil {
+		m.overlay[row] = make([]overlayDot, m.p.Cols)
+	}
+	return &m.overlay[row][col]
+}
+
+// heatedAt reports whether dot (row, col)'s multilayer is destroyed.
+func (m *Medium) heatedAt(row, col int) bool {
+	e := m.extra(row, col)
+	return e != nil && e.heated()
 }
 
 // State returns the true physical state of dot i. This is an oracle for
@@ -212,37 +293,43 @@ func (m *Medium) at(i int) *dot {
 // have no difficulty identifying a reconstructed dot", §8); the device
 // layer never uses it.
 func (m *Medium) State(i int) DotState {
-	d := m.at(i)
+	row, col := m.loc(i)
 	switch {
-	case d.heated():
+	case m.heatedAt(row, col):
 		return DotH
-	case d.up:
+	case m.up(row, col):
 		return Dot1
 	default:
 		return Dot0
 	}
 }
 
-// readSignal produces the analog MFM read signal of dot i: full
-// amplitude for a healthy dot, residual leakage plus noise for a heated
-// one (the disappearing peak of Fig 1).
-func (m *Medium) readSignal(i int) float64 {
-	d := m.at(i)
-	var s float64
-	switch {
-	case d.stuck == StuckUp:
-		s = m.p.SignalAmplitude
-	case d.stuck == StuckDown:
-		s = -m.p.SignalAmplitude
-	case d.stuck == StuckDead:
-		s = 0
-	case d.heated():
-		s = m.p.ResidualInPlaneSignal * float64(d.inPlaneSign)
-	case d.up:
-		s = m.p.SignalAmplitude
-	default:
-		s = -m.p.SignalAmplitude
+// level is the noiseless MFM read signal of dot (row, col): full
+// amplitude for a healthy dot, residual leakage for a heated one (the
+// disappearing peak of Fig 1), the pinned level for a defect.
+func (m *Medium) level(row, col int) float64 {
+	if e := m.extra(row, col); e != nil {
+		switch {
+		case e.stuck == StuckUp:
+			return m.p.SignalAmplitude
+		case e.stuck == StuckDown:
+			return -m.p.SignalAmplitude
+		case e.stuck == StuckDead:
+			return 0
+		case e.heated():
+			return m.p.ResidualInPlaneSignal * float64(e.inPlaneSign)
+		}
 	}
+	if m.up(row, col) {
+		return m.p.SignalAmplitude
+	}
+	return -m.p.SignalAmplitude
+}
+
+// readSignal produces the analog MFM read signal of dot i: its level
+// plus one draw of read noise.
+func (m *Medium) readSignal(i int) float64 {
+	s := m.level(m.loc(i))
 	if m.p.ReadNoiseSigma > 0 {
 		m.rngMu.Lock()
 		s += m.p.ReadNoiseSigma * m.rng.NormFloat64()
@@ -271,11 +358,101 @@ func (m *Medium) MRBAnalog(i int) float64 {
 // remanence left (§5.1 "Changing the magnetisation of an electrically
 // written bit ... has no effect").
 func (m *Medium) MWB(i int, bit bool) {
-	d := m.at(i)
-	if d.heated() {
+	row, col := m.loc(i)
+	if !m.heatedAt(row, col) {
+		m.setUp(row, col, bit)
+	}
+}
+
+// segments calls f for each row-contained piece of dots
+// [base, base+n): dots col..col+cnt-1 of row, which are dots k..k+cnt-1
+// of the range. It panics on a range outside the medium.
+func (m *Medium) segments(base, n int, f func(row, col, k, cnt int)) {
+	if n < 0 || base < 0 || base+n > m.Dots() {
+		panic(fmt.Sprintf("medium: dots [%d,%d) outside %d dots", base, base+n, m.Dots()))
+	}
+	for k := 0; k < n; {
+		row, col := (base+k)/m.p.Cols, (base+k)%m.p.Cols
+		cnt := min(m.p.Cols-col, n-k)
+		f(row, col, k, cnt)
+		k += cnt
+	}
+}
+
+// MRBImage magnetically reads dots [base, base+8·len(dst)) into dst as
+// an MSB-first image: bit 7-j%8 of dst[j/8] is MRB(base+j). The result
+// and the noise stream's position afterwards are exactly those of the
+// per-dot MRB loop in index order.
+//
+// When the range touches no overlay and the noise cannot flip a
+// healthy dot (ReadNoiseSigma·sim.NormBound < SignalAmplitude), every
+// decoded bit is the stored bit whatever the draws, so the read skips
+// its draws in one step and copies whole words. Otherwise it reads dot
+// by dot, drawing a full Gaussian for each.
+func (m *Medium) MRBImage(base int, dst []byte) {
+	n := 8 * len(dst)
+	clear(dst)
+	clean := m.skipNoise
+	m.segments(base, n, func(row, _, _, _ int) {
+		clean = clean && m.overlay[row] == nil
+	})
+	sigma := m.p.ReadNoiseSigma
+	if sigma > 0 {
+		m.rngMu.Lock()
+		defer m.rngMu.Unlock()
+	}
+	if clean {
+		if sigma > 0 {
+			m.rng.SkipNormFloat64(n)
+		}
+		m.segments(base, n, func(row, col, k, cnt int) {
+			words := m.bits[row*m.wordsPerRow:]
+			j := 0
+			if col&63 == 0 && k&7 == 0 {
+				for ; j+64 <= cnt; j += 64 {
+					binary.BigEndian.PutUint64(dst[(k+j)>>3:], words[(col+j)>>6])
+				}
+			}
+			for ; j < cnt; j++ {
+				if m.up(row, col+j) {
+					dst[(k+j)>>3] |= 0x80 >> ((k + j) & 7)
+				}
+			}
+		})
 		return
 	}
-	d.up = bit
+	m.segments(base, n, func(row, col, k, cnt int) {
+		for j := 0; j < cnt; j++ {
+			s := m.level(row, col+j)
+			if sigma > 0 {
+				s += sigma * m.rng.NormFloat64()
+			}
+			if s >= 0 {
+				dst[(k+j)>>3] |= 0x80 >> ((k + j) & 7)
+			}
+		}
+	})
+}
+
+// MWBImage magnetically writes the MSB-first image src to dots
+// [base, base+8·len(src)): dot base+j receives bit 7-j%8 of src[j/8],
+// exactly as MWB would, so heated dots keep their state. Healthy rows
+// are written a word at a time.
+func (m *Medium) MWBImage(base int, src []byte) {
+	m.segments(base, 8*len(src), func(row, col, k, cnt int) {
+		words := m.bits[row*m.wordsPerRow:]
+		j := 0
+		if m.overlay[row] == nil && col&63 == 0 && k&7 == 0 {
+			for ; j+64 <= cnt; j += 64 {
+				words[(col+j)>>6] = binary.BigEndian.Uint64(src[(k+j)>>3:])
+			}
+		}
+		for ; j < cnt; j++ {
+			if !m.heatedAt(row, col+j) {
+				m.setUp(row, col+j, src[(k+j)>>3]&(0x80>>((k+j)&7)) != 0)
+			}
+		}
+	})
 }
 
 // EWB performs the electrical write (heating) of dot i: one probe
@@ -292,22 +469,20 @@ func (m *Medium) MWB(i int, bit bool) {
 // by the heat spill (§7: "the magnetic state, or even the
 // write-ability of the adjacent dot could be affected").
 func (m *Medium) EWB(i int) {
-	d := m.at(i)
-	m.pulse(d, m.p.PulseTempC)
+	row, col := m.loc(i)
+	m.pulse(row, col, m.p.PulseTempC)
 
-	row, col := i/m.p.Cols, i%m.p.Cols
 	for _, delta := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 		nr, nc := row+delta[0], col+delta[1]
 		if nr < 0 || nr >= m.p.Rows || nc < 0 || nc >= m.p.Cols {
 			continue
 		}
-		n := m.at(nr*m.p.Cols + nc)
 		if m.p.NeighborTempFactor > 0 {
-			m.pulse(n, m.p.PulseTempC*m.p.NeighborTempFactor)
+			m.pulse(nr, nc, m.p.PulseTempC*m.p.NeighborTempFactor)
 		}
 		if m.p.ThermalCrosstalk > 0 && m.randFloat() < m.p.ThermalCrosstalk {
-			if !n.heated() {
-				n.up = !n.up
+			if !m.heatedAt(nr, nc) {
+				m.setUp(nr, nc, !m.up(nr, nc))
 			}
 		}
 	}
@@ -327,30 +502,40 @@ func (m *Medium) randBool() bool {
 	return m.rng.Bool()
 }
 
-// pulse applies one heat pulse at tempC to a dot, accumulating
+// pulse applies one heat pulse at tempC to dot (row, col), accumulating
 // interface-mixing damage. Crossing the destruction threshold fixes
-// the in-plane orientation the magnetisation falls into.
-func (m *Medium) pulse(d *dot, tempC float64) {
-	if d.heated() {
+// the in-plane orientation the magnetisation falls into. A pulse that
+// leaves the stored damage unchanged creates no overlay.
+func (m *Medium) pulse(row, col int, tempC float64) {
+	var cur float32
+	if e := m.extra(row, col); e != nil {
+		if e.heated() {
+			return
+		}
+		cur = e.damage
+	}
+	next := physics.PulseDamage(tempC, m.p.PulseSeconds, float64(cur))
+	if next <= float64(cur) || float32(next) == cur {
 		return
 	}
-	next := physics.PulseDamage(tempC, m.p.PulseSeconds, float64(d.damage))
-	if next <= float64(d.damage) {
-		return
-	}
-	wasHeated := d.heated()
-	d.damage = float32(next)
-	if !wasHeated && d.heated() {
+	e := m.extraFor(row, col)
+	e.damage = float32(next)
+	if e.heated() {
 		if m.randBool() {
-			d.inPlaneSign = 1
+			e.inPlaneSign = 1
 		} else {
-			d.inPlaneSign = -1
+			e.inPlaneSign = -1
 		}
 	}
 }
 
 // Damage returns the accumulated interface-mixing fraction of dot i.
-func (m *Medium) Damage(i int) float64 { return float64(m.at(i).damage) }
+func (m *Medium) Damage(i int) float64 {
+	if e := m.extra(m.loc(i)); e != nil {
+		return float64(e.damage)
+	}
+	return 0
+}
 
 // ERB performs the electrical read of dot i using the paper's exact
 // 5-step protocol (§3): read, write inverse, verify inverse, write
@@ -378,9 +563,11 @@ func (m *Medium) ERB(i int) (heated bool) {
 // gradually shrinks").
 func (m *Medium) HeatedCount() int {
 	n := 0
-	for i := range m.dots {
-		if m.dots[i].heated() {
-			n++
+	for _, ov := range m.overlay {
+		for i := range ov {
+			if ov[i].heated() {
+				n++
+			}
 		}
 	}
 	return n
@@ -390,9 +577,13 @@ func (m *Medium) HeatedCount() int {
 // all magnetic information is randomised, but heated dots remain heated
 // — the electrically written evidence survives.
 func (m *Medium) BulkErase() {
-	for i := range m.dots {
-		if !m.dots[i].heated() {
-			m.dots[i].up = m.randBool()
+	m.rngMu.Lock()
+	defer m.rngMu.Unlock()
+	for row := 0; row < m.p.Rows; row++ {
+		for col := 0; col < m.p.Cols; col++ {
+			if !m.heatedAt(row, col) {
+				m.setUp(row, col, m.rng.Bool())
+			}
 		}
 	}
 }

@@ -32,19 +32,28 @@ func (m *Medium) SetStuck(i int, k StuckKind) {
 	default:
 		panic(fmt.Sprintf("medium: unknown stuck kind %d", int(k)))
 	}
-	m.at(i).stuck = k
+	row, col := m.loc(i)
+	if k == StuckNone && m.overlay[row] == nil {
+		return
+	}
+	m.extraFor(row, col).stuck = k
 }
 
 // Stuck returns the defect status of dot i.
-func (m *Medium) Stuck(i int) StuckKind { return m.at(i).stuck }
+func (m *Medium) Stuck(i int) StuckKind {
+	if e := m.extra(m.loc(i)); e != nil {
+		return e.stuck
+	}
+	return StuckNone
+}
 
 // CorruptMagnetic flips the magnetisation of dot i directly, bypassing
 // the write path. Models media decay or an attacker with a raw write
 // head. No effect on heated dots (nothing to flip).
 func (m *Medium) CorruptMagnetic(i int) {
-	d := m.at(i)
-	if !d.heated() {
-		d.up = !d.up
+	row, col := m.loc(i)
+	if !m.heatedAt(row, col) {
+		m.setUp(row, col, !m.up(row, col))
 	}
 }
 
@@ -57,12 +66,26 @@ func (m *Medium) CorruptMagnetic(i int) {
 // themselves, which is exactly as loud as the paper's threat model
 // demands (the old region's evidence is gone *with the old dots*, so
 // honest repair must re-establish the heat records on the new region,
-// and does — see the device's ReplaceLine).
+// and does — see the device's ReplaceLine). A row left with no damaged
+// or defective dot drops its overlay.
 func (m *Medium) ReplaceRegion(lo, hi int) {
-	if lo < 0 || hi > len(m.dots) || lo > hi {
-		panic(fmt.Sprintf("medium: replace region [%d,%d) outside %d dots", lo, hi, len(m.dots)))
+	if lo < 0 || hi > m.Dots() || lo > hi {
+		panic(fmt.Sprintf("medium: replace region [%d,%d) outside %d dots", lo, hi, m.Dots()))
 	}
-	for i := lo; i < hi; i++ {
-		m.dots[i] = dot{}
-	}
+	m.segments(lo, hi-lo, func(row, col, _, cnt int) {
+		for c := col; c < col+cnt; c++ {
+			m.setUp(row, c, false)
+		}
+		ov := m.overlay[row]
+		if ov == nil {
+			return
+		}
+		clear(ov[col : col+cnt])
+		for i := range ov {
+			if ov[i] != (overlayDot{}) {
+				return
+			}
+		}
+		m.overlay[row] = nil
+	})
 }

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -310,13 +311,65 @@ func TestDensityMatchesPaper(t *testing.T) {
 	}
 }
 
-// TestDotFootprint pins the per-dot record at 8 bytes. Host memory per
-// simulated block is device.DotsPerBlock times this size, so every
-// byte added to dot costs several KB per block and gigabytes on a
-// full sled.
-func TestDotFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(dot{}); got != 8 {
-		t.Fatalf("dot is %d bytes, want 8", got)
+// TestRowFootprint bounds the host memory of a healthy row. Host
+// memory per simulated block is one row in the device's standard
+// geometry (Cols = 4736 dots = 74 words), so a full sled of half a
+// million blocks must stay within ~640 B per block: 592 B of packed
+// magnetisation plus the row's nil overlay.
+func TestRowFootprint(t *testing.T) {
+	const rows, cols, perRow = 4096, 4736, 640
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New(DefaultParams(rows, cols))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("New grew the heap by %.1f B per row", float64(grew)/rows)
+	if grew > rows*perRow {
+		t.Fatalf("New grew the heap by %d B, %.0f B per row; want at most %d",
+			grew, float64(grew)/rows, perRow)
+	}
+}
+
+// overlayBytes is the memory held by the medium's overlay records.
+func overlayBytes(m *Medium) int {
+	n := 0
+	for _, ov := range m.overlay {
+		n += len(ov) * int(unsafe.Sizeof(overlayDot{}))
+	}
+	return n
+}
+
+// TestSealedLineOverlayBound bounds the overlay one sealed line costs.
+// Sealing heats dots of the line's hash block only (one row), and the
+// heat spills into the rows above and below, so a line of any length
+// overlays at most three rows: 3 × Cols × 8 B, about 111 KiB in the
+// standard geometry.
+func TestSealedLineOverlayBound(t *testing.T) {
+	const rows, cols = 16, 4736
+	if got := unsafe.Sizeof(overlayDot{}); got != 8 {
+		t.Fatalf("overlay record is %d bytes, want 8", got)
+	}
+	m := New(DefaultParams(rows, cols))
+	// A Manchester-coded 64-byte heat record after the 128-dot frame
+	// header heats one dot of each of its 1024 cells.
+	for cell := 0; cell < 64*8*2; cell++ {
+		m.EWB(m.Index(8, 128+2*cell+cell%2))
+	}
+	if got, bound := overlayBytes(m), 3*cols*8; got > bound || got == 0 {
+		t.Fatalf("sealed line overlay %d B, want (0, %d]", got, bound)
+	}
+	for _, row := range []int{0, 6, 10, 15} {
+		if m.overlay[row] != nil {
+			t.Fatalf("row %d away from the seal has an overlay", row)
+		}
+	}
+	// Replacing the damaged rows returns them to the healthy layout.
+	m.ReplaceRegion(m.Index(7, 0), m.Index(10, 0))
+	if got := overlayBytes(m); got != 0 {
+		t.Fatalf("overlay %d B after replacing the sealed rows", got)
 	}
 }
 

@@ -37,20 +37,23 @@ func (m *Medium) Snapshot() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.p.PulseSeconds))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.p.NeighborTempFactor))
 	buf = binary.BigEndian.AppendUint64(buf, m.p.Seed)
-	for i := range m.dots {
-		d := &m.dots[i]
-		var flags byte
-		if d.up {
-			flags |= 1
+	for row := 0; row < m.p.Rows; row++ {
+		for col := 0; col < m.p.Cols; col++ {
+			var flags, damage byte
+			if m.up(row, col) {
+				flags |= 1
+			}
+			if e := m.extra(row, col); e != nil {
+				if e.inPlaneSign > 0 {
+					flags |= 4
+				}
+				flags |= byte(e.stuck) << 3
+				// damage quantised to 1/255 — well below the heated
+				// threshold's granularity needs.
+				damage = byte(float64(e.damage)*255 + 0.5)
+			}
+			buf = append(buf, flags, damage)
 		}
-		if d.inPlaneSign > 0 {
-			flags |= 4
-		}
-		flags |= byte(d.stuck) << 3
-		buf = append(buf, flags)
-		// damage quantised to 1/255 — well below the heated threshold's
-		// granularity needs.
-		buf = append(buf, byte(float64(d.damage)*255+0.5))
 	}
 	return buf
 }
@@ -126,18 +129,24 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 		return nil, fmt.Errorf("%w: negative physical parameter", ErrBadSnapshot)
 	}
 	m := New(p)
-	for i := range m.dots {
-		flags := buf[off]
-		d := &m.dots[i]
-		d.up = flags&1 != 0
-		d.damage = float32(buf[off+1]) / 255
-		if flags&4 != 0 {
-			d.inPlaneSign = 1
-		} else if d.heated() {
-			d.inPlaneSign = -1
+	for row := 0; row < rows; row++ {
+		for col := 0; col < cols; col++ {
+			flags, damage := buf[off], buf[off+1]
+			off += 2
+			m.setUp(row, col, flags&1 != 0)
+			stuck := StuckKind(flags >> 3 & 3)
+			if damage == 0 && flags&4 == 0 && stuck == StuckNone {
+				continue
+			}
+			e := m.extraFor(row, col)
+			e.damage = float32(damage) / 255
+			if flags&4 != 0 {
+				e.inPlaneSign = 1
+			} else if e.heated() {
+				e.inPlaneSign = -1
+			}
+			e.stuck = stuck
 		}
-		d.stuck = StuckKind(flags >> 3 & 3)
-		off += 2
 	}
 	return m, nil
 }

@@ -6,17 +6,12 @@ import (
 	"io"
 )
 
-// SchemaV2 is the versioned identifier of the serving-trajectory JSON
-// schema with the per-session latency decomposition
-// (Result.PerSession: own device time vs lock-wait vs queueing). It is
-// the oldest schema Validate accepts, so recorded v2 trajectories keep
-// gating.
-const SchemaV2 = "sero-serving-bench/v2"
-
-// SchemaV3 extends v2 with the striped-array section: member-device
-// count, parity width, degraded flag and the per-device breakdown
-// (Result.Devices/ParityDevices/Degraded/PerDevice). NewReport stamps
-// v3; Validate accepts both and applies the array checks only to v3.
+// SchemaV3 is the versioned identifier of the serving-trajectory JSON
+// schema, the only one Validate accepts. Each run carries the
+// per-session latency decomposition (Result.PerSession: own device
+// time vs lock-wait vs queueing) and the striped-array section:
+// member-device count, parity width, degraded flag and the per-device
+// breakdown (Result.Devices/ParityDevices/Degraded/PerDevice).
 const SchemaV3 = "sero-serving-bench/v3"
 
 // Report is the BENCH_serving.json trajectory file: one schema tag and
@@ -25,7 +20,7 @@ const SchemaV3 = "sero-serving-bench/v3"
 // seed, and the full FS configuration — is embedded in each run's
 // Config.
 type Report struct {
-	// Schema identifies the report format (SchemaV2 or SchemaV3).
+	// Schema identifies the report format (SchemaV3).
 	Schema string `json:"schema"`
 	// Bench names the benchmark family ("serving").
 	Bench string `json:"bench"`
@@ -63,8 +58,8 @@ func DecodeReport(data []byte) (Report, error) {
 // report whose buffered ops silently lost their flush attribution
 // cannot anchor the regression gate.
 func (r Report) Validate() error {
-	if r.Schema != SchemaV2 && r.Schema != SchemaV3 {
-		return fmt.Errorf("serve: schema %q, want %q or %q", r.Schema, SchemaV2, SchemaV3)
+	if r.Schema != SchemaV3 {
+		return fmt.Errorf("serve: schema %q, want %q", r.Schema, SchemaV3)
 	}
 	if r.Bench != "serving" {
 		return fmt.Errorf("serve: bench %q, want serving", r.Bench)
@@ -132,16 +127,14 @@ func (r Report) Validate() error {
 		if sessOps != run.TotalOps {
 			return fmt.Errorf("serve: run %d: per-session ops sum to %d, total says %d", i, sessOps, run.TotalOps)
 		}
-		if r.Schema == SchemaV3 {
-			if err := validateArray(i, run); err != nil {
-				return err
-			}
+		if err := validateArray(i, run); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// validateArray checks one v3 run's striped-array section: member
+// validateArray checks one run's striped-array section: member
 // count, parity bound, a complete per-device breakdown for striped
 // runs, the slowest-member virtual-time identity, and agreement
 // between the degraded flag and the per-device failure marks.

@@ -135,6 +135,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	cases := map[string]func(*Report){
 		"schema":     func(r *Report) { r.Schema = "bogus/v0" },
 		"schema-v1":  func(r *Report) { r.Schema = "sero-serving-bench/v1" },
+		"schema-v2":  func(r *Report) { r.Schema = "sero-serving-bench/v2" },
 		"no-runs":    func(r *Report) { r.Runs = nil },
 		"zero-ops":   func(r *Report) { r.Runs[0].TotalOps = 0 },
 		"no-virt":    func(r *Report) { r.Runs[0].VirtualNS = 0 },

@@ -55,6 +55,29 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
+// NormBound bounds the magnitude of every NormFloat64 variate. Float64
+// is a multiple of 2⁻⁵³, so each polar coordinate u, v is a multiple of
+// 2⁻⁵² and an accepted s = u²+v² is at least 2⁻¹⁰⁴. Since |u| ≤ √s,
+// |u·√(−2 ln s / s)| ≤ √(−2 ln s) ≤ √(208 ln 2) ≈ 12.007 < NormBound.
+const NormBound = 12.01
+
+// SkipNormFloat64 advances the generator exactly as n NormFloat64 calls
+// would, making the same accept/reject decisions on the same draws but
+// without computing the variates. A caller that can prove the variates
+// cannot change its result (see NormBound) uses it to keep its position
+// in the stream draw for draw at a fraction of the cost.
+func (r *RNG) SkipNormFloat64(n int) {
+	for ; n > 0; n-- {
+		for {
+			u := 2*r.Float64() - 1
+			v := 2*r.Float64() - 1
+			if s := u*u + v*v; s > 0 && s < 1 {
+				break
+			}
+		}
+	}
+}
+
 // Bool returns a pseudo-random boolean.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 

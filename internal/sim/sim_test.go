@@ -120,3 +120,60 @@ func TestRNGPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestSkipNormFloat64MatchesDraws checks that skipping n variates
+// leaves the generator exactly where n NormFloat64 calls leave it, over
+// more than a million draws per seed.
+func TestSkipNormFloat64MatchesDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 2, 7, 0xDEADBEEF} {
+		a, b := NewRNG(seed), NewRNG(seed)
+		total := 0
+		for _, n := range []int{0, 1, 2, 3, 4736, 1 << 20} {
+			for i := 0; i < n; i++ {
+				a.NormFloat64()
+			}
+			b.SkipNormFloat64(n)
+			total += n
+			if a.state != b.state {
+				t.Fatalf("seed %d: state diverged after %d draws", seed, total)
+			}
+		}
+		if a.NormFloat64() != b.NormFloat64() {
+			t.Fatalf("seed %d: next draw differs", seed)
+		}
+	}
+}
+
+// TestNormBound checks the bound at its extreme: the smallest accepted
+// s, u = 2⁻⁵² and v = 0, yields the largest variate magnitude.
+func TestNormBound(t *testing.T) {
+	u := math.Ldexp(1, -52)
+	s := u * u
+	if got := u * sqrt(-2*ln(s)/s); got >= NormBound || got < NormBound-0.01 {
+		t.Fatalf("extreme variate %g, bound %g", got, NormBound)
+	}
+	r := NewRNG(5)
+	for i := 0; i < 1<<20; i++ {
+		if v := r.NormFloat64(); math.Abs(v) >= NormBound {
+			t.Fatalf("variate %g beyond bound", v)
+		}
+	}
+}
+
+// BenchmarkSkipNormFloat64 skips one standard block's worth of read-noise
+// variates; BenchmarkNormFloat64Block draws them, for comparison.
+func BenchmarkSkipNormFloat64(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		r.SkipNormFloat64(4736)
+	}
+}
+
+func BenchmarkNormFloat64Block(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 4736; j++ {
+			r.NormFloat64()
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Command benchcheck is the recorded-trajectory half of `make ci`: it
 // validates committed BENCH_*.json files against their versioned
-// schema (internal/serve.SchemaV2 or SchemaV3 for the serving bench),
+// schema (internal/serve.SchemaV3 for the serving bench),
 // so a stale, truncated, or hand-edited trajectory fails the pipeline
 // instead of silently anchoring a later regression diff. It re-checks
 // shape only — it does not re-run the (minutes-long) benchmark; `make
@@ -10,12 +10,10 @@
 // named regression diff: runs are matched by session count, member-
 // device count and degraded flag, and every op kind's p50/p99/worst
 // (and throughput) is printed as old → new with the relative change.
-// v2 and v3 are accepted, and mixed-schema pairs are fine (the
-// upgrade diff); each session's own-device / lock-wait / queueing
-// decomposition is diffed too, and when either run carries the v3
-// array section the per-device clocks, degraded-read and parity-write
-// counters are diffed as well.
-// Any other schema is a hard error (exit 1).
+// Each session's own-device / lock-wait / queueing decomposition is
+// diffed too, and when either run carries a per-device breakdown the
+// member clocks, degraded-read and parity-write counters are diffed as
+// well. Any schema but v3 is a hard error (exit 1).
 //
 // Usage:
 //
@@ -78,16 +76,15 @@ func load(path string) (serve.Report, error) {
 	if err != nil {
 		return r, fmt.Errorf("%s: %v", path, err)
 	}
-	if r.Schema != serve.SchemaV2 && r.Schema != serve.SchemaV3 {
-		return r, fmt.Errorf("%s: schema %q, want %q or %q — refusing to diff an unknown schema",
-			path, r.Schema, serve.SchemaV2, serve.SchemaV3)
+	if r.Schema != serve.SchemaV3 {
+		return r, fmt.Errorf("%s: schema %q, want %q — refusing to diff an unknown schema",
+			path, r.Schema, serve.SchemaV3)
 	}
 	return r, nil
 }
 
 // runKey matches runs across the two reports: session count plus the
-// v3 array geometry. Pre-array runs (devices absent) normalise to
-// width 1, so a v2 old report still pairs with the new baseline.
+// array geometry.
 type runKey struct {
 	sessions int
 	devices  int
@@ -95,11 +92,7 @@ type runKey struct {
 }
 
 func keyOf(r serve.Result) runKey {
-	d := r.Devices
-	if d == 0 {
-		d = 1
-	}
-	return runKey{sessions: r.Config.Sessions, devices: d, degraded: r.Degraded}
+	return runKey{sessions: r.Config.Sessions, devices: r.Devices, degraded: r.Degraded}
 }
 
 func (k runKey) String() string {
