@@ -116,6 +116,8 @@ type IncrementalAuditor struct {
 	pending   map[uint64]bool // membership for remaining
 	hints     []uint64        // observed lines to check first (subset of pending)
 	hinted    map[uint64]bool // dedup for hints within the round
+	busy      map[uint64]bool // lines a Step is checking or repairing now
+	idle      sync.Cond       // signalled (on mu) when a line leaves busy
 	repairer  Repairer
 	stats     IncrementalStats
 	findings  []device.VerifyReport
@@ -144,11 +146,14 @@ func (a *IncrementalAuditor) SetRepairer(fn Repairer) {
 // install any observer; call dev.SetReadObserver(a.Observe) to enable
 // piggyback hints.
 func NewIncrementalAuditor(dev device.Dev) *IncrementalAuditor {
-	return &IncrementalAuditor{
+	a := &IncrementalAuditor{
 		dev:     dev,
 		pending: make(map[uint64]bool),
 		hinted:  make(map[uint64]bool),
+		busy:    make(map[uint64]bool),
 	}
+	a.idle.L = &a.mu
+	return a
 }
 
 // Observe notes that block pba was just read from the medium. If the
@@ -178,10 +183,14 @@ func (a *IncrementalAuditor) Observe(pba uint64) {
 
 // Step verifies up to batch lines (batch <= 0 means 1) from the
 // current round, starting a new round if the previous one has drained.
-// Hinted lines are checked first. The heavy work — the hash checks —
-// runs outside the auditor's mutex; only worklist bookkeeping holds
-// it. Returns the step's report; Checked == 0 means the device has no
-// heated lines at all.
+// Hinted lines are checked first. The heavy work — the hash checks and
+// any repair — runs outside the auditor's mutex; only worklist
+// bookkeeping holds it. A line another Step is still checking or
+// repairing is waited for, never checked twice at once, and a check's
+// finding is published together with its repair outcome, so a reader
+// never sees a finding whose repair is still running. Returns the
+// step's report; Checked == 0 means the device has no heated lines at
+// all.
 func (a *IncrementalAuditor) Step(batch int) StepReport {
 	if batch <= 0 {
 		batch = 1
@@ -195,49 +204,58 @@ func (a *IncrementalAuditor) Step(batch int) StepReport {
 		if !ok {
 			break
 		}
-		vr, shadow, err := a.dev.VerifyLineOffClock(start)
 		a.mu.Lock()
-		a.stats.LinesChecked++
-		a.stats.DeviceNS += uint64(shadow)
-		if err != nil {
-			if !errors.Is(err, device.ErrNotHeated) {
-				// A line that exists but cannot be verified is
-				// operationally suspect, but it is not a tamper
-				// finding; count it separately.
-				a.stats.Errors++
-			}
-			a.mu.Unlock()
-			continue
+		for a.busy[start] {
+			a.idle.Wait()
 		}
-		tampered := vr.Tampered()
-		var heal Repairer
-		if tampered {
-			a.stats.Findings++
-			a.findings = append(a.findings, vr)
-			rep.Findings = append(rep.Findings, vr)
-			heal = a.repairer
-		}
+		a.busy[start] = true
+		heal := a.repairer
 		a.mu.Unlock()
-		if heal != nil {
-			healed := false
+
+		vr, shadow, err := a.dev.VerifyLineOffClock(start)
+		tampered := err == nil && vr.Tampered()
+		var healShadow time.Duration
+		healed := false
+		if tampered && heal != nil {
 			if _, rerr := heal(start); rerr == nil {
 				// Confirm: the healed line must verify clean.
 				if vr2, sh2, err2 := a.dev.VerifyLineOffClock(start); err2 == nil && !vr2.Tampered() {
 					healed = true
-					shadow += sh2
+					healShadow = sh2
 				}
 			}
-			a.mu.Lock()
-			if healed {
+		}
+
+		a.mu.Lock()
+		delete(a.busy, start)
+		a.idle.Broadcast()
+		a.stats.LinesChecked++
+		a.stats.DeviceNS += uint64(shadow)
+		if err != nil && !errors.Is(err, device.ErrNotHeated) {
+			// A line that exists but cannot be verified is
+			// operationally suspect, but it is not a tamper finding;
+			// count it separately.
+			a.stats.Errors++
+		}
+		if tampered {
+			a.stats.Findings++
+			a.findings = append(a.findings, vr)
+			rep.Findings = append(rep.Findings, vr)
+			switch {
+			case heal == nil:
+			case healed:
 				a.stats.Repairs++
 				rep.Repaired++
-			} else {
+			default:
 				a.stats.RepairFailures++
 			}
-			a.mu.Unlock()
+		}
+		a.mu.Unlock()
+		if err != nil {
+			continue
 		}
 		rep.Checked++
-		rep.DeviceNS += shadow
+		rep.DeviceNS += shadow + healShadow
 	}
 	if rep.Checked > 0 {
 		a.mu.Lock()

@@ -75,23 +75,11 @@ func (fs *FS) AuditStep(batch int) (AuditStats, bool) {
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
 	rep := aud.Step(batch)
-
-	as := aud.Stats()
-	fs.mu.Lock()
-	fs.stats.AuditSteps = as.Steps
-	fs.stats.AuditRounds = as.Rounds
-	fs.stats.AuditLinesChecked = as.LinesChecked
-	fs.stats.AuditFindings = as.Findings
-	fs.stats.AuditPiggybacked = as.PiggybackHits
-	fs.stats.AuditDeviceNS = as.DeviceNS
-	fs.stats.AuditRepairs = as.Repairs
-	fs.stats.AuditRepairFailures = as.RepairFailures
-	fs.mu.Unlock()
-
 	if rep.Checked > 0 {
 		fs.emitSpan(tr, "audit-step", t0, int64(rep.Checked), int64(rep.DeviceNS))
 	}
 	if rep.RoundComplete {
+		as := aud.Stats()
 		fs.emitSpan(tr, "audit-round", t0, int64(as.Rounds), int64(as.Findings))
 	}
 	return rep, rep.Checked > 0

@@ -494,11 +494,25 @@ func (fs *FS) Params() Params { return fs.p }
 // lock (including the background cleaner's commit window), and the
 // whole struct is copied under one shared acquisition here, so a
 // reader never observes a half-updated pair (e.g. CleanerPasses
-// advanced but CleanerCopied not yet).
+// advanced but CleanerCopied not yet). The audit counters are read from
+// the auditor under its own lock, which publishes a finding together
+// with its repair outcome, so they agree with AuditFindings.
 func (fs *FS) Stats() Stats {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.stats
+	st := fs.stats
+	if fs.auditor != nil {
+		as := fs.auditor.Stats()
+		st.AuditSteps = as.Steps
+		st.AuditRounds = as.Rounds
+		st.AuditLinesChecked = as.LinesChecked
+		st.AuditFindings = as.Findings
+		st.AuditPiggybacked = as.PiggybackHits
+		st.AuditDeviceNS = as.DeviceNS
+		st.AuditRepairs = as.Repairs
+		st.AuditRepairFailures = as.RepairFailures
+	}
+	return st
 }
 
 // lockTask takes fs.mu exclusively on behalf of a traced operation:
