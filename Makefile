@@ -114,12 +114,16 @@ degraded-campaign:
 # roll-forward recovery path (random ops + random crash points; mount
 # must never error on a torn summary tail), and the striped variant of
 # the replay fuzzer (same grammar over 1/2/4-member arrays, plus a
-# member loss after every crash when parity covers it).
+# member loss after every crash when parity covers it), plus the
+# sector code against its byte-wise reference (every parity 1–64 and
+# interleave 1–5: identical encodes, the remainder check agreeing with
+# the syndromes, identical decodes).
 fuzz:
 	$(GO) test -run FuzzLoadImage -fuzz FuzzLoadImage -fuzztime 20s .
 	$(GO) test -run FuzzFSOps -fuzz FuzzFSOps -fuzztime 20s ./internal/lfs
 	$(GO) test -run 'FuzzReplay$$' -fuzz 'FuzzReplay$$' -fuzztime 20s ./internal/lfs
 	$(GO) test -run FuzzReplayStriped -fuzz FuzzReplayStriped -fuzztime 20s ./internal/lfs
+	$(GO) test -run FuzzCodecMatchesReference -fuzz FuzzCodecMatchesReference -fuzztime 20s ./internal/ecc
 
 # Documentation gate: formatting, vet, and a mechanical check that
 # every exported identifier in the public API (package sero), the
@@ -127,14 +131,15 @@ fuzz:
 # the tracing plane (internal/trace), the store/audit core
 # (internal/core), the attack harness (internal/attack), the virtual
 # clock (internal/sim), the striped array (internal/array), the dot
-# medium (internal/medium), the bit codings (internal/manchester) and
-# the op-stream generators (internal/workload) carries a doc comment,
+# medium (internal/medium), the sector code (internal/ecc), the bit
+# codings (internal/manchester) and the op-stream generators
+# (internal/workload) carries a doc comment,
 # so `go doc` reads as a complete reference.
 docs:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/array ./internal/medium ./internal/manchester ./internal/workload
+	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/array ./internal/medium ./internal/ecc ./internal/manchester ./internal/workload
 
 # docs already runs vet, so ci doesn't list it twice. race runs the
 # full -race suite; attack-campaign and degraded-campaign narrow in on

@@ -665,11 +665,12 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
 		tr.Emit(trace.Span{Name: "write", Cat: "device", Track: pl.track + d.p.TrackOffset, Session: -1,
 			Start: pl.base + int64(t1), Dur: int64(t0+elapsed) - int64(t1), V1: int64(len(blocks)), V2: int64(start)})
 	}
+	img := frameImages.Get().(*[PhysicalBytes]byte)
+	defer frameImages.Put(img)
 	for i, data := range blocks {
 		pba := start + uint64(i)
-		f := Frame{PBA: pba, Flags: FlagData}
-		copy(f.Data[:], data)
-		d.med.MWBImage(d.dotBase(pba), f.Marshal())
+		putFrame(img[:], pba, FlagData, data)
+		d.med.MWBImage(d.dotBase(pba), img[:])
 	}
 	pl.record(d, func(st *OpStats) {
 		st.MagneticWrites += uint64(len(blocks))
@@ -774,9 +775,10 @@ func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) (int, error) {
 		tr.Emit(trace.Span{Name: "read", Cat: "device", Track: pl.track + d.p.TrackOffset, Session: -1,
 			Start: pl.base + int64(t0), Dur: int64(elapsed), V1: 1, V2: int64(pba)})
 	}
-	img := make([]byte, PhysicalBytes)
-	d.med.MRBImage(base, img)
-	f, corrected, err := UnmarshalFrame(img, pba)
+	img := frameImages.Get().(*[PhysicalBytes]byte)
+	defer frameImages.Put(img)
+	d.med.MRBImage(base, img[:])
+	corrected, err := decodeFrame(img[:], pba)
 	pl.record(d, func(st *OpStats) {
 		st.MagneticReads++
 		st.MagneticReadNS += elapsed
@@ -788,7 +790,7 @@ func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) (int, error) {
 	if err != nil {
 		return corrected, err
 	}
-	copy(dst, f.Data[:])
+	copy(dst, img[HeaderBytes:HeaderBytes+DataBytes])
 	return corrected, nil
 }
 

@@ -2,6 +2,27 @@
 // providing the "about 15% sector overhead for the sector header, error
 // correction, and cyclic redundancy check" the paper adopts from
 // Pozidis et al. [39] (§3).
+//
+// Encoding is table-driven. Each Codec precomputes f·g(x) for every
+// byte f, where g(x) is the generator without its leading term, packed
+// big-endian into ⌈parity/8⌉ uint64 words. The systematic encoder is
+// then an LFSR over words: per message byte, XOR the byte into the
+// remainder's first byte, shift the remainder left one byte and XOR in
+// the table row that byte selects — two word XORs for parity 16.
+//
+// Decoding checks before it corrects. g(x) = Π_{i<parity} (x + α^i)
+// has exactly the parity distinct roots the syndromes are evaluated
+// at, so every syndrome is zero exactly when the stored parity equals
+// the parity recomputed from the data part. A clean codeword therefore
+// costs one encode and no allocation; only a codeword that fails the
+// check runs the syndromes and Berlekamp–Massey, Chien and Forney, and
+// the same check verifies their result. A frame forged with valid
+// parity is accepted exactly as before, and any bit flip that leaves
+// an invalid codeword still takes the correcting path.
+//
+// Interleaved encodes and checks all of its lanes in one strided pass
+// over the buffer (byte j belongs to lane j mod ways), in place; only
+// a lane that fails the check is gathered and corrected.
 package ecc
 
 // GF(2^8) with the conventional primitive polynomial

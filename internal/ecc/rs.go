@@ -11,8 +11,12 @@ import (
 // positions.
 type Codec struct {
 	parity int
-	gen    []byte // generator polynomial, highest-degree first
+	words  int      // ⌈parity/8⌉: uint64 words per packed remainder
+	tab    []uint64 // tab[f·words:(f+1)·words] = f·g(x) without its x^parity term, packed
 }
+
+// maxWords is the packed remainder length of the largest parity (254).
+const maxWords = (254 + 7) / 8
 
 // ErrTooManyErrors is returned when a codeword is corrupted beyond the
 // code's correction capability.
@@ -27,7 +31,15 @@ func NewCodec(parity int) *Codec {
 	for i := 0; i < parity; i++ {
 		gen = polyMul(gen, []byte{1, Exp(i)})
 	}
-	return &Codec{parity: parity, gen: gen}
+	c := &Codec{parity: parity, words: (parity + 7) / 8}
+	c.tab = make([]uint64, 256*c.words)
+	for f := 1; f < 256; f++ {
+		row := c.tab[f*c.words : (f+1)*c.words]
+		for i, g := range gen[1:] {
+			row[i>>3] |= uint64(Mul(g, byte(f))) << (56 - 8*(i&7))
+		}
+	}
+	return c
 }
 
 // Parity returns the number of parity bytes per codeword.
@@ -36,6 +48,61 @@ func (c *Codec) Parity() int { return c.parity }
 // MaxData returns the maximum data length per codeword.
 func (c *Codec) MaxData() int { return 255 - c.parity }
 
+// remainders sets st[j·words:(j+1)·words] to the packed parity,
+// (lane_j · x^parity) mod g(x), of lane j of data for each of the ways
+// lanes, in one strided pass: byte i feeds lane i mod ways, with no per-lane
+// gathering. Each byte is one step of the systematic-encoder LFSR a
+// word at a time: with the lane's remainder packed big-endian, its
+// first byte is the top byte of the first word, and shifting the
+// remainder left one byte and XORing tab[d ^ that byte] divides by
+// g(x) once. Pad bytes past parity stay zero because the table is zero
+// there. A lane with no bytes keeps the zero remainder.
+func (c *Codec) remainders(st []uint64, data []byte, ways int) {
+	tab, w := c.tab, c.words
+	clear(st)
+	lane := 0
+	for _, d := range data {
+		r := st[lane*w : lane*w+w : lane*w+w]
+		hi := r[0]
+		f := int(d^byte(hi>>56)) * w
+		t := tab[f : f+len(r) : f+len(r)]
+		for k := 1; k < len(r); k++ {
+			lo := r[k]
+			r[k-1] = (hi<<8 | lo>>56) ^ t[k-1]
+			hi = lo
+		}
+		r[len(r)-1] = hi<<8 ^ t[len(r)-1]
+		if lane++; lane == ways {
+			lane = 0
+		}
+	}
+}
+
+// remainderByte returns byte i of the packed remainder r.
+func remainderByte(r []uint64, i int) byte { return byte(r[i>>3] >> (56 - 8*(i&7))) }
+
+// matches reports whether parity equals the packed remainder r.
+func matches(r []uint64, parity []byte) bool {
+	for i, p := range parity {
+		if remainderByte(r, i) != p {
+			return false
+		}
+	}
+	return true
+}
+
+// clean reports whether cw is a codeword. Because g(x) = Π_{i<parity}
+// (x + α^i) has exactly the parity distinct roots the syndromes are
+// evaluated at, every syndrome is zero exactly when cw is a multiple of
+// g(x) — that is, when its stored parity equals the parity recomputed
+// from its data part. That comparison costs one encode.
+func (c *Codec) clean(cw []byte) bool {
+	var r [maxWords]uint64
+	k := len(cw) - c.parity
+	c.remainders(r[:c.words], cw[:k], 1)
+	return matches(r[:c.words], cw[k:])
+}
+
 // Encode appends the parity bytes for data and returns data‖parity.
 // data is not modified.
 func (c *Codec) Encode(data []byte) []byte {
@@ -43,35 +110,24 @@ func (c *Codec) Encode(data []byte) []byte {
 		panic(fmt.Sprintf("ecc: data length %d outside [1,%d]", len(data), c.MaxData()))
 	}
 	// Systematic encoding: parity = (data · x^parity) mod gen.
-	rem := make([]byte, c.parity)
-	for _, d := range data {
-		factor := d ^ rem[0]
-		copy(rem, rem[1:])
-		rem[c.parity-1] = 0
-		if factor != 0 {
-			for i := 0; i < c.parity; i++ {
-				rem[i] ^= Mul(c.gen[i+1], factor)
-			}
-		}
+	var r [maxWords]uint64
+	c.remainders(r[:c.words], data, 1)
+	out := make([]byte, len(data)+c.parity)
+	copy(out, data)
+	for i := range c.parity {
+		out[len(data)+i] = remainderByte(r[:], i)
 	}
-	out := make([]byte, 0, len(data)+c.parity)
-	out = append(out, data...)
-	out = append(out, rem...)
 	return out
 }
 
-// syndromes computes the parity syndromes of a codeword; all-zero means
-// no detectable error.
-func (c *Codec) syndromes(cw []byte) ([]byte, bool) {
+// syndromes computes the parity syndromes of a codeword the clean
+// check has rejected.
+func (c *Codec) syndromes(cw []byte) []byte {
 	syn := make([]byte, c.parity)
-	clean := true
-	for i := 0; i < c.parity; i++ {
+	for i := range syn {
 		syn[i] = polyEval(cw, Exp(i))
-		if syn[i] != 0 {
-			clean = false
-		}
 	}
-	return syn, clean
+	return syn
 }
 
 // Decode corrects cw in place (data‖parity as produced by Encode) and
@@ -81,10 +137,10 @@ func (c *Codec) Decode(cw []byte) (data []byte, corrected int, err error) {
 	if len(cw) <= c.parity || len(cw) > 255 {
 		return nil, 0, fmt.Errorf("ecc: codeword length %d invalid for parity %d", len(cw), c.parity)
 	}
-	syn, clean := c.syndromes(cw)
-	if clean {
+	if c.clean(cw) {
 		return cw[:len(cw)-c.parity], 0, nil
 	}
+	syn := c.syndromes(cw)
 
 	// Berlekamp-Massey: find the error locator polynomial sigma
 	// (lowest-degree-first here for convenience).
@@ -180,7 +236,7 @@ func (c *Codec) Decode(cw []byte) (data []byte, corrected int, err error) {
 	}
 
 	// Verify.
-	if _, ok := c.syndromes(cw); !ok {
+	if !c.clean(cw) {
 		return nil, 0, ErrTooManyErrors
 	}
 	return cw[:len(cw)-c.parity], numErrs, nil
@@ -214,14 +270,14 @@ func (c *Codec) DecodeErasures(cw []byte, positions []int) (data []byte, err err
 		seen[pos] = true
 		cw[pos] = 0
 	}
-	syn, clean := c.syndromes(cw)
-	if clean {
+	if c.clean(cw) {
 		// The erased bytes really were zero (or nothing was erased).
 		return cw[:len(cw)-c.parity], nil
 	}
 	if len(positions) == 0 {
 		return nil, ErrTooManyErrors
 	}
+	syn := c.syndromes(cw)
 
 	// With the erasures zeroed, the codeword differs from the true one
 	// by exactly the erased magnitudes m_i at known locators
@@ -277,7 +333,7 @@ func (c *Codec) DecodeErasures(cw []byte, positions []int) (data []byte, err err
 
 	// A codeword that still has nonzero syndromes was corrupted
 	// outside the declared erasures.
-	if _, ok := c.syndromes(cw); !ok {
+	if !c.clean(cw) {
 		return nil, ErrTooManyErrors
 	}
 	return cw[:len(cw)-c.parity], nil
@@ -327,56 +383,95 @@ func (il *Interleaved) MaxData() int { return il.ways * il.codec.MaxData() }
 // Encode protects data, returning data‖parity. Bytes are assigned to
 // codewords round-robin (byte i goes to codeword i mod ways).
 func (il *Interleaved) Encode(data []byte) []byte {
-	if len(data) == 0 || len(data) > il.MaxData() {
-		panic(fmt.Sprintf("ecc: interleaved data length %d outside [1,%d]", len(data), il.MaxData()))
-	}
-	parity := make([]byte, 0, il.ParityBytes())
-	for w := 0; w < il.ways; w++ {
-		var lane []byte
-		for i := w; i < len(data); i += il.ways {
-			lane = append(lane, data[i])
-		}
-		if len(lane) == 0 {
-			lane = []byte{0}
-		}
-		cw := il.codec.Encode(lane)
-		parity = append(parity, cw[len(lane):]...)
-	}
-	out := make([]byte, 0, len(data)+len(parity))
-	out = append(out, data...)
-	out = append(out, parity...)
+	out := make([]byte, len(data)+il.ParityBytes())
+	copy(out, data)
+	il.PutParity(out, len(data))
 	return out
 }
 
+// PutParity writes the parity of buf[:dataLen] into buf[dataLen:], the
+// allocation-free form of Encode: afterwards buf holds exactly what
+// Encode(buf[:dataLen]) returns. len(buf) must be
+// dataLen+ParityBytes().
+func (il *Interleaved) PutParity(buf []byte, dataLen int) {
+	if dataLen <= 0 || dataLen > il.MaxData() {
+		panic(fmt.Sprintf("ecc: interleaved data length %d outside [1,%d]", dataLen, il.MaxData()))
+	}
+	if len(buf) != dataLen+il.ParityBytes() {
+		panic(fmt.Sprintf("ecc: buffer %d does not match data %d + parity %d",
+			len(buf), dataLen, il.ParityBytes()))
+	}
+	c, w := il.codec, il.codec.words
+	var stack [laneStack]uint64
+	st := il.lanes(stack[:])
+	c.remainders(st, buf[:dataLen], il.ways)
+	for lane := range il.ways {
+		par := buf[dataLen+lane*c.parity : dataLen+(lane+1)*c.parity]
+		for i := range par {
+			par[i] = remainderByte(st[lane*w:], i)
+		}
+	}
+}
+
+// laneStack is the lane state PutParity and Decode keep on the stack:
+// 4 lanes of parity 16 need 8 words, and any geometry up to 64 words
+// stays allocation-free.
+const laneStack = 64
+
+// lanes returns room for every lane's packed remainder, inside buf
+// when it fits.
+func (il *Interleaved) lanes(buf []uint64) []uint64 {
+	n := il.ways * il.codec.words
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]uint64, n)
+}
+
 // Decode corrects buf (as produced by Encode, with dataLen data bytes)
-// and returns the corrected data and total byte corrections.
+// in place and returns its corrected data portion, buf[:dataLen], and
+// the total byte corrections. Every lane is first checked in one
+// strided pass (see Codec.clean); only a lane that fails the check is
+// gathered and corrected by Codec.Decode, and its corrected bytes,
+// parity included, are written back to buf. On error, lanes before
+// the failing one may already be corrected.
 func (il *Interleaved) Decode(buf []byte, dataLen int) (data []byte, corrected int, err error) {
 	if dataLen <= 0 || len(buf) != dataLen+il.ParityBytes() {
 		return nil, 0, fmt.Errorf("ecc: buffer %d does not match data %d + parity %d",
 			len(buf), dataLen, il.ParityBytes())
 	}
-	data = append([]byte(nil), buf[:dataLen]...)
-	parityOff := dataLen
-	for w := 0; w < il.ways; w++ {
-		var lane []byte
-		var idx []int
-		for i := w; i < dataLen; i += il.ways {
-			lane = append(lane, data[i])
-			idx = append(idx, i)
+	c := il.codec
+	if longest := (dataLen + il.ways - 1) / il.ways; longest > c.MaxData() {
+		return nil, 0, fmt.Errorf("ecc: codeword length %d invalid for parity %d", longest+c.parity, c.parity)
+	}
+	w := c.words
+	var stack [laneStack]uint64
+	st := il.lanes(stack[:])
+	c.remainders(st, buf[:dataLen], il.ways)
+	var cw [255]byte
+	for lane := range il.ways {
+		par := buf[dataLen+lane*c.parity : dataLen+(lane+1)*c.parity]
+		if matches(st[lane*w:lane*w+w], par) {
+			continue
 		}
-		if len(lane) == 0 {
-			lane = []byte{0}
+		k := 0
+		for i := lane; i < dataLen; i += il.ways {
+			cw[k] = buf[i]
+			k++
 		}
-		cw := append(lane, buf[parityOff:parityOff+il.codec.parity]...)
-		parityOff += il.codec.parity
-		fixed, n, derr := il.codec.Decode(cw)
+		if k == 0 {
+			cw[0], k = 0, 1
+		}
+		copy(cw[k:], par)
+		fixed, n, derr := c.Decode(cw[:k+c.parity])
 		if derr != nil {
 			return nil, corrected, derr
 		}
 		corrected += n
-		for j, i := range idx {
-			data[i] = fixed[j]
+		for i, j := lane, 0; i < dataLen; i, j = i+il.ways, j+1 {
+			buf[i] = fixed[j]
 		}
+		copy(par, cw[k:])
 	}
-	return data, corrected, nil
+	return buf[:dataLen], corrected, nil
 }

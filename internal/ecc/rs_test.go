@@ -227,23 +227,60 @@ func TestInterleavedRejectsSizeMismatch(t *testing.T) {
 
 func BenchmarkRSEncode512(b *testing.B) {
 	il := NewInterleaved(16, 4)
-	data := make([]byte, 512)
+	data := benchData(512)
 	b.SetBytes(512)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		il.Encode(data)
 	}
 }
 
+// benchData returns n pseudo-random bytes, so encodes and decodes see
+// the nonzero feedback bytes real sectors carry.
+func benchData(n int) []byte {
+	rng := sim.NewRNG(512)
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(rng.Uint64())
+	}
+	return data
+}
+
+// BenchmarkRSDecodeClean512 decodes an uncorrupted frame: the
+// remainder check alone.
 func BenchmarkRSDecodeClean512(b *testing.B) {
 	il := NewInterleaved(16, 4)
-	data := make([]byte, 512)
-	buf := il.Encode(data)
+	buf := il.Encode(benchData(512))
+	work := make([]byte, len(buf))
 	b.SetBytes(512)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := il.Decode(append([]byte(nil), buf...), 512); err != nil {
+		copy(work, buf)
+		if _, _, err := il.Decode(work, 512); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRSDecodeCorrect512 decodes a frame carrying a 32-byte burst
+// — 8 errors in every lane, the code's full capacity — so every lane
+// takes the correcting path.
+func BenchmarkRSDecodeCorrect512(b *testing.B) {
+	il := NewInterleaved(16, 4)
+	buf := il.Encode(benchData(512))
+	for i := 200; i < 232; i++ {
+		buf[i] ^= byte(i)
+	}
+	work := make([]byte, len(buf))
+	b.SetBytes(512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, buf)
+		if _, n, err := il.Decode(work, 512); err != nil || n != 32 {
+			b.Fatalf("corrected %d, err %v", n, err)
 		}
 	}
 }
