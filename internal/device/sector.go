@@ -86,11 +86,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // construction.
 var codec = ecc.NewInterleaved(RSParityPerWay, RSWays)
 
-// frameImages recycles the PhysicalBytes scratch images the device
-// encodes frames into and decodes them in place in, so the frame path
-// allocates nothing per block. They are pooled rather than stack
-// arrays because the payload CRC (hash/crc32) lets its argument
-// escape.
+// frameImages recycles the fixed-size scratch images the frame path
+// encodes into and decodes in, so it allocates nothing per block. They
+// are pooled rather than stack arrays because the payload CRC
+// (hash/crc32) lets its argument escape.
 var frameImages = sync.Pool{New: func() any { return new([PhysicalBytes]byte) }}
 
 // Marshal produces the PhysicalBytes on-medium image of the frame.
@@ -145,7 +144,7 @@ func UnmarshalFrame(img []byte, expectedPBA uint64) (Frame, int, error) {
 		return Frame{}, corrected, err
 	}
 	f := Frame{PBA: binary.BigEndian.Uint64(buf[0:8]), Flags: buf[8]}
-	copy(f.Data[:], buf[HeaderBytes:])
+	copy(f.Data[:], buf[HeaderBytes:HeaderBytes+DataBytes])
 	return f, corrected, err
 }
 

@@ -50,10 +50,10 @@ func (c *Codec) MaxData() int { return 255 - c.parity }
 
 // remainders sets st[j·words:(j+1)·words] to the packed parity,
 // (lane_j · x^parity) mod g(x), of lane j of data for each of the ways
-// lanes, in one strided pass: byte i feeds lane i mod ways, with no per-lane
-// gathering. Each byte is one step of the systematic-encoder LFSR a
-// word at a time: with the lane's remainder packed big-endian, its
-// first byte is the top byte of the first word, and shifting the
+// lanes, in one strided pass: byte i feeds lane i mod ways, with no
+// per-lane gathering. Each byte is one step of the systematic-encoder
+// LFSR a word at a time: with the lane's remainder packed big-endian,
+// its first byte is the top byte of the first word, and shifting the
 // remainder left one byte and XORing tab[d ^ that byte] divides by
 // g(x) once. Pad bytes past parity stay zero because the table is zero
 // there. A lane with no bytes keeps the zero remainder.
