@@ -117,13 +117,18 @@ degraded-campaign:
 # member loss after every crash when parity covers it), plus the
 # sector code against its byte-wise reference (every parity 1–64 and
 # interleave 1–5: identical encodes, the remainder check agreeing with
-# the syndromes, identical decodes).
+# the syndromes, identical decodes), plus the medium's block image and
+# ranged electrical reads against their per-dot references (identical
+# bits, verdicts, stored state and next noise draw, with and without
+# the noise draws a healthy dot may skip).
 fuzz:
 	$(GO) test -run FuzzLoadImage -fuzz FuzzLoadImage -fuzztime 20s .
 	$(GO) test -run FuzzFSOps -fuzz FuzzFSOps -fuzztime 20s ./internal/lfs
 	$(GO) test -run 'FuzzReplay$$' -fuzz 'FuzzReplay$$' -fuzztime 20s ./internal/lfs
 	$(GO) test -run FuzzReplayStriped -fuzz FuzzReplayStriped -fuzztime 20s ./internal/lfs
 	$(GO) test -run FuzzCodecMatchesReference -fuzz FuzzCodecMatchesReference -fuzztime 20s ./internal/ecc
+	$(GO) test -run FuzzMRBImage -fuzz FuzzMRBImage -fuzztime 20s ./internal/medium
+	$(GO) test -run FuzzERBRange -fuzz FuzzERBRange -fuzztime 20s ./internal/medium
 
 # Documentation gate: formatting, vet, and a mechanical check that
 # every exported identifier in the public API (package sero), the

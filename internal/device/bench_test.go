@@ -1,6 +1,10 @@
 package device
 
-import "testing"
+import (
+	"testing"
+
+	"sero/internal/medium"
+)
 
 // BenchmarkMRS reads one block per op from a sled with the default
 // read noise, the serving tier's hot read path.
@@ -72,5 +76,57 @@ func TestFramePathAllocations(t *testing.T) {
 		pba++
 	}); n > 2 {
 		t.Errorf("MRS of a clean block: %v allocations, want <= 2", n)
+	}
+}
+
+// quietDevice returns a device on perfbench's medium: no read noise,
+// no residual in-plane signal and no crosstalk flips.
+func quietDevice(b *testing.B, blocks int) *Device {
+	p := DefaultParams(blocks)
+	mp := medium.DefaultParams(blocks, DotsPerBlock)
+	mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
+	p.Medium = mp
+	d := New(p)
+	for pba := uint64(0); pba < uint64(blocks); pba++ {
+		if err := d.MWS(pba, pattern(byte(pba))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return d
+}
+
+// BenchmarkVerifyLine verifies one heated 4-block line per op: the
+// electrical read of the heat record, the magnetic read of the three
+// members (the first a crosstalk neighbour of the record) and the hash.
+func BenchmarkVerifyLine(b *testing.B) {
+	d := quietDevice(b, 8)
+	if _, err := d.HeatLine(0, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := d.VerifyLine(0)
+		if err != nil || !rep.OK {
+			b.Fatalf("verify %+v %v", rep, err)
+		}
+	}
+}
+
+// BenchmarkMRSCrosstalkNeighbour reads the block next to a heated
+// record per op: its row carries the partial damage of the record's
+// neighbour pulses but no heated or stuck dot.
+func BenchmarkMRSCrosstalkNeighbour(b *testing.B) {
+	d := quietDevice(b, 8)
+	if _, err := d.HeatLine(4, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(DataBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.MRS(3 + uint64(i%2)*2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

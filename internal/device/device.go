@@ -900,9 +900,7 @@ func (d *Device) ersOn(pl *plane, pba uint64, payloadLen int) (ERSReport, error)
 		a.ChargeElectricRead(d.chargeIndex(base), n*d.p.ErbRetries)
 	})
 	flags := make([]bool, n)
-	for i := range flags {
-		flags[i] = d.erbDot(base + i)
-	}
+	d.med.ERBRange(base, d.p.ErbRetries, flags)
 	pl.record(d, func(st *OpStats) {
 		st.ElectricReads++
 		st.ElectricReadNS += elapsed
@@ -913,17 +911,15 @@ func (d *Device) ersOn(pl *plane, pba uint64, payloadLen int) (ERSReport, error)
 	return decodeERS(flags)
 }
 
-// erbDot runs the 5-step erb protocol with retries: the dot is declared
-// heated as soon as any attempt fails verification. A healthy dot with
-// reasonable SNR essentially never fails, so false positives are
-// negligible; retries only reduce false negatives.
+// erbDot runs the 5-step erb protocol with retries on dot i: the dot is
+// declared heated as soon as any attempt fails verification. A healthy
+// dot with reasonable SNR essentially never fails, so false positives
+// are negligible; retries only reduce false negatives. It is the
+// one-dot case of the ranged read ersOn uses.
 func (d *Device) erbDot(i int) bool {
-	for r := 0; r < d.p.ErbRetries; r++ {
-		if d.med.ERB(i) {
-			return true
-		}
-	}
-	return false
+	var heated [1]bool
+	d.med.ERBRange(i, d.p.ErbRetries, heated[:])
+	return heated[0]
 }
 
 // lowAmplitude reports whether dot i reads at well under the nominal
@@ -961,6 +957,10 @@ func (d *Device) IsHeatedCached(pba uint64) bool {
 // evidence on the medium). This is the paper's §3 discrimination
 // problem: "a heated block should not be misinterpreted as a bad
 // block".
+//
+// The probe samples between 32 and 512 cells (the heat record's
+// HeatRecordBytes·8): a sampleCells below 32 samples 32, and one above
+// 512 samples 512.
 func (d *Device) ProbeHeated(pba uint64, sampleCells int) (bool, error) {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
@@ -977,19 +977,11 @@ func (d *Device) ProbeHeated(pba uint64, sampleCells int) (bool, error) {
 // exclusive gate (Scan), and has validated pba — like the other *On
 // helpers, validation belongs to the public entry points.
 func (d *Device) probeHeatedOn(pl *plane, pba uint64, sampleCells int) (bool, error) {
-	if sampleCells <= 0 {
-		sampleCells = 16
-	}
-	if sampleCells < 32 {
-		sampleCells = 32
-	}
 	// Samples are spread across the heat-record area rather than taken
 	// from its front: a localised HH-burn attack on the first cells
 	// must not hide the block's electrical nature from the scan.
 	recordCells := HeatRecordBytes * 8
-	if sampleCells > recordCells {
-		sampleCells = recordCells
-	}
+	sampleCells = min(max(sampleCells, 32), recordCells)
 	stride := recordCells / sampleCells
 	base := d.dotBase(pba) + headerDotOffset()
 	elapsed := pl.charge(d, func(a *probe.Array) {
@@ -1046,7 +1038,7 @@ func (d *Device) MarkBad(pba uint64) error {
 	if known {
 		return fmt.Errorf("%w: refusing to mark heated block %d bad", ErrHeatedBlock, pba)
 	}
-	ok, err := d.probeHeatedOn(&d.fg, pba, 16)
+	ok, err := d.probeHeatedOn(&d.fg, pba, 32)
 	if err != nil {
 		return err
 	}

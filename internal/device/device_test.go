@@ -574,7 +574,7 @@ func TestProbeHeatedNegative(t *testing.T) {
 	if err := d.MWS(1, pattern(1)); err != nil {
 		t.Fatal(err)
 	}
-	hot, err := d.ProbeHeated(1, 16)
+	hot, err := d.ProbeHeated(1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,7 +374,9 @@ type VerifyOutcome struct {
 // Concurrency). Outcome i always corresponds to starts[i]. On a
 // noiseless medium the outcomes are bit-identical for any worker
 // count; with read noise, workers interleave draws from the shared
-// noise stream (see the package sero concurrency notes).
+// noise stream, one whole ranged read at a time: a record's electrical
+// read and each member's magnetic read take their draws in one
+// unbroken run (see the package sero concurrency notes).
 //
 // Lines are split strided over the worker planes ("verify-fanout"):
 // worker w verifies lines w, w+workers, w+2·workers, … and the pass
@@ -482,7 +484,7 @@ func (d *Device) scanRange(pl *plane, lo, hi uint64, res *scanResult) {
 		return
 	}
 	for pba := lo; pba < hi; pba++ {
-		hot, perr := d.probeHeatedOn(pl, pba, 8)
+		hot, perr := d.probeHeatedOn(pl, pba, 32)
 		if perr != nil {
 			res.err = perr
 			res.errPBA = pba

@@ -80,7 +80,7 @@ func RunE9(seed uint64) (E9Result, error) {
 		// blocks may probe as electrically written.
 		misprobed := 0
 		for pba := uint64(0); pba < blocks; pba++ {
-			hot, err := dev.ProbeHeated(pba, 16)
+			hot, err := dev.ProbeHeated(pba, 32)
 			if err != nil {
 				return res, err
 			}

@@ -21,12 +21,18 @@
 // move an MSB-first block image word by word.
 //
 // Noise. Every magnetic read of a dot draws one Gaussian from the
-// medium's single deterministic stream. A healthy dot reads ±A + σ·N
-// with |N| < sim.NormBound, so when σ·sim.NormBound < A no draw can
-// change its decoded bit; MRBImage then advances the stream past the
-// range's draws with sim.RNG.SkipNormFloat64 and copies the stored
-// words. Any other read goes dot by dot. Either way the decoded bits
-// and the stream's position match a per-dot MRB loop draw for draw.
+// medium's single deterministic stream. A full-amplitude dot (neither
+// heated nor stuck; partial damage does not change its level) reads
+// ±A + σ·N with |N| < sim.NormBound, so when σ·sim.NormBound < A no
+// draw can change its decoded bit. MRBImage then advances the stream
+// past a range of such dots with sim.RNG.SkipNormFloat64 and copies the
+// stored words, and ERBRange settles each such dot's erb attempts the
+// same way; heated and stuck dots, and every dot of a noisier medium,
+// go through the per-dot body. Either way the decoded bits, the stored
+// state and the stream's position match per-dot MRB/MWB calls draw for
+// draw. A ranged read holds the stream's lock for its whole range, so
+// concurrent readers of disjoint rows interleave their draws one range
+// at a time, not one dot at a time.
 //
 // Snapshots keep format v3 (two bytes per dot), byte for byte.
 package medium
@@ -88,6 +94,13 @@ type overlayDot struct {
 // heated reports whether the dot's multilayer is destroyed.
 func (d *overlayDot) heated() bool {
 	return float64(d.damage) >= physics.HeatedDamageThreshold
+}
+
+// fullAmplitude reports whether the dot reads at a healthy dot's level,
+// ±SignalAmplitude by its stored bit: it is neither heated nor stuck.
+// Partial damage below the heat threshold leaves the level unchanged.
+func (d *overlayDot) fullAmplitude() bool {
+	return d.stuck == StuckNone && !d.heated()
 }
 
 // Params collects the physical parameters of a medium.
@@ -326,16 +339,26 @@ func (m *Medium) level(row, col int) float64 {
 	return -m.p.SignalAmplitude
 }
 
-// readSignal produces the analog MFM read signal of dot i: its level
-// plus one draw of read noise.
-func (m *Medium) readSignal(i int) float64 {
-	s := m.level(m.loc(i))
+// signal is the analog MFM read signal of dot (row, col): its level
+// plus one draw of read noise. Caller holds rngMu when the medium is
+// noisy.
+func (m *Medium) signal(row, col int) float64 {
+	s := m.level(row, col)
 	if m.p.ReadNoiseSigma > 0 {
-		m.rngMu.Lock()
 		s += m.p.ReadNoiseSigma * m.rng.NormFloat64()
-		m.rngMu.Unlock()
 	}
 	return s
+}
+
+// readSignal produces the analog MFM read signal of dot i under the
+// noise lock.
+func (m *Medium) readSignal(i int) float64 {
+	row, col := m.loc(i)
+	if m.p.ReadNoiseSigma > 0 {
+		m.rngMu.Lock()
+		defer m.rngMu.Unlock()
+	}
+	return m.signal(row, col)
 }
 
 // MRB performs a magnetic read of dot i, returning the decoded bit.
@@ -359,6 +382,11 @@ func (m *Medium) MRBAnalog(i int) float64 {
 // written bit ... has no effect").
 func (m *Medium) MWB(i int, bit bool) {
 	row, col := m.loc(i)
+	m.write(row, col, bit)
+}
+
+// write is MWB of dot (row, col).
+func (m *Medium) write(row, col int, bit bool) {
 	if !m.heatedAt(row, col) {
 		m.setUp(row, col, bit)
 	}
@@ -379,22 +407,48 @@ func (m *Medium) segments(base, n int, f func(row, col, k, cnt int)) {
 	}
 }
 
+// fullAmplitude reports whether every dot col..col+cnt-1 of row reads
+// at a healthy dot's level (see overlayDot.fullAmplitude).
+func (m *Medium) fullAmplitude(row, col, cnt int) bool {
+	if ov := m.overlay[row]; ov != nil {
+		for j := col; j < col+cnt; j++ {
+			if !ov[j].fullAmplitude() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// anyHeated reports whether any dot col..col+cnt-1 of row is heated.
+func (m *Medium) anyHeated(row, col, cnt int) bool {
+	if ov := m.overlay[row]; ov != nil {
+		for j := col; j < col+cnt; j++ {
+			if ov[j].heated() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // MRBImage magnetically reads dots [base, base+8·len(dst)) into dst as
 // an MSB-first image: bit 7-j%8 of dst[j/8] is MRB(base+j). The result
 // and the noise stream's position afterwards are exactly those of the
 // per-dot MRB loop in index order.
 //
-// When the range touches no overlay and the noise cannot flip a
-// healthy dot (ReadNoiseSigma·sim.NormBound < SignalAmplitude), every
-// decoded bit is the stored bit whatever the draws, so the read skips
-// its draws in one step and copies whole words. Otherwise it reads dot
-// by dot, drawing a full Gaussian for each.
+// When every dot in the range reads at full amplitude (no heated or
+// stuck dot; partial damage is allowed) and the noise cannot flip such
+// a dot (ReadNoiseSigma·sim.NormBound < SignalAmplitude), every decoded
+// bit is the stored bit whatever the draws, so the read skips its draws
+// in one step and copies whole words. Otherwise it reads dot by dot,
+// drawing a full Gaussian for each.
 func (m *Medium) MRBImage(base int, dst []byte) {
 	n := 8 * len(dst)
 	clear(dst)
 	clean := m.skipNoise
-	m.segments(base, n, func(row, _, _, _ int) {
-		clean = clean && m.overlay[row] == nil
+	m.segments(base, n, func(row, col, _, cnt int) {
+		clean = clean && m.fullAmplitude(row, col, cnt)
 	})
 	sigma := m.p.ReadNoiseSigma
 	if sigma > 0 {
@@ -423,11 +477,7 @@ func (m *Medium) MRBImage(base int, dst []byte) {
 	}
 	m.segments(base, n, func(row, col, k, cnt int) {
 		for j := 0; j < cnt; j++ {
-			s := m.level(row, col+j)
-			if sigma > 0 {
-				s += sigma * m.rng.NormFloat64()
-			}
-			if s >= 0 {
+			if m.signal(row, col+j) >= 0 {
 				dst[(k+j)>>3] |= 0x80 >> ((k + j) & 7)
 			}
 		}
@@ -436,21 +486,19 @@ func (m *Medium) MRBImage(base int, dst []byte) {
 
 // MWBImage magnetically writes the MSB-first image src to dots
 // [base, base+8·len(src)): dot base+j receives bit 7-j%8 of src[j/8],
-// exactly as MWB would, so heated dots keep their state. Healthy rows
-// are written a word at a time.
+// exactly as MWB would, so heated dots keep their state. A row piece
+// holding no heated dot is written a word at a time.
 func (m *Medium) MWBImage(base int, src []byte) {
 	m.segments(base, 8*len(src), func(row, col, k, cnt int) {
 		words := m.bits[row*m.wordsPerRow:]
 		j := 0
-		if m.overlay[row] == nil && col&63 == 0 && k&7 == 0 {
+		if col&63 == 0 && k&7 == 0 && !m.anyHeated(row, col, cnt) {
 			for ; j+64 <= cnt; j += 64 {
 				words[(col+j)>>6] = binary.BigEndian.Uint64(src[(k+j)>>3:])
 			}
 		}
 		for ; j < cnt; j++ {
-			if !m.heatedAt(row, col+j) {
-				m.setUp(row, col+j, src[(k+j)>>3]&(0x80>>((k+j)&7)) != 0)
-			}
+			m.write(row, col+j, src[(k+j)>>3]&(0x80>>((k+j)&7)) != 0)
 		}
 	})
 }
@@ -545,15 +593,77 @@ func (m *Medium) Damage(i int) float64 {
 //
 // The protocol costs 3 magnetic reads and 2 magnetic writes, which is
 // why the paper calls erb "at least 5 times slower than mrb"; the
-// device layer charges latency accordingly.
+// device layer charges latency accordingly. ERB is the one-dot,
+// one-attempt case of ERBRange.
 func (m *Medium) ERB(i int) (heated bool) {
-	orig := m.MRB(i)  // 1. read the original bit
-	m.MWB(i, !orig)   // 2. write the inverse
-	inv := m.MRB(i)   // 3. verify the inverse reads back
-	m.MWB(i, orig)    // 4. restore the original
-	again := m.MRB(i) // 5. verify the original reads back
-	if inv == orig || again != orig {
-		return true
+	var h [1]bool
+	m.ERBRange(i, 1, h[:])
+	return h[0]
+}
+
+// ERBRange electrically reads dots [base, base+len(dst)) in index
+// order: each dot gets up to retries attempts of the ERB protocol and
+// dst[k] reports dot base+k heated as soon as one attempt fails
+// verification. The verdicts, the stored state and the noise stream's
+// position afterwards are exactly those of calling ERB up to retries
+// times per dot in index order.
+//
+// The range is walked row by row under one hold of the noise lock. When
+// the noise cannot flip a healthy dot (ReadNoiseSigma·sim.NormBound <
+// SignalAmplitude), a dot that reads at full amplitude (no heated or
+// stuck record) passes every attempt whatever the draws and its two
+// writes cancel, so it settles without touching the medium: not heated,
+// its 3·retries draws skipped together with those of the full-amplitude
+// dots next to it. Heated and stuck dots, and every dot of a noisier
+// medium, run the protocol itself.
+func (m *Medium) ERBRange(base, retries int, dst []bool) {
+	sigma := m.p.ReadNoiseSigma
+	if sigma > 0 {
+		m.rngMu.Lock()
+		defer m.rngMu.Unlock()
+	}
+	// settled counts the full-amplitude dots whose draws are not yet
+	// skipped.
+	settled := 0
+	skip := func() {
+		if sigma > 0 {
+			m.rng.SkipNormFloat64(3 * retries * settled)
+		}
+		settled = 0
+	}
+	m.segments(base, len(dst), func(row, col, k, cnt int) {
+		ov := m.overlay[row]
+		if m.skipNoise && ov == nil {
+			clear(dst[k : k+cnt])
+			settled += cnt
+			return
+		}
+		for j := 0; j < cnt; j++ {
+			if m.skipNoise && ov[col+j].fullAmplitude() {
+				dst[k+j] = false
+				settled++
+				continue
+			}
+			skip()
+			dst[k+j] = m.erb(row, col+j, retries)
+		}
+	})
+	skip()
+}
+
+// erb runs up to retries attempts of the 5-step protocol on dot
+// (row, col), reporting heated on the first failed verification.
+// Caller holds rngMu when the medium is noisy.
+func (m *Medium) erb(row, col, retries int) bool {
+	for r := 0; r < retries; r++ {
+		orig := m.signal(row, col) >= 0  // 1. read the original bit
+		m.write(row, col, !orig)         // 2. write the inverse
+		inv := m.signal(row, col) >= 0   // 3. verify the inverse reads back
+		m.write(row, col, orig)          // 4. restore the original
+		again := m.signal(row, col) >= 0 // 5. verify the original reads back
+		if inv == orig || again != orig {
+			return true
+		}
 	}
 	return false
 }

@@ -42,6 +42,30 @@ func clonePair(t *testing.T, m *Medium) (*Medium, *Medium) {
 	return a, b
 }
 
+// fuzzMedium returns a medium with random stored bits, damaged by ops:
+// byte pairs (kind, position) that heat a dot, make it stuck Up, Down or
+// Dead, or flip its magnetisation. The returned generator continues the
+// stream that drew the bits.
+func fuzzMedium(p Params, ops []byte) (*Medium, *sim.RNG) {
+	m := New(p)
+	rng := sim.NewRNG(p.Seed)
+	for i := 0; i < m.Dots(); i++ {
+		m.MWB(i, rng.Bool())
+	}
+	for k := 0; k+1 < len(ops); k += 2 {
+		i := int(ops[k+1]) * m.Dots() / 256
+		switch ops[k] % 5 {
+		case 0:
+			m.EWB(i)
+		case 1, 2, 3:
+			m.SetStuck(i, StuckKind(ops[k]%5))
+		case 4:
+			m.CorruptMagnetic(i)
+		}
+	}
+	return m, rng
+}
+
 // FuzzMRBImage checks the block image methods against per-dot loops on
 // random stored bits and a random overlay (heated dots, every stuck
 // kind, partial damage), with read noise on both sides of the bound
@@ -69,22 +93,7 @@ func FuzzMRBImage(f *testing.F) {
 		if mode&2 != 0 {
 			p.PulseTempC = 700
 		}
-		m := New(p)
-		rng := sim.NewRNG(seed)
-		for i := 0; i < m.Dots(); i++ {
-			m.MWB(i, rng.Bool())
-		}
-		for k := 0; k+1 < len(ops); k += 2 {
-			i := int(ops[k+1]) * m.Dots() / 256
-			switch ops[k] % 5 {
-			case 0:
-				m.EWB(i)
-			case 1, 2, 3:
-				m.SetStuck(i, StuckKind(ops[k]%5))
-			case 4:
-				m.CorruptMagnetic(i)
-			}
-		}
+		m, rng := fuzzMedium(p, ops)
 		base := int(baseSel) % m.Dots()
 		n := min(int(nSel)%64+1, (m.Dots()-base)/8)
 		if n == 0 {
