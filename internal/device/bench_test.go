@@ -29,8 +29,37 @@ func BenchmarkMRS(b *testing.B) {
 // BenchmarkWriteBlocks writes a 16-block run per op and reports the
 // cost per block, the log-append write path.
 func BenchmarkWriteBlocks(b *testing.B) {
+	benchWriteBlocks(b, noisyDevice(b, 64, 1))
+}
+
+// BenchmarkWriteBlocksHeatedLines is BenchmarkWriteBlocks with 256
+// heated lines of 16, 8, 4 and 2 blocks registered past the written
+// blocks: every written block's heated-line check then probes four
+// line sizes, and its ns/block should stay close to the line-free
+// benchmark's.
+func BenchmarkWriteBlocksHeatedLines(b *testing.B) {
+	// Each group of four lines (16, 8, 4 and 2 blocks) fills 30 blocks
+	// of a 32-block window. The medium is quiet so that no heat fails
+	// its read-back; a magnetic write draws no read noise either way.
+	const lines, window = 256, 32
+	d := quietDevice(b, 64+lines/4*window)
+	start := uint64(64)
+	for i := range lines {
+		logN := uint8(4 - i%4)
+		if _, err := d.HeatLine(start, logN); err != nil {
+			b.Fatal(err)
+		}
+		start += 1 << logN
+		if i%4 == 3 {
+			start += 2
+		}
+	}
+	benchWriteBlocks(b, d)
+}
+
+// benchWriteBlocks writes 16-block runs over the first 64 blocks of d.
+func benchWriteBlocks(b *testing.B, d *Device) {
 	const blocks, run = 64, 16
-	d := noisyDevice(b, blocks, 1)
 	bufs := make([][]byte, run)
 	for i := range bufs {
 		bufs[i] = pattern(byte(i))

@@ -140,6 +140,16 @@ type Device struct {
 	// lines is the registry of heated lines, keyed by start PBA.
 	lines map[uint64]LineInfo
 
+	// lineSizes has bit N set once a 2^N-aligned line of 2^N blocks is
+	// registered, so overlappingLine probes only the sizes in use. A
+	// removed line may leave its bit set, which costs a probe and
+	// nothing else. irregularLines is set when Scan registers a record
+	// claiming any other range (only a forged record does), and sends
+	// overlappingLine back to walking the registry until the next
+	// rebuild.
+	lineSizes      uint64
+	irregularLines bool
+
 	// xtalkSpan is how many blocks an electrical write's thermal
 	// crosstalk can reach past the written block: EWB pulses the four
 	// dot neighbours at i±1 and i±Cols, so with the medium's row
@@ -586,7 +596,7 @@ func (d *Device) magWriteCheck(pba uint64) error {
 	if d.bad[pba] {
 		return fmt.Errorf("%w: %d", ErrBadBlock, pba)
 	}
-	if d.lineOverlaps(pba, 1) {
+	if _, ok := d.overlappingLine(pba, pba+1); ok {
 		// Honest firmware refuses to overwrite members of a heated
 		// line: the data is read-only after the heat operation. An
 		// attacker bypasses this via raw medium access — and is then

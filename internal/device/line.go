@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -111,16 +112,45 @@ var (
 // line image: its 8-byte physical address followed by its data.
 const lineRecordSize = 8 + DataBytes
 
-// lineRegistered reports whether [start, start+n) overlaps a known
-// heated line. Caller holds d.regMu.
-func (d *Device) lineOverlaps(start, n uint64) bool {
-	for s, li := range d.lines {
-		e := s + li.Blocks()
-		if start < e && s < start+n {
-			return true
+// overlappingLine returns a heated line overlapping [start, end), if
+// any. A line of 2^N blocks starts on a 2^N boundary, so the only
+// lines of that size that can overlap the range start at the multiples
+// of 2^N from start &^ (2^N−1) up to end: for a single block, one map
+// lookup per line size in use rather than a walk of the registry.
+// Overlapping lines (a coalescing forgery recovered by Scan) are found
+// the same way, each under its own size. A forged record claiming an
+// unaligned range sets d.irregularLines (registerLine), and the
+// registry is then walked instead. Caller holds d.regMu.
+func (d *Device) overlappingLine(start, end uint64) (LineInfo, bool) {
+	if d.irregularLines {
+		for _, li := range d.lines {
+			if li.Start < end && start < li.End() {
+				return li, true
+			}
+		}
+		return LineInfo{}, false
+	}
+	for sizes := d.lineSizes; sizes != 0; sizes &= sizes - 1 {
+		logN := bits.TrailingZeros64(sizes)
+		size := uint64(1) << logN
+		for s := start &^ (size - 1); s < end; s += size {
+			if li, ok := d.lines[s]; ok && int(li.LogN) == logN {
+				return li, true
+			}
 		}
 	}
-	return false
+	return LineInfo{}, false
+}
+
+// registerLine adds li to the registry and its size to the index.
+// Caller holds d.regMu exclusively.
+func (d *Device) registerLine(li LineInfo) {
+	d.lines[li.Start] = li
+	if li.LogN < 64 && li.Start&(li.Blocks()-1) == 0 {
+		d.lineSizes |= 1 << li.LogN
+	} else {
+		d.irregularLines = true
+	}
 }
 
 // readLineImage reads the member blocks of the line [start, start+n)
@@ -190,7 +220,7 @@ func (d *Device) HeatLine(start uint64, logN uint8) (LineInfo, error) {
 	reheat := false
 	var existing LineInfo
 	d.regMu.RLock()
-	if d.lineOverlaps(start, n) {
+	if _, ok := d.overlappingLine(start, start+n); ok {
 		li, ok := d.lines[start]
 		if !ok || li.LogN != logN {
 			d.regMu.RUnlock()
@@ -246,7 +276,7 @@ func (d *Device) HeatLine(start uint64, logN uint8) (LineInfo, error) {
 
 	li := LineInfo{Start: start, LogN: logN, Record: rec}
 	d.regMu.Lock()
-	d.lines[start] = li
+	d.registerLine(li)
 	d.heated[start] = true
 	d.regMu.Unlock()
 	d.fg.record(d, func(st *OpStats) { st.HeatLines++ })
@@ -465,12 +495,13 @@ func (d *Device) Scan() (recovered []LineInfo, unparseable []uint64, err error) 
 
 	d.regMu.Lock()
 	d.lines = make(map[uint64]LineInfo)
+	d.lineSizes, d.irregularLines = 0, false
 	d.heated = make(map[uint64]bool)
 	for _, pba := range allHeated {
 		d.heated[pba] = true
 	}
 	for _, li := range recovered {
-		d.lines[li.Start] = li
+		d.registerLine(li)
 	}
 	d.regMu.Unlock()
 	return recovered, unparseable, nil

@@ -58,10 +58,12 @@ func (d *Device) ReplaceLine(start uint64, logN uint8, payloads [][]byte) (LineI
 	// the line are gone with the old dots.
 	d.med.ReplaceRegion(d.dotBase(start), d.dotBase(start+n))
 	d.regMu.Lock()
-	for s, li := range d.lines {
-		if li.Start < start+n && li.End() > start {
-			delete(d.lines, s)
+	for {
+		li, ok := d.overlappingLine(start, start+n)
+		if !ok {
+			break
 		}
+		delete(d.lines, li.Start)
 	}
 	for pba := start; pba < start+n; pba++ {
 		delete(d.heated, pba)

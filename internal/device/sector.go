@@ -15,8 +15,9 @@
 //
 // The frame path works in place. A write encodes each frame into a
 // pooled fixed-size image (putFrame): header, payload, then parity
-// from the ecc package's word-wide encoder. A read decodes the image
-// the medium filled, in place (decodeFrame): the interleaved codec
+// from the ecc package's slicing-by-8 encoder, which advances each
+// lane's parity eight bytes per table-driven step. A read decodes the
+// image the medium filled, in place (decodeFrame): the interleaved codec
 // recomputes every lane's parity in one strided pass and compares it
 // with the stored parity, which holds exactly when every syndrome is
 // zero, so a clean frame costs one encode and one CRC, and a clean MRS

@@ -5,10 +5,15 @@
 //
 // Encoding is table-driven. Each Codec precomputes f·g(x) for every
 // byte f, where g(x) is the generator without its leading term, packed
-// big-endian into ⌈parity/8⌉ uint64 words. The systematic encoder is
-// then an LFSR over words: per message byte, XOR the byte into the
-// remainder's first byte, shift the remainder left one byte and XOR in
-// the table row that byte selects — two word XORs for parity 16.
+// big-endian into ⌈parity/8⌉ uint64 words, and for parity >= 8 seven
+// more tables, f·x^(parity+m) mod g(x) for m = 1..7. The systematic
+// encoder is an LFSR over words that consumes eight message bytes per
+// step (slicing-by-8): XOR them into the remainder's first word, shift
+// the remainder left one word and XOR in one row of each table, picked
+// by the eight bytes of the old first word. A parity-16 remainder is
+// two words, so a step is sixteen table loads and XORs; the tables take
+// 32 KiB. Bytes short of a whole step take the one-byte step through
+// the first table.
 //
 // Decoding checks before it corrects. g(x) = Π_{i<parity} (x + α^i)
 // has exactly the parity distinct roots the syndromes are evaluated

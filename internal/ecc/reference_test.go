@@ -2,14 +2,19 @@ package ecc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"sero/internal/sim"
 )
 
 // The byte-wise reference codec: the systematic encoder that makes one
 // Mul per parity byte per data byte, the syndrome-first clean check,
-// and the gather-per-lane interleaving. The word-wide encoder and the
-// remainder check replaced them; they stay here as the oracle
-// FuzzCodecMatchesReference holds the fast paths to.
+// and the gather-per-lane interleaving. The table-driven encoder and
+// the remainder check replaced them; they stay here as the oracle
+// FuzzCodecMatchesReference holds the fast paths to. refRemainders,
+// the one-byte-per-step table LFSR, is the oracle the eight-byte step
+// is held to.
 
 // refGenerator returns g(x) = Π_{i<parity} (x + α^i), highest-degree
 // first.
@@ -93,6 +98,52 @@ func refInterleavedDecode(c *Codec, ways int, buf []byte, dataLen int) ([]byte, 
 	return data, corrected, nil
 }
 
+// refRemainders is remainders one byte per step, through table 0 only:
+// the strided word-wide LFSR the eight-byte step replaced.
+func refRemainders(c *Codec, st []uint64, data []byte, ways int) {
+	w := c.words
+	clear(st)
+	for i, d := range data {
+		r := st[i%ways*w:][:w]
+		f := int(d^byte(r[0]>>56)) * w
+		for k := range w {
+			v := r[k] << 8
+			if k+1 < w {
+				v |= r[k+1] >> 56
+			}
+			r[k] = v ^ c.tab[f+k]
+		}
+	}
+}
+
+// TestRemaindersMatchByteStep holds remainders to the one-byte step
+// for every parity 1–40 (one to five words, pad bytes included, and
+// the parity < 8 codecs that never take the eight-byte step), every
+// interleave 1–5 and every data length up to three whole 8·ways blocks
+// plus a 9-byte tail.
+func TestRemaindersMatchByteStep(t *testing.T) {
+	rng := sim.NewRNG(8)
+	for parity := 1; parity <= 40; parity++ {
+		c := NewCodec(parity)
+		for ways := 1; ways <= 5; ways++ {
+			data := make([]byte, 3*sliceBytes*ways+9)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			got := make([]uint64, ways*c.words)
+			want := make([]uint64, ways*c.words)
+			for n := 0; n <= len(data); n++ {
+				c.remainders(got, data[:n], ways)
+				refRemainders(c, want, data[:n], ways)
+				if !slices.Equal(got, want) {
+					t.Fatalf("parity %d ways %d length %d: remainders %x, byte step %x",
+						parity, ways, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // refCorrupt XORs errs, read as (position, value) pairs, into a copy of
 // cw and returns it with the positions it changed, in first-hit order.
 func refCorrupt(cw, errs []byte) ([]byte, []int) {
@@ -112,7 +163,7 @@ func refCorrupt(cw, errs []byte) ([]byte, []int) {
 	return bad, changed
 }
 
-// FuzzCodecMatchesReference holds the word-wide encoder, the remainder
+// FuzzCodecMatchesReference holds the table-driven encoder, the remainder
 // clean check and the one-pass interleaved codec to the byte-wise
 // reference: encoded bytes must match exactly for every parity (1–64)
 // and interleave (1–5), the remainder check must agree with the

@@ -11,12 +11,19 @@ import (
 // positions.
 type Codec struct {
 	parity int
-	words  int      // ⌈parity/8⌉: uint64 words per packed remainder
-	tab    []uint64 // tab[f·words:(f+1)·words] = f·g(x) without its x^parity term, packed
+	words  int // ⌈parity/8⌉: uint64 words per packed remainder
+	// tab holds the packed remainder tables, words per row, 256 rows
+	// per table: table m, row f is f·x^(parity+m) mod g(x). Table 0 is
+	// f·g(x) without its x^parity term, the one-byte LFSR step; a codec
+	// with parity >= 8 also carries tables 1–7 for the eight-byte step.
+	tab []uint64
 }
 
 // maxWords is the packed remainder length of the largest parity (254).
 const maxWords = (254 + 7) / 8
+
+// sliceBytes is how many message bytes one table-driven step consumes.
+const sliceBytes = 8
 
 // ErrTooManyErrors is returned when a codeword is corrupted beyond the
 // code's correction capability.
@@ -32,11 +39,33 @@ func NewCodec(parity int) *Codec {
 		gen = polyMul(gen, []byte{1, Exp(i)})
 	}
 	c := &Codec{parity: parity, words: (parity + 7) / 8}
-	c.tab = make([]uint64, 256*c.words)
+	tables := 1
+	if parity >= sliceBytes {
+		tables = sliceBytes
+	}
+	w := c.words
+	c.tab = make([]uint64, tables*256*w)
 	for f := 1; f < 256; f++ {
-		row := c.tab[f*c.words : (f+1)*c.words]
+		row := c.tab[f*w : (f+1)*w]
 		for i, g := range gen[1:] {
 			row[i>>3] |= uint64(Mul(g, byte(f))) << (56 - 8*(i&7))
+		}
+	}
+	// Table m+1 is table m times x: one zero-input LFSR step, shifting
+	// the row left one byte and folding its outgoing top byte back in
+	// through table 0.
+	for m := 1; m < tables; m++ {
+		for f := 0; f < 256; f++ {
+			prev := c.tab[((m-1)*256+f)*w : ((m-1)*256+f+1)*w]
+			row := c.tab[(m*256+f)*w : (m*256+f+1)*w]
+			top := int(prev[0] >> 56)
+			for k := range row {
+				v := prev[k] << 8
+				if k+1 < w {
+					v |= prev[k+1] >> 56
+				}
+				row[k] = v ^ c.tab[top*w+k]
+			}
 		}
 	}
 	return c
@@ -50,18 +79,37 @@ func (c *Codec) MaxData() int { return 255 - c.parity }
 
 // remainders sets st[j·words:(j+1)·words] to the packed parity,
 // (lane_j · x^parity) mod g(x), of lane j of data for each of the ways
-// lanes, in one strided pass: byte i feeds lane i mod ways, with no
-// per-lane gathering. Each byte is one step of the systematic-encoder
-// LFSR a word at a time: with the lane's remainder packed big-endian,
-// its first byte is the top byte of the first word, and shifting the
-// remainder left one byte and XORing tab[d ^ that byte] divides by
-// g(x) once. Pad bytes past parity stay zero because the table is zero
-// there. A lane with no bytes keeps the zero remainder.
+// lanes, reading the buffer in place: byte i feeds lane i mod ways, with
+// no per-lane gathering. A lane's remainder is packed big-endian, so
+// its first byte is the top byte of the first word. A lane with no
+// bytes keeps the zero remainder.
+//
+// With parity >= 8 the bulk of the buffer, every whole block of
+// 8·ways bytes, advances each lane eight bytes per step (slicing-by-8,
+// as in Kounavis and Berry's table-driven CRCs): XOR the lane's next
+// eight bytes into the remainder's first word, shift the remainder left
+// one word and XOR in table 7−j's row for byte j of that word, j < 8.
+// The bytes after the last whole block, and every byte of a codec with
+// parity < 8, take the one-byte LFSR step: XOR the byte into the first
+// remainder byte, shift left one byte and XOR in table 0's row. Pad
+// bytes past parity stay zero because every table is zero there.
+//
+// The eight tables cost 8·256·words words, 16 KiB per remainder word:
+// 32 KiB for the device's parity-16 codec (two words).
 func (c *Codec) remainders(st []uint64, data []byte, ways int) {
-	tab, w := c.tab, c.words
 	clear(st)
+	n := 0
+	if c.parity >= sliceBytes {
+		n = len(data) / (sliceBytes * ways) * (sliceBytes * ways)
+		if c.words == 2 {
+			c.sliced2(st, data[:n], ways)
+		} else {
+			c.sliced(st, data[:n], ways)
+		}
+	}
+	tab, w := c.tab, c.words
 	lane := 0
-	for _, d := range data {
+	for _, d := range data[n:] {
 		r := st[lane*w : lane*w+w : lane*w+w]
 		hi := r[0]
 		f := int(d^byte(hi>>56)) * w
@@ -75,6 +123,55 @@ func (c *Codec) remainders(st []uint64, data []byte, ways int) {
 		if lane++; lane == ways {
 			lane = 0
 		}
+	}
+}
+
+// sliced runs the eight-byte step over data, a whole number of
+// 8·ways-byte blocks, for any remainder length.
+func (c *Codec) sliced(st []uint64, data []byte, ways int) {
+	tab, w := c.tab, c.words
+	for lane := range ways {
+		r := st[lane*w : lane*w+w : lane*w+w]
+		for i := lane; i < len(data); i += sliceBytes * ways {
+			top := r[0]
+			copy(r, r[1:])
+			r[w-1] = 0
+			for j := range sliceBytes {
+				f := int(byte(top>>(56-8*j)) ^ data[i+j*ways])
+				row := tab[((sliceBytes-1-j)*256+f)*w:][:w]
+				for k := range r {
+					r[k] ^= row[k]
+				}
+			}
+		}
+	}
+}
+
+// sliced2 is sliced for two-word remainders (parity 9–16), unrolled
+// over a fixed-size table so both words stay in registers. The device
+// sector codec is this shape; a loop over the words was measured no
+// faster than the one-byte step, so only this one shape is unrolled.
+func (c *Codec) sliced2(st []uint64, data []byte, ways int) {
+	t := (*[sliceBytes * 256 * 2]uint64)(c.tab)
+	for lane := range ways {
+		r0, r1 := st[2*lane], st[2*lane+1]
+		for i := lane; i < len(data); i += sliceBytes * ways {
+			// Byte j of the first word is the coefficient of
+			// x^(parity+7−j), so it selects a row of table 7−j (at
+			// offset (7−j)·512 words).
+			b := data[i : i+7*ways+1]
+			f0 := 7*512 + int(byte(r0>>56)^b[0])*2
+			f1 := 6*512 + int(byte(r0>>48)^b[ways])*2
+			f2 := 5*512 + int(byte(r0>>40)^b[2*ways])*2
+			f3 := 4*512 + int(byte(r0>>32)^b[3*ways])*2
+			f4 := 3*512 + int(byte(r0>>24)^b[4*ways])*2
+			f5 := 2*512 + int(byte(r0>>16)^b[5*ways])*2
+			f6 := 1*512 + int(byte(r0>>8)^b[6*ways])*2
+			f7 := int(byte(r0)^b[7*ways]) * 2
+			r0, r1 = r1^t[f0]^t[f1]^t[f2]^t[f3]^t[f4]^t[f5]^t[f6]^t[f7],
+				t[f0+1]^t[f1+1]^t[f2+1]^t[f3+1]^t[f4+1]^t[f5+1]^t[f6+1]^t[f7+1]
+		}
+		st[2*lane], st[2*lane+1] = r0, r1
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"sero/internal/device"
@@ -68,10 +70,10 @@ type liveRef struct {
 }
 
 // encodeTableLocked serializes the per-segment liveness table from the
-// live map and owner map: for every segment, in id order, its live
-// blocks in offset order with their owners. Deterministic by
-// construction — identical histories produce identical tables. Caller
-// holds fs.mu exclusively.
+// segments' live sets and the owner map: for every segment, in id
+// order, its live blocks in offset order with their owners.
+// Deterministic by construction — identical histories produce
+// identical tables. Caller holds fs.mu exclusively.
 func (fs *FS) encodeTableLocked() []byte {
 	var buf []byte
 	buf = append(buf, tableMagic...)
@@ -86,24 +88,21 @@ func (fs *FS) encodeTableLocked() []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(s.id))
 		countAt := len(buf)
 		buf = binary.BigEndian.AppendUint16(buf, 0) // patched below
-		n := 0
-		for off := 0; off < fs.sm.segBlocks; off++ {
-			pba := s.start + uint64(off)
-			if !fs.sm.liveMap[pba] {
-				continue
+		for w, word := range s.liveBits {
+			for ; word != 0; word &= word - 1 {
+				off := w*64 + bits.TrailingZeros64(word)
+				ref, ok := fs.owners[s.start+uint64(off)]
+				if !ok {
+					// A live block with no owner is a bookkeeping bug, the
+					// same invariant the cleaner's plan phase asserts.
+					panic("lfs: live block without owner")
+				}
+				buf = binary.BigEndian.AppendUint16(buf, uint16(off))
+				buf = binary.BigEndian.AppendUint64(buf, uint64(ref.ino))
+				buf = binary.BigEndian.AppendUint32(buf, uint32(int32(ref.idx)))
 			}
-			ref, ok := fs.owners[pba]
-			if !ok {
-				// A live block with no owner is a bookkeeping bug, the
-				// same invariant the cleaner's plan phase asserts.
-				panic("lfs: live block without owner")
-			}
-			buf = binary.BigEndian.AppendUint16(buf, uint16(off))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(ref.ino))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(int32(ref.idx)))
-			n++
 		}
-		binary.BigEndian.PutUint16(buf[countAt:], uint16(n))
+		binary.BigEndian.PutUint16(buf[countAt:], uint16(s.live))
 	}
 	binary.BigEndian.PutUint32(buf[groupCountAt:], uint32(groups))
 	return buf
@@ -234,7 +233,7 @@ func (fs *FS) writeCheckpointLocked() error {
 	for ino := range fs.imap {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	for _, ino := range inos {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(ino))
 		buf = binary.BigEndian.AppendUint64(buf, fs.imap[ino])
@@ -284,15 +283,11 @@ func (fs *FS) writeCheckpointLocked() error {
 		return fmt.Errorf("lfs: checkpoint of %d blocks exceeds slot of %d (region %d)",
 			needBlocks, slot, fs.p.CheckpointBlocks)
 	}
+	// Zero-pad the image to whole blocks and write it in place.
+	framed = append(framed, make([]byte, needBlocks*device.DataBytes-len(framed))...)
 	blocks := make([][]byte, needBlocks)
-	for i := 0; i < needBlocks; i++ {
-		blockBuf := make([]byte, device.DataBytes)
-		end := (i + 1) * device.DataBytes
-		if end > len(framed) {
-			end = len(framed)
-		}
-		copy(blockBuf, framed[i*device.DataBytes:end])
-		blocks[i] = blockBuf
+	for i := range blocks {
+		blocks[i] = framed[i*device.DataBytes : (i+1)*device.DataBytes : (i+1)*device.DataBytes]
 	}
 	base := uint64((epoch - 1) % 2 * uint64(slot))
 	if err := fs.dev.WriteBlocksTraced(fs.curTask, base, blocks); err != nil {

@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"sero/internal/device"
@@ -177,4 +178,44 @@ func TestStatUnknownIno(t *testing.T) {
 	if _, err := fs.Stat(999); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err %v", err)
 	}
+}
+
+// BenchmarkCheckpoint writes one checkpoint per op of a 1,024-file
+// namespace, each file two data blocks and its inode: ~3,000 live
+// blocks, so every checkpoint serializes a liveness table of ~3,000
+// entries beside the imap and directory.
+func BenchmarkCheckpoint(b *testing.B) {
+	const files = 1024
+	fs := testFS(b, 16384, Params{
+		SegmentBlocks:    256,
+		CheckpointBlocks: 512,
+		WritebackBlocks:  64,
+		CheckpointEvery:  1 << 20,
+		HeatAware:        true,
+		ReserveSegments:  2,
+	})
+	for i := range files {
+		ino, err := fs.Create(fmt.Sprintf("f%04d", i), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.WriteFile(ino, payload(byte(i), 2*device.DataBytes)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := fs.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	live := 0
+	for _, s := range fs.Segments() {
+		live += s.LiveBlocks
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fs.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(live), "live-blocks")
 }

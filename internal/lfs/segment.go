@@ -63,6 +63,10 @@ type segment struct {
 	next int
 	// live counts blocks still referenced.
 	live int
+	// liveBits has bit off set while block start+off holds live data:
+	// the per-segment slice of the live set the checkpointed liveness
+	// table serializes.
+	liveBits []uint64
 	// dead counts blocks that were written and later invalidated while
 	// in this segment; reset when the segment is cleaned or reused.
 	// For pinned segments this space is unreclaimable forever.
@@ -104,11 +108,6 @@ type segmentManager struct {
 	segs      []*segment
 	segBlocks int
 	base      uint64 // PBA of segment 0
-	// liveMap marks the PBAs currently holding live data. Together
-	// with fs.owners it is the source the checkpointed liveness table
-	// serializes (checkpoint.go) and the state a table-driven mount
-	// reconstructs without walking the inodes.
-	liveMap map[uint64]bool
 }
 
 func newSegmentManager(base uint64, totalBlocks, segBlocks int) *segmentManager {
@@ -119,12 +118,14 @@ func newSegmentManager(base uint64, totalBlocks, segBlocks int) *segmentManager 
 	sm := &segmentManager{
 		segBlocks: segBlocks,
 		base:      base,
-		liveMap:   make(map[uint64]bool),
 	}
+	words := (segBlocks + 63) / 64
+	backing := make([]uint64, n*words)
 	for i := 0; i < n; i++ {
 		sm.segs = append(sm.segs, &segment{
-			id:    i,
-			start: base + uint64(i*segBlocks),
+			id:       i,
+			start:    base + uint64(i*segBlocks),
+			liveBits: backing[i*words : (i+1)*words : (i+1)*words],
 		})
 	}
 	return sm
@@ -205,35 +206,47 @@ func (sm *segmentManager) convertFreeing() {
 	}
 }
 
+// liveBit locates pba's bit in its segment's live set; s is nil when
+// pba is outside the log, where no block is ever live.
+func (sm *segmentManager) liveBit(pba uint64) (s *segment, word int, bit uint64) {
+	s = sm.segOf(pba)
+	if s == nil {
+		return nil, 0, 0
+	}
+	off := int(pba - s.start)
+	return s, off / 64, 1 << (off % 64)
+}
+
 // markLive records pba as holding live data.
 func (sm *segmentManager) markLive(pba uint64, now time.Duration) {
-	if sm.liveMap[pba] {
+	s, w, bit := sm.liveBit(pba)
+	if s == nil || s.liveBits[w]&bit != 0 {
 		return
 	}
-	sm.liveMap[pba] = true
-	if s := sm.segOf(pba); s != nil {
-		s.live++
-		s.modTime = now
-	}
+	s.liveBits[w] |= bit
+	s.live++
+	s.modTime = now
 }
 
 // markDead records that pba no longer holds live data.
 func (sm *segmentManager) markDead(pba uint64) {
-	if !sm.liveMap[pba] {
+	s, w, bit := sm.liveBit(pba)
+	if s == nil || s.liveBits[w]&bit == 0 {
 		return
 	}
-	delete(sm.liveMap, pba)
-	if s := sm.segOf(pba); s != nil {
-		s.live--
-		s.dead++
-		if s.live < 0 {
-			panic(fmt.Sprintf("lfs: segment %d live count below zero", s.id))
-		}
+	s.liveBits[w] &^= bit
+	s.live--
+	s.dead++
+	if s.live < 0 {
+		panic(fmt.Sprintf("lfs: segment %d live count below zero", s.id))
 	}
 }
 
 // isLive reports whether pba holds live data.
-func (sm *segmentManager) isLive(pba uint64) bool { return sm.liveMap[pba] }
+func (sm *segmentManager) isLive(pba uint64) bool {
+	s, w, bit := sm.liveBit(pba)
+	return s != nil && s.liveBits[w]&bit != 0
+}
 
 // pin marks the segment containing pba (and the n-1 following blocks)
 // pinned because a heated line landed there.

@@ -47,13 +47,16 @@ func mountFingerprint(fs *FS) string {
 	sort.Slice(pbas, func(i, j int) bool { return pbas[i] < pbas[j] })
 	for _, pba := range pbas {
 		ref := fs.owners[pba]
-		fmt.Fprintf(&b, "owner %d={%d,%d} live=%v\n", pba, ref.ino, ref.idx, fs.sm.liveMap[pba])
+		fmt.Fprintf(&b, "owner %d={%d,%d} live=%v\n", pba, ref.ino, ref.idx, fs.sm.isLive(pba))
 	}
-	live := make([]uint64, 0, len(fs.sm.liveMap))
-	for pba := range fs.sm.liveMap {
-		live = append(live, pba)
+	var live []uint64
+	for _, s := range fs.sm.segs {
+		for pba := s.start; pba < s.start+uint64(fs.sm.segBlocks); pba++ {
+			if fs.sm.isLive(pba) {
+				live = append(live, pba)
+			}
+		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
 	fmt.Fprintf(&b, "live=%v\n", live)
 	for _, s := range fs.Segments() {
 		fmt.Fprintf(&b, "seg %d state=%v live=%d dead=%d heated=%d journal=%v aff=%d\n",
