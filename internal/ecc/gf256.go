@@ -5,15 +5,17 @@
 //
 // Encoding is table-driven. Each Codec precomputes f·g(x) for every
 // byte f, where g(x) is the generator without its leading term, packed
-// big-endian into ⌈parity/8⌉ uint64 words, and for parity >= 8 seven
-// more tables, f·x^(parity+m) mod g(x) for m = 1..7. The systematic
-// encoder is an LFSR over words that consumes eight message bytes per
-// step (slicing-by-8): XOR them into the remainder's first word, shift
-// the remainder left one word and XOR in one row of each table, picked
-// by the eight bytes of the old first word. A parity-16 remainder is
-// two words, so a step is sixteen table loads and XORs; the tables take
-// 32 KiB. Bytes short of a whole step take the one-byte step through
-// the first table.
+// big-endian into ⌈parity/8⌉ uint64 words (2 KiB per word), and the
+// systematic encoder is an LFSR over words that consumes one message
+// byte per step. A two-word codec (parity 9–16, the device's sector
+// code) also tables f·x^(parity+m) mod g(x) for m = 1..7 and consumes
+// eight bytes per step (slicing-by-8): XOR them into the remainder's
+// first word, shift the remainder left one word and XOR in one row of
+// each table, picked by the eight bytes of the old first word. A step
+// is sixteen table loads and XORs; the eight tables take 32 KiB. Bytes
+// short of a whole step take the one-byte step through the first
+// table, as does every other codec: a loop over other remainder
+// lengths measured no faster than the byte step.
 //
 // Decoding checks before it corrects. g(x) = Π_{i<parity} (x + α^i)
 // has exactly the parity distinct roots the syndromes are evaluated

@@ -117,8 +117,8 @@ func refRemainders(c *Codec, st []uint64, data []byte, ways int) {
 }
 
 // TestRemaindersMatchByteStep holds remainders to the one-byte step
-// for every parity 1–40 (one to five words, pad bytes included, and
-// the parity < 8 codecs that never take the eight-byte step), every
+// for every parity 1–40 (one to five words, pad bytes included; only
+// the two-word parities 9–16 take the eight-byte step), every
 // interleave 1–5 and every data length up to three whole 8·ways blocks
 // plus a 9-byte tail.
 func TestRemaindersMatchByteStep(t *testing.T) {

@@ -14,8 +14,9 @@ type Codec struct {
 	words  int // ⌈parity/8⌉: uint64 words per packed remainder
 	// tab holds the packed remainder tables, words per row, 256 rows
 	// per table: table m, row f is f·x^(parity+m) mod g(x). Table 0 is
-	// f·g(x) without its x^parity term, the one-byte LFSR step; a codec
-	// with parity >= 8 also carries tables 1–7 for the eight-byte step.
+	// f·g(x) without its x^parity term, the one-byte LFSR step; a
+	// two-word codec (parity 9–16) also carries tables 1–7 for the
+	// eight-byte step.
 	tab []uint64
 }
 
@@ -40,7 +41,7 @@ func NewCodec(parity int) *Codec {
 	}
 	c := &Codec{parity: parity, words: (parity + 7) / 8}
 	tables := 1
-	if parity >= sliceBytes {
+	if c.words == 2 {
 		tables = sliceBytes
 	}
 	w := c.words
@@ -84,28 +85,23 @@ func (c *Codec) MaxData() int { return 255 - c.parity }
 // its first byte is the top byte of the first word. A lane with no
 // bytes keeps the zero remainder.
 //
-// With parity >= 8 the bulk of the buffer, every whole block of
-// 8·ways bytes, advances each lane eight bytes per step (slicing-by-8,
-// as in Kounavis and Berry's table-driven CRCs): XOR the lane's next
-// eight bytes into the remainder's first word, shift the remainder left
-// one word and XOR in table 7−j's row for byte j of that word, j < 8.
-// The bytes after the last whole block, and every byte of a codec with
-// parity < 8, take the one-byte LFSR step: XOR the byte into the first
-// remainder byte, shift left one byte and XOR in table 0's row. Pad
-// bytes past parity stay zero because every table is zero there.
+// A two-word codec (parity 9–16, the device's sector code) advances
+// each lane eight bytes per step over the bulk of the buffer, every
+// whole block of 8·ways bytes (slicing-by-8, as in Kounavis and
+// Berry's table-driven CRCs; see sliced2). The bytes after the last
+// whole block, and every byte of any other codec, take the one-byte
+// LFSR step: XOR the byte into the first remainder byte, shift left
+// one byte and XOR in table 0's row. Pad bytes past parity stay zero
+// because every table is zero there.
 //
-// The eight tables cost 8·256·words words, 16 KiB per remainder word:
-// 32 KiB for the device's parity-16 codec (two words).
+// Table 0 costs 256·words words, 2 KiB per remainder word; the eight
+// tables of a two-word codec cost 32 KiB.
 func (c *Codec) remainders(st []uint64, data []byte, ways int) {
 	clear(st)
 	n := 0
-	if c.parity >= sliceBytes {
+	if c.words == 2 {
 		n = len(data) / (sliceBytes * ways) * (sliceBytes * ways)
-		if c.words == 2 {
-			c.sliced2(st, data[:n], ways)
-		} else {
-			c.sliced(st, data[:n], ways)
-		}
+		c.sliced2(st, data[:n], ways)
 	}
 	tab, w := c.tab, c.words
 	lane := 0
@@ -126,31 +122,15 @@ func (c *Codec) remainders(st []uint64, data []byte, ways int) {
 	}
 }
 
-// sliced runs the eight-byte step over data, a whole number of
-// 8·ways-byte blocks, for any remainder length.
-func (c *Codec) sliced(st []uint64, data []byte, ways int) {
-	tab, w := c.tab, c.words
-	for lane := range ways {
-		r := st[lane*w : lane*w+w : lane*w+w]
-		for i := lane; i < len(data); i += sliceBytes * ways {
-			top := r[0]
-			copy(r, r[1:])
-			r[w-1] = 0
-			for j := range sliceBytes {
-				f := int(byte(top>>(56-8*j)) ^ data[i+j*ways])
-				row := tab[((sliceBytes-1-j)*256+f)*w:][:w]
-				for k := range r {
-					r[k] ^= row[k]
-				}
-			}
-		}
-	}
-}
-
-// sliced2 is sliced for two-word remainders (parity 9–16), unrolled
-// over a fixed-size table so both words stay in registers. The device
-// sector codec is this shape; a loop over the words was measured no
-// faster than the one-byte step, so only this one shape is unrolled.
+// sliced2 runs the eight-byte step over data, a whole number of
+// 8·ways-byte blocks, for a two-word remainder: XOR the lane's next
+// eight bytes into the first word, shift the remainder left one word
+// and XOR in table 7−j's row for byte j of the old first word, j < 8.
+// It is unrolled over a fixed-size table so both words stay in
+// registers. This is the one sliced shape because it is the only one
+// measured faster than the one-byte step: it is the device's sector
+// code, and a loop over the words of other remainder lengths was no
+// faster, so those codecs keep the byte step and table 0 alone.
 func (c *Codec) sliced2(st []uint64, data []byte, ways int) {
 	t := (*[sliceBytes * 256 * 2]uint64)(c.tab)
 	for lane := range ways {
