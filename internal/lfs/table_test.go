@@ -1,9 +1,11 @@
 package lfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -609,4 +611,117 @@ func TestMountTableSpeedup(t *testing.T) {
 		t.Fatalf("table mount %v vs walk %v: speedup below 3x", tableCost, walkCost)
 	}
 	requireSameMount(t, "wide image", tab, walk)
+}
+
+// TestCleanAfterChurnKeepsTableAndData churns a namespace until the
+// log is nearly full, then cleans every segment explicitly. Some of
+// that clean's inode rewrites run out of space, so its commit must
+// roll back the moves whose inodes it could not rewrite: the
+// checkpointed liveness table has to agree with the inodes, and after
+// a remount, more churn, another clean and a second remount every
+// file must read back exactly as last written.
+func TestCleanAfterChurnKeepsTableAndData(t *testing.T) {
+	const (
+		devBlocks  = 8192
+		files      = 256
+		fileBlocks = 4
+	)
+	p := Params{
+		SegmentBlocks:    256,
+		CheckpointBlocks: 256,
+		CheckpointEvery:  1 << 16,
+		HeatAware:        true,
+		ReserveSegments:  2,
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			dev := quietDev(devBlocks)
+			fs, err := New(dev, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			want := make([][]byte, files)
+			inos := make([]Ino, files)
+			for f := range want {
+				if inos[f], err = fs.Create(fmt.Sprintf("f%03d", f), uint8(f%4)); err != nil {
+					t.Fatal(err)
+				}
+				want[f] = make([]byte, fileBlocks*device.DataBytes)
+				rng.Read(want[f])
+				if err := fs.WriteFile(inos[f], want[f]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			churn := func(fs *FS, n int) {
+				t.Helper()
+				blk := make([]byte, device.DataBytes)
+				for i := 1; i <= n; i++ {
+					f, b := rng.Intn(files), rng.Intn(fileBlocks)
+					rng.Read(blk)
+					off := b * device.DataBytes
+					if err := fs.Write(inos[f], uint64(off), blk); err != nil {
+						t.Fatalf("write %d: %v", i, err)
+					}
+					copy(want[f][off:], blk)
+					if i%32 == 0 {
+						if err := fs.Sync(); err != nil {
+							t.Fatalf("sync after write %d: %v", i, err)
+						}
+					}
+				}
+				if err := fs.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cleanAll := func(fs *FS) {
+				t.Helper()
+				fs.Clean(len(fs.Segments()))
+				for range 2 {
+					if err := fs.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			readBack := func(fs *FS, label string) {
+				t.Helper()
+				bad := 0
+				for f, w := range want {
+					got, err := fs.ReadFile(inos[f])
+					if err != nil || !bytes.Equal(got, w) {
+						bad++
+					}
+				}
+				if bad > 0 {
+					t.Fatalf("%s: %d of %d files read back wrong", label, bad, files)
+				}
+			}
+
+			churn(fs, 20000)
+			cleanAll(fs)
+			rep, err := CheckJournal(dev, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Healthy() {
+				t.Fatalf("after clean: unhealthy journal, %d table mismatches:\n%s",
+					rep.TableMismatches, rep.Summary())
+			}
+			readBack(fs, "after clean")
+
+			fs, err = Mount(dev, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			churn(fs, 3000)
+			cleanAll(fs)
+			if fs, err = Mount(dev, p); err != nil {
+				t.Fatal(err)
+			}
+			readBack(fs, "after second remount")
+		})
+	}
 }
