@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-serve bench-serve-quick benchcheck perfbench trace-smoke attack-campaign attack-soak degraded-campaign fuzz docs ci
+.PHONY: all build vet test race bench bench-serve bench-serve-quick benchcheck perfbench trace-smoke oracle attack-campaign attack-soak degraded-campaign fuzz docs ci
 
 all: build
 
@@ -76,6 +76,18 @@ perfbench:
 trace-smoke:
 	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 2 -out /tmp/sero-trace-smoke.json
 	$(GO) run ./tools/tracecheck /tmp/sero-trace-smoke.json
+
+# The byte-for-byte oracle a refactor must keep: the paper's figures
+# and experiments (serosim -seed 1), a one-session trace and a
+# one-session serving run, each hashed and checked against
+# testdata/oracle.sha256 (recorded on linux/amd64). A change that moves
+# them on purpose re-records the digests from the same three outputs.
+oracle:
+	rm -rf /tmp/sero-oracle && mkdir -p /tmp/sero-oracle
+	$(GO) run ./cmd/serosim -seed 1 > /tmp/sero-oracle/serosim.txt
+	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 1 -out /tmp/sero-oracle/trace.json > /dev/null
+	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1 -out /tmp/sero-oracle/bench-serve.json > /dev/null
+	cd /tmp/sero-oracle && sha256sum -c $(CURDIR)/testdata/oracle.sha256
 
 # The concurrent attack campaign suite under the race detector: the §5
 # tampering matrix raced against live workload sessions, the
@@ -150,4 +162,4 @@ docs:
 # full -race suite; attack-campaign and degraded-campaign narrow in on
 # the concurrent campaign and array-resilience tests so a failure
 # there is named in the CI log.
-ci: build test race docs benchcheck perfbench bench-serve-quick trace-smoke attack-campaign degraded-campaign
+ci: build test race docs benchcheck perfbench bench-serve-quick trace-smoke oracle attack-campaign degraded-campaign

@@ -383,9 +383,6 @@ func (a *Array) Blocks() int { return a.blocks }
 // Members returns the member count.
 func (a *Array) Members() int { return a.n }
 
-// ParityMembers returns the parity member count P.
-func (a *Array) ParityMembers() int { return a.p }
-
 // StripeBlocks returns the stripe unit.
 func (a *Array) StripeBlocks() int { return a.su }
 

@@ -37,9 +37,6 @@ type Store struct {
 
 // Store-level errors.
 var (
-	// ErrNotAllocated reports I/O to a block the store has not handed
-	// out.
-	ErrNotAllocated = errors.New("core: block not allocated")
 	// ErrLineHeated reports an attempt to release or rewrite a heated
 	// line.
 	ErrLineHeated = errors.New("core: line is heated (read-only)")

@@ -86,66 +86,26 @@ func (d *Device) MoveGroups(groups [][]BlockMove, workers int) []MoveResult {
 	return out
 }
 
-// moveGroupOn relocates one group of moves on the given plane. Caller
-// holds the gate read lock.
+// moveGroupOn relocates one group of moves on the given plane, one
+// destination run at a time: the run's sources are read, then written
+// as one command. Caller holds the gate read lock.
 func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
-	// Chunk: maximal run of consecutive destinations.
 	for i, j := range ConsecutiveRuns(len(moves), func(k int) uint64 { return moves[k].Dst }) {
-		chunk := moves[i:j]
-		bufs, err := d.readMoveSources(pl, chunk)
-		if err != nil {
-			return MoveResult{Completed: i, Err: err}
+		bufs := make([][]byte, j-i)
+		var err error
+		for k := range bufs {
+			if bufs[k], err = d.readBlock(pl, moves[i+k].Src); err != nil {
+				break
+			}
 		}
-		if err := d.writeMoveRun(pl, chunk[0].Dst, bufs); err != nil {
-			return MoveResult{Completed: i, Err: err}
+		if err == nil {
+			err = d.writeRun(pl, moves[i].Dst, bufs)
+		}
+		if err != nil {
+			return MoveResult{Completed: i, Err: fmt.Errorf("device: move: %w", err)}
 		}
 	}
 	return MoveResult{Completed: len(moves)}
-}
-
-// readMoveSources reads the source blocks of one chunk, batching
-// consecutive sources under one range lock.
-func (d *Device) readMoveSources(pl *plane, chunk []BlockMove) ([][]byte, error) {
-	bufs := make([][]byte, len(chunk))
-	for i, j := range ConsecutiveRuns(len(chunk), func(k int) uint64 { return chunk[k].Src }) {
-		start, end := chunk[i].Src, chunk[j-1].Src+1
-		if err := d.checkPBA(end - 1); err != nil {
-			return nil, err
-		}
-		locked := d.lockRange(start, end)
-		for k := i; k < j; k++ {
-			src := chunk[k].Src
-			err := d.magReadCheck(src)
-			if err == nil {
-				bufs[k] = make([]byte, DataBytes)
-				_, err = d.mrsInto(pl, src, bufs[k])
-			}
-			if err != nil {
-				d.unlockRange(locked)
-				return nil, fmt.Errorf("device: move read of block %d: %w", src, err)
-			}
-		}
-		d.unlockRange(locked)
-	}
-	return bufs, nil
-}
-
-// writeMoveRun commits one contiguous destination run as a single
-// batched write command under its stripe locks.
-func (d *Device) writeMoveRun(pl *plane, start uint64, bufs [][]byte) error {
-	end := start + uint64(len(bufs))
-	if err := d.checkPBA(end - 1); err != nil {
-		return err
-	}
-	locked := d.lockRange(start, end)
-	defer d.unlockRange(locked)
-	for pba := start; pba < end; pba++ {
-		if err := d.magWriteCheck(pba); err != nil {
-			return fmt.Errorf("device: move write of block %d: %w", pba, err)
-		}
-	}
-	d.writeRunOn(pl, start, bufs)
-	return nil
 }
 
 // WriteRun is one contiguous batched write command: Blocks land at
@@ -207,41 +167,9 @@ func (d *Device) WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, worker
 	d.gate.RLock()
 	defer d.gate.RUnlock()
 	d.fanOut(len(runs), workers, strided, task, "write-fanout", func(pl *plane, _, i int) {
-		errs[i] = d.writeRunChecked(pl, runs[i])
+		errs[i] = d.writeRun(pl, runs[i].Start, runs[i].Blocks)
 	})
 	return errs
-}
-
-// writeRunChecked validates and commits one run on the given plane,
-// mirroring WriteBlocks' checks block for block. Caller holds the gate
-// read lock.
-func (d *Device) writeRunChecked(pl *plane, r WriteRun) error {
-	if len(r.Blocks) == 0 {
-		return nil
-	}
-	for i, b := range r.Blocks {
-		if len(b) != DataBytes {
-			return fmt.Errorf("device: WriteRunsFanned payload %d bytes at block %d, want %d",
-				len(b), i, DataBytes)
-		}
-	}
-	n := uint64(len(r.Blocks))
-	if err := d.checkPBA(r.Start); err != nil {
-		return err
-	}
-	if r.Start+n > uint64(d.p.Blocks) {
-		return fmt.Errorf("%w: [%d,%d) beyond %d blocks",
-			ErrOutOfRange, r.Start, r.Start+n, d.p.Blocks)
-	}
-	locked := d.lockRange(r.Start, r.Start+n)
-	defer d.unlockRange(locked)
-	for pba := r.Start; pba < r.Start+n; pba++ {
-		if err := d.magWriteCheck(pba); err != nil {
-			return err
-		}
-	}
-	d.writeRunOn(pl, r.Start, r.Blocks)
-	return nil
 }
 
 // ReadBlocksFanned magnetically reads an arbitrary set of blocks on a
@@ -262,25 +190,7 @@ func (d *Device) ReadBlocksFanned(pbas []uint64, workers int) (bufs [][]byte, er
 	d.gate.RLock()
 	defer d.gate.RUnlock()
 	d.fanOut(len(pbas), workers, contiguous, nil, "read-fanout", func(pl *plane, _, i int) {
-		bufs[i], errs[i] = d.readBlockOn(pl, pbas[i])
+		bufs[i], errs[i] = d.readBlock(pl, pbas[i])
 	})
 	return bufs, errs
-}
-
-// readBlockOn reads one block on the given plane under its stripe
-// lock, mirroring MRS's checks. Caller holds the gate read lock.
-func (d *Device) readBlockOn(pl *plane, pba uint64) ([]byte, error) {
-	if err := d.checkPBA(pba); err != nil {
-		return nil, err
-	}
-	locked := d.lockBlock(pba)
-	defer d.unlockBlock(locked)
-	if err := d.magReadCheck(pba); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, DataBytes)
-	if _, err := d.mrsInto(pl, pba, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

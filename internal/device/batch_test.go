@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -36,26 +37,169 @@ func TestWriteBlocksRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteBlocksRefusalWritesNothing(t *testing.T) {
+// refusalDevice builds a 64-block device with a written block at
+// 8..11 and 40..42, a heated line at 16..19 (record block 16, members
+// 17..19) and a bad block at 24 — the refusal cases the checked
+// magnetic commands must share.
+func refusalDevice(t *testing.T) *Device {
+	t.Helper()
 	d := testDevice(t, 64)
-	if err := d.MWS(8, pattern(1)); err != nil {
+	if err := d.WriteBlocks(8, [][]byte{pattern(1), pattern(2), pattern(3), pattern(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.MWS(9, pattern(2)); err != nil {
+	if err := d.WriteBlocks(40, [][]byte{pattern(5), pattern(6), pattern(7)}); err != nil {
 		t.Fatal(err)
 	}
-	// Heat block 10: a run covering it must fail atomically.
-	if err := d.EWS(10, []byte("frozen")); err != nil {
+	if err := d.WriteLineBatch(16, 2, [][]byte{pattern(8), pattern(9), pattern(10)}); err != nil {
 		t.Fatal(err)
 	}
-	err := d.WriteBlocks(8, [][]byte{pattern(7), pattern(8), pattern(9)})
-	if err == nil {
-		t.Fatal("run over a heated block accepted")
+	if _, err := d.HeatLine(16, 2); err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range [][]byte{pattern(1), pattern(2)} {
-		got, rerr := d.MRS(8 + uint64(i))
-		if rerr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("refused run still wrote block %d", 8+i)
+	if err := d.MarkBad(24); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// mediumImages returns every block's raw frame image.
+func mediumImages(d *Device) [][]byte {
+	out := make([][]byte, d.Blocks())
+	for pba := range out {
+		out[pba] = make([]byte, PhysicalBytes)
+		d.med.MRBImage(d.dotBase(uint64(pba)), out[pba])
+	}
+	return out
+}
+
+// TestWriteBlocksRefusalWritesNothing runs every refusal through every
+// checked magnetic write entry point: each must give the same sentinel
+// (none for a bad payload length), leave every block's bits unchanged
+// and count no magnetic write. A refused run writes nothing, even its
+// members that would have passed the checks.
+func TestWriteBlocksRefusalWritesNothing(t *testing.T) {
+	type refusal struct {
+		name   string
+		start  uint64 // a three-block run
+		short  bool   // the run's middle payload is 10 bytes
+		target error
+	}
+	refusals := []refusal{
+		{name: "heated-line-member", start: 18, target: ErrHeatedBlock},
+		{name: "bad-block", start: 23, target: ErrBadBlock},
+		{name: "out-of-range", start: 62, target: ErrOutOfRange},
+		{name: "payload-length", start: 8, short: true},
+	}
+	run := func(r refusal) [][]byte {
+		blocks := [][]byte{pattern(20), pattern(21), pattern(22)}
+		if r.short {
+			blocks[1] = make([]byte, 10)
+		}
+		return blocks
+	}
+	writers := []struct {
+		name  string
+		moves bool // sources are read by the device, so a payload is always whole
+		write func(d *Device, r refusal) error
+	}{
+		{name: "MWS", write: func(d *Device, r refusal) error {
+			// A single block: the run's member the refusal names.
+			pba, data := r.start, pattern(20)
+			switch {
+			case r.short:
+				data = make([]byte, 10)
+			case r.target == ErrBadBlock:
+				pba = 24
+			case r.target == ErrOutOfRange:
+				pba = 64
+			}
+			return d.MWS(pba, data)
+		}},
+		{name: "WriteBlocks", write: func(d *Device, r refusal) error {
+			return d.WriteBlocks(r.start, run(r))
+		}},
+		{name: "WriteRunsFanned", write: func(d *Device, r refusal) error {
+			return d.WriteRunsFanned([]WriteRun{{Start: r.start, Blocks: run(r)}}, 2)[0]
+		}},
+		{name: "MoveGroups", moves: true, write: func(d *Device, r refusal) error {
+			var group []BlockMove
+			for i := uint64(0); i < 3; i++ {
+				group = append(group, BlockMove{Src: 40 + i, Dst: r.start + i})
+			}
+			res := d.MoveGroups([][]BlockMove{group}, 1)[0]
+			if res.Completed != 0 {
+				t.Errorf("MoveGroups completed %d moves of a refused run", res.Completed)
+			}
+			return res.Err
+		}},
+	}
+	for _, w := range writers {
+		for _, r := range refusals {
+			if w.moves && r.short {
+				continue
+			}
+			t.Run(w.name+"/"+r.name, func(t *testing.T) {
+				d := refusalDevice(t)
+				before, writes := mediumImages(d), d.Stats().MagneticWrites
+				err := w.write(d, r)
+				if err == nil {
+					t.Fatal("refusal accepted")
+				}
+				if r.target != nil && !errors.Is(err, r.target) {
+					t.Fatalf("error %v, want %v", err, r.target)
+				}
+				if got := d.Stats().MagneticWrites; got != writes {
+					t.Fatalf("MagneticWrites %d -> %d", writes, got)
+				}
+				for pba, img := range mediumImages(d) {
+					if !bytes.Equal(img, before[pba]) {
+						t.Fatalf("refused write changed block %d", pba)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReadRefusals runs the read refusals through both checked
+// magnetic read entry points: each must give the same sentinel, return
+// no payload and count no magnetic read.
+func TestReadRefusals(t *testing.T) {
+	refusals := []struct {
+		name   string
+		pba    uint64
+		target error
+	}{
+		{"heated-block", 16, ErrHeatedBlock},
+		{"bad-block", 24, ErrBadBlock},
+		{"out-of-range", 64, ErrOutOfRange},
+	}
+	readers := []struct {
+		name string
+		read func(d *Device, pba uint64) ([]byte, error)
+	}{
+		{"MRS", (*Device).MRS},
+		{"ReadBlocksFanned", func(d *Device, pba uint64) ([]byte, error) {
+			bufs, errs := d.ReadBlocksFanned([]uint64{pba}, 2)
+			return bufs[0], errs[0]
+		}},
+	}
+	for _, rd := range readers {
+		for _, r := range refusals {
+			t.Run(rd.name+"/"+r.name, func(t *testing.T) {
+				d := refusalDevice(t)
+				reads := d.Stats().MagneticReads
+				buf, err := rd.read(d, r.pba)
+				if !errors.Is(err, r.target) {
+					t.Fatalf("error %v, want %v", err, r.target)
+				}
+				if buf != nil {
+					t.Fatal("refused read returned a payload")
+				}
+				if got := d.Stats().MagneticReads; got != reads {
+					t.Fatalf("MagneticReads %d -> %d", reads, got)
+				}
+			})
 		}
 	}
 }

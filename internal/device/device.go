@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sero/internal/manchester"
 	"sero/internal/medium"
 	"sero/internal/probe"
 	"sero/internal/sim"
@@ -622,28 +623,44 @@ func (d *Device) magReadCheck(pba uint64) error {
 // MWS magnetically writes 512 bytes of data to block pba (the paper's
 // mws). Writing to a heated or bad block fails.
 func (d *Device) MWS(pba uint64, data []byte) error {
-	if len(data) != DataBytes {
-		return fmt.Errorf("device: MWS payload %d bytes, want %d", len(data), DataBytes)
-	}
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	if err := d.checkPBA(pba); err != nil {
-		return err
-	}
-	locked := d.lockBlock(pba)
-	defer d.unlockBlock(locked)
-	if err := d.magWriteCheck(pba); err != nil {
-		return err
-	}
-	d.mwsOn(&d.fg, pba, data)
-	return nil
+	return d.writeRun(&d.fg, pba, [][]byte{data})
 }
 
-// mwsOn performs the magnetic sector write on the given plane as a
-// one-block command (setup settle + transfer). Caller holds the gate
-// read lock and the block's stripe lock and has passed magWriteCheck.
-func (d *Device) mwsOn(pl *plane, pba uint64, data []byte) {
-	d.writeRunOn(pl, pba, [][]byte{data})
+// writeRun is the one checked magnetic write command: it refuses a
+// payload that is not DataBytes long, a run reaching past the device,
+// and a run with any heated, bad or heated-line member — all before
+// the first bit is written, so a refused run writes nothing — and
+// otherwise commits the run on pl under its stripe locks. Caller holds
+// the gate read lock.
+func (d *Device) writeRun(pl *plane, start uint64, blocks [][]byte) error {
+	if len(blocks) == 0 {
+		return nil
+	}
+	for i, b := range blocks {
+		if len(b) != DataBytes {
+			return fmt.Errorf("device: payload %d bytes at block %d, want %d",
+				len(b), start+uint64(i), DataBytes)
+		}
+	}
+	end := start + uint64(len(blocks))
+	if err := d.checkPBA(start); err != nil {
+		return err
+	}
+	if end > uint64(d.p.Blocks) {
+		return fmt.Errorf("%w: [%d,%d) beyond %d blocks",
+			ErrOutOfRange, start, end, d.p.Blocks)
+	}
+	locked := d.lockRange(start, end)
+	defer d.unlockRange(locked)
+	for pba := start; pba < end; pba++ {
+		if err := d.magWriteCheck(pba); err != nil {
+			return err
+		}
+	}
+	d.writeRunOn(pl, start, blocks)
+	return nil
 }
 
 // writeRunOn magnetically writes a pre-validated contiguous run of
@@ -707,34 +724,9 @@ func (d *Device) WriteBlocks(start uint64, blocks [][]byte) error {
 // entry point the traced lfs paths use so per-op own-device time can
 // be split from queueing.
 func (d *Device) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error {
-	if len(blocks) == 0 {
-		return nil
-	}
-	for i, b := range blocks {
-		if len(b) != DataBytes {
-			return fmt.Errorf("device: WriteBlocks payload %d bytes at block %d, want %d",
-				len(b), i, DataBytes)
-		}
-	}
-	n := uint64(len(blocks))
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	if err := d.checkPBA(start); err != nil {
-		return err
-	}
-	if start+n > uint64(d.p.Blocks) {
-		return fmt.Errorf("%w: [%d,%d) beyond %d blocks",
-			ErrOutOfRange, start, start+n, d.p.Blocks)
-	}
-	locked := d.lockRange(start, start+n)
-	defer d.unlockRange(locked)
-	for pba := start; pba < start+n; pba++ {
-		if err := d.magWriteCheck(pba); err != nil {
-			return err
-		}
-	}
-	d.writeRunOn(d.fgFor(task), start, blocks)
-	return nil
+	return d.writeRun(d.fgFor(task), start, blocks)
 }
 
 // MRS magnetically reads block pba (the paper's mrs), returning the
@@ -752,6 +744,13 @@ func (d *Device) MRS(pba uint64) ([]byte, error) {
 func (d *Device) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
+	return d.readBlock(d.fgFor(task), pba)
+}
+
+// readBlock is the one checked magnetic block read: it refuses a block
+// out of range, heated or bad, and otherwise reads it on pl under its
+// stripe lock. Caller holds the gate read lock.
+func (d *Device) readBlock(pl *plane, pba uint64) ([]byte, error) {
 	if err := d.checkPBA(pba); err != nil {
 		return nil, err
 	}
@@ -761,17 +760,16 @@ func (d *Device) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, DataBytes)
-	if _, err := d.mrsInto(d.fgFor(task), pba, buf); err != nil {
+	if err := d.mrsInto(pl, pba, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
 // mrsInto magnetically reads block pba into dst (DataBytes long) on the
-// given plane, returning the corrected byte count. Caller holds the
-// gate read lock and the block's stripe lock and has passed
-// magReadCheck.
-func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) (int, error) {
+// given plane. Caller holds the gate read lock and the block's stripe
+// lock and has passed magReadCheck.
+func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) error {
 	base := d.dotBase(pba)
 	tr := d.tracer.Load()
 	var t0 time.Duration
@@ -798,10 +796,10 @@ func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) (int, error) {
 		(*fn)(pba)
 	}
 	if err != nil {
-		return corrected, err
+		return err
 	}
 	copy(dst, img[HeaderBytes:HeaderBytes+DataBytes])
-	return corrected, nil
+	return nil
 }
 
 // EWS electrically writes payload into block pba's data region using
@@ -845,9 +843,9 @@ func (d *Device) ewsCheck(pba uint64) error {
 // device's coding.
 func (d *Device) codingDots(n int) int {
 	if d.p.Coding == CodingWOM {
-		return womDots(n)
+		return manchester.WOMEncodedDots(n)
 	}
-	return manchesterDots(n)
+	return manchester.EncodedDots(n)
 }
 
 // ewsOn performs the electrical sector write on the given plane.
@@ -856,9 +854,9 @@ func (d *Device) codingDots(n int) int {
 func (d *Device) ewsOn(pl *plane, pba uint64, payload []byte) {
 	var flags []bool
 	if d.p.Coding == CodingWOM {
-		flags = womEncode(payload)
+		flags = manchester.WOMEncode(payload)
 	} else {
-		flags = manchesterEncode(payload)
+		flags = manchester.Encode(payload)
 	}
 	base := d.dotBase(pba) + headerDotOffset()
 	heatCount := 0

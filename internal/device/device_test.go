@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"sero/internal/manchester"
 	"sero/internal/medium"
 )
 
@@ -385,7 +386,7 @@ func TestVerifyDetectsMWBOnHashHarmless(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := 0*DotsPerBlock + headerDotOffset()
-	for i := 0; i < manchesterDots(HeatRecordBytes); i++ {
+	for i := 0; i < manchester.EncodedDots(HeatRecordBytes); i++ {
 		d.Medium().MWB(base+i, true)
 	}
 	rep, err := d.VerifyLine(0)
@@ -658,7 +659,7 @@ func TestOpLatencyContract(t *testing.T) {
 
 	// ers covers 1024 dots with retries vs mrs 4736 dots: normalise
 	// per dot.
-	ersPerDot := float64(ersNS) / float64(manchesterDots(HeatRecordBytes))
+	ersPerDot := float64(ersNS) / float64(manchester.EncodedDots(HeatRecordBytes))
 	mrsPerDot := float64(readNS) / float64(DotsPerBlock)
 	if ersPerDot < 5*mrsPerDot {
 		t.Fatalf("ers %.1f ns/dot not ≥ 5× mrs %.1f ns/dot", ersPerDot, mrsPerDot)

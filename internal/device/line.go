@@ -173,7 +173,7 @@ func (d *Device) readLineImage(pl *plane, start, n uint64, readErrs *[]uint64) (
 		err := d.magReadCheck(pba)
 		if err == nil {
 			binary.BigEndian.PutUint64(buf[off:], pba)
-			_, err = d.mrsInto(pl, pba, buf[off+8:off+lineRecordSize])
+			err = d.mrsInto(pl, pba, buf[off+8:off+lineRecordSize])
 		}
 		if err != nil {
 			if readErrs == nil {
@@ -581,14 +581,6 @@ func decodeERSWOM(flags []bool) (ERSReport, error) {
 	}
 	return ERSReport{Payload: payload, Clean: true}, nil
 }
-
-func manchesterDots(payloadBytes int) int { return manchester.EncodedDots(payloadBytes) }
-
-func womDots(payloadBytes int) int { return manchester.WOMEncodedDots(payloadBytes) }
-
-func manchesterEncode(payload []byte) []bool { return manchester.Encode(payload) }
-
-func womEncode(payload []byte) []bool { return manchester.WOMEncode(payload) }
 
 // headerDotOffset returns the dot offset of the data region within a
 // block's frame (the header bits come first).

@@ -112,39 +112,15 @@ func (fs *FS) AuditFindings() []device.VerifyReport {
 }
 
 // kickAuditorLocked arms (on first use) and wakes the background
-// auditor goroutine — the AuditEvery cadence's kick point, called from
-// appendBlock. Caller holds fs.mu exclusively. A no-op when the policy
-// is off or the FS is closed; the wake never blocks (one pending wake
-// is all the level-triggered loop needs — coalesced kicks only slow
-// the cadence, never the documented step bound).
+// auditor, which runs one audit step per wake — the AuditEvery
+// cadence's kick point, called from appendBlock. Caller holds fs.mu
+// exclusively. A no-op when the policy is off or the FS is closed;
+// coalesced kicks only slow the cadence, never the documented step
+// bound.
 func (fs *FS) kickAuditorLocked() {
 	if fs.p.AuditEvery <= 0 || fs.closed {
 		return
 	}
-	if fs.aKick == nil {
-		fs.ensureAuditorLocked()
-		fs.aKick = make(chan struct{}, 1)
-		fs.aStop = make(chan struct{})
-		fs.aDone = make(chan struct{})
-		go fs.auditorLoop(fs.aKick, fs.aStop, fs.aDone)
-	}
-	select {
-	case fs.aKick <- struct{}{}:
-	default:
-	}
-}
-
-// auditorLoop is the background auditor goroutine: one audit step per
-// kick. Channels are passed in rather than read from fs so Close can
-// tear the fields down without racing the loop.
-func (fs *FS) auditorLoop(kick, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		case <-kick:
-		}
-		fs.AuditStep(auditBatchLines)
-	}
+	fs.ensureAuditorLocked()
+	fs.bgAudit.kickLocked(func(<-chan struct{}) { fs.AuditStep(auditBatchLines) })
 }

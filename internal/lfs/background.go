@@ -20,71 +20,100 @@ package lfs
 // cleaner's half of the bargain — while conversion to allocatable
 // rides the sync path, exactly as it does for inline cleaning.
 
-// kickCleanerLocked arms (on first use) and wakes the background
-// cleaner goroutine. Caller holds fs.mu exclusively. A no-op when the
-// watermark policy is off or the FS is closed; the wake itself never
-// blocks (the kick channel holds one pending wake, which is all the
-// level-triggered loop needs).
-func (fs *FS) kickCleanerLocked() {
-	if fs.p.CleanWatermark <= 0 || fs.closed {
-		return
-	}
-	if fs.bgKick == nil {
-		fs.bgKick = make(chan struct{}, 1)
-		fs.bgStop = make(chan struct{})
-		fs.bgDone = make(chan struct{})
-		go fs.cleanerLoop(fs.bgKick, fs.bgStop, fs.bgDone)
+// bgLoop is the lifecycle the background services share: a goroutine
+// started on the first kick, woken by at most one pending kick (extra
+// kicks coalesce, which is all a level-triggered service needs), and
+// retired by Close, which waits for the run in flight. Its fields are
+// nil until the first kick and are read and written under fs.mu; the
+// goroutine holds its own copies, so Close can read them without
+// racing it.
+type bgLoop struct {
+	kick chan struct{}
+	stop chan struct{}
+	done chan struct{}
+}
+
+// kickLocked starts the loop on first use and wakes it; every wake
+// calls run once, passing the stop channel so a long run can return
+// early. Caller holds fs.mu exclusively.
+func (l *bgLoop) kickLocked(run func(stop <-chan struct{})) {
+	if l.kick == nil {
+		kick, stop, done := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+		l.kick, l.stop, l.done = kick, stop, done
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				case <-kick:
+				}
+				run(stop)
+			}
+		}()
 	}
 	select {
-	case fs.bgKick <- struct{}{}:
+	case l.kick <- struct{}{}:
 	default:
 	}
 }
 
-// cleanerLoop is the background cleaner goroutine: wait for a kick,
-// then run phased cleaning passes until the reclaimable pool is back
-// above the watermark or no pass makes progress (nothing cleanable
-// right now, or a foreground pass owns the cleaner), then park again.
-// The channels are passed in rather than read from fs so Close can
-// tear the fields down without racing the loop.
-func (fs *FS) cleanerLoop(kick, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+// halt stops a started loop — closing its stop channel only when
+// first, so concurrent Closes close it once — and waits for it to
+// exit. A never-started loop is a no-op.
+func (l bgLoop) halt(first bool) {
+	if l.stop == nil {
+		return
+	}
+	if first {
+		close(l.stop)
+	}
+	<-l.done
+}
+
+// kickCleanerLocked arms (on first use) and wakes the background
+// cleaner. Caller holds fs.mu exclusively. A no-op when the watermark
+// policy is off or the FS is closed.
+func (fs *FS) kickCleanerLocked() {
+	if fs.p.CleanWatermark <= 0 || fs.closed {
+		return
+	}
+	fs.bgClean.kickLocked(fs.cleanToWatermark)
+}
+
+// cleanToWatermark is one wake of the background cleaner: it runs
+// phased cleaning passes until the reclaimable pool is back above the
+// watermark, no pass makes progress (nothing cleanable right now, or a
+// foreground pass owns the cleaner), or stop closes.
+func (fs *FS) cleanToWatermark(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
-		case <-kick:
+		default:
 		}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			fs.mu.Lock()
-			wm := fs.p.CleanWatermark
-			before := fs.sm.reclaimable()
-			fs.mu.Unlock()
-			if before >= wm {
-				break
-			}
-			cs := fs.cleanPhased(wm)
-			fs.mu.Lock()
-			if cs.SegmentsCleaned > 0 || cs.BlocksCopied > 0 {
-				fs.stats.CleanerBgRuns++
-			}
-			progressed := fs.sm.reclaimable() > before
-			fs.mu.Unlock()
-			if !progressed {
-				// No net gain: nothing cleanable at current utilisation,
-				// a foreground pass holds the cleaner, or the pass's own
-				// appends ate what it freed. Park rather than spin — the
-				// next allocation dip re-kicks us. (Judging progress by
-				// gross segments freed would livelock here: near
-				// capacity a pass can keep freeing victims while netting
-				// zero.)
-				break
-			}
+		fs.mu.Lock()
+		wm := fs.p.CleanWatermark
+		before := fs.sm.reclaimable()
+		fs.mu.Unlock()
+		if before >= wm {
+			return
+		}
+		cs := fs.cleanPhased(wm)
+		fs.mu.Lock()
+		if cs.SegmentsCleaned > 0 || cs.BlocksCopied > 0 {
+			fs.stats.CleanerBgRuns++
+		}
+		progressed := fs.sm.reclaimable() > before
+		fs.mu.Unlock()
+		if !progressed {
+			// No net gain: nothing cleanable at current utilisation,
+			// a foreground pass holds the cleaner, or the pass's own
+			// appends ate what it freed. Park rather than spin — the
+			// next allocation dip re-kicks us. (Judging progress by
+			// gross segments freed would livelock here: near capacity
+			// a pass can keep freeing victims while netting zero.)
+			return
 		}
 	}
 }
@@ -100,23 +129,13 @@ func (fs *FS) Close() error {
 	fs.mu.Lock()
 	first := !fs.closed
 	fs.closed = true
-	stop, done := fs.bgStop, fs.bgDone
-	astop, adone := fs.aStop, fs.aDone
+	loops := []bgLoop{fs.bgClean, fs.bgAudit}
 	fs.mu.Unlock()
-	if stop != nil {
-		if first {
-			close(stop)
-		}
-		// Every Close waits: a second concurrent Close must not return
-		// while the goroutine the first one is stopping still issues
-		// device writes.
-		<-done
-	}
-	if astop != nil {
-		if first {
-			close(astop)
-		}
-		<-adone
+	// Every Close waits: a second concurrent Close must not return
+	// while the goroutines the first one is stopping still issue
+	// device writes.
+	for _, l := range loops {
+		l.halt(first)
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -70,8 +69,8 @@ type liveRef struct {
 }
 
 // encodeTableLocked serializes the per-segment liveness table from the
-// segments' live sets and the owner map: for every segment, in id
-// order, its live blocks in offset order with their owners.
+// segments' owner slots: for every segment, in id order, its live
+// blocks in offset order with their owners.
 // Deterministic by construction — identical histories produce
 // identical tables. Caller holds fs.mu exclusively.
 func (fs *FS) encodeTableLocked() []byte {
@@ -88,19 +87,13 @@ func (fs *FS) encodeTableLocked() []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(s.id))
 		countAt := len(buf)
 		buf = binary.BigEndian.AppendUint16(buf, 0) // patched below
-		for w, word := range s.liveBits {
-			for ; word != 0; word &= word - 1 {
-				off := w*64 + bits.TrailingZeros64(word)
-				ref, ok := fs.owners[s.start+uint64(off)]
-				if !ok {
-					// A live block with no owner is a bookkeeping bug, the
-					// same invariant the cleaner's plan phase asserts.
-					panic("lfs: live block without owner")
-				}
-				buf = binary.BigEndian.AppendUint16(buf, uint16(off))
-				buf = binary.BigEndian.AppendUint64(buf, uint64(ref.ino))
-				buf = binary.BigEndian.AppendUint32(buf, uint32(int32(ref.idx)))
+		for off, ref := range s.owners {
+			if ref.ino == 0 {
+				continue
 			}
+			buf = binary.BigEndian.AppendUint16(buf, uint16(off))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(ref.ino))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(int32(ref.idx)))
 		}
 		binary.BigEndian.PutUint16(buf[countAt:], uint16(s.live))
 	}

@@ -386,21 +386,16 @@ func (fs *FS) planVictimsLocked(victims []*segment, cs *CleanStats) *cleanPlan {
 	}
 plan:
 	for vi, v := range victims {
-		end := v.start + uint64(fs.p.SegmentBlocks)
-		for pba := v.start; pba < end; pba++ {
-			if !fs.sm.isLive(pba) {
+		for off, ref := range v.owners {
+			if ref.ino == 0 {
 				continue
 			}
-			ref, ok := fs.owners[pba]
-			if !ok {
-				// A live block with no owner is a bookkeeping bug.
-				panic("lfs: live block without owner")
-			}
+			pba := v.start + uint64(off)
 			plan.rewrite[ref.ino] = true
 			if ref.idx == -1 {
 				continue
 			}
-			in, err := fs.inode(ref.ino)
+			in, err := fs.inodeTask(nil, ref.ino)
 			if err != nil {
 				break plan
 			}
@@ -420,8 +415,9 @@ plan:
 // commitVictimsLocked is phase 3: re-validate and retarget the moved
 // blocks, account abandoned or invalidated destinations as dead space,
 // rewrite each touched inode once, then free the victims that emptied
-// and unpin the rest. Caller holds fs.mu exclusively. Returns false on
-// a commit failure (a failed inode rewrite), which stops the loop.
+// and unpin the rest. A move commits only together with its inode's
+// rewrite. Caller holds fs.mu exclusively. Returns false on a commit
+// failure (a failed inode rewrite), which stops the loop.
 func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, cs *CleanStats) bool {
 	cs.Workers = plan.workers
 	defer func() {
@@ -437,6 +433,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 	// their in-memory block pointers changed, so they must be rewritten
 	// to the log below.
 	valid := make(map[Ino]bool)
+	jFrom := len(fs.jBlocks)
 	for vi := range plan.victims {
 		res := results[vi]
 		for i, mv := range plan.groups[vi] {
@@ -449,8 +446,8 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 				}
 				continue
 			}
-			ref, ok := fs.owners[mv.Src]
-			if !ok || ref != plan.refs[vi][i] || !fs.sm.isLive(mv.Src) {
+			ref, ok := fs.sm.owner(mv.Src)
+			if !ok || ref != plan.refs[vi][i] {
 				// The source was overwritten, deleted or heat-relocated
 				// while the copy ran off the lock: the foreground write
 				// wins, just this move is dropped, and the copied-to
@@ -462,15 +459,13 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 				fs.stats.CleanerStaleMoves++
 				continue
 			}
-			in, err := fs.inode(ref.ino)
+			in, err := fs.inodeTask(nil, ref.ino)
 			if err != nil {
 				continue // src stays live; its victim stays full
 			}
 			fs.sm.markDead(mv.Src)
-			delete(fs.owners, mv.Src)
 			in.Blocks[ref.idx] = mv.Dst
-			fs.sm.markLive(mv.Dst, fs.now())
-			fs.owners[mv.Dst] = blockRef{ino: ref.ino, idx: ref.idx}
+			fs.sm.setOwner(mv.Dst, ref, fs.now())
 			fs.jBlocks = append(fs.jBlocks, blockPtr{ino: ref.ino, idx: int32(ref.idx), pba: mv.Dst})
 			cs.BlocksCopied++
 			valid[ref.ino] = true
@@ -481,7 +476,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 		inos = append(inos, ino)
 	}
 	sortInos(inos)
-	for _, ino := range inos {
+	for k, ino := range inos {
 		if !valid[ino] {
 			// No data block of this inode moved. Rewrite it anyway if
 			// its inode block still sits in a victim (that is how inode
@@ -492,7 +487,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 				continue
 			}
 		}
-		in, err := fs.inode(ino)
+		in, err := fs.inodeTask(nil, ino)
 		if err != nil {
 			continue // deleted mid-copy; its blocks went stale above
 		}
@@ -500,7 +495,9 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 			// Without the rewrite on the log, a later checkpoint would
 			// still reference the stale inode; freeing its victims now
 			// would let new writes overwrite blocks that stale inode
-			// points at. Leave every victim full and stop the pass.
+			// points at. Undo the moves of every inode not rewritten,
+			// leave its victims full and stop the pass.
+			fs.undoMovesLocked(plan, inos[k:], jFrom)
 			return false
 		}
 		cs.BlocksCopied++
@@ -523,6 +520,40 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 	// unfreed; the loop keeps cleaning only while passes still free
 	// segments.
 	return progress
+}
+
+// undoMovesLocked rolls back a commit's retargets for the inodes whose
+// rewrites never reached the log, so memory, the owner table and the
+// journal agree with their images on the log again: each block points
+// at its source again, the copy is dead space, and the back-pointers
+// the commit journaled for them since jFrom are dropped. Caller holds
+// fs.mu exclusively.
+func (fs *FS) undoMovesLocked(plan *cleanPlan, inos []Ino, jFrom int) {
+	undo := make(map[Ino]bool, len(inos))
+	for _, ino := range inos {
+		undo[ino] = true
+	}
+	for vi, group := range plan.groups {
+		for i, mv := range group {
+			ref := plan.refs[vi][i]
+			if got, ok := fs.sm.owner(mv.Dst); !undo[ref.ino] || !ok || got != ref {
+				continue // not committed, or its inode was rewritten
+			}
+			in, _ := fs.inodeTask(nil, ref.ino)
+			in.Blocks[ref.idx] = mv.Src
+			fs.sm.markDead(mv.Dst)
+			src := fs.sm.segOf(mv.Src)
+			fs.sm.setOwner(mv.Src, ref, src.modTime)
+			src.dead--
+		}
+	}
+	kept := fs.jBlocks[:jFrom]
+	for _, bp := range fs.jBlocks[jFrom:] {
+		if !undo[bp.ino] {
+			kept = append(kept, bp)
+		}
+	}
+	fs.jBlocks = kept
 }
 
 // reserveSlot assigns the next log position of the affinity's active

@@ -125,7 +125,8 @@ var (
 	ErrTooLarge = errors.New("lfs: file too large")
 )
 
-// blockRef identifies the owner of a live block.
+// blockRef identifies the owner of a live block; the zero ref owns
+// nothing.
 type blockRef struct {
 	ino Ino
 	idx int // data block index, or -1 for the inode block itself
@@ -166,10 +167,9 @@ type FS struct {
 	inoMu  sync.Mutex
 	inodes map[Ino]*Inode // parsed inode cache (authoritative between syncs)
 
-	owners map[uint64]blockRef
-	dir    map[string]Ino
-	names  map[Ino]string
-	next   Ino
+	dir   map[string]Ino
+	names map[Ino]string
+	next  Ino
 
 	// active data segments per affinity class.
 	active map[uint8]*segment
@@ -196,25 +196,21 @@ type FS struct {
 	cleaning  bool
 	cleanCond *sync.Cond
 
-	// Background cleaner state (background.go): armed lazily on the
-	// first watermark dip, torn down by Close. All three channels are
-	// nil until then; closed refuses further arming.
-	bgKick chan struct{}
-	bgStop chan struct{}
-	bgDone chan struct{}
-	closed bool
+	// Background cleaner (background.go): armed lazily on the first
+	// watermark dip, torn down by Close; closed refuses further arming
+	// of it and of the background auditor.
+	bgClean bgLoop
+	closed  bool
 
 	// Incremental audit state (audit.go): the engine is built lazily
 	// on first use (AuditStep, or the first AuditEvery cadence kick)
 	// and registers itself as the device's read observer. sinceAudit
 	// counts blocks appended since the last cadence kick — distinct
-	// from fs.appended, which resets at checkpoints. The channels
-	// mirror the background cleaner's and are torn down by Close.
+	// from fs.appended, which resets at checkpoints. bgAudit is the
+	// background auditor, armed by the first cadence kick.
 	auditor    *core.IncrementalAuditor
 	sinceAudit uint64
-	aKick      chan struct{}
-	aStop      chan struct{}
-	aDone      chan struct{}
+	bgAudit    bgLoop
 
 	// Roll-forward journal state (summary.go, replay.go). The summary
 	// chain lives in the data log at the affinity-0 write frontier:
@@ -419,7 +415,6 @@ func New(dev device.Dev, p Params) (*FS, error) {
 		sm:         newSegmentManager(uint64(ckpt), logBlocks, p.SegmentBlocks),
 		imap:       make(map[Ino]uint64),
 		inodes:     make(map[Ino]*Inode),
-		owners:     make(map[uint64]blockRef),
 		dir:        make(map[string]Ino),
 		names:      make(map[Ino]string),
 		next:       RootIno + 1,
@@ -642,7 +637,7 @@ func (fs *FS) Names() []string {
 func (fs *FS) Stat(ino Ino) (Inode, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	in, err := fs.inode(ino)
+	in, err := fs.inodeTask(nil, ino)
 	if err != nil {
 		return Inode{}, err
 	}
@@ -676,16 +671,14 @@ func (fs *FS) dropInode(ino Ino) {
 	fs.inoMu.Unlock()
 }
 
-// inode resolves an inode, filling the cache from the device on a
-// miss. Caller holds fs.mu (read or write); two concurrent readers
-// may both load the same inode, in which case the later store wins —
-// both copies are identical, freshly parsed from the same block.
-func (fs *FS) inode(ino Ino) (*Inode, error) { return fs.inodeTask(nil, ino) }
-
-// inodeTask is inode with explicit device-time attribution. The task
-// is threaded as a parameter — not read from fs.curTask — because this
-// runs under the shared lock on the read path, where curTask belongs
-// to whatever exclusive section ran last.
+// inodeTask resolves an inode, filling the cache from the device on a
+// miss, with the read charged to task (nil-safe). The task is threaded
+// as a parameter — not read from fs.curTask — because this runs under
+// the shared lock on the read path, where curTask belongs to whatever
+// exclusive section ran last. Caller holds fs.mu (read or write); two
+// concurrent readers may both load the same inode, in which case the
+// later store wins — both copies are identical, freshly parsed from
+// the same block.
 func (fs *FS) inodeTask(task *trace.Task, ino Ino) (*Inode, error) {
 	if in, ok := fs.cachedInode(ino); ok {
 		return in, nil
@@ -706,17 +699,13 @@ func (fs *FS) inodeTask(task *trace.Task, ino Ino) (*Inode, error) {
 	return in, nil
 }
 
-// readPBALocked reads one block, serving it from an unflushed
+// readPBATaskLocked reads one block, serving it from an unflushed
 // group-commit buffer when the block has been appended but not yet
-// committed to the medium. Caller holds fs.mu (read or write); the
-// buffers only change under the exclusive lock, so shared holders may
-// copy from them safely.
-func (fs *FS) readPBALocked(pba uint64) ([]byte, error) {
-	return fs.readPBATaskLocked(nil, pba)
-}
-
-// readPBATaskLocked is readPBALocked with the device read charged to
-// task (explicitly threaded — see inodeTask for why not fs.curTask).
+// committed to the medium, with a device read charged to task
+// (nil-safe; explicitly threaded — see inodeTask for why not
+// fs.curTask). Caller holds fs.mu (read or write); the buffers only
+// change under the exclusive lock, so shared holders may copy from
+// them safely.
 func (fs *FS) readPBATaskLocked(task *trace.Task, pba uint64) ([]byte, error) {
 	if s := fs.sm.segOf(pba); s != nil && len(s.pending) > 0 {
 		lo := s.next - len(s.pending)
@@ -899,11 +888,9 @@ func (fs *FS) DeleteTraced(task *trace.Task, name string) error {
 	}
 	for _, pba := range in.Blocks {
 		fs.sm.markDead(pba)
-		delete(fs.owners, pba)
 	}
 	if pba, ok := fs.imap[ino]; ok {
 		fs.sm.markDead(pba)
-		delete(fs.owners, pba)
 	}
 	delete(fs.imap, ino)
 	fs.dropInode(ino)
@@ -1292,11 +1279,9 @@ func (fs *FS) flushInode(ino Ino) error {
 		}
 		if old := in.Blocks[idx]; old != 0 {
 			fs.sm.markDead(old)
-			delete(fs.owners, old)
 		}
 		in.Blocks[idx] = pba
-		fs.sm.markLive(pba, fs.now())
-		fs.owners[pba] = blockRef{ino: ino, idx: idx}
+		fs.sm.setOwner(pba, blockRef{ino: ino, idx: idx}, fs.now())
 		fs.jBlocks = append(fs.jBlocks, blockPtr{ino: ino, idx: int32(idx), pba: pba})
 	}
 	// The promised size is now backed by blocks on the log.
@@ -1322,11 +1307,9 @@ func (fs *FS) writeInode(in *Inode) error {
 	}
 	if old, ok := fs.imap[in.Ino]; ok {
 		fs.sm.markDead(old)
-		delete(fs.owners, old)
 	}
 	fs.imap[in.Ino] = pba
-	fs.sm.markLive(pba, fs.now())
-	fs.owners[pba] = blockRef{ino: in.Ino, idx: -1}
+	fs.sm.setOwner(pba, blockRef{ino: in.Ino, idx: -1}, fs.now())
 	fs.jImap[in.Ino] = true
 	return nil
 }

@@ -55,7 +55,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	if !ok {
 		return HeatResult{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inode(ino)
+	in, err := fs.inodeTask(nil, ino)
 	if err != nil {
 		return HeatResult{}, err
 	}
@@ -113,7 +113,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 			image = append(image, make([]byte, device.DataBytes))
 			continue
 		}
-		data, rerr := fs.readPBALocked(old)
+		data, rerr := fs.readPBATaskLocked(nil, old)
 		if rerr != nil {
 			return HeatResult{}, fmt.Errorf("lfs: relocating block %d: %w", old, rerr)
 		}
@@ -132,11 +132,9 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	// Retire the old locations.
 	for _, old := range in.Blocks {
 		fs.sm.markDead(old)
-		delete(fs.owners, old)
 	}
 	if old, ok := fs.imap[ino]; ok {
 		fs.sm.markDead(old)
-		delete(fs.owners, old)
 	}
 
 	// Adopt the frozen inode. Heated-line blocks are tracked by the
@@ -235,7 +233,7 @@ func (fs *FS) VerifyFile(name string) ([]device.VerifyReport, error) {
 		fs.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inode(ino)
+	in, err := fs.inodeTask(nil, ino)
 	if err != nil {
 		fs.mu.RUnlock()
 		return nil, err

@@ -151,8 +151,7 @@ func (fs *FS) rebuildLiveness() error {
 	}
 	now := fs.now()
 	for _, r := range keep {
-		fs.sm.markLive(r.pba, now)
-		fs.owners[r.pba] = blockRef{ino: r.ino, idx: int(r.idx)}
+		fs.sm.setOwner(r.pba, blockRef{ino: r.ino, idx: int(r.idx)}, now)
 	}
 	fs.markInodesLive(inos, now)
 	fs.mstats.TableMount = true
@@ -234,14 +233,12 @@ func (fs *FS) markInodesLive(inos []Ino, now time.Duration) {
 		if in.Heated() {
 			continue
 		}
-		fs.sm.markLive(ipba, now)
-		fs.owners[ipba] = blockRef{ino: ino, idx: -1}
+		fs.sm.setOwner(ipba, blockRef{ino: ino, idx: -1}, now)
 		for idx, pba := range in.Blocks {
 			if pba == 0 {
 				continue // hole sentinel, not a data block
 			}
-			fs.sm.markLive(pba, now)
-			fs.owners[pba] = blockRef{ino: ino, idx: idx}
+			fs.sm.setOwner(pba, blockRef{ino: ino, idx: idx}, now)
 		}
 	}
 }

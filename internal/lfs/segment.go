@@ -63,10 +63,11 @@ type segment struct {
 	next int
 	// live counts blocks still referenced.
 	live int
-	// liveBits has bit off set while block start+off holds live data:
-	// the per-segment slice of the live set the checkpointed liveness
-	// table serializes.
-	liveBits []uint64
+	// owners[off] is the owner of block start+off while it holds live
+	// data, the zero ref while it does not (ino 0 is never allocated):
+	// the segment usage table of Rosenblum & Ousterhout's LFS, which
+	// the cleaner reads and the checkpointed liveness table serializes.
+	owners []blockRef
 	// dead counts blocks that were written and later invalidated while
 	// in this segment; reset when the segment is cleaned or reused.
 	// For pinned segments this space is unreclaimable forever.
@@ -119,13 +120,12 @@ func newSegmentManager(base uint64, totalBlocks, segBlocks int) *segmentManager 
 		segBlocks: segBlocks,
 		base:      base,
 	}
-	words := (segBlocks + 63) / 64
-	backing := make([]uint64, n*words)
+	backing := make([]blockRef, n*segBlocks)
 	for i := 0; i < n; i++ {
 		sm.segs = append(sm.segs, &segment{
-			id:       i,
-			start:    base + uint64(i*segBlocks),
-			liveBits: backing[i*words : (i+1)*words : (i+1)*words],
+			id:     i,
+			start:  base + uint64(i*segBlocks),
+			owners: backing[i*segBlocks : (i+1)*segBlocks : (i+1)*segBlocks],
 		})
 	}
 	return sm
@@ -206,46 +206,48 @@ func (sm *segmentManager) convertFreeing() {
 	}
 }
 
-// liveBit locates pba's bit in its segment's live set; s is nil when
-// pba is outside the log, where no block is ever live.
-func (sm *segmentManager) liveBit(pba uint64) (s *segment, word int, bit uint64) {
+// slot locates pba's owner slot; s is nil when pba is outside the
+// log, where no block is ever live.
+func (sm *segmentManager) slot(pba uint64) (s *segment, ref *blockRef) {
 	s = sm.segOf(pba)
 	if s == nil {
-		return nil, 0, 0
+		return nil, nil
 	}
-	off := int(pba - s.start)
-	return s, off / 64, 1 << (off % 64)
+	return s, &s.owners[pba-s.start]
 }
 
-// markLive records pba as holding live data.
-func (sm *segmentManager) markLive(pba uint64, now time.Duration) {
-	s, w, bit := sm.liveBit(pba)
-	if s == nil || s.liveBits[w]&bit != 0 {
+// setOwner records pba as live data owned by ref. A slot that is
+// already live just takes the new owner.
+func (sm *segmentManager) setOwner(pba uint64, ref blockRef, now time.Duration) {
+	s, slot := sm.slot(pba)
+	if s == nil {
 		return
 	}
-	s.liveBits[w] |= bit
-	s.live++
-	s.modTime = now
+	if slot.ino == 0 {
+		s.live++
+		s.modTime = now
+	}
+	*slot = ref
 }
 
 // markDead records that pba no longer holds live data.
 func (sm *segmentManager) markDead(pba uint64) {
-	s, w, bit := sm.liveBit(pba)
-	if s == nil || s.liveBits[w]&bit == 0 {
+	s, slot := sm.slot(pba)
+	if s == nil || slot.ino == 0 {
 		return
 	}
-	s.liveBits[w] &^= bit
+	*slot = blockRef{}
 	s.live--
 	s.dead++
-	if s.live < 0 {
-		panic(fmt.Sprintf("lfs: segment %d live count below zero", s.id))
-	}
 }
 
-// isLive reports whether pba holds live data.
-func (sm *segmentManager) isLive(pba uint64) bool {
-	s, w, bit := sm.liveBit(pba)
-	return s != nil && s.liveBits[w]&bit != 0
+// owner returns pba's owner and whether pba holds live data.
+func (sm *segmentManager) owner(pba uint64) (blockRef, bool) {
+	s, slot := sm.slot(pba)
+	if s == nil || slot.ino == 0 {
+		return blockRef{}, false
+	}
+	return *slot, true
 }
 
 // pin marks the segment containing pba (and the n-1 following blocks)

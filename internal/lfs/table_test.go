@@ -20,7 +20,7 @@ import (
 // region must refuse to mount instead of coming up empty.
 
 // mountFingerprint renders the complete recovered durable state of a
-// mounted FS — namespace, imap, owner map, live map, segment table,
+// mounted FS — namespace, imap, owner table, segment table,
 // journal position, stats and the cleaner's next victim choice — as a
 // deterministic string, so two mounts can be compared byte for byte.
 func mountFingerprint(fs *FS) string {
@@ -42,24 +42,13 @@ func mountFingerprint(fs *FS) string {
 	for _, ino := range inos {
 		fmt.Fprintf(&b, "imap %d=%d\n", ino, fs.imap[ino])
 	}
-	pbas := make([]uint64, 0, len(fs.owners))
-	for pba := range fs.owners {
-		pbas = append(pbas, pba)
-	}
-	sort.Slice(pbas, func(i, j int) bool { return pbas[i] < pbas[j] })
-	for _, pba := range pbas {
-		ref := fs.owners[pba]
-		fmt.Fprintf(&b, "owner %d={%d,%d} live=%v\n", pba, ref.ino, ref.idx, fs.sm.isLive(pba))
-	}
-	var live []uint64
 	for _, s := range fs.sm.segs {
-		for pba := s.start; pba < s.start+uint64(fs.sm.segBlocks); pba++ {
-			if fs.sm.isLive(pba) {
-				live = append(live, pba)
+		for off, ref := range s.owners {
+			if ref.ino != 0 {
+				fmt.Fprintf(&b, "owner %d={%d,%d}\n", s.start+uint64(off), ref.ino, ref.idx)
 			}
 		}
 	}
-	fmt.Fprintf(&b, "live=%v\n", live)
 	for _, s := range fs.Segments() {
 		fmt.Fprintf(&b, "seg %d state=%v live=%d dead=%d heated=%d journal=%v aff=%d\n",
 			s.ID, s.State, s.LiveBlocks, s.DeadBlocks, s.HeatedBlocks, s.Journal, s.Affinity)

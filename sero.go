@@ -234,6 +234,11 @@ func Open(o Options) *Device {
 	if o.Blocks <= 0 {
 		panic("sero: Options.Blocks must be positive")
 	}
+	return &Device{st: core.NewStore(device.New(o.deviceParams()))}
+}
+
+// deviceParams maps the options onto one sled's device parameters.
+func (o Options) deviceParams() device.Params {
 	p := device.DefaultParams(o.Blocks)
 	if o.ErbRetries > 0 {
 		p.ErbRetries = o.ErbRetries
@@ -241,10 +246,7 @@ func Open(o Options) *Device {
 	// Clamp at the API boundary, exactly like SetConcurrency: a
 	// negative or zero width means serial, never a copied-through
 	// nonsense value.
-	if o.Concurrency < 1 {
-		o.Concurrency = 1
-	}
-	p.Concurrency = o.Concurrency
+	p.Concurrency = max(o.Concurrency, 1)
 	mp := medium.DefaultParams(o.Blocks, device.DotsPerBlock)
 	if o.Seed != 0 {
 		mp.Seed = o.Seed
@@ -255,7 +257,7 @@ func Open(o Options) *Device {
 		mp.ThermalCrosstalk = 0
 	}
 	p.Medium = mp
-	return &Device{st: core.NewStore(device.New(p))}
+	return p
 }
 
 // ArrayOptions configures a striped multi-device array behind the
@@ -296,25 +298,7 @@ func OpenArray(o ArrayOptions) *Device {
 	if o.StripeBlocks <= 0 {
 		o.StripeBlocks = 256
 	}
-	p := device.DefaultParams(o.Blocks)
-	if o.ErbRetries > 0 {
-		p.ErbRetries = o.ErbRetries
-	}
-	if o.Concurrency < 1 {
-		o.Concurrency = 1
-	}
-	p.Concurrency = o.Concurrency
-	mp := medium.DefaultParams(o.Blocks, device.DotsPerBlock)
-	if o.Seed != 0 {
-		mp.Seed = o.Seed
-	}
-	if o.Quiet {
-		mp.ReadNoiseSigma = 0
-		mp.ResidualInPlaneSignal = 0
-		mp.ThermalCrosstalk = 0
-	}
-	p.Medium = mp
-	arr, err := array.Build(o.Devices, p, array.Params{
+	arr, err := array.Build(o.Devices, o.deviceParams(), array.Params{
 		StripeBlocks: o.StripeBlocks,
 		Parity:       o.ParityDevices,
 	})
