@@ -34,8 +34,9 @@ type bgLoop struct {
 }
 
 // kickLocked starts the loop on first use and wakes it; every wake
-// calls run once, passing the stop channel so a long run can return
-// early. Caller holds fs.mu exclusively.
+// calls the run given on that first kick once, passing the stop
+// channel so a long run can return early. Caller holds fs.mu
+// exclusively.
 func (l *bgLoop) kickLocked(run func(stop <-chan struct{})) {
 	if l.kick == nil {
 		kick, stop, done := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})

@@ -19,7 +19,7 @@ import (
 // holds the serialized imap and directory plus the journal anchor
 // (epoch, virtual write time, chain start), followed by an optional
 // *liveness table*: the per-segment usage summary (every live block's
-// owner) that lets a mount rebuild the segment table and owner map
+// owner) that lets a mount rebuild the segments' owner tables
 // without re-reading a single inode. The table is framed and
 // checksummed independently of the core payload, so a damaged table
 // degrades the mount to the full inode walk instead of invalidating

@@ -29,7 +29,7 @@ import (
 //     foreground write that invalidates a block being moved only
 //     flips liveness bookkeeping, which the commit phase detects;
 //  3. commit (fs.mu exclusive, brief): re-validate every completed
-//     move against the current owner map — moves whose source block
+//     move against the current owner table — moves whose source block
 //     was overwritten, deleted or heat-relocated mid-copy are dropped
 //     (their destination slot becomes dead space), the rest retarget
 //     the owning inodes; each affected inode is rewritten once (not

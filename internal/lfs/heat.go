@@ -138,7 +138,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	}
 
 	// Adopt the frozen inode. Heated-line blocks are tracked by the
-	// pin, not the live map (they are not cleanable). The relocation is
+	// pin, not the owner table (they are not cleanable). The relocation is
 	// journaled like any other imap change so a roll-forward mount
 	// finds the frozen inode, back-pointers included.
 	fs.cacheInode(frozen)

@@ -71,7 +71,7 @@ type blockKey struct {
 // Mount reconstructs a file system from a device previously formatted
 // and synced by this package: it loads the newest valid checkpoint
 // slot, rolls forward through the summary chain, and rebuilds all
-// in-memory state (live maps, segment states, pins) from the slot's
+// in-memory state (owner tables, segment states, pins) from the slot's
 // liveness table — falling back to a fanned-out walk of the inodes the
 // imap references — plus the device's heated-line registry. The
 // journal chain is adopted as-is, so the mounted FS keeps appending
@@ -111,8 +111,8 @@ func Mount(dev device.Dev, p Params) (*FS, error) {
 	return fs, nil
 }
 
-// rebuildLiveness reconstructs the live map, owner map and per-segment
-// usage from the checkpointed liveness table when one was adopted, and
+// rebuildLiveness reconstructs the segments' owner tables and usage
+// from the checkpointed liveness table when one was adopted, and
 // from the full inode walk otherwise. All liveness is stamped with a
 // single timestamp taken after every device read, so the resulting
 // state is identical for any fan-out width and any map iteration
@@ -225,7 +225,7 @@ func (fs *FS) loadInodesFanned(inos []Ino) error {
 // markInodesLive marks the inode block and every data block of each
 // given ino live under the single timestamp now, from the cached
 // inodes. Heated inos are skipped: their blocks are covered by line
-// pins, not the live map.
+// pins, not the owner tables.
 func (fs *FS) markInodesLive(inos []Ino, now time.Duration) {
 	for _, ino := range inos {
 		ipba := fs.imap[ino]

@@ -96,7 +96,7 @@
 // degrades the mount, never the checkpoint): the table names every
 // live block and its owning inode as of the checkpoint, and the
 // summary-chain deltas keep it current across the journal tail, so a
-// mount rebuilds the segment table and owner map in O(segments +
+// mount rebuilds the segments' owner tables in O(segments +
 // replayed tail) — independent of how many files exist — re-reading
 // only the inodes the tail touched. When the table is absent, torn or
 // fails its cross-check, the mount falls back to the full inode walk,
