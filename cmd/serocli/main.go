@@ -99,7 +99,6 @@ import (
 	"time"
 
 	"sero"
-	"sero/internal/device"
 	"sero/internal/serve"
 	"sero/internal/trace"
 )
@@ -199,11 +198,8 @@ func run(blocks, workers, writeback, ckptEvery, cleanWM int) error {
 	target := res.Line.Start + 2
 	forged := make([]byte, sero.BlockSize)
 	copy(forged, "day-2 transactions never happened")
-	bits := device.ForgedFrameBits(target, forged)
-	med := dev.RawDevice().Medium()
-	base := int(target) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := dev.RawDevice().ForgeBlock(target, forged); err != nil {
+		return err
 	}
 	fmt.Println("block", target, "rewritten with a perfectly consistent forged frame")
 
@@ -377,7 +373,7 @@ func benchServeRun(n, d, files, ops int, seed uint64, parity int, k benchKnobs) 
 		geom = fmt.Sprintf("devices=%d parity=%d", d, cfg.ParityDevices)
 	}
 	fmt.Printf("bench-serve: sessions=%d files=%d ops=%d %s ...\n", n, files, ops, geom)
-	res, err := serve.Run(cfg)
+	res, err := serve.Run(cfg, nil)
 	if err != nil {
 		return res, fmt.Errorf("sessions=%d %s: %w", n, geom, err)
 	}
@@ -439,7 +435,7 @@ func traceCmd(args []string) error {
 	cfg.Seed = *seed
 	cfg.Concurrency = *workers
 	tr := trace.New(*buffer)
-	res, err := serve.RunTraced(cfg, tr)
+	res, err := serve.Run(cfg, tr)
 	if err != nil {
 		return err
 	}

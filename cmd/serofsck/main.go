@@ -88,7 +88,6 @@ import (
 	"sero"
 	"sero/internal/array"
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 // arrayStripe is the stripe unit every array-mode run uses — equal to
@@ -399,28 +398,15 @@ func onlineVerify(blocks, workers, devices, parity int, degraded bool) error {
 	}
 	if arr != nil {
 		vm, lpba := arr.Locate(member)
-		bits := device.ForgedFrameBits(lpba, forged)
-		base := int(lpba) * device.DotsPerBlock
-		from := lpba
-		if from > 0 {
-			from--
+		if err := arr.MemberDevice(vm).ForgeBlock(lpba, forged); err != nil {
+			return err
 		}
-		arr.MemberDevice(vm).TamperRaw(from, lpba+2, func(m *medium.Medium) {
-			for i, b := range bits {
-				m.MWB(base+i, b)
-			}
-		})
 		fmt.Printf("attacker forges block %d of heated line %d (member %d, local block %d) during live traffic\n",
 			member, victim.Start, vm, lpba)
 	} else {
-		raw := fs.Device().(*device.Device)
-		bits := device.ForgedFrameBits(member, forged)
-		base := int(member) * device.DotsPerBlock
-		raw.TamperRaw(victim.Start, member+2, func(m *medium.Medium) {
-			for i, b := range bits {
-				m.MWB(base+i, b)
-			}
-		})
+		if err := fs.Device().(*device.Device).ForgeBlock(member, forged); err != nil {
+			return err
+		}
 		fmt.Printf("attacker forges block %d of heated line %d during live traffic\n", member, victim.Start)
 	}
 

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"sero"
-	"sero/internal/device"
 )
 
 func main() {
@@ -58,11 +57,8 @@ func main() {
 
 	// ...so the attacker goes under the device: a raw medium write
 	// with a perfectly consistent forged frame.
-	bits := device.ForgedFrameBits(start+1, fill("page 1, falsified"))
-	med := dev.RawDevice().Medium()
-	base := int(start+1) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := dev.RawDevice().ForgeBlock(start+1, fill("page 1, falsified")); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("attacker rewrote the raw medium behind the device's back")
 

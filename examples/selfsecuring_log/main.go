@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"sero"
-	"sero/internal/device"
 	"sero/internal/fossil"
 )
 
@@ -75,11 +74,8 @@ func main() {
 	victim := lines[1] // the line containing seq 3..5
 	forged := make([]byte, sero.BlockSize)
 	copy(forged, "seq=0005 cmd=READ  /var/log/auth.log")
-	bits := device.ForgedFrameBits(victim.Start+3, forged)
-	med := dev.RawDevice().Medium()
-	base := int(victim.Start+3) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := dev.RawDevice().ForgeBlock(victim.Start+3, forged); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("intruder rewrote a sealed log entry on the raw medium")
 

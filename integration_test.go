@@ -53,11 +53,8 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	vIno, _ := fs.Lookup(victim)
 	st, _ := fs.Stat(vIno)
 	target := st.HeatLines[0] + 2
-	bits := device.ForgedFrameBits(target, bytes.Repeat([]byte{0xEE}, BlockSize))
-	med := d.Store().Device().(*device.Device).Medium()
-	base := int(target) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := d.Store().Device().(*device.Device).ForgeBlock(target, bytes.Repeat([]byte{0xEE}, BlockSize)); err != nil {
+		t.Fatal(err)
 	}
 
 	// Audit finds exactly one tampered line.

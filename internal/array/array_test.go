@@ -7,20 +7,7 @@ import (
 	"testing"
 
 	"sero/internal/device"
-	"sero/internal/medium"
 )
-
-// quietParams builds deterministic device params (no read noise, no
-// crosstalk) so cross-width comparisons are exact.
-func quietParams(blocks int) device.Params {
-	p := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
-	return p
-}
 
 // payload returns a deterministic 512-byte block derived from seed.
 func payload(seed uint64) []byte {
@@ -33,7 +20,7 @@ func payload(seed uint64) []byte {
 
 func mustBuild(t *testing.T, n, parity, su, memberBlocks int) *Array {
 	t.Helper()
-	a, err := Build(n, quietParams(memberBlocks), Params{StripeBlocks: su, Parity: parity})
+	a, err := Build(n, device.QuietParams(memberBlocks), Params{StripeBlocks: su, Parity: parity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +122,7 @@ func driveScript(t *testing.T, d device.Dev) {
 // layout AND virtual time — to a raw device driven with the same ops.
 // This is the fourth system-wide contract.
 func TestWidth1Identity(t *testing.T) {
-	raw := device.New(quietParams(1024))
+	raw := device.New(device.QuietParams(1024))
 	arr := mustBuild(t, 1, 0, 64, 1024)
 
 	driveScript(t, raw)
@@ -332,13 +319,9 @@ func TestRepairLineAfterTamper(t *testing.T) {
 	// announce writes).
 	_, lpba, _, _ := a.locate(g0)
 	victim := lpba + 2
-	forged := device.ForgedFrameBits(victim, payload(31337))
-	base := int(victim) * device.DotsPerBlock
-	a.MemberDevice(1).TamperRaw(victim-1, victim+2, func(m *medium.Medium) {
-		for i, b := range forged {
-			m.MWB(base+i, b)
-		}
-	})
+	if err := a.MemberDevice(1).ForgeBlock(victim, payload(31337)); err != nil {
+		t.Fatal(err)
+	}
 
 	rep, err := a.VerifyLine(g0)
 	if err != nil {

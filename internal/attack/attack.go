@@ -9,6 +9,7 @@ package attack
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sero/internal/device"
 	"sero/internal/lfs"
@@ -230,13 +231,10 @@ func (h *Harness) AttackMWBData() Result {
 	for i := range forged {
 		forged[i] = byte(h.rng.Uint64())
 	}
-	bits := device.ForgedFrameBits(target, forged)
-	base := int(target) * device.DotsPerBlock
-	h.tamper(target, target+1, func(med *medium.Medium) {
-		for i, b := range bits {
-			med.MWB(base+i, b)
-		}
-	})
+	if err := h.raw.ForgeBlock(target, forged); err != nil {
+		r.Notes = err.Error()
+		return r
+	}
 	r.Detected, r.Notes = h.verifyDetects()
 	return r
 }
@@ -297,13 +295,10 @@ func (h *Harness) AttackSplitFile() Result {
 	// write without creating evidence; that path is ewb-data).
 	buf := make([]byte, device.DataBytes)
 	copy(buf, rec.Marshal())
-	bits := device.ForgedFrameBits(forgedStart, buf)
-	base := int(forgedStart) * device.DotsPerBlock
-	h.tamper(forgedStart, forgedStart+1, func(med *medium.Medium) {
-		for i, b := range bits {
-			med.MWB(base+i, b)
-		}
-	})
+	if err := dev.ForgeBlock(forgedStart, buf); err != nil {
+		r.Notes = err.Error()
+		return r
+	}
 	// Does the device now believe there is a line at forgedStart? A
 	// scan only accepts *electrically* written records at aligned
 	// addresses.
@@ -346,7 +341,7 @@ func (h *Harness) AttackCoalesce() Result {
 		encStart = h.line.Start - h.line.Start%size
 	}
 	rec := device.HeatRecord{
-		LogN:  uint8(log2(size)),
+		LogN:  uint8(max(bits.Len64(size)-1, 0)),
 		Start: encStart,
 	}
 	// The attacker writes the forged record electrically at the
@@ -382,15 +377,6 @@ func (h *Harness) AttackCoalesce() Result {
 		r.Notes = fmt.Sprintf("%d unparseable electrical blocks", len(unparseable))
 	}
 	return r
-}
-
-func log2(n uint64) int {
-	k := 0
-	for n > 1 {
-		n >>= 1
-		k++
-	}
-	return k
 }
 
 // AttackRm deletes the victim through the file system (§5.2: rm
@@ -431,14 +417,10 @@ func (h *Harness) AttackCopyMask() Result {
 		if err != nil {
 			continue
 		}
-		dst := destBase + i
-		bits := device.ForgedFrameBits(dst, data)
-		base := int(dst) * device.DotsPerBlock
-		h.tamper(dst, dst+1, func(med *medium.Medium) {
-			for j, b := range bits {
-				med.MWB(base+j, b)
-			}
-		})
+		if err := dev.ForgeBlock(destBase+i, data); err != nil {
+			r.Notes = err.Error()
+			return r
+		}
 	}
 	// The copy cannot reproduce the heated hash binding: verifying a
 	// "line" at the copy's address finds nothing, and the original
@@ -472,15 +454,12 @@ func (h *Harness) AttackClearDirectory() Result {
 	for i := range garbage {
 		garbage[i] = byte(h.rng.Uint64())
 	}
-	h.tamper(0, 32, func(med *medium.Medium) {
-		for pba := uint64(0); pba < 32; pba++ {
-			bits := device.ForgedFrameBits(pba, garbage)
-			base := int(pba) * device.DotsPerBlock
-			for i, b := range bits {
-				med.MWB(base+i, b)
-			}
+	for pba := uint64(0); pba < 32; pba++ {
+		if err := dev.ForgeBlock(pba, garbage); err != nil {
+			r.Notes = err.Error()
+			return r
 		}
-	})
+	}
 	// The access path is gone, but the medium scan recovers the line —
 	// availability is restored, so the attack fails its goal. (When an
 	// earlier attack in the sequence already burnt the record into HH

@@ -74,11 +74,6 @@ type CampaignReport struct {
 	FSStats lfs.Stats
 }
 
-// campaignSeed derives session i's stream seed.
-func campaignSeed(seed uint64, i int) uint64 {
-	return seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)
-}
-
 // RunLiveCampaign runs the live phase — Sessions workload appliers,
 // the optional racing cleaner, continuous audit rounds, and the
 // non-destructive §5 attacks, all concurrently — then joins, verifies
@@ -118,14 +113,14 @@ func (h *Harness) RunLiveCampaign(cfg CampaignConfig) (CampaignReport, error) {
 			mix := workload.DefaultMix(cfg.Files, cfg.OpsPerSession)
 			mix.Prefix = fmt.Sprintf("cmp%d", i)
 			mix.SyncEvery = 32
-			ops := mix.Generate(sim.NewRNG(campaignSeed(cfg.Seed, i)))
+			ops := mix.Generate(sim.NewRNG(workload.SessionSeed(cfg.Seed, i)))
 			n, err := workload.Apply(fs, ops)
 			applied[i] = n
 			if err != nil {
 				errs <- fmt.Errorf("session %d: %w", i, err)
 				return
 			}
-			rng := sim.NewRNG(campaignSeed(cfg.Seed, i) ^ 0xACED)
+			rng := sim.NewRNG(workload.SessionSeed(cfg.Seed, i) ^ 0xACED)
 			content := make([]byte, 2*device.DataBytes)
 			for j := range content {
 				content[j] = byte(rng.Uint64())

@@ -14,7 +14,6 @@ import (
 
 	"sero/internal/device"
 	"sero/internal/lfs"
-	"sero/internal/medium"
 	"sero/internal/sim"
 	"sero/internal/workload"
 )
@@ -94,23 +93,15 @@ func heatExtraLines(t *testing.T, fs *lfs.FS, n int) []device.LineInfo {
 // tamperRandomBlock forges a valid-looking frame into a random member
 // block of line li — raw access under the stripe locks, like a
 // campaign attack — and returns the tampered line start.
-func tamperRandomBlock(dev *device.Device, rng *sim.RNG, li device.LineInfo) uint64 {
+func tamperRandomBlock(t testing.TB, dev *device.Device, rng *sim.RNG, li device.LineInfo) uint64 {
 	member := li.Start + 1 + rng.Uint64()%(li.Blocks()-1)
 	forged := make([]byte, device.DataBytes)
 	for i := range forged {
 		forged[i] = byte(rng.Uint64())
 	}
-	bits := device.ForgedFrameBits(member, forged)
-	base := int(member) * device.DotsPerBlock
-	start := member
-	if start > 0 {
-		start--
+	if err := dev.ForgeBlock(member, forged); err != nil {
+		t.Fatal(err)
 	}
-	dev.TamperRaw(start, member+2, func(m *medium.Medium) {
-		for i, b := range bits {
-			m.MWB(base+i, b)
-		}
-	})
 	return li.Start
 }
 
@@ -167,14 +158,14 @@ func TestDetectionLatencyBound(t *testing.T) {
 			ap := workload.NewApplier(fs)
 			for i, op := range ops {
 				if i == at {
-					tampered = tamperRandomBlock(fs.Device().(*device.Device), rng, victim)
+					tampered = tamperRandomBlock(t, fs.Device().(*device.Device), rng, victim)
 				}
 				if err := ap.Apply(op); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if tampered == 0 {
-				tampered = tamperRandomBlock(fs.Device().(*device.Device), rng, victim)
+				tampered = tamperRandomBlock(t, fs.Device().(*device.Device), rng, victim)
 			}
 		} else {
 			// j concurrent sessions; the tamper lands from this
@@ -194,7 +185,7 @@ func TestDetectionLatencyBound(t *testing.T) {
 				}(s)
 			}
 			runtime.Gosched()
-			tampered = tamperRandomBlock(fs.Device().(*device.Device), rng, victim)
+			tampered = tamperRandomBlock(t, fs.Device().(*device.Device), rng, victim)
 			wg.Wait()
 			close(errs)
 			for err := range errs {

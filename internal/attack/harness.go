@@ -3,7 +3,6 @@ package attack
 import (
 	"sero/internal/device"
 	"sero/internal/lfs"
-	"sero/internal/medium"
 )
 
 // QuietConfig configures NewQuietHarness: a deterministic (noiseless)
@@ -42,13 +41,7 @@ func NewQuietHarness(cfg QuietConfig) (*Harness, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	dp := device.DefaultParams(cfg.Blocks)
-	mp := medium.DefaultParams(cfg.Blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	fs, err := lfs.New(device.New(dp), lfs.Params{
+	fs, err := lfs.New(device.New(device.QuietParams(cfg.Blocks)), lfs.Params{
 		SegmentBlocks:    cfg.SegmentBlocks,
 		CheckpointBlocks: cfg.SegmentBlocks,
 		HeatAware:        true,

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 // Concurrency stress tests: the sharded store must survive mixed
@@ -18,13 +17,8 @@ import (
 
 func stressStore(t testing.TB, blocks int, concurrency int) *Store {
 	t.Helper()
-	p := device.DefaultParams(blocks)
+	p := device.QuietParams(blocks)
 	p.Concurrency = concurrency
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
 	return NewStore(device.New(p))
 }
 
@@ -199,13 +193,10 @@ func TestAuditParallelMatchesSerial(t *testing.T) {
 	// reports too: rewrite it with a perfectly consistent forged frame
 	// (valid CRC and parity), which only the line hash can catch.
 	victim := st.Lines()[7]
-	med := st.Device().(*device.Device).Medium()
 	forged := make([]byte, device.DataBytes)
 	copy(forged, "these are not the records you wrote")
-	bits := device.ForgedFrameBits(victim.Start+1, forged)
-	base := int(victim.Start+1) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := st.Device().(*device.Device).ForgeBlock(victim.Start+1, forged); err != nil {
+		t.Fatal(err)
 	}
 
 	serial := st.AuditParallel(1)

@@ -7,18 +7,11 @@ import (
 	"testing/quick"
 
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 func testStore(t testing.TB, blocks int) *Store {
 	t.Helper()
-	p := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
-	return NewStore(device.New(p))
+	return NewStore(device.New(device.QuietParams(blocks)))
 }
 
 func block(seed byte) []byte {
@@ -252,10 +245,8 @@ func TestAuditCleanAndTampered(t *testing.T) {
 
 	// Tamper with the second line's data via raw medium access.
 	evil := block(0xEE)
-	bits := device.ForgedFrameBits(starts[1]+1, evil)
-	base := int(starts[1]+1) * device.DotsPerBlock
-	for i, b := range bits {
-		s.Device().(*device.Device).Medium().MWB(base+i, b)
+	if err := s.Device().(*device.Device).ForgeBlock(starts[1]+1, evil); err != nil {
+		t.Fatal(err)
 	}
 	rep = s.Audit()
 	if rep.Clean() || rep.TamperedLines != 1 {
@@ -304,15 +295,6 @@ func TestWriteLineEmpty(t *testing.T) {
 	s := testStore(t, 8)
 	if _, _, err := s.WriteLine(nil); err == nil {
 		t.Fatal("empty WriteLine accepted")
-	}
-}
-
-func TestLineExponent(t *testing.T) {
-	cases := map[int]uint8{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10}
-	for n, want := range cases {
-		if got := lineExponent(n); got != want {
-			t.Errorf("lineExponent(%d) = %d, want %d", n, got, want)
-		}
 	}
 }
 

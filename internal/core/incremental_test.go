@@ -20,10 +20,8 @@ func TestStepPublishesFindingWithItsRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := s.Device().(*device.Device)
-	bits := device.ForgedFrameBits(start+1, block(0xEE))
-	base := int(start+1) * device.DotsPerBlock
-	for i, b := range bits {
-		dev.Medium().MWB(base+i, b)
+	if err := dev.ForgeBlock(start+1, block(0xEE)); err != nil {
+		t.Fatal(err)
 	}
 
 	aud := NewIncrementalAuditor(dev)

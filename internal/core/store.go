@@ -109,7 +109,7 @@ func (s *Store) WriteLine(blocks [][]byte) (start uint64, logN uint8, err error)
 	if len(blocks) == 0 {
 		return 0, 0, errors.New("core: WriteLine with no blocks")
 	}
-	logN = lineExponent(len(blocks) + 1)
+	logN = device.LineExponent(len(blocks) + 1)
 	start, err = s.AllocLine(logN)
 	if err != nil {
 		return 0, 0, err
@@ -118,15 +118,6 @@ func (s *Store) WriteLine(blocks [][]byte) (start uint64, logN uint8, err error)
 		return 0, 0, fmt.Errorf("core: writing line at %d: %w", start, werr)
 	}
 	return start, logN, nil
-}
-
-// lineExponent returns the smallest logN with 1<<logN >= n (minimum 1).
-func lineExponent(n int) uint8 {
-	logN := uint8(1)
-	for 1<<logN < n {
-		logN++
-	}
-	return logN
 }
 
 // Heat freezes the line starting at start: after this the line is

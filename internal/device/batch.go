@@ -45,15 +45,15 @@ func (d *Device) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error
 
 // BlockMove relocates the payload of one block to another address.
 type BlockMove struct {
-	Src, Dst uint64
+	Src, Dst uint64 // source and destination block addresses
 }
 
 // MoveResult reports one group's outcome. Moves complete in whole
 // destination-run chunks; Completed is the number of leading moves
 // whose payload is on the medium at Dst (len(group) when Err is nil).
 type MoveResult struct {
-	Completed int
-	Err       error
+	Completed int   // leading moves whose payload is at Dst
+	Err       error // why the group stopped early, or nil
 }
 
 // MoveGroups executes groups of block moves with a pool of workers —

@@ -1,10 +1,6 @@
 package device
 
-import (
-	"testing"
-
-	"sero/internal/medium"
-)
+import "testing"
 
 // BenchmarkMRS reads one block per op from a sled with the default
 // read noise, the serving tier's hot read path.
@@ -111,11 +107,7 @@ func TestFramePathAllocations(t *testing.T) {
 // quietDevice returns a device on perfbench's medium: no read noise,
 // no residual in-plane signal and no crosstalk flips.
 func quietDevice(b *testing.B, blocks int) *Device {
-	p := DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, DotsPerBlock)
-	mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
-	p.Medium = mp
-	d := New(p)
+	d := New(QuietParams(blocks))
 	for pba := uint64(0); pba < uint64(blocks); pba++ {
 		if err := d.MWS(pba, pattern(byte(pba))); err != nil {
 			b.Fatal(err)

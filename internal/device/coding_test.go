@@ -10,13 +10,8 @@ import (
 // womDevice builds a quiet device using the WOM record coding.
 func womDevice(t testing.TB, blocks int) *Device {
 	t.Helper()
-	p := DefaultParams(blocks)
+	p := QuietParams(blocks)
 	p.Coding = CodingWOM
-	mp := medium.DefaultParams(blocks, DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
 	return New(p)
 }
 
@@ -125,10 +120,8 @@ func TestWOMDataTamperDetected(t *testing.T) {
 	if _, err := d.HeatLine(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	bits := ForgedFrameBits(2, pattern(0xCC))
-	base := 2 * DotsPerBlock
-	for i, b := range bits {
-		d.Medium().MWB(base+i, b)
+	if err := d.ForgeBlock(2, pattern(0xCC)); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := d.VerifyLine(0)
 	if err != nil {

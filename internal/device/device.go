@@ -89,6 +89,16 @@ func DefaultParams(blocks int) Params {
 	return Params{Blocks: blocks, ErbRetries: 8}
 }
 
+// QuietParams returns DefaultParams(blocks) on the quiet default
+// medium (medium.Params.Quiet): every read and heat is deterministic.
+// Tests, experiments and the serving benchmark build their devices
+// from it.
+func QuietParams(blocks int) Params {
+	p := DefaultParams(blocks)
+	p.Medium = medium.DefaultParams(blocks, DotsPerBlock).Quiet()
+	return p
+}
+
 // Region-lock geometry. Blocks are grouped into regions of
 // 1<<regionShiftBits blocks; each region hashes onto one of lockStripes
 // stripe locks. Operations lock the stripes covering their block range
@@ -328,17 +338,17 @@ func (d *Device) fgFor(task *trace.Task) *plane {
 
 // OpStats counts sector-level operations and their virtual-time cost.
 type OpStats struct {
-	MagneticReads   uint64
-	MagneticWrites  uint64
-	ElectricReads   uint64
-	ElectricWrites  uint64
-	HeatLines       uint64
-	VerifyLines     uint64
-	CorrectedBytes  uint64
-	MagneticReadNS  time.Duration
-	MagneticWriteNS time.Duration
-	ElectricReadNS  time.Duration
-	ElectricWriteNS time.Duration
+	MagneticReads   uint64        // sectors read magnetically (mrs)
+	MagneticWrites  uint64        // sectors written magnetically (mws)
+	ElectricReads   uint64        // sectors read electrically (ers)
+	ElectricWrites  uint64        // sectors written electrically (ews)
+	HeatLines       uint64        // lines heated
+	VerifyLines     uint64        // line verifications
+	CorrectedBytes  uint64        // bytes the sector code corrected on reads
+	MagneticReadNS  time.Duration // virtual time charged to mrs
+	MagneticWriteNS time.Duration // virtual time charged to mws
+	ElectricReadNS  time.Duration // virtual time charged to ers
+	ElectricWriteNS time.Duration // virtual time charged to ews
 }
 
 // add accumulates other into s.
@@ -434,9 +444,29 @@ func (d *Device) Clock() *sim.Clock { return d.clock }
 // oracles and attack simulations. Production code above the device
 // layer must not touch it. Mutating the medium while device commands
 // run concurrently is a data race in the simulator (the medium itself
-// is unsynchronised); live-load attack harnesses must go through
-// TamperRaw or TamperExclusive instead.
+// is unsynchronised); a forged frame goes through ForgeBlock, and
+// other live-load raw edits through TamperRaw or TamperExclusive.
 func (d *Device) Medium() *medium.Medium { return d.med }
+
+// ForgeBlock writes a fully valid sector frame for pba carrying data
+// (zero-padded or truncated to DataBytes) straight onto the medium,
+// under TamperRaw on that block. It is the §5 insider with raw medium
+// access: the forged frame has a correct CRC, parity and header
+// address, so the tamper evidence must come from the heated hashes,
+// not from the framing. It runs no protocol check (a heated line's
+// blocks are overwritten like any other; only the medium's own
+// heated dots resist), charges no virtual time, counts no stats and
+// notifies no observer. Only an address outside the device is
+// refused. Test/attack instrumentation only.
+func (d *Device) ForgeBlock(pba uint64, data []byte) error {
+	if err := d.checkPBA(pba); err != nil {
+		return fmt.Errorf("device: forge: %w", err)
+	}
+	img := make([]byte, PhysicalBytes)
+	putFrame(img, pba, FlagData, data)
+	d.TamperRaw(pba, pba+1, func(m *medium.Medium) { m.MWBImage(d.dotBase(pba), img) })
+	return nil
+}
 
 // TamperRaw runs f against the raw medium while holding the stripe
 // locks covering blocks [start, end) — the attack-simulation analogue

@@ -13,13 +13,7 @@ import (
 // deterministic tests; noisy behaviour is exercised separately.
 func testDevice(t testing.TB, blocks int) *Device {
 	t.Helper()
-	p := DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
-	return New(p)
+	return New(QuietParams(blocks))
 }
 
 // noisyDevice keeps the default stochastic medium.
@@ -329,10 +323,8 @@ func TestVerifyDetectsDataTamper(t *testing.T) {
 	// model). The frame is self-consistent, so only the heated hash
 	// can expose it.
 	evil := pattern(0xEE)
-	bits := ForgedFrameBits(3, evil)
-	base := 3 * DotsPerBlock
-	for i, b := range bits {
-		d.Medium().MWB(base+i, b)
+	if err := d.ForgeBlock(3, evil); err != nil {
+		t.Fatal(err)
 	}
 	// The forged block reads back fine on its own...
 	got, err := d.MRS(3)
@@ -346,6 +338,62 @@ func TestVerifyDetectsDataTamper(t *testing.T) {
 	}
 	if rep.OK || !rep.HashMismatch {
 		t.Fatalf("forged frame not detected: %+v", rep)
+	}
+}
+
+// TestForgeBlock pins the raw forge: a forged frame reads back as the
+// forged payload without charging virtual time, counting stats or
+// notifying observers; inside a heated line only the hash exposes it;
+// an address outside the device is refused and leaves the medium as
+// it was.
+func TestForgeBlock(t *testing.T) {
+	d := testDevice(t, 8)
+	for pba := uint64(0); pba < 8; pba++ {
+		if err := d.MWS(pba, pattern(byte(pba))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.HeatLine(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	observed := 0
+	d.SetWriteObserver(func(uint64, []byte) { observed++ })
+	now, stats := d.Clock().Now(), d.Stats()
+
+	evil := pattern(0xEE)
+	if err := d.ForgeBlock(5, evil); err != nil {
+		t.Fatal(err)
+	}
+	if d.Clock().Now() != now || d.Stats() != stats || observed != 0 {
+		t.Fatalf("forge charged the device: clock %v→%v, stats %+v→%+v, %d observed writes",
+			now, d.Clock().Now(), stats, d.Stats(), observed)
+	}
+	if got, err := d.MRS(5); err != nil || !bytes.Equal(got, evil) {
+		t.Fatalf("forged block reads %v, %v", got, err)
+	}
+
+	if err := d.ForgeBlock(2, evil); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := d.VerifyLine(0); err != nil || rep.OK || !rep.HashMismatch {
+		t.Fatalf("forged heated block: %+v, %v", rep, err)
+	}
+
+	before := d.Medium().Snapshot()
+	if err := d.ForgeBlock(8, evil); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("out-of-range forge: %v", err)
+	}
+	if !bytes.Equal(d.Medium().Snapshot(), before) {
+		t.Fatal("refused forge changed the medium")
+	}
+}
+
+func TestLineExponent(t *testing.T) {
+	cases := map[int]uint8{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10}
+	for n, want := range cases {
+		if got := LineExponent(n); got != want {
+			t.Errorf("LineExponent(%d) = %d, want %d", n, got, want)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sero/internal/medium"
 	"sero/internal/trace"
 )
 
@@ -23,12 +22,7 @@ const fanTrackOffset = 64
 // 8 data blocks at 64i+16 in every 64-block slab.
 func fanDevice(t *testing.T, blocks int) *Device {
 	t.Helper()
-	p := DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
+	p := QuietParams(blocks)
 	p.TrackOffset = fanTrackOffset
 	d := New(p)
 	for s := 0; s*64 < blocks; s++ {

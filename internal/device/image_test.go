@@ -87,10 +87,8 @@ func TestImageTamperedBetweenSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Offline raw edit on the loaded device's medium.
-	bits := ForgedFrameBits(2, pattern(0x66))
-	base := 2 * DotsPerBlock
-	for i, b := range bits {
-		d2.Medium().MWB(base+i, b)
+	if err := d2.ForgeBlock(2, pattern(0x66)); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := d2.VerifyLine(0)
 	if err != nil {

@@ -85,13 +85,24 @@ func UnmarshalHeatRecord(buf []byte) (HeatRecord, error) {
 
 // LineInfo describes a heated line known to the device.
 type LineInfo struct {
-	Start  uint64
-	LogN   uint8
-	Record HeatRecord
+	Start  uint64     // first block: the heated hash record
+	LogN   uint8      // size exponent: the line covers 1<<LogN blocks
+	Record HeatRecord // the decoded heated record
 }
 
 // Blocks returns the number of blocks in the line.
 func (l LineInfo) Blocks() uint64 { return 1 << l.LogN }
+
+// LineExponent returns the smallest LogN whose line holds n blocks
+// (1<<LogN >= n), minimum 1: a line is at least two blocks, the hash
+// record plus one payload block.
+func LineExponent(n int) uint8 {
+	logN := uint8(1)
+	for 1<<logN < n {
+		logN++
+	}
+	return logN
+}
 
 // End returns the first PBA after the line.
 func (l LineInfo) End() uint64 { return l.Start + l.Blocks() }
@@ -285,6 +296,7 @@ func (d *Device) HeatLine(start uint64, logN uint8) (LineInfo, error) {
 
 // VerifyReport is the outcome of verifying a heated line.
 type VerifyReport struct {
+	// Line is the verified line.
 	Line LineInfo
 	// OK is true when the line shows no evidence of tampering.
 	OK bool
@@ -395,8 +407,8 @@ func (d *Device) verifyOn(pl *plane, li LineInfo) (VerifyReport, error) {
 // VerifyOutcome pairs one line's verification report with its error,
 // for fan-out collection.
 type VerifyOutcome struct {
-	Report VerifyReport
-	Err    error
+	Report VerifyReport // the line's report, valid when Err is nil
+	Err    error        // why the line could not be verified
 }
 
 // VerifyLines verifies the lines at the given start addresses with a

@@ -76,9 +76,9 @@ const (
 // Frame assembles the physical byte image of a sector: header ‖ data ‖
 // RS parity.
 type Frame struct {
-	PBA   uint64
-	Flags byte
-	Data  [DataBytes]byte
+	PBA   uint64          // the block address the header binds
+	Flags byte            // sector flag bits (FlagData)
+	Data  [DataBytes]byte // the payload
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -167,28 +167,4 @@ func decodeFrame(img []byte, expectedPBA uint64) (int, error) {
 		return corrected, ErrMisplaced
 	}
 	return corrected, nil
-}
-
-// ForgedFrameBits builds the per-dot bit image of a fully valid sector
-// frame for the given address and payload. It exists for the §5
-// security analysis: a powerful attacker with raw medium access can
-// write consistent frames (correct CRC, correct parity, any header
-// address) — the tamper evidence must come from the heated hashes, not
-// from the framing. Production code never calls this.
-func ForgedFrameBits(pba uint64, data []byte) []bool {
-	var f Frame
-	f.PBA = pba
-	copy(f.Data[:], data)
-	return bytesToBits(f.Marshal())
-}
-
-// bytesToBits expands b into per-bit booleans, MSB-first.
-func bytesToBits(b []byte) []bool {
-	out := make([]bool, len(b)*8)
-	for i, by := range b {
-		for bit := 0; bit < 8; bit++ {
-			out[i*8+bit] = by&(1<<(7-bit)) != 0
-		}
-	}
-	return out
 }

@@ -19,6 +19,7 @@ import (
 
 // ShredReport describes a completed shred.
 type ShredReport struct {
+	// Line is the shredded line.
 	Line LineInfo
 	// DotsDestroyed counts electrical writes issued.
 	DotsDestroyed int

@@ -59,13 +59,7 @@ func (s *seroStore) Freeze(start, n uint64) error {
 // RawWrite implements worm.Store: the §5 insider forges a fully valid
 // frame on the raw medium.
 func (s *seroStore) RawWrite(pba uint64, data []byte) error {
-	bits := device.ForgedFrameBits(pba, data)
-	med := s.dev.Medium()
-	base := int(pba) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
-	}
-	return nil
+	return s.dev.ForgeBlock(pba, data)
 }
 
 // Audit implements worm.Store.

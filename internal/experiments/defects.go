@@ -39,13 +39,7 @@ func RunE9(seed uint64) (E9Result, error) {
 	var res E9Result
 	const blocks = 128
 	for _, rate := range []float64{0.0005, 0.001, 0.002, 0.005, 0.01, 0.02} {
-		dp := device.DefaultParams(blocks)
-		mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-		mp.ReadNoiseSigma = 0
-		mp.ResidualInPlaneSignal = 0
-		mp.ThermalCrosstalk = 0
-		dp.Medium = mp
-		dev := device.New(dp)
+		dev := device.New(device.QuietParams(blocks))
 		rng := sim.NewRNG(seed + uint64(rate*1e6))
 
 		// Inject defects uniformly.

@@ -35,10 +35,7 @@ type Fig2Transition struct {
 // RunFig2 drives a single dot through every operation from every state
 // and compares with Fig 2.
 func RunFig2() Fig2Result {
-	p := medium.DefaultParams(1, 4)
-	p.ReadNoiseSigma = 0
-	p.ResidualInPlaneSignal = 0
-	p.ThermalCrosstalk = 0
+	p := medium.DefaultParams(1, 4).Quiet()
 
 	var res Fig2Result
 	res.AllMatch = true
@@ -122,13 +119,7 @@ type Fig3Result struct {
 // RunFig3 heats a line and inspects the physical layout.
 func RunFig3(logN uint8) (Fig3Result, error) {
 	blocks := 1 << (logN + 1)
-	dp := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	dev := device.New(dp)
+	dev := device.New(device.QuietParams(blocks))
 
 	n := uint64(1) << logN
 	data := make([]byte, device.DataBytes)

@@ -15,13 +15,7 @@ import (
 
 // quietDevice builds a deterministic device for performance runs.
 func quietDevice(blocks int) *device.Device {
-	dp := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	return device.New(dp)
+	return device.New(device.QuietParams(blocks))
 }
 
 // E1Result measures the §3 operation-latency contract on the simulated
@@ -380,13 +374,8 @@ func RunE5() (E5Result, error) {
 	// Measure the heated-dot footprint of a real heat record under
 	// both codings on otherwise identical devices.
 	for _, coding := range []device.Coding{device.CodingManchester, device.CodingWOM} {
-		dp := device.DefaultParams(8)
+		dp := device.QuietParams(8)
 		dp.Coding = coding
-		mp := medium.DefaultParams(8, device.DotsPerBlock)
-		mp.ReadNoiseSigma = 0
-		mp.ResidualInPlaneSignal = 0
-		mp.ThermalCrosstalk = 0
-		dp.Medium = mp
 		dev := device.New(dp)
 		data := make([]byte, device.DataBytes)
 		for pba := uint64(0); pba < 4; pba++ {

@@ -92,11 +92,7 @@ func pulsesToHeat(tempC, dwell, _ float64, maxPulses int) int {
 // actual medium implementation for the default configuration; returns
 // an error message or "".
 func (r E10Result) VerifyAgainstMedium() string {
-	p := medium.DefaultParams(1, 8)
-	p.ReadNoiseSigma = 0
-	p.ResidualInPlaneSignal = 0
-	p.ThermalCrosstalk = 0
-	m := medium.New(p)
+	m := medium.New(medium.DefaultParams(1, 8).Quiet())
 	m.EWB(0)
 	if m.State(0) != medium.DotH {
 		return "default pulse failed to destroy the target dot"

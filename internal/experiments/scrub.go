@@ -89,11 +89,8 @@ func runE13Point(seed uint64, lines int, interval time.Duration) (E13Point, erro
 	victim := starts[rng.Intn(len(starts))]
 	forged := make([]byte, device.DataBytes)
 	copy(forged, "history, revised")
-	bits := device.ForgedFrameBits(victim+1, forged)
-	med := st.Device().(*device.Device).Medium()
-	base := int(victim+1) * device.DotsPerBlock
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := st.Device().(*device.Device).ForgeBlock(victim+1, forged); err != nil {
+		return E13Point{}, err
 	}
 	tamperedAt := clock.Now()
 

@@ -12,13 +12,7 @@ import (
 
 func testFS(t testing.TB, blocks int, aware bool) *FS {
 	t.Helper()
-	dp := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	fs, err := New(device.New(dp), Params{GroupBlocks: 16, HeatAware: aware})
+	fs, err := New(device.New(device.QuietParams(blocks)), Params{GroupBlocks: 16, HeatAware: aware})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +170,8 @@ func TestHeatDetectsTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := device.ForgedFrameBits(res.Line.Start+2, payload(0xAA, device.DataBytes))
-	base := int(res.Line.Start+2) * device.DotsPerBlock
-	med := fs.Device().Medium()
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := fs.Device().ForgeBlock(res.Line.Start+2, payload(0xAA, device.DataBytes)); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := fs.VerifyFile("v")
 	if err != nil {
@@ -196,13 +187,7 @@ func buildMixed(t *testing.T, aware bool) *FS {
 	// 32-block groups: a whole 8-file working set packs into one group
 	// with room left for an 8-block line beside it — the regime where
 	// oblivious placement welds read-only lines into live groups.
-	dp := device.DefaultParams(1024)
-	mp := medium.DefaultParams(1024, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	fs, err := New(device.New(dp), Params{GroupBlocks: 32, HeatAware: aware})
+	fs, err := New(device.New(device.QuietParams(1024)), Params{GroupBlocks: 32, HeatAware: aware})
 	if err != nil {
 		t.Fatal(err)
 	}

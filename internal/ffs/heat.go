@@ -35,7 +35,7 @@ func (fs *FS) HeatFile(name string) (HeatResult, error) {
 		return HeatResult{}, fmt.Errorf("%w: %s", ErrFileHeated, name)
 	}
 	need := 2 + len(f.inode.Blocks)
-	logN := lineExponent(need)
+	logN := device.LineExponent(need)
 	size := 1 << logN
 	if size > fs.p.GroupBlocks {
 		return HeatResult{}, fmt.Errorf("ffs: line of %d blocks exceeds group size %d", size, fs.p.GroupBlocks)
@@ -158,15 +158,6 @@ func claimRun(g *group, off, size int, fs *FS) {
 	}
 	g.free -= size
 	fs.stats.BlocksAllocated += uint64(size)
-}
-
-// lineExponent returns the smallest logN with 1<<logN >= n, minimum 1.
-func lineExponent(n int) uint8 {
-	logN := uint8(1)
-	for 1<<logN < n {
-		logN++
-	}
-	return logN
 }
 
 // VerifyFile checks the heated file's line.

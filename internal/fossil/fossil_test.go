@@ -7,18 +7,11 @@ import (
 
 	"sero/internal/core"
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 func testStore(t testing.TB, blocks int) *core.Store {
 	t.Helper()
-	p := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
-	return core.NewStore(device.New(p))
+	return core.NewStore(device.New(device.QuietParams(blocks)))
 }
 
 func TestInsertLookup(t *testing.T) {
@@ -181,11 +174,8 @@ func TestHeatedNodeTamperDetected(t *testing.T) {
 	// Forge the heated root node's block.
 	line := idx.RootLine()
 	forged := marshalNode(&node{line: line, level: 0})
-	bits := device.ForgedFrameBits(line+1, forged)
-	base := int(line+1) * device.DotsPerBlock
-	med := st.Device().(*device.Device).Medium()
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := st.Device().(*device.Device).ForgeBlock(line+1, forged); err != nil {
+		t.Fatal(err)
 	}
 	reps, err := idx.Verify()
 	if err != nil {

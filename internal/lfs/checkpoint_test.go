@@ -30,10 +30,8 @@ func TestMountCorruptCheckpoint(t *testing.T) {
 	// payload is garbage.
 	garbage := make([]byte, device.DataBytes)
 	garbage[0] = 0xFF
-	bits := device.ForgedFrameBits(0, garbage)
-	med := fs.Device().(*device.Device).Medium()
-	for i, b := range bits {
-		med.MWB(i, b)
+	if err := fs.Device().(*device.Device).ForgeBlock(0, garbage); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Mount(fs.Device(), fs.Params()); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err %v", err)

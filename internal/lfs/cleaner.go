@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"slices"
 	"sort"
 
 	"sero/internal/device"
@@ -475,7 +476,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 	for ino := range plan.rewrite {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	for k, ino := range inos {
 		if !valid[ino] {
 			// No data block of this inode moved. Rewrite it anyway if

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 // The crash-injection harness. The device exposes the exact stream of
@@ -31,13 +30,7 @@ import (
 
 // quietDev builds a deterministic (noiseless) raw device.
 func quietDev(blocks int) *device.Device {
-	dp := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	return device.New(dp)
+	return device.New(device.QuietParams(blocks))
 }
 
 type blockWrite struct {

@@ -3,6 +3,7 @@ package lfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -955,7 +956,7 @@ func (fs *FS) flushAffinitiesLocked(skipZero bool) error {
 			affs = append(affs, int(a))
 		}
 	}
-	sortInts(affs)
+	slices.Sort(affs)
 	if len(affs) < 2 || fs.p.Concurrency <= 1 {
 		for _, a := range affs {
 			if err := fs.flushSegment(fs.active[uint8(a)]); err != nil {
@@ -1194,7 +1195,7 @@ func (fs *FS) flushDirtyLocked() error {
 	for ino := range fs.dirty {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	for _, ino := range inos {
 		if err := fs.flushInode(ino); err != nil {
 			return err
@@ -1221,7 +1222,7 @@ func (fs *FS) writeFreshInodesLocked() error {
 			fresh = append(fresh, ino)
 		}
 	}
-	sortInos(fresh)
+	slices.Sort(fresh)
 	for _, ino := range fresh {
 		in, err := fs.inodeTask(fs.curTask, ino)
 		if err != nil {
@@ -1268,7 +1269,7 @@ func (fs *FS) flushInode(ino Ino) error {
 	for i := range blocks {
 		idxs = append(idxs, i)
 	}
-	sortInts(idxs)
+	slices.Sort(idxs)
 	for _, idx := range idxs {
 		pba, aerr := fs.appendBlock(blocks[idx], in.Affinity)
 		if aerr != nil {
@@ -1326,20 +1327,4 @@ func (fs *FS) FreeSegments() int {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.sm.freeSegments()
-}
-
-func sortInos(v []Ino) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 // FuzzFSOps drives random create/write/sync/clean/mount sequences
@@ -23,13 +22,7 @@ func FuzzFSOps(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		dp := device.DefaultParams(1024)
-		mp := medium.DefaultParams(1024, device.DotsPerBlock)
-		mp.ReadNoiseSigma = 0
-		mp.ResidualInPlaneSignal = 0
-		mp.ThermalCrosstalk = 0
-		dp.Medium = mp
-		dev := device.New(dp)
+		dev := device.New(device.QuietParams(1024))
 		p := Params{
 			SegmentBlocks:    16,
 			CheckpointBlocks: 16,

@@ -78,7 +78,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 
 	// Line needs hash + inode + data blocks.
 	need := 2 + len(in.Blocks)
-	logN := lineExponent(need)
+	logN := device.LineExponent(need)
 	start, err := fs.allocLineSpace(logN, in.Affinity)
 	if err != nil {
 		return HeatResult{}, err

@@ -75,16 +75,6 @@ func (in *Inode) Heated() bool { return in.Flags&FlagHeated != 0 }
 // ErrBadInode reports an unparseable inode block.
 var ErrBadInode = errors.New("lfs: malformed inode")
 
-// lineExponent returns the smallest logN with 1<<logN >= n, minimum 1
-// (a line is at least two blocks: hash + one payload block).
-func lineExponent(n int) uint8 {
-	logN := uint8(1)
-	for 1<<logN < n {
-		logN++
-	}
-	return logN
-}
-
 // Marshal encodes the inode into one 512-byte block. Heated-line
 // starts are stored in the pointer area after the data pointers, with
 // counts in the header.

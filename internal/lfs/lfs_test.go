@@ -14,13 +14,7 @@ import (
 // checkpoint region plus at least two segments.
 func testFS(t testing.TB, blocks int, p Params) *FS {
 	t.Helper()
-	dp := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	fs, err := New(device.New(dp), p)
+	fs, err := New(device.New(device.QuietParams(blocks)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +297,8 @@ func TestHeatFileDetectsTamper(t *testing.T) {
 	}
 	// Attacker forges a data block inside the heated line.
 	target := res.Line.Start + 2
-	bits := device.ForgedFrameBits(target, payload(0xAA, device.DataBytes))
-	base := int(target) * device.DotsPerBlock
-	for i, b := range bits {
-		fs.Device().(*device.Device).Medium().MWB(base+i, b)
+	if err := fs.Device().(*device.Device).ForgeBlock(target, payload(0xAA, device.DataBytes)); err != nil {
+		t.Fatal(err)
 	}
 	reps, err := fs.VerifyFile("victim")
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"sero/internal/array"
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 // Striped-array integration: the FS runs unchanged over an
@@ -28,13 +27,7 @@ import (
 // su.
 func quietArray(t testing.TB, n, parity, su, memberBlocks int) *array.Array {
 	t.Helper()
-	dp := device.DefaultParams(memberBlocks)
-	mp := medium.DefaultParams(memberBlocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
-	arr, err := array.Build(n, dp, array.Params{StripeBlocks: su, Parity: parity})
+	arr, err := array.Build(n, device.QuietParams(memberBlocks), array.Params{StripeBlocks: su, Parity: parity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,10 +355,8 @@ func TestAuditorRepairsTamperFromParity(t *testing.T) {
 	// medium (the adversary does not announce writes).
 	target := res.Line.Start + 2
 	member, lpba := arr.Locate(target)
-	bits := device.ForgedFrameBits(lpba, payload(0xAA, device.DataBytes))
-	base := int(lpba) * device.DotsPerBlock
-	for i, b := range bits {
-		arr.MemberDevice(member).Medium().MWB(base+i, b)
+	if err := arr.MemberDevice(member).ForgeBlock(lpba, payload(0xAA, device.DataBytes)); err != nil {
+		t.Fatal(err)
 	}
 	if rep, verr := arr.VerifyLine(res.Line.Start); verr != nil || rep.OK {
 		t.Fatalf("tamper not visible before audit: %+v err=%v", rep, verr)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"sero/internal/device"
 )
@@ -229,7 +230,7 @@ func (fs *FS) encodeDeltaLocked() ([]byte, error) {
 	for ino := range fs.jImap {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(inos)))
 	for _, ino := range inos {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(ino))
@@ -345,7 +346,7 @@ func (fs *FS) clearDeltasLocked() {
 	fs.jBlocks = nil
 }
 
-// jumpBlock builds the one-block jump element for the promise slot,
+// foldJump builds the one-block jump element for the promise slot,
 // folding it into the chain and advancing the in-memory chain state.
 func (fs *FS) foldJump(target uint64) []byte {
 	var payload [8]byte

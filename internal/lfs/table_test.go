@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func mountFingerprint(fs *FS) string {
 	for ino := range fs.imap {
 		inos = append(inos, ino)
 	}
-	sortInos(inos)
+	slices.Sort(inos)
 	for _, ino := range inos {
 		fmt.Fprintf(&b, "imap %d=%d\n", ino, fs.imap[ino])
 	}

@@ -165,6 +165,16 @@ func DefaultParams(rows, cols int) Params {
 	}
 }
 
+// Quiet returns a copy of p with every stochastic disturbance off:
+// no read noise, no residual in-plane signal and no crosstalk flips.
+// Reads and heats on a quiet medium are deterministic, which is what
+// keeps the simulator's tests, experiments and benchmarks
+// byte-reproducible.
+func (p Params) Quiet() Params {
+	p.ReadNoiseSigma, p.ResidualInPlaneSignal, p.ThermalCrosstalk = 0, 0, 0
+	return p
+}
+
 // Medium is a simulated patterned medium. It keeps only the physical
 // state of its dots; operation counts live in the device layer.
 //

@@ -7,13 +7,7 @@ import (
 	"unsafe"
 )
 
-func quiet(rows, cols int) Params {
-	p := DefaultParams(rows, cols)
-	p.ReadNoiseSigma = 0
-	p.ResidualInPlaneSignal = 0
-	p.ThermalCrosstalk = 0
-	return p
-}
+func quiet(rows, cols int) Params { return DefaultParams(rows, cols).Quiet() }
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	m := New(quiet(4, 64))

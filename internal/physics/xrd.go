@@ -3,6 +3,7 @@ package physics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sero/internal/sim"
 )
@@ -203,13 +204,8 @@ func median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	c := append([]float64(nil), v...)
-	// insertion sort; windows are tiny
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
+	c := slices.Clone(v)
+	slices.Sort(c)
 	return c[len(c)/2]
 }
 

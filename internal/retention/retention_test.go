@@ -7,18 +7,11 @@ import (
 
 	"sero/internal/core"
 	"sero/internal/device"
-	"sero/internal/medium"
 )
 
 func testStore(t testing.TB, blocks int) *core.Store {
 	t.Helper()
-	p := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
-	return core.NewStore(device.New(p))
+	return core.NewStore(device.New(device.QuietParams(blocks)))
 }
 
 func doc(seed byte) [][]byte {

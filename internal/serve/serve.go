@@ -32,7 +32,6 @@ import (
 	"sero/internal/array"
 	"sero/internal/device"
 	"sero/internal/lfs"
-	"sero/internal/medium"
 	"sero/internal/sim"
 	"sero/internal/trace"
 	"sero/internal/workload"
@@ -391,24 +390,17 @@ func buffered(k workload.OpKind) bool {
 	return false
 }
 
-// sessionSeed derives session i's RNG seed from the run seed.
-func sessionSeed(seed uint64, i int) uint64 {
-	return seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)
-}
-
 // Run executes one serving run: it formats a quiet FS, generates every
 // session's stream, replays them from Sessions concurrent goroutines
-// and merges the per-session recorders into a Result.
-func Run(cfg Config) (Result, error) { return RunTraced(cfg, nil) }
-
-// RunTraced is Run with an optional tracer: when tr is non-nil it is
-// installed on the run's device for the duration, the device and lfs
-// layers emit their spans into it, and every applied op additionally
-// emits one "serve" span tagged with its session id (V1 = lock-wait
-// ns, V2 = own device ns — the queueing decomposition's inputs).
-// Virtual time, layout and the Result are byte-identical with or
-// without a tracer; per-session breakdowns are always collected.
-func RunTraced(cfg Config, tr *trace.Tracer) (Result, error) {
+// and merges the per-session recorders into a Result. A nil tr runs
+// untraced. Otherwise tr is installed on the run's device for the
+// duration, the device and lfs layers emit their spans into it, and
+// every applied op additionally emits one "serve" span tagged with its
+// session id (V1 = lock-wait ns, V2 = own device ns — the queueing
+// decomposition's inputs). Virtual time, layout and the Result are
+// byte-identical with or without a tracer; per-session breakdowns are
+// always collected.
+func Run(cfg Config, tr *trace.Tracer) (Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return Result{}, err
@@ -425,21 +417,13 @@ func RunTraced(cfg Config, tr *trace.Tracer) (Result, error) {
 		d := cfg.Devices - cfg.ParityDevices
 		su := cfg.SegmentBlocks
 		memberBlocks := (cfg.DeviceBlocks + d*su - 1) / (d * su) * su
-		dp := device.DefaultParams(memberBlocks)
-		mp := medium.DefaultParams(memberBlocks, device.DotsPerBlock)
-		mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
-		dp.Medium = mp
-		arr, err = array.Build(cfg.Devices, dp, array.Params{StripeBlocks: su, Parity: cfg.ParityDevices})
+		arr, err = array.Build(cfg.Devices, device.QuietParams(memberBlocks), array.Params{StripeBlocks: su, Parity: cfg.ParityDevices})
 		if err != nil {
 			return Result{}, fmt.Errorf("serve: building array: %w", err)
 		}
 		dev = arr
 	} else {
-		dp := device.DefaultParams(cfg.DeviceBlocks)
-		mp := medium.DefaultParams(cfg.DeviceBlocks, device.DotsPerBlock)
-		mp.ReadNoiseSigma, mp.ResidualInPlaneSignal, mp.ThermalCrosstalk = 0, 0, 0
-		dp.Medium = mp
-		dev = device.New(dp)
+		dev = device.New(device.QuietParams(cfg.DeviceBlocks))
 	}
 	if tr != nil {
 		dev.SetTracer(tr)
@@ -532,7 +516,7 @@ func RunTraced(cfg Config, tr *trace.Tracer) (Result, error) {
 		}
 		sessions[i] = &session{
 			id:     i,
-			stream: mix.Generate(sim.NewRNG(sessionSeed(cfg.Seed, i))),
+			stream: mix.Generate(sim.NewRNG(workload.SessionSeed(cfg.Seed, i))),
 			hists:  make(map[workload.OpKind]*histogram),
 			amort:  make(map[workload.OpKind]int64),
 		}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"sero/internal/workload"
 )
 
 // smallConfig returns a serving config sized for unit tests.
@@ -19,7 +17,7 @@ func smallConfig(sessions int) Config {
 }
 
 func TestRunSingleSession(t *testing.T) {
-	res, err := Run(smallConfig(1))
+	res, err := Run(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +44,12 @@ func TestRunSingleSession(t *testing.T) {
 // TestRunConcurrentSessions drives read+rename mixes from many
 // sessions at once; under -race this is the serving tier's race gate.
 func TestRunConcurrentSessions(t *testing.T) {
-	single, err := Run(smallConfig(1))
+	single, err := Run(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sessions := range []int{2, 4, 8} {
-		res, err := Run(smallConfig(sessions))
+		res, err := Run(smallConfig(sessions), nil)
 		if err != nil {
 			t.Fatalf("sessions=%d: %v", sessions, err)
 		}
@@ -73,11 +71,11 @@ func TestRunConcurrentSessions(t *testing.T) {
 // a pure function of the config — independent of scheduling.
 func TestRunStreamsDeterministic(t *testing.T) {
 	cfg := smallConfig(3)
-	a, err := Run(cfg)
+	a, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +97,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"zipf-diverges":  {Sessions: 1, Files: 4, ZipfTheta: 1.0},
 		"huge-fileblock": {Sessions: 1, Files: 4, FileBlocks: 1 << 20},
 	} {
-		if _, err := Run(cfg); err == nil {
+		if _, err := Run(cfg, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
 func TestReportRoundTripAndValidate(t *testing.T) {
-	res, err := Run(smallConfig(2))
+	res, err := Run(smallConfig(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestReportRoundTripAndValidate(t *testing.T) {
 }
 
 func TestValidateRejectsMalformed(t *testing.T) {
-	good, err := Run(smallConfig(1))
+	good, err := Run(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,20 +191,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestSessionSeedsDistinct guards the per-session RNG streams: shards
-// must not replay each other's randomness.
-func TestSessionSeedsDistinct(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := 0; i < 64; i++ {
-		s := sessionSeed(42, i)
-		if seen[s] {
-			t.Fatalf("seed collision at session %d", i)
-		}
-		seen[s] = true
-	}
-	_ = workload.DefaultMix(1, 1) // keep the import honest
-}
-
 // TestRunStriped serves over a striped array and checks the width-1
 // equivalence of the trajectory fields, the width-4 throughput gain
 // and the degraded path.
@@ -214,14 +198,14 @@ func TestRunStriped(t *testing.T) {
 	// The throughput gate runs one session: a single-session trajectory
 	// is deterministic, while multi-session interleaving (and hence the
 	// cleaning order) depends on the schedule.
-	rawOne, err := Run(smallConfig(1))
+	rawOne, err := Run(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wideOne := smallConfig(1)
 	wideOne.Devices = 4
 	wideOne.ParityDevices = 1
-	stripedOne, err := Run(wideOne)
+	stripedOne, err := Run(wideOne, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +214,7 @@ func TestRunStriped(t *testing.T) {
 	}
 
 	base := smallConfig(4)
-	single, err := Run(base)
+	single, err := Run(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +222,7 @@ func TestRunStriped(t *testing.T) {
 	wide := base
 	wide.Devices = 4
 	wide.ParityDevices = 1
-	res, err := Run(wide)
+	res, err := Run(wide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +253,7 @@ func TestRunStriped(t *testing.T) {
 
 	deg := wide
 	deg.DegradedDevices = 1
-	dres, err := Run(deg)
+	dres, err := Run(deg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,13 +275,13 @@ func TestRunStriped(t *testing.T) {
 // order) is schedule-dependent.
 func TestRunWidth1MatchesRawDevice(t *testing.T) {
 	base := smallConfig(1)
-	raw, err := Run(base)
+	raw, err := Run(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1 := base
 	w1.Devices = 1
-	arr, err := Run(w1)
+	arr, err := Run(w1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

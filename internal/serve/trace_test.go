@@ -16,7 +16,7 @@ import (
 func TestTraceReconcilesWithHistograms(t *testing.T) {
 	for _, sessions := range []int{1, 4} {
 		tr := trace.New(trace.DefaultBuffer)
-		res, err := RunTraced(smallConfig(sessions), tr)
+		res, err := Run(smallConfig(sessions), tr)
 		if err != nil {
 			t.Fatalf("sessions=%d: %v", sessions, err)
 		}
@@ -86,7 +86,7 @@ func TestTraceReconcilesWithHistograms(t *testing.T) {
 // the measurement, not of tracing — a nil tracer must still produce a
 // complete, consistent PerSession slice.
 func TestUntracedRunStillDecomposes(t *testing.T) {
-	res, err := Run(smallConfig(2))
+	res, err := Run(smallConfig(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

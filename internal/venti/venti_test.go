@@ -7,19 +7,12 @@ import (
 
 	"sero/internal/core"
 	"sero/internal/device"
-	"sero/internal/medium"
 	"sero/internal/sim"
 )
 
 func testArchive(t testing.TB, blocks int) *Archive {
 	t.Helper()
-	p := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	p.Medium = mp
-	return New(core.NewStore(device.New(p)))
+	return New(core.NewStore(device.New(device.QuietParams(blocks))))
 }
 
 func TestPutGetBlock(t *testing.T) {
@@ -166,11 +159,8 @@ func TestSnapshotDetectsLeafTamper(t *testing.T) {
 		break
 	}
 	pba := a.index[victim]
-	bits := device.ForgedFrameBits(pba, []byte("forged content"))
-	base := int(pba) * device.DotsPerBlock
-	med := a.st.Device().(*device.Device).Medium()
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := a.st.Device().(*device.Device).ForgeBlock(pba, []byte("forged content")); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := a.GetBlock(victim); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("leaf tamper not detected: %v", err)
@@ -188,11 +178,8 @@ func TestVerifySnapshotDetectsAnchorTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forge the anchored root copy inside the heated line.
-	bits := device.ForgedFrameBits(li.Start+1, []byte("bogus root"))
-	base := int(li.Start+1) * device.DotsPerBlock
-	med := a.st.Device().(*device.Device).Medium()
-	for i, b := range bits {
-		med.MWB(base+i, b)
+	if err := a.st.Device().(*device.Device).ForgeBlock(li.Start+1, []byte("bogus root")); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := a.VerifySnapshot(root)
 	if err != nil {

@@ -74,6 +74,13 @@ func DefaultMix(files, ops int) Mix {
 	}
 }
 
+// SessionSeed derives session i's stream seed from a run seed, so N
+// concurrent sessions replay N independently seeded streams of one
+// Mix.
+func SessionSeed(seed uint64, i int) uint64 {
+	return seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)
+}
+
 // mixSlot tracks one population-ring entry while generating.
 type mixSlot struct {
 	gen    int // generation, bumped by rename and delete/create churn

@@ -224,3 +224,16 @@ func TestMixRespectsMaxFileBlocks(t *testing.T) {
 		t.Fatal("DefaultMix file size exceeds lfs.MaxFileBlocks")
 	}
 }
+
+// TestSessionSeedsDistinct guards the per-session RNG streams: shards
+// must not replay each other's randomness.
+func TestSessionSeedsDistinct(t *testing.T) {
+	seen := map[uint64]bool{}
+	for i := 0; i < 64; i++ {
+		s := SessionSeed(42, i)
+		if seen[s] {
+			t.Fatalf("seed collision at session %d", i)
+		}
+		seen[s] = true
+	}
+}

@@ -5,20 +5,13 @@ import (
 
 	"sero/internal/device"
 	"sero/internal/lfs"
-	"sero/internal/medium"
 	"sero/internal/sim"
 )
 
 func testFS(t testing.TB, blocks int) *lfs.FS {
 	t.Helper()
-	dp := device.DefaultParams(blocks)
-	mp := medium.DefaultParams(blocks, device.DotsPerBlock)
-	mp.ReadNoiseSigma = 0
-	mp.ResidualInPlaneSignal = 0
-	mp.ThermalCrosstalk = 0
-	dp.Medium = mp
 	p := lfs.Params{SegmentBlocks: 32, CheckpointBlocks: 32, HeatAware: true, ReserveSegments: 2}
-	fs, err := lfs.New(device.New(dp), p)
+	fs, err := lfs.New(device.New(device.QuietParams(blocks)), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,9 +252,7 @@ func (o Options) deviceParams() device.Params {
 		mp.Seed = o.Seed
 	}
 	if o.Quiet {
-		mp.ReadNoiseSigma = 0
-		mp.ResidualInPlaneSignal = 0
-		mp.ThermalCrosstalk = 0
+		mp = mp.Quiet()
 	}
 	p.Medium = mp
 	return p
