@@ -78,16 +78,21 @@ trace-smoke:
 	$(GO) run ./tools/tracecheck /tmp/sero-trace-smoke.json
 
 # The byte-for-byte oracle a refactor must keep: the paper's figures
-# and experiments (serosim -seed 1), a one-session trace and a
-# one-session serving run, each hashed and checked against
-# testdata/oracle.sha256 (recorded on linux/amd64). A change that moves
-# them on purpose re-records the digests from the same three outputs.
+# and experiments (serosim -seed 1), a one-session trace, a small
+# one-session serving run and one full-size (100,000-file) one-session
+# serving run on a one-member array — the trajectory's own scale, so a
+# namespace-sized cost or drift cannot hide behind the small inputs —
+# each hashed and checked against testdata/oracle.sha256 (recorded on
+# linux/amd64). A change that moves them on purpose re-records the
+# digests from the same four outputs. ORACLE_DIR holds the outputs.
+ORACLE_DIR ?= /tmp/sero-oracle
 oracle:
-	rm -rf /tmp/sero-oracle && mkdir -p /tmp/sero-oracle
-	$(GO) run ./cmd/serosim -seed 1 > /tmp/sero-oracle/serosim.txt
-	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 1 -out /tmp/sero-oracle/trace.json > /dev/null
-	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1 -out /tmp/sero-oracle/bench-serve.json > /dev/null
-	cd /tmp/sero-oracle && sha256sum -c $(CURDIR)/testdata/oracle.sha256
+	rm -rf $(ORACLE_DIR) && mkdir -p $(ORACLE_DIR)
+	$(GO) run ./cmd/serosim -seed 1 > $(ORACLE_DIR)/serosim.txt
+	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 1 -out $(ORACLE_DIR)/trace.json > /dev/null
+	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1 -out $(ORACLE_DIR)/bench-serve.json > /dev/null
+	$(GO) run ./cmd/serocli bench-serve -sessions 1 -devices 1 -out $(ORACLE_DIR)/bench-serve-100k.json > /dev/null
+	cd $(ORACLE_DIR) && sha256sum -c $(CURDIR)/testdata/oracle.sha256
 
 # The concurrent attack campaign suite under the race detector: the §5
 # tampering matrix raced against live workload sessions, the

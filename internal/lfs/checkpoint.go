@@ -1,12 +1,12 @@
 package lfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 
 	"sero/internal/device"
 )
@@ -23,8 +23,8 @@ import (
 // without re-reading a single inode. The table is framed and
 // checksummed independently of the core payload, so a damaged table
 // degrades the mount to the full inode walk instead of invalidating
-// the whole slot; a table too large for the slot is simply omitted
-// (length 0), with the same fallback.
+// the whole slot; a table too large for the slot is omitted (length
+// 0), with the same fallback, and counted (Stats.CheckpointTableOmitted).
 //
 // A checkpoint is a replay shortcut, not the unit of durability:
 // Sync normally appends a summary record and leaves the checkpoint
@@ -68,13 +68,12 @@ type liveRef struct {
 	idx int32
 }
 
-// encodeTableLocked serializes the per-segment liveness table from the
-// segments' owner slots: for every segment, in id order, its live
-// blocks in offset order with their owners.
+// appendTableLocked appends the serialized per-segment liveness
+// table to buf: for every segment, in id order, its live blocks in
+// offset order with their owners, from the segments' owner slots.
 // Deterministic by construction — identical histories produce
 // identical tables. Caller holds fs.mu exclusively.
-func (fs *FS) encodeTableLocked() []byte {
-	var buf []byte
+func (fs *FS) appendTableLocked(buf []byte) []byte {
 	buf = append(buf, tableMagic...)
 	groups := 0
 	groupCountAt := len(buf)
@@ -182,7 +181,135 @@ func (fs *FS) parseTable(buf []byte, imap map[Ino]uint64) ([]liveRef, string) {
 	return refs, ""
 }
 
-// writeCheckpointLocked serializes imap+directory (and the liveness
+// keyOrder keeps a map's keys in ascending order across checkpoints
+// without re-sorting the whole namespace each time: sorted is the
+// order the last merge produced, added the keys inserted into the map
+// since (unsorted; duplicates and keys removed again are allowed).
+// Every key of the map is in sorted or added. A mount starts with
+// every key in added, so its first checkpoint sorts once in full.
+type keyOrder[K cmp.Ordered, V any] struct {
+	sorted []K
+	added  []K
+	spare  []K // the previous order's backing array, reused by merge
+}
+
+// add records a key newly inserted into the map.
+func (o *keyOrder[K, V]) add(k K) { o.added = append(o.added, k) }
+
+// reset forgets the order and re-seeds it with every key of m — the
+// mount-time full rebuild.
+func (o *keyOrder[K, V]) reset(m map[K]V) {
+	o.sorted = o.sorted[:0]
+	o.added = o.added[:0]
+	for k := range m {
+		o.added = append(o.added, k)
+	}
+}
+
+// merge sorts the added keys and merges them into the order, dropping
+// duplicates and keys no longer in m, calling emit for every key that
+// survives with its value, in ascending order. The merged order
+// replaces sorted. Cost: O(len(m) + a·log a) for a keys added since
+// the last merge.
+func (o *keyOrder[K, V]) merge(m map[K]V, emit func(K, V)) {
+	slices.Sort(o.added)
+	out := o.spare[:0]
+	old, add := o.sorted, o.added
+	for len(old) > 0 || len(add) > 0 {
+		var k K
+		if len(add) == 0 || (len(old) > 0 && old[0] <= add[0]) {
+			k, old = old[0], old[1:]
+		} else {
+			k, add = add[0], add[1:]
+		}
+		if n := len(out); n > 0 && out[n-1] == k {
+			continue
+		}
+		if v, ok := m[k]; ok {
+			out = append(out, k)
+			emit(k, v)
+		}
+	}
+	o.spare = o.sorted
+	o.sorted = out
+	o.added = o.added[:0]
+}
+
+// encodeSlotLocked serializes the checkpoint slot image for epoch and
+// anchor jstart into fs.ckptBuf, which is reused across checkpoints:
+// the core payload (journal anchor, imap, directory) framed by its
+// length and checksum, then the liveness table under its own
+// length+checksum framing (length 0 when disabled or when it does not
+// fit the slot), zero-padded to whole blocks. Both frames are patched
+// in place, so the image is built in one pass with no copies. The
+// imap and directory are emitted in ascending key order, merged from
+// the previous checkpoint's order (keyOrder), so a checkpoint sorts
+// only the keys inserted since the last one. tableOmitted reports that
+// tables are enabled but this one was left out. Caller holds fs.mu
+// exclusively; the image is valid until the next call.
+func (fs *FS) encodeSlotLocked(epoch, jstart uint64) (img []byte, tableOmitted bool, err error) {
+	buf := append(fs.ckptBuf[:0], make([]byte, 8)...) // core length, patched below
+	buf = append(buf, ckptMagic...)
+	buf = binary.BigEndian.AppendUint64(buf, epoch)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(fs.now()))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(fs.next))
+	buf = binary.BigEndian.AppendUint64(buf, jstart)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(fs.imap)))
+	fs.inoOrder.merge(fs.imap, func(ino Ino, pba uint64) {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(ino))
+		buf = binary.BigEndian.AppendUint64(buf, pba)
+	})
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(fs.dir)))
+	fs.nameOrder.merge(fs.dir, func(n string, ino Ino) {
+		if len(n) > 255 && err == nil {
+			err = fmt.Errorf("lfs: name %q too long", n)
+		}
+		buf = append(buf, byte(len(n)))
+		buf = append(buf, n...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(ino))
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	binary.BigEndian.PutUint64(buf, uint64(len(buf)-8))
+	buf = binary.BigEndian.AppendUint64(buf, ckptSum(buf[8:]))
+
+	// The liveness table follows under its own framing, so a damaged
+	// or oversized table costs only the table, never the checkpoint.
+	// Its offset and count fields are uint16: segments beyond 64Ki
+	// blocks cannot be represented, so the table is omitted (the mount
+	// then walks) rather than emitted to be rejected forever.
+	slotBytes := fs.slotBlocks() * device.DataBytes
+	tlenAt := len(buf)
+	buf = append(buf, make([]byte, 8)...) // table length, patched below
+	tableOmitted = !fs.p.NoLivenessTable
+	if !fs.p.NoLivenessTable && fs.p.SegmentBlocks <= 0xFFFF {
+		buf = fs.appendTableLocked(buf)
+		tlen := len(buf) - (tlenAt + 8)
+		if len(buf)+8 <= slotBytes {
+			binary.BigEndian.PutUint64(buf[tlenAt:], uint64(tlen))
+			buf = binary.BigEndian.AppendUint64(buf, ckptSum(buf[tlenAt+8:]))
+			tableOmitted = false
+		} else {
+			buf = buf[:tlenAt+8]
+		}
+	}
+	// Without a table the length stays an explicit zero, so a reader
+	// never misparses stale residue from an earlier, larger checkpoint
+	// in the same slot.
+	n := len(buf)
+	needBlocks := (n + device.DataBytes - 1) / device.DataBytes
+	if needBlocks > fs.slotBlocks() {
+		return nil, false, fmt.Errorf("lfs: checkpoint of %d blocks exceeds slot of %d (region %d)",
+			needBlocks, fs.slotBlocks(), fs.p.CheckpointBlocks)
+	}
+	buf = slices.Grow(buf, needBlocks*device.DataBytes-n)[:needBlocks*device.DataBytes]
+	clear(buf[n:])
+	fs.ckptBuf = buf
+	return buf, tableOmitted, nil
+}
+
+// writeCheckpointLocked writes imap+directory (and the liveness
 // table, when it fits the slot) into the next checkpoint slot and
 // re-anchors the summary chain at the affinity-0 write frontier, where
 // the slot's jstart names the promise block the first record of the
@@ -215,74 +342,21 @@ func (fs *FS) writeCheckpointLocked() error {
 	// the log base is never 0, so replay reads it as "no chain" and
 	// every following Sync falls back to a full checkpoint.
 
-	var buf []byte
-	buf = append(buf, ckptMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, epoch)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(fs.now()))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(fs.next))
-	buf = binary.BigEndian.AppendUint64(buf, jstart)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(fs.imap)))
-	inos := make([]Ino, 0, len(fs.imap))
-	for ino := range fs.imap {
-		inos = append(inos, ino)
+	img, tableOmitted, err := fs.encodeSlotLocked(epoch, jstart)
+	if err != nil {
+		return err
 	}
-	slices.Sort(inos)
-	for _, ino := range inos {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ino))
-		buf = binary.BigEndian.AppendUint64(buf, fs.imap[ino])
+	if tableOmitted {
+		fs.stats.CheckpointTableOmitted++
 	}
-	names := make([]string, 0, len(fs.dir))
-	for n := range fs.dir {
-		names = append(names, n)
+	// The device copies each payload into its frame during the call,
+	// so the blocks may alias the reused image buffer.
+	blocks := fs.ckptBlocks[:0]
+	for off := 0; off < len(img); off += device.DataBytes {
+		blocks = append(blocks, img[off:off+device.DataBytes:off+device.DataBytes])
 	}
-	sort.Strings(names)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
-	for _, n := range names {
-		if len(n) > 255 {
-			return fmt.Errorf("lfs: name %q too long", n)
-		}
-		buf = append(buf, byte(len(n)))
-		buf = append(buf, n...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(fs.dir[n]))
-	}
-
-	// Frame with total length and checksum, then append the liveness
-	// table under its own length+checksum framing — a damaged or
-	// oversized table must cost only the table, never the checkpoint.
-	framed := binary.BigEndian.AppendUint64(nil, uint64(len(buf)))
-	framed = append(framed, buf...)
-	framed = binary.BigEndian.AppendUint64(framed, ckptSum(buf))
-	slot := fs.slotBlocks()
-	slotBytes := slot * device.DataBytes
-	table := []byte(nil)
-	// The table's offset and count fields are uint16, so segments
-	// beyond 64Ki blocks cannot be represented: omit the table (the
-	// mount then walks) rather than emit one that rejects forever.
-	if !fs.p.NoLivenessTable && fs.p.SegmentBlocks <= 0xFFFF {
-		table = fs.encodeTableLocked()
-	}
-	if len(table) > 0 && len(framed)+8+len(table)+8 <= slotBytes {
-		framed = binary.BigEndian.AppendUint64(framed, uint64(len(table)))
-		framed = append(framed, table...)
-		framed = binary.BigEndian.AppendUint64(framed, ckptSum(table))
-	} else {
-		// No table (disabled, or it does not fit the slot): an explicit
-		// zero length, so a reader never misparses stale residue from an
-		// earlier, larger checkpoint in the same slot.
-		framed = binary.BigEndian.AppendUint64(framed, 0)
-	}
-	needBlocks := (len(framed) + device.DataBytes - 1) / device.DataBytes
-	if needBlocks > slot {
-		return fmt.Errorf("lfs: checkpoint of %d blocks exceeds slot of %d (region %d)",
-			needBlocks, slot, fs.p.CheckpointBlocks)
-	}
-	// Zero-pad the image to whole blocks and write it in place.
-	framed = append(framed, make([]byte, needBlocks*device.DataBytes-len(framed))...)
-	blocks := make([][]byte, needBlocks)
-	for i := range blocks {
-		blocks[i] = framed[i*device.DataBytes : (i+1)*device.DataBytes : (i+1)*device.DataBytes]
-	}
-	base := uint64((epoch - 1) % 2 * uint64(slot))
+	fs.ckptBlocks = blocks
+	base := uint64((epoch - 1) % 2 * uint64(fs.slotBlocks()))
 	if err := fs.dev.WriteBlocksTraced(fs.curTask, base, blocks); err != nil {
 		// Nothing was reserved and the chain state is untouched: the
 		// previous checkpoint and its chain remain authoritative.
@@ -306,7 +380,7 @@ func (fs *FS) writeCheckpointLocked() error {
 	fs.appended = 0
 	fs.clearDeltasLocked()
 	fs.stats.Checkpoints++
-	fs.emitSpan(tr, "checkpoint", t0, int64(needBlocks), int64(epoch))
+	fs.emitSpan(tr, "checkpoint", t0, int64(len(blocks)), int64(epoch))
 	return nil
 }
 

@@ -178,42 +178,50 @@ func TestStatUnknownIno(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint writes one checkpoint per op of a 1,024-file
-// namespace, each file two data blocks and its inode: ~3,000 live
-// blocks, so every checkpoint serializes a liveness table of ~3,000
-// entries beside the imap and directory.
+// BenchmarkCheckpoint writes one checkpoint per op of a namespace in
+// which every file has two data blocks and its inode, so every
+// checkpoint serializes a liveness table of ~3 entries per file beside
+// the imap and directory: 1,024 files in a 512-block checkpoint
+// region, and 100,000 files in the serving trajectory's 32,768-block
+// region.
 func BenchmarkCheckpoint(b *testing.B) {
-	const files = 1024
-	fs := testFS(b, 16384, Params{
-		SegmentBlocks:    256,
-		CheckpointBlocks: 512,
-		WritebackBlocks:  64,
-		CheckpointEvery:  1 << 20,
-		HeatAware:        true,
-		ReserveSegments:  2,
-	})
-	for i := range files {
-		ino, err := fs.Create(fmt.Sprintf("f%04d", i), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fs.WriteFile(ino, payload(byte(i), 2*device.DataBytes)); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ files, blocks, ckpt int }{
+		{1024, 16384, 512},
+		{100000, 524288, 32768},
+	} {
+		b.Run(fmt.Sprint("files=", c.files), func(b *testing.B) {
+			fs := testFS(b, c.blocks, Params{
+				SegmentBlocks:    256,
+				CheckpointBlocks: c.ckpt,
+				WritebackBlocks:  64,
+				CheckpointEvery:  1 << 30,
+				HeatAware:        true,
+				ReserveSegments:  2,
+			})
+			for i := range c.files {
+				ino, err := fs.Create(fmt.Sprintf("f%04d", i), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := fs.WriteFile(ino, payload(byte(i), 2*device.DataBytes)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := fs.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			live := 0
+			for _, s := range fs.Segments() {
+				live += s.LiveBlocks
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fs.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(live), "live-blocks")
+		})
 	}
-	if err := fs.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	live := 0
-	for _, s := range fs.Segments() {
-		live += s.LiveBlocks
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fs.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(live), "live-blocks")
 }

@@ -3,6 +3,7 @@ package lfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -171,6 +172,23 @@ type FS struct {
 	dir   map[string]Ino
 	names map[Ino]string
 	next  Ino
+	// fresh holds the inos that are named but have no inode on the log
+	// yet (in names, not in imap). Create adds, Delete removes, the
+	// first inode write (writeInode, HeatFile's adoption) removes, and
+	// a mount rebuilds it once — so a Sync sizes and writes out the
+	// never-written files without walking the namespace.
+	fresh map[Ino]struct{}
+
+	// inoOrder and nameOrder keep the imap keys and directory names in
+	// ascending order across checkpoints: writeInode and HeatFile add
+	// new imap keys, Create and Rename new names, and the checkpoint
+	// merges the sorted additions into the previous order instead of
+	// sorting the whole namespace (checkpoint.go). ckptBuf and
+	// ckptBlocks are the reused slot image and its block views.
+	inoOrder   keyOrder[Ino, uint64]
+	nameOrder  keyOrder[string, Ino]
+	ckptBuf    []byte
+	ckptBlocks [][]byte
 
 	// active data segments per affinity class.
 	active map[uint8]*segment
@@ -310,6 +328,11 @@ type Stats struct {
 	Syncs uint64
 	// Checkpoints counts full checkpoint-region writes.
 	Checkpoints uint64
+	// CheckpointTableOmitted counts checkpoints written without their
+	// liveness table although tables are enabled: the table did not fit
+	// the slot (or segments exceed the table's 64Ki-block offsets). A
+	// mount of such a slot falls back to the full inode walk.
+	CheckpointTableOmitted uint64
 	// JournalRecords counts summary-tail records written by Sync.
 	JournalRecords uint64
 	// JournalBlocks counts log blocks consumed by the journal (incl. jumps).
@@ -418,6 +441,7 @@ func New(dev device.Dev, p Params) (*FS, error) {
 		inodes:     make(map[Ino]*Inode),
 		dir:        make(map[string]Ino),
 		names:      make(map[Ino]string),
+		fresh:      make(map[Ino]struct{}),
 		next:       RootIno + 1,
 		active:     make(map[uint8]*segment),
 		heatSeg:    make(map[uint8]*segment),
@@ -576,6 +600,8 @@ func (fs *FS) CreateTraced(task *trace.Task, name string, affinity uint8) (Ino, 
 	fs.cacheInode(&Inode{Ino: ino, Affinity: affinity, MTime: fs.now()})
 	fs.dir[name] = ino
 	fs.names[ino] = name
+	fs.fresh[ino] = struct{}{}
+	fs.nameOrder.add(name)
 	fs.jDirOps = append(fs.jDirOps, dirOp{op: dirOpCreate, ino: ino, affinity: affinity, name: name})
 	return ino, nil
 }
@@ -608,6 +634,7 @@ func (fs *FS) RenameTraced(task *trace.Task, oldName, newName string) error {
 	delete(fs.dir, oldName)
 	fs.dir[newName] = ino
 	fs.names[ino] = newName
+	fs.nameOrder.add(newName)
 	fs.jDirOps = append(fs.jDirOps, dirOp{op: dirOpRename, ino: ino, name: oldName, newName: newName})
 	return nil
 }
@@ -899,6 +926,7 @@ func (fs *FS) DeleteTraced(task *trace.Task, name string) error {
 	delete(fs.pendSize, ino)
 	delete(fs.dir, name)
 	delete(fs.names, ino)
+	delete(fs.fresh, ino)
 	fs.jDirOps = append(fs.jDirOps, dirOp{op: dirOpRemove, ino: ino, name: name})
 	fs.jImap[ino] = true
 	return nil
@@ -1144,14 +1172,9 @@ func (fs *FS) ensureSyncSpaceLocked() error {
 // syncSpaceNeedLocked estimates the free segments a full flush of the
 // current dirty state needs, reserve included.
 func (fs *FS) syncSpaceNeedLocked() int {
-	blocks := 0
+	blocks := len(fs.fresh) // a first inode for each never-written file
 	for _, m := range fs.dirty {
 		blocks += len(m) + 1 // data blocks plus the inode rewrite
-	}
-	for ino := range fs.names {
-		if _, ok := fs.imap[ino]; !ok {
-			blocks++ // fresh inode for a never-written file
-		}
 	}
 	return blocks/fs.p.SegmentBlocks + 1 + fs.p.ReserveSegments
 }
@@ -1201,6 +1224,10 @@ func (fs *FS) flushDirtyLocked() error {
 			return err
 		}
 	}
+	// A Go map never shrinks, and ranging over it costs its peak size:
+	// start over with an empty one, so one bulk write (a population
+	// phase) does not make every later Sync pay for it.
+	fs.dirty = make(map[Ino]map[int][]byte)
 	return nil
 }
 
@@ -1212,18 +1239,15 @@ func (fs *FS) checkpointDueLocked() bool {
 	return fs.ckptEpoch == 0 || fs.jpromise == 0 || fs.appended >= uint64(fs.p.CheckpointEvery)
 }
 
-// writeFreshInodesLocked writes inodes for files that have none on the
-// log yet; without one, durable metadata would record their directory
-// entry but no imap entry, leaving them half-existent after a mount.
+// writeFreshInodesLocked writes inodes, in ino order, for files that
+// have none on the log yet (fs.fresh); without one, durable metadata
+// would record their directory entry but no imap entry, leaving them
+// half-existent after a mount.
 func (fs *FS) writeFreshInodesLocked() error {
-	fresh := make([]Ino, 0)
-	for ino := range fs.names {
-		if _, ok := fs.imap[ino]; !ok {
-			fresh = append(fresh, ino)
-		}
+	if len(fs.fresh) == 0 {
+		return nil
 	}
-	slices.Sort(fresh)
-	for _, ino := range fresh {
+	for _, ino := range slices.Sorted(maps.Keys(fs.fresh)) {
 		in, err := fs.inodeTask(fs.curTask, ino)
 		if err != nil {
 			return err
@@ -1308,6 +1332,9 @@ func (fs *FS) writeInode(in *Inode) error {
 	}
 	if old, ok := fs.imap[in.Ino]; ok {
 		fs.sm.markDead(old)
+	} else {
+		fs.inoOrder.add(in.Ino)
+		delete(fs.fresh, in.Ino)
 	}
 	fs.imap[in.Ino] = pba
 	fs.sm.setOwner(pba, blockRef{ino: in.Ino, idx: -1}, fs.now())

@@ -135,6 +135,10 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	}
 	if old, ok := fs.imap[ino]; ok {
 		fs.sm.markDead(old)
+	} else {
+		// Never written: the frozen inode is its first on the log.
+		fs.inoOrder.add(ino)
+		delete(fs.fresh, ino)
 	}
 
 	// Adopt the frozen inode. Heated-line blocks are tracked by the

@@ -272,6 +272,16 @@ func (fs *FS) loadAndReplay() error {
 	}
 	fs.jtrace = fs.replayChain(ck)
 	fs.appended = uint64(fs.jtrace.appended + fs.jtrace.blocks)
+	// Rebuild the maintained metadata indexes once from the replayed
+	// maps: the never-written files, and a checkpoint key order that
+	// makes the next checkpoint sort the namespace in full.
+	for ino := range fs.names {
+		if _, ok := fs.imap[ino]; !ok {
+			fs.fresh[ino] = struct{}{}
+		}
+	}
+	fs.inoOrder.reset(fs.imap)
+	fs.nameOrder.reset(fs.dir)
 	fs.emitSpan(tr, "mount-replay", t0, int64(fs.jtrace.records), int64(fs.jtrace.blocks))
 	return nil
 }

@@ -2,6 +2,7 @@ package sero
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -377,5 +378,31 @@ func TestTraceFacade(t *testing.T) {
 	// A second StopTrace without StartTrace is a clean no-op.
 	if s2, d2 := d.StopTrace(); s2 != nil || d2 != 0 {
 		t.Fatalf("repeated StopTrace: %d spans, %d dropped", len(s2), d2)
+	}
+}
+
+// TestMetricsCountsOmittedTable: a checkpoint whose liveness table
+// does not fit the slot is written without it, and the registry counts
+// that instead of dropping the table silently.
+func TestMetricsCountsOmittedTable(t *testing.T) {
+	d := Open(Options{Blocks: 2048, Quiet: true})
+	fs, err := NewFS(d, FSOptions{SegmentBlocks: 16, HeatAware: true}) // 8-block slots
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 32 {
+		ino, err := fs.Create(fmt.Sprintf("f%03d", i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(ino, make([]byte, 8*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if m := Metrics(d, fs); m.FS.CheckpointTableOmitted == 0 || m.FS.CheckpointTableOmitted > m.FS.Checkpoints {
+		t.Fatalf("CheckpointTableOmitted %d of %d checkpoints", m.FS.CheckpointTableOmitted, m.FS.Checkpoints)
 	}
 }
