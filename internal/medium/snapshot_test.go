@@ -89,3 +89,34 @@ func TestRestoreSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("wrong version restored")
 	}
 }
+
+// TestSnapshotKeepsHeatedAtThreshold pins heated-ness across a snapshot
+// round trip for a dot whose damage sits just above the threshold: a
+// 595 °C pulse train (no neighbour heating) crosses it at 0.62510 after
+// 134 pulses, which plain rounding to 1/255 stores as 159/255 = 0.6235,
+// below the threshold. Sealed evidence must survive a save and reload.
+func TestSnapshotKeepsHeatedAtThreshold(t *testing.T) {
+	p := DefaultParams(1, 8)
+	p.PulseTempC = 595
+	p.NeighborTempFactor = 0
+	m := New(p)
+	pulses := 0
+	for m.State(0) != DotH {
+		m.EWB(0)
+		if pulses++; pulses > 1000 {
+			t.Fatal("595 °C pulses never destroyed the dot")
+		}
+	}
+	d := m.Damage(0)
+	t.Logf("heated after %d pulses at damage %.5f", pulses, d)
+	if d*255 >= 159.5 {
+		t.Fatalf("damage %.5f rounds above the threshold; the case no longer exercises the bug", d)
+	}
+	got, err := RestoreSnapshot(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := got.State(0); s != DotH {
+		t.Fatalf("heated dot restored as %v (damage %.5f)", s, got.Damage(0))
+	}
+}
