@@ -16,9 +16,18 @@
 // Representation. A healthy dot is one bit: magnetisation is packed
 // into 64-bit words, each row padded to whole words. Heat damage, the
 // in-plane orientation of a heated dot and injected defects live in a
-// sparse per-row overlay, allocated the first time a row needs one and
-// dropped when ReplaceRegion leaves it empty. MRBImage and MWBImage
+// sparse per-row overlay, allocated the first time a row needs one,
+// covering only the prefix of the row up to its last such dot (grown a
+// quarter row at a time), and dropped when ReplaceRegion leaves it
+// empty. Each row also counts its dots that do not read at full
+// amplitude (heated or stuck), so asking whether a row piece reads at
+// full amplitude costs O(1) on a row with none. MRBImage and MWBImage
 // move an MSB-first block image word by word.
+//
+// Heat. A medium pulses at two temperatures only, PulseTempC at the
+// target and NeighborTempFactor of it at the four neighbours; New
+// reduces each to a physics.Pulse, so one pulse is a multiply-add with
+// the floats of physics.PulseDamage.
 //
 // Noise. Every magnetic read of a dot draws one Gaussian from the
 // medium's single deterministic stream. A full-amplitude dot (neither
@@ -28,13 +37,17 @@
 // past a range of such dots with sim.RNG.SkipNormFloat64 and copies the
 // stored words, and ERBRange settles each such dot's erb attempts the
 // same way; heated and stuck dots, and every dot of a noisier medium,
-// go through the per-dot body. Either way the decoded bits, the stored
-// state and the stream's position match per-dot MRB/MWB calls draw for
-// draw. A ranged read holds the stream's lock for its whole range, so
-// concurrent readers of disjoint rows interleave their draws one range
-// at a time, not one dot at a time.
+// go through the per-dot body, except that on a noiseless medium a
+// heated dot's erb verdict is known without running the protocol.
+// Either way the decoded bits, the stored state and the stream's
+// position match per-dot MRB/MWB calls draw for draw. A ranged read
+// holds the stream's lock for its whole range, so concurrent readers
+// of disjoint rows interleave their draws one range at a time, not one
+// dot at a time.
 //
-// Snapshots keep format v3 (two bytes per dot), byte for byte.
+// Snapshots keep format v3 (two bytes per dot). A dot's damage byte is
+// the nearest 1/255 step on the same side of the heated threshold, so
+// a save and reload keeps every dot heated or not as it was.
 package medium
 
 import (
@@ -198,9 +211,18 @@ type Medium struct {
 	// bits holds the magnetisation (1 = up) of dot (row, col) at bit
 	// 63-col%64 of bits[row*wordsPerRow+col/64].
 	bits []uint64
-	// overlay[row] holds Cols records for a row with any damaged or
-	// defective dot, and is nil for a healthy row.
+	// overlay[row] holds the records of a prefix of a row with any
+	// damaged or defective dot, and is nil for a healthy row. A dot past
+	// the end of its row's overlay is healthy.
 	overlay [][]overlayDot
+	// irregular[row] counts the row's overlay records that do not read
+	// at full amplitude: heated or stuck. pulse, SetStuck, ReplaceRegion
+	// and RestoreSnapshot keep it; partial damage is not counted.
+	irregular []uint32
+	// heat and spill are the pulse at PulseTempC a heated dot receives
+	// and the attenuated one each of its neighbours receives. They are
+	// fixed by New: rows on other goroutines share them.
+	heat, spill physics.Pulse
 	// skipNoise reports that no read noise draw can flip a healthy
 	// dot's decoded bit: ReadNoiseSigma·sim.NormBound < SignalAmplitude.
 	skipNoise bool
@@ -227,6 +249,9 @@ func New(p Params) *Medium {
 		wordsPerRow: wpr,
 		bits:        make([]uint64, p.Rows*wpr),
 		overlay:     make([][]overlayDot, p.Rows),
+		irregular:   make([]uint32, p.Rows),
+		heat:        physics.NewPulse(p.PulseTempC, p.PulseSeconds),
+		spill:       physics.NewPulse(p.PulseTempC*p.NeighborTempFactor, p.PulseSeconds),
 		skipNoise:   p.ReadNoiseSigma*sim.NormBound < p.SignalAmplitude,
 		rng:         sim.NewRNG(p.Seed),
 	}
@@ -287,22 +312,28 @@ func (m *Medium) setUp(row, col int, up bool) {
 	}
 }
 
-// extra returns dot (row, col)'s overlay record, or nil for a dot in a
-// healthy row.
+// extra returns dot (row, col)'s overlay record, or nil for a healthy
+// dot past the end of its row's overlay.
 func (m *Medium) extra(row, col int) *overlayDot {
-	if ov := m.overlay[row]; ov != nil {
+	if ov := m.overlay[row]; col < len(ov) {
 		return &ov[col]
 	}
 	return nil
 }
 
-// extraFor returns dot (row, col)'s overlay record, creating the row's
-// overlay on first use.
+// extraFor returns dot (row, col)'s overlay record, creating or growing
+// the row's overlay to cover it. The overlay grows to the next whole
+// quarter row, so a row grows at most four times; a sealed record's
+// rows, damaged over the first half of the row, hold half a row.
 func (m *Medium) extraFor(row, col int) *overlayDot {
-	if m.overlay[row] == nil {
-		m.overlay[row] = make([]overlayDot, m.p.Cols)
+	ov := m.overlay[row]
+	if col >= len(ov) {
+		q := (m.p.Cols + 3) / 4
+		grown := make([]overlayDot, min(m.p.Cols, (col/q+1)*q))
+		copy(grown, ov)
+		m.overlay[row], ov = grown, grown
 	}
-	return &m.overlay[row][col]
+	return &ov[col]
 }
 
 // heatedAt reports whether dot (row, col)'s multilayer is destroyed.
@@ -418,25 +449,32 @@ func (m *Medium) segments(base, n int, f func(row, col, k, cnt int)) {
 }
 
 // fullAmplitude reports whether every dot col..col+cnt-1 of row reads
-// at a healthy dot's level (see overlayDot.fullAmplitude).
+// at a healthy dot's level (see overlayDot.fullAmplitude). A row with
+// no heated or stuck dot answers without looking at its overlay.
 func (m *Medium) fullAmplitude(row, col, cnt int) bool {
-	if ov := m.overlay[row]; ov != nil {
-		for j := col; j < col+cnt; j++ {
-			if !ov[j].fullAmplitude() {
-				return false
-			}
+	if m.irregular[row] == 0 {
+		return true
+	}
+	ov := m.overlay[row]
+	for j := col; j < min(col+cnt, len(ov)); j++ {
+		if !ov[j].fullAmplitude() {
+			return false
 		}
 	}
 	return true
 }
 
 // anyHeated reports whether any dot col..col+cnt-1 of row is heated.
+// Heated dots are counted in irregular, so a row counting none has
+// none.
 func (m *Medium) anyHeated(row, col, cnt int) bool {
-	if ov := m.overlay[row]; ov != nil {
-		for j := col; j < col+cnt; j++ {
-			if ov[j].heated() {
-				return true
-			}
+	if m.irregular[row] == 0 {
+		return false
+	}
+	ov := m.overlay[row]
+	for j := col; j < min(col+cnt, len(ov)); j++ {
+		if ov[j].heated() {
+			return true
 		}
 	}
 	return false
@@ -528,7 +566,7 @@ func (m *Medium) MWBImage(base int, src []byte) {
 // write-ability of the adjacent dot could be affected").
 func (m *Medium) EWB(i int) {
 	row, col := m.loc(i)
-	m.pulse(row, col, m.p.PulseTempC)
+	m.pulse(row, col, m.heat)
 
 	for _, delta := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 		nr, nc := row+delta[0], col+delta[1]
@@ -536,7 +574,7 @@ func (m *Medium) EWB(i int) {
 			continue
 		}
 		if m.p.NeighborTempFactor > 0 {
-			m.pulse(nr, nc, m.p.PulseTempC*m.p.NeighborTempFactor)
+			m.pulse(nr, nc, m.spill)
 		}
 		if m.p.ThermalCrosstalk > 0 && m.randFloat() < m.p.ThermalCrosstalk {
 			if !m.heatedAt(nr, nc) {
@@ -560,25 +598,32 @@ func (m *Medium) randBool() bool {
 	return m.rng.Bool()
 }
 
-// pulse applies one heat pulse at tempC to dot (row, col), accumulating
-// interface-mixing damage. Crossing the destruction threshold fixes
-// the in-plane orientation the magnetisation falls into. A pulse that
+// pulse applies heat pulse p to dot (row, col), accumulating
+// interface-mixing damage. Crossing the destruction threshold counts
+// the dot as irregular (unless a defect already did) and fixes the
+// in-plane orientation the magnetisation falls into. A pulse that
 // leaves the stored damage unchanged creates no overlay.
-func (m *Medium) pulse(row, col int, tempC float64) {
+func (m *Medium) pulse(row, col int, p physics.Pulse) {
 	var cur float32
-	if e := m.extra(row, col); e != nil {
+	e := m.extra(row, col)
+	if e != nil {
 		if e.heated() {
 			return
 		}
 		cur = e.damage
 	}
-	next := physics.PulseDamage(tempC, m.p.PulseSeconds, float64(cur))
+	next := p.Damage(float64(cur))
 	if next <= float64(cur) || float32(next) == cur {
 		return
 	}
-	e := m.extraFor(row, col)
+	if e == nil {
+		e = m.extraFor(row, col)
+	}
 	e.damage = float32(next)
 	if e.heated() {
+		if e.stuck == StuckNone {
+			m.irregular[row]++
+		}
 		if m.randBool() {
 			e.inPlaneSign = 1
 		} else {
@@ -624,8 +669,12 @@ func (m *Medium) ERB(i int) (heated bool) {
 // stuck record) passes every attempt whatever the draws and its two
 // writes cancel, so it settles without touching the medium: not heated,
 // its 3·retries draws skipped together with those of the full-amplitude
-// dots next to it. Heated and stuck dots, and every dot of a noisier
-// medium, run the protocol itself.
+// dots next to it. A row piece with no heated or stuck dot settles
+// whole. Without read noise a heated dot's level is constant and writes
+// to it are no-ops, so its first attempt reads the original back as the
+// inverse and fails with no draw and no change: it is heated without
+// running the protocol. Stuck dots that are not heated, and every dot
+// of a noisier medium, run the protocol itself.
 func (m *Medium) ERBRange(base, retries int, dst []bool) {
 	sigma := m.p.ReadNoiseSigma
 	if sigma > 0 {
@@ -642,20 +691,23 @@ func (m *Medium) ERBRange(base, retries int, dst []bool) {
 		settled = 0
 	}
 	m.segments(base, len(dst), func(row, col, k, cnt int) {
-		ov := m.overlay[row]
-		if m.skipNoise && ov == nil {
+		if m.skipNoise && m.irregular[row] == 0 {
 			clear(dst[k : k+cnt])
 			settled += cnt
 			return
 		}
 		for j := 0; j < cnt; j++ {
-			if m.skipNoise && ov[col+j].fullAmplitude() {
+			e := m.extra(row, col+j)
+			switch {
+			case m.skipNoise && (e == nil || e.fullAmplitude()):
 				dst[k+j] = false
 				settled++
-				continue
+			case sigma == 0 && e != nil && e.heated():
+				dst[k+j] = true
+			default:
+				skip()
+				dst[k+j] = m.erb(row, col+j, retries)
 			}
-			skip()
-			dst[k+j] = m.erb(row, col+j, retries)
 		}
 	})
 	skip()

@@ -36,6 +36,12 @@ func FuzzERBRange(f *testing.F) {
 	f.Add(uint64(4), uint8(4), uint8(100), uint16(90), uint16(300), uint8(3), []byte{0, 40, 0, 41, 0, 42, 4, 50})
 	f.Add(uint64(5), uint8(1), uint8(0), uint16(5), uint16(31), uint8(0), []byte{1, 10, 2, 11, 3, 12, 0, 13})
 	f.Add(uint64(6), uint8(3), uint8(200), uint16(250), uint16(900), uint8(1), []byte{0, 100, 3, 101, 0, 140, 0, 200})
+	// Clearing a defect (0x81), replacing part of a row (0x8e) or rows
+	// (0xa0) and a snapshot round trip (0x83): noiseless, noisy, and
+	// noiseless with weak pulses.
+	f.Add(uint64(7), uint8(0), uint8(56), uint16(0), uint16(256), uint8(7), []byte{0, 10, 1, 12, 0x81, 12, 3, 14, 0x8e, 8, 0, 40, 0x83, 0, 0, 44})
+	f.Add(uint64(8), uint8(1), uint8(100), uint16(20), uint16(300), uint8(3), []byte{0, 60, 0, 61, 0xa0, 32, 2, 70, 0x83, 0, 0x81, 70, 0, 90})
+	f.Add(uint64(9), uint8(6), uint8(56), uint16(0), uint16(256), uint8(2), []byte{0, 10, 0, 10, 0, 10, 3, 11, 0x83, 0, 0, 10, 0, 10, 0x81, 11, 0x82, 20})
 	f.Fuzz(func(t *testing.T, seed uint64, mode, colSel uint8, baseSel, nSel uint16, retrySel uint8, ops []byte) {
 		const rows = 4
 		p := DefaultParams(rows, 8+int(colSel))

@@ -33,10 +33,21 @@ func (m *Medium) SetStuck(i int, k StuckKind) {
 		panic(fmt.Sprintf("medium: unknown stuck kind %d", int(k)))
 	}
 	row, col := m.loc(i)
-	if k == StuckNone && m.overlay[row] == nil {
-		return
+	e := m.extra(row, col)
+	if e == nil {
+		if k == StuckNone {
+			return
+		}
+		e = m.extraFor(row, col)
 	}
-	m.extraFor(row, col).stuck = k
+	was := e.fullAmplitude()
+	e.stuck = k
+	switch now := e.fullAmplitude(); {
+	case was && !now:
+		m.irregular[row]++
+	case !was && now:
+		m.irregular[row]--
+	}
 }
 
 // Stuck returns the defect status of dot i.
@@ -67,7 +78,8 @@ func (m *Medium) CorruptMagnetic(i int) {
 // demands (the old region's evidence is gone *with the old dots*, so
 // honest repair must re-establish the heat records on the new region,
 // and does — see the device's ReplaceLine). A row left with no damaged
-// or defective dot drops its overlay.
+// or defective dot drops its overlay; any other touched row recounts
+// its heated and stuck dots.
 func (m *Medium) ReplaceRegion(lo, hi int) {
 	if lo < 0 || hi > m.Dots() || lo > hi {
 		panic(fmt.Sprintf("medium: replace region [%d,%d) outside %d dots", lo, hi, m.Dots()))
@@ -77,15 +89,22 @@ func (m *Medium) ReplaceRegion(lo, hi int) {
 			m.setUp(row, c, false)
 		}
 		ov := m.overlay[row]
-		if ov == nil {
+		if col >= len(ov) {
 			return
 		}
-		clear(ov[col : col+cnt])
+		clear(ov[col:min(col+cnt, len(ov))])
+		empty, irregular := true, uint32(0)
 		for i := range ov {
 			if ov[i] != (overlayDot{}) {
-				return
+				empty = false
+			}
+			if !ov[i].fullAmplitude() {
+				irregular++
 			}
 		}
-		m.overlay[row] = nil
+		if empty {
+			m.overlay[row] = nil
+		}
+		m.irregular[row] = irregular
 	})
 }

@@ -43,9 +43,13 @@ func clonePair(t *testing.T, m *Medium) (*Medium, *Medium) {
 }
 
 // fuzzMedium returns a medium with random stored bits, damaged by ops:
-// byte pairs (kind, position) that heat a dot, make it stuck Up, Down or
-// Dead, or flip its magnetisation. The returned generator continues the
-// stream that drew the bits.
+// byte pairs (kind, position). A kind below 0x80 heats the dot, makes it
+// stuck Up, Down or Dead, or flips its magnetisation (kind%5 from 0 to
+// 4); from 0x80 up it clears the dot's defect, replaces the dots from
+// it to kind>>2&15 eighths of a row further (at least one dot, at most
+// the medium's end), or round-trips the medium through a snapshot
+// (kind%3 from 0 to 2). The returned generator continues the stream
+// that drew the bits.
 func fuzzMedium(p Params, ops []byte) (*Medium, *sim.RNG) {
 	m := New(p)
 	rng := sim.NewRNG(p.Seed)
@@ -54,13 +58,27 @@ func fuzzMedium(p Params, ops []byte) (*Medium, *sim.RNG) {
 	}
 	for k := 0; k+1 < len(ops); k += 2 {
 		i := int(ops[k+1]) * m.Dots() / 256
-		switch ops[k] % 5 {
-		case 0:
-			m.EWB(i)
-		case 1, 2, 3:
-			m.SetStuck(i, StuckKind(ops[k]%5))
-		case 4:
-			m.CorruptMagnetic(i)
+		if kind := ops[k]; kind < 0x80 {
+			switch kind % 5 {
+			case 0:
+				m.EWB(i)
+			case 1, 2, 3:
+				m.SetStuck(i, StuckKind(kind%5))
+			case 4:
+				m.CorruptMagnetic(i)
+			}
+		} else {
+			switch kind % 3 {
+			case 0:
+				m.SetStuck(i, StuckNone)
+			case 1:
+				m.ReplaceRegion(i, min(m.Dots(), i+1+int(kind>>2&15)*p.Cols/8))
+			case 2:
+				var err error
+				if m, err = RestoreSnapshot(m.Snapshot()); err != nil {
+					panic(err)
+				}
+			}
 		}
 	}
 	return m, rng
@@ -78,6 +96,11 @@ func FuzzMRBImage(f *testing.F) {
 	f.Add(uint64(3), uint8(2), uint8(100), uint16(100), uint16(23), []byte{0, 130, 0, 140, 5, 3, 9, 200})
 	f.Add(uint64(4), uint8(3), uint8(4), uint16(3), uint16(39), []byte{1, 10, 2, 11, 3, 12, 4, 70})
 	f.Add(uint64(5), uint8(0), uint8(56), uint16(64), uint16(15), []byte{0, 80, 0, 90, 0, 100, 0, 110})
+	// Clearing a defect (0x81), replacing part of a row (0x8e, three
+	// eighths) or rows (0xa0, a whole row's length) and a snapshot round
+	// trip (0x83) between heats and defects.
+	f.Add(uint64(7), uint8(0), uint8(56), uint16(0), uint16(15), []byte{0, 10, 1, 12, 0x81, 12, 3, 14, 0x8e, 8, 0, 40, 0x83, 0, 0, 44})
+	f.Add(uint64(8), uint8(3), uint8(100), uint16(20), uint16(40), []byte{0, 60, 0, 61, 0xa0, 32, 2, 70, 0x83, 0, 0x81, 70, 0, 90})
 	f.Fuzz(func(t *testing.T, seed uint64, mode, colSel uint8, baseSel, nSel uint16, ops []byte) {
 		const rows = 4
 		cols := 8 + int(colSel)

@@ -331,7 +331,7 @@ func TestRowFootprint(t *testing.T) {
 func overlayBytes(m *Medium) int {
 	n := 0
 	for _, ov := range m.overlay {
-		n += len(ov) * int(unsafe.Sizeof(overlayDot{}))
+		n += cap(ov) * int(unsafe.Sizeof(overlayDot{}))
 	}
 	return n
 }
@@ -339,8 +339,11 @@ func overlayBytes(m *Medium) int {
 // TestSealedLineOverlayBound bounds the overlay one sealed line costs.
 // Sealing heats dots of the line's hash block only (one row), and the
 // heat spills into the rows above and below, so a line of any length
-// overlays at most three rows: 3 × Cols × 8 B, about 111 KiB in the
-// standard geometry.
+// overlays at most three rows. The heat record's dots end at column
+// 2,175, and a row's overlay covers only the prefix its damage reaches,
+// in whole quarter rows (1,184 dots): 2,368 records per row, so
+// 3 × 2,368 × 8 B, about 55 KiB in the standard geometry, half of
+// three whole rows.
 func TestSealedLineOverlayBound(t *testing.T) {
 	const rows, cols = 16, 4736
 	if got := unsafe.Sizeof(overlayDot{}); got != 8 {
@@ -352,7 +355,7 @@ func TestSealedLineOverlayBound(t *testing.T) {
 	for cell := 0; cell < 64*8*2; cell++ {
 		m.EWB(m.Index(8, 128+2*cell+cell%2))
 	}
-	if got, bound := overlayBytes(m), 3*cols*8; got > bound || got == 0 {
+	if got, bound := overlayBytes(m), 3*2368*8; got > bound || got == 0 {
 		t.Fatalf("sealed line overlay %d B, want (0, %d]", got, bound)
 	}
 	for _, row := range []int{0, 6, 10, 15} {

@@ -48,9 +48,7 @@ func (m *Medium) Snapshot() []byte {
 					flags |= 4
 				}
 				flags |= byte(e.stuck) << 3
-				// damage quantised to 1/255 — well below the heated
-				// threshold's granularity needs.
-				damage = byte(float64(e.damage)*255 + 0.5)
+				damage = damageByte(e)
 			}
 			buf = append(buf, flags, damage)
 		}
@@ -139,14 +137,38 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 				continue
 			}
 			e := m.extraFor(row, col)
-			e.damage = float32(damage) / 255
+			e.damage = byteDamage(damage)
 			if flags&4 != 0 {
 				e.inPlaneSign = 1
 			} else if e.heated() {
 				e.inPlaneSign = -1
 			}
 			e.stuck = stuck
+			if !e.fullAmplitude() {
+				m.irregular[row]++
+			}
 		}
 	}
 	return m, nil
 }
+
+// damageByte quantises dot e's damage to 1/255 for a snapshot: the
+// nearest step, moved one step back across the heated threshold when
+// rounding crossed it. Rounding moves damage by at most half a step,
+// so that one step restores the dot's side, and byteDamage of the byte
+// is heated exactly when e is: a save and reload neither erases sealed
+// evidence nor forges it.
+func damageByte(e *overlayDot) byte {
+	b := byte(float64(e.damage)*255 + 0.5)
+	restored := overlayDot{damage: byteDamage(b)}
+	switch {
+	case e.heated() && !restored.heated():
+		b++
+	case !e.heated() && restored.heated():
+		b--
+	}
+	return b
+}
+
+// byteDamage is the damage a snapshot's quantised byte b restores.
+func byteDamage(b byte) float32 { return float32(b) / 255 }

@@ -1,8 +1,11 @@
 package medium
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"sero/internal/physics"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -118,5 +121,32 @@ func TestSnapshotKeepsHeatedAtThreshold(t *testing.T) {
 	}
 	if s := got.State(0); s != DotH {
 		t.Fatalf("heated dot restored as %v (damage %.5f)", s, got.Damage(0))
+	}
+}
+
+// TestSnapshotDamageKeepsHeatedSide checks the snapshot's damage byte
+// in both directions over a fine sweep of [0,1] and every float32 within
+// 64 ulps of the threshold: a heated dot restores heated, any other
+// restores unheated, and the restored damage is within one 1/255 step.
+func TestSnapshotDamageKeepsHeatedSide(t *testing.T) {
+	var ds []float32
+	for i := 0; i <= 255*64; i++ {
+		ds = append(ds, float32(i)/(255*64))
+	}
+	up, down := float32(physics.HeatedDamageThreshold), float32(physics.HeatedDamageThreshold)
+	for range 64 {
+		up, down = math.Nextafter32(up, 2), math.Nextafter32(down, -1)
+		ds = append(ds, up, down)
+	}
+	for _, d := range ds {
+		e := overlayDot{damage: d}
+		restored := overlayDot{damage: byteDamage(damageByte(&e))}
+		if restored.heated() != e.heated() {
+			t.Fatalf("damage %v (heated %v) restores as %v (heated %v)",
+				d, e.heated(), restored.damage, restored.heated())
+		}
+		if diff := math.Abs(float64(restored.damage - d)); diff > 1.0/255 {
+			t.Fatalf("damage %v restores as %v, %g away", d, restored.damage, diff)
+		}
 	}
 }

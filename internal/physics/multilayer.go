@@ -210,10 +210,37 @@ func PulseDamage(tempC, seconds, current float64) float64 {
 	if seconds <= 0 {
 		return current
 	}
-	eq := mixingEquilibrium(tempC)
-	tau := mixingTimeConstant(tempC)
-	frac := 1 - math.Exp(-seconds/tau)
-	next := current + (eq-current)*frac
+	return NewPulse(tempC, seconds).Damage(current)
+}
+
+// Pulse is a heat pulse of fixed temperature and duration reduced to
+// the two numbers that advance a dot's damage: the temperature's
+// equilibrium mixing and the fraction 1 − e^(−t/τ) of the gap to it
+// that one pulse closes. A medium pulses at only two temperatures, so
+// it builds their Pulses once and each pulse is a multiply-add;
+// PulseDamage goes through the same Damage, so both give the same
+// floats bit for bit.
+type Pulse struct {
+	eq, frac float64
+}
+
+// NewPulse returns the pulse of the given temperature and duration. A
+// non-positive duration gives the zero Pulse, which leaves any damage
+// in [0,1] unchanged.
+func NewPulse(tempC, seconds float64) Pulse {
+	if seconds <= 0 {
+		return Pulse{}
+	}
+	return Pulse{
+		eq:   mixingEquilibrium(tempC),
+		frac: 1 - math.Exp(-seconds/mixingTimeConstant(tempC)),
+	}
+}
+
+// Damage advances the accumulated mixing fraction current by one
+// pulse: toward the equilibrium, never down and never past 1.
+func (p Pulse) Damage(current float64) float64 {
+	next := current + (p.eq-current)*p.frac
 	if next < current {
 		return current
 	}

@@ -350,3 +350,43 @@ func TestMixingTimeConstantDecreasesWithT(t *testing.T) {
 		t.Fatal("relaxation not faster at higher temperature")
 	}
 }
+
+// pulseDamageInline is PulseDamage as one expression per step, the
+// form it had before Pulse factored the per-temperature constants out.
+func pulseDamageInline(tempC, seconds, current float64) float64 {
+	if seconds <= 0 {
+		return current
+	}
+	eq := mixingEquilibrium(tempC)
+	tau := mixingTimeConstant(tempC)
+	frac := 1 - math.Exp(-seconds/tau)
+	next := current + (eq-current)*frac
+	if next < current {
+		return current
+	}
+	if next > 1 {
+		return 1
+	}
+	return next
+}
+
+// TestPulseMatchesInlineFormula pins PulseDamage, and the Pulse a medium
+// builds once per temperature, to the inline formula bit for bit across
+// temperatures from below absolute zero to 1200 °C, durations from
+// none to an hour and damage from pristine to fully mixed.
+func TestPulseMatchesInlineFormula(t *testing.T) {
+	for _, temp := range []float64{-300, 0, 25, 360, 500, 550, 595, 600, 650, 700, 900, 1200} {
+		for _, secs := range []float64{-1, 0, 1e-9, 20e-6, 50e-6, 1e-3, 10, 3600} {
+			p := NewPulse(temp, secs)
+			for _, cur := range []float64{0, 0.1, 0.3, HeatedDamageThreshold - 1e-6, HeatedDamageThreshold, 0.99, 1} {
+				want := math.Float64bits(pulseDamageInline(temp, secs, cur))
+				if got := math.Float64bits(PulseDamage(temp, secs, cur)); got != want {
+					t.Fatalf("PulseDamage(%g, %g, %g) bits %x, inline %x", temp, secs, cur, got, want)
+				}
+				if got := math.Float64bits(p.Damage(cur)); got != want {
+					t.Fatalf("NewPulse(%g, %g).Damage(%g) bits %x, inline %x", temp, secs, cur, got, want)
+				}
+			}
+		}
+	}
+}
