@@ -41,6 +41,7 @@
 package array
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sort"
@@ -525,6 +526,14 @@ func (a *Array) onMemberWrite(m int, lpba uint64, data []byte) {
 func (a *Array) applyDataWriteLocked(m int, lpba uint64, row int, data []byte) {
 	old := a.mirror[m][lpba]
 	if a.p > 0 {
+		// delta is what the write changes; parity j absorbs c·delta
+		// for the data column's coefficient c. Coefficient 1, every
+		// coefficient of a one-parity code, is a word-wide XOR.
+		delta := data
+		if old != nil {
+			var buf [device.DataBytes]byte
+			delta = buf[:subtle.XORBytes(buf[:], old, data)]
+		}
 		dcol := a.dataColumn(row, m)
 		for j := 0; j < a.p; j++ {
 			pm := (row%a.n + j) % a.n
@@ -534,13 +543,11 @@ func (a *Array) applyDataWriteLocked(m int, lpba uint64, row int, data []byte) {
 				pv = make([]byte, device.DataBytes)
 				a.mirror[pm][lpba] = pv
 			}
-			if old == nil {
-				for b := range data {
-					pv[b] ^= ecc.Mul(c, data[b])
-				}
+			if c == 1 {
+				subtle.XORBytes(pv, pv, delta)
 			} else {
-				for b := range data {
-					pv[b] ^= ecc.Mul(c, old[b]^data[b])
+				for b := range delta {
+					pv[b] ^= ecc.Mul(c, delta[b])
 				}
 			}
 			a.pending[pm][lpba] = true

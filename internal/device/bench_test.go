@@ -151,3 +151,62 @@ func BenchmarkMRSCrosstalkNeighbour(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkERS electrically reads a sealed heat record per op, on the
+// quiet medium and on the default (noisy) one: the audit's and the
+// heat read-back's erb pass over the record's 1,024 Manchester dots
+// with the device's 8 attempts per dot, and its decode. A clean read
+// allocates only the decoded payload. On the noisy medium a heated dot
+// may now and then pass all its attempts and leave a UU cell, so only
+// the quiet read must be clean.
+func BenchmarkERS(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"quiet", QuietParams(8)},
+		{"default", DefaultParams(8)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := New(c.p)
+			for pba := uint64(0); pba < 4; pba++ {
+				if err := d.MWS(pba, pattern(byte(pba))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := d.HeatLine(0, 2); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := d.ERS(0, HeatRecordBytes)
+				if err != nil || !rep.Clean && c.name == "quiet" {
+					b.Fatalf("ERS %+v %v", rep, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEWS electrically writes a heat record's 64 bytes per op,
+// always into a block no earlier op heated (every block of a 256-block
+// quiet sled in turn, then a fresh sled's), so each op pulses its 512
+// dots across the threshold.
+func BenchmarkEWS(b *testing.B) {
+	const blocks = 256
+	payload := pattern(7)[:HeatRecordBytes]
+	d := New(QuietParams(blocks))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%blocks == 0 {
+			b.StopTimer()
+			d = New(QuietParams(blocks))
+			b.StartTimer()
+		}
+		if err := d.EWS(uint64(i%blocks), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

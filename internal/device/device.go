@@ -3,6 +3,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -881,29 +882,26 @@ func (d *Device) codingDots(n int) int {
 // ewsOn performs the electrical sector write on the given plane.
 // Caller holds the gate read lock and the crosstalk-widened stripe
 // locks and has passed ewsCheck; caller also updates the heated cache.
+// The coded record is packed into a data region's worth of words on the
+// stack and heated in one ranged write.
 func (d *Device) ewsOn(pl *plane, pba uint64, payload []byte) {
-	var flags []bool
+	var buf [DataRegionDots / 64]uint64
+	var heat []uint64
 	if d.p.Coding == CodingWOM {
-		flags = manchester.WOMEncode(payload)
+		heat = manchester.WOMEncode(buf[:0], payload)
 	} else {
-		flags = manchester.Encode(payload)
+		heat = manchester.Encode(buf[:0], payload)
 	}
 	base := d.dotBase(pba) + headerDotOffset()
 	heatCount := 0
-	for _, f := range flags {
-		if f {
-			heatCount++
-		}
+	for _, w := range heat {
+		heatCount += bits.OnesCount64(w)
 	}
 	elapsed := pl.charge(d, func(a *probe.Array) {
 		a.ChargeWriteSetup()
 		a.ChargeElectricWrite(d.chargeIndex(base), heatCount)
 	})
-	for i, f := range flags {
-		if f {
-			d.med.EWB(base + i)
-		}
-	}
+	d.med.EWBRange(base, heat)
 	pl.record(d, func(st *OpStats) {
 		st.ElectricWrites++
 		st.ElectricWriteNS += elapsed
@@ -927,7 +925,9 @@ func (d *Device) ERS(pba uint64, payloadLen int) (ERSReport, error) {
 
 // ersOn performs the electrical sector read on the given plane. Caller
 // holds the gate read lock (or the exclusive gate) and the block's
-// stripe lock (not needed under the exclusive gate).
+// stripe lock (not needed under the exclusive gate). The packed
+// verdicts fill a data region's worth of words on the stack, so the
+// decoded payload is the read's only allocation on a clean record.
 func (d *Device) ersOn(pl *plane, pba uint64, payloadLen int) (ERSReport, error) {
 	if payloadLen <= 0 || d.codingDots(payloadLen) > DataRegionDots {
 		return ERSReport{}, fmt.Errorf("device: ERS length %d invalid", payloadLen)
@@ -937,16 +937,16 @@ func (d *Device) ersOn(pl *plane, pba uint64, payloadLen int) (ERSReport, error)
 	elapsed := pl.charge(d, func(a *probe.Array) {
 		a.ChargeElectricRead(d.chargeIndex(base), n*d.p.ErbRetries)
 	})
-	flags := make([]bool, n)
-	d.med.ERBRange(base, d.p.ErbRetries, flags)
+	var verdicts [DataRegionDots / 64]uint64
+	d.med.ERBRange(base, n, d.p.ErbRetries, verdicts[:])
 	pl.record(d, func(st *OpStats) {
 		st.ElectricReads++
 		st.ElectricReadNS += elapsed
 	})
 	if d.p.Coding == CodingWOM {
-		return decodeERSWOM(flags)
+		return decodeERSWOM(verdicts[:], n)
 	}
-	return decodeERS(flags)
+	return decodeERS(verdicts[:], n)
 }
 
 // erbDot runs the 5-step erb protocol with retries on dot i: the dot is
@@ -955,9 +955,9 @@ func (d *Device) ersOn(pl *plane, pba uint64, payloadLen int) (ERSReport, error)
 // are negligible; retries only reduce false negatives. It is the
 // one-dot case of the ranged read ersOn uses.
 func (d *Device) erbDot(i int) bool {
-	var heated [1]bool
-	d.med.ERBRange(i, d.p.ErbRetries, heated[:])
-	return heated[0]
+	var heated [1]uint64
+	d.med.ERBRange(i, 1, d.p.ErbRetries, heated[:])
+	return heated[0] != 0
 }
 
 // lowAmplitude reports whether dot i reads at well under the nominal

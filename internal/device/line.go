@@ -164,38 +164,41 @@ func (d *Device) registerLine(li LineInfo) {
 	}
 }
 
-// readLineImage reads the member blocks of the line [start, start+n)
-// into one contiguous buffer of (PBA ‖ data) records — the one
-// canonical byte stream the line hash covers, built in a single pass
-// so the caller hashes it with one SHA-256 call. Binding the physical
-// addresses into the hashed stream prevents the copy-mask attack
-// (§5.2: "a copy can always be distinguished from an original").
+// lineHash reads the member blocks of the line [start, start+n) and
+// returns the SHA-256 of their (PBA ‖ data) records in address order —
+// the one canonical byte stream the line hash covers. Each record is
+// read into one fixed buffer and streamed into the hash, so the line
+// image is never held whole. Binding the physical addresses into the
+// hashed stream prevents the copy-mask attack (§5.2: "a copy can always
+// be distinguished from an original").
 //
 // When readErrs is nil the first unreadable member aborts with a
 // wrapped error (the heat path: a line that cannot be read cannot be
 // heated). When readErrs is non-nil, unreadable members are collected
-// there instead and the image is truncated to the blocks that did
-// read (the verify path, where a read error is tamper evidence, not
-// failure). Caller holds the line's stripe locks.
-func (d *Device) readLineImage(pl *plane, start, n uint64, readErrs *[]uint64) ([]byte, error) {
-	buf := make([]byte, (n-1)*lineRecordSize)
-	off := 0
+// there instead and left out of the hash (the verify path, where a read
+// error is tamper evidence, not failure). Caller holds the line's
+// stripe locks.
+func (d *Device) lineHash(pl *plane, start, n uint64, readErrs *[]uint64) ([sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
+	h := sha256.New()
+	rec := make([]byte, lineRecordSize)
 	for pba := start + 1; pba < start+n; pba++ {
 		err := d.magReadCheck(pba)
 		if err == nil {
-			binary.BigEndian.PutUint64(buf[off:], pba)
-			err = d.mrsInto(pl, pba, buf[off+8:off+lineRecordSize])
+			binary.BigEndian.PutUint64(rec, pba)
+			err = d.mrsInto(pl, pba, rec[8:])
 		}
 		if err != nil {
 			if readErrs == nil {
-				return nil, fmt.Errorf("device: heat read of block %d: %w", pba, err)
+				return sum, fmt.Errorf("device: heat read of block %d: %w", pba, err)
 			}
 			*readErrs = append(*readErrs, pba)
 			continue
 		}
-		off += lineRecordSize
+		h.Write(rec)
 	}
-	return buf[:off], nil
+	h.Sum(sum[:0])
+	return sum, nil
 }
 
 // HeatLine performs the atomic heat operation of §3 on the line of
@@ -242,9 +245,8 @@ func (d *Device) HeatLine(start uint64, logN uint8) (LineInfo, error) {
 	}
 	d.regMu.RUnlock()
 
-	// Steps 1+2: read the member blocks into one contiguous image and
-	// hash it in a single batched pass.
-	img, err := d.readLineImage(&d.fg, start, n, nil)
+	// Steps 1+2: read the member blocks and hash them in one pass.
+	hash, err := d.lineHash(&d.fg, start, n, nil)
 	if err != nil {
 		return LineInfo{}, err
 	}
@@ -252,7 +254,7 @@ func (d *Device) HeatLine(start uint64, logN uint8) (LineInfo, error) {
 		LogN:     logN,
 		Start:    start,
 		HeatedAt: uint64(d.clock.Now()),
-		Hash:     sha256.Sum256(img),
+		Hash:     hash,
 	}
 	if reheat {
 		// §3: a heat of an already-heated line "either has no effect
@@ -386,9 +388,8 @@ func (d *Device) verifyOn(pl *plane, li LineInfo) (VerifyReport, error) {
 		}
 	}
 
-	// Recompute the hash over the member blocks, reading them into one
-	// contiguous image so the hash is one batched pass.
-	img, err := d.readLineImage(pl, li.Start, li.Blocks(), &rep.ReadErrors)
+	// Recompute the hash over the member blocks.
+	hash, err := d.lineHash(pl, li.Start, li.Blocks(), &rep.ReadErrors)
 	if err != nil {
 		return VerifyReport{}, err
 	}
@@ -396,7 +397,7 @@ func (d *Device) verifyOn(pl *plane, li LineInfo) (VerifyReport, error) {
 		rep.OK = false
 	}
 	if len(rep.ReadErrors) == 0 && !rep.RecordDamaged {
-		if sha256.Sum256(img) != stored.Hash {
+		if hash != stored.Hash {
 			rep.HashMismatch = true
 			rep.OK = false
 		}
@@ -568,8 +569,10 @@ type ERSReport struct {
 	UnusedCells []int
 }
 
-func decodeERS(flags []bool) (ERSReport, error) {
-	rep, err := manchester.Decode(flags)
+// decodeERS decodes the first n packed erb verdicts of a
+// Manchester-coded electrical read.
+func decodeERS(verdicts []uint64, n int) (ERSReport, error) {
+	rep, err := manchester.Decode(verdicts, n)
 	out := ERSReport{
 		Payload:       rep.Data,
 		Clean:         rep.Clean(),
@@ -582,12 +585,13 @@ func decodeERS(flags []bool) (ERSReport, error) {
 	return out, nil
 }
 
-// decodeERSWOM decodes a WOM-coded electrical read. Every pattern is a
-// valid WOM codeword, so the report is always structurally Clean; the
-// caller's record parse and hash comparison carry the tamper evidence
-// (the §8 trade-off of the denser coding).
-func decodeERSWOM(flags []bool) (ERSReport, error) {
-	payload, err := manchester.WOMDecode(flags)
+// decodeERSWOM decodes the first n packed erb verdicts of a WOM-coded
+// electrical read. Every pattern is a valid WOM codeword, so the report
+// is always structurally Clean; the caller's record parse and hash
+// comparison carry the tamper evidence (the §8 trade-off of the denser
+// coding).
+func decodeERSWOM(verdicts []uint64, n int) (ERSReport, error) {
+	payload, err := manchester.WOMDecode(verdicts, n)
 	if err != nil {
 		return ERSReport{}, err
 	}

@@ -27,6 +27,15 @@
 // tamper evidence comes from the heated hashes — and any bit flip that
 // leaves an invalid codeword is still corrected or reported.
 //
+// The electrical path works on packed 64-dot words. ews codes its
+// payload (manchester.Encode or WOMEncode) into a data region's worth
+// of words on the stack, charges the heats it counts by popcount and
+// heats the set dots in one medium.EWBRange; shred heats its run a data
+// region at a time the same way. ers reads the record's dots with one
+// medium.ERBRange into packed verdicts on the stack and decodes them a
+// word at a time, so a clean ers allocates only the payload it returns.
+// No path keeps one flag per dot.
+//
 // The device addresses blocks by *physical* block address (PBA) and
 // never remaps them: tamper evidence requires knowing exactly where to
 // look for heated hashes (§3 "Addressing").

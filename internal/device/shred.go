@@ -50,9 +50,16 @@ func (d *Device) ShredLine(start uint64) (ShredReport, error) {
 		a.ChargeWriteSetup()
 		a.ChargeElectricWrite(d.chargeIndex(runBase), runDots)
 	})
-	for i := 0; i < runDots; i++ {
-		d.med.EWB(runBase + i)
-		destroyed++
+	// The run is heated a data region at a time from one all-ones
+	// buffer, the last piece masked to the run's end.
+	var heat [DataRegionDots / 64]uint64
+	for off := 0; off < runDots; off += DataRegionDots {
+		n := min(DataRegionDots, runDots-off)
+		for w := range heat {
+			heat[w] = ^(^uint64(0) >> min(max(n-64*w, 0), 64))
+		}
+		d.med.EWBRange(runBase+off, heat[:])
+		destroyed += n
 	}
 	d.regMu.Lock()
 	for pba := li.Start + 1; pba < li.End(); pba++ {

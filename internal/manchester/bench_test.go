@@ -4,19 +4,22 @@ import "testing"
 
 func BenchmarkEncode64(b *testing.B) {
 	data := make([]byte, 64)
+	var buf [16]uint64 // 1,024 flags
 	b.SetBytes(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Encode(data)
+		Encode(buf[:0], data)
 	}
 }
 
 func BenchmarkDecode64(b *testing.B) {
-	flags := Encode(make([]byte, 64))
+	flags := Encode(nil, make([]byte, 64))
 	b.SetBytes(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(flags); err != nil {
+		if _, err := Decode(flags, EncodedDots(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,19 +27,22 @@ func BenchmarkDecode64(b *testing.B) {
 
 func BenchmarkWOMEncode64(b *testing.B) {
 	data := make([]byte, 64)
+	var buf [12]uint64 // 768 flags
 	b.SetBytes(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		WOMEncode(data)
+		WOMEncode(buf[:0], data)
 	}
 }
 
 func BenchmarkWOMDecode64(b *testing.B) {
-	flags := WOMEncode(make([]byte, 64))
+	flags := WOMEncode(nil, make([]byte, 64))
 	b.SetBytes(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := WOMDecode(flags); err != nil {
+		if _, err := WOMDecode(flags, WOMEncodedDots(64)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,11 +16,23 @@
 // the paper points to for higher efficiency at small line sizes
 // (§8, [33]): two writes of 2 logical bits each into 3 write-once
 // dots.
+//
+// Packed flags. The codecs take and return per-dot heat flags packed
+// MSB-first into 64-bit words, the layout of the medium's
+// magnetisation and of its ranged electrical read: flag k is bit
+// 63-k%64 of word k/64 (a set bit means "heated"), and a run of n
+// flags occupies Words(n) words. Encoders append whole words with the
+// bits past the run zero; decoders take the run's length and ignore
+// those bits. A Manchester word holds 32 cells, so Encode and Decode
+// work a word at a time with shifts and masks, and Decode visits cells
+// one by one only in a word holding an HH or UU cell.
 package manchester
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // CellState is the decoded state of one Manchester cell.
@@ -79,18 +91,56 @@ func EncodeBit(b bool) (firstHeated, secondHeated bool) {
 	return true, false // HU = 0
 }
 
-// Encode expands data into per-dot heat flags, two dots per bit,
-// MSB-first within each byte. The result has len(data)*16 entries; a
-// true entry means "heat this dot".
-func Encode(data []byte) []bool {
-	out := make([]bool, 0, len(data)*16)
-	for _, b := range data {
-		for bit := 7; bit >= 0; bit-- {
-			f, s := EncodeBit(b&(1<<bit) != 0)
-			out = append(out, f, s)
-		}
+// Words returns the number of words n packed flags occupy.
+func Words(n int) int { return (n + 63) / 64 }
+
+// Masks of the first and the second dot of every cell in a packed word:
+// cell c of a word is its bits 63-2c (first) and 62-2c (second).
+const (
+	firstDots  = 0xAAAAAAAAAAAAAAAA
+	secondDots = 0x5555555555555555
+)
+
+// Encode appends the packed heat flags of data to dst and returns the
+// extended slice: two dots per bit, MSB-first within each byte, so
+// EncodedDots(len(data)) flags in Words of that many words. Four bytes
+// fill a word; the bits past the last cell of a final partial word are
+// zero.
+func Encode(dst []uint64, data []byte) []uint64 {
+	for len(data) > 0 {
+		c := min(4, len(data))
+		var x [4]byte
+		copy(x[:], data[:c])
+		// Bit i of the 32 data bits (bit 31 is cell 0) becomes the
+		// second dot of its cell, bit 2i; a 0 heats the first dot
+		// instead.
+		ones := spread(binary.BigEndian.Uint32(x[:]))
+		w := ones | (^ones&secondDots)<<1
+		dst = append(dst, w&^(^uint64(0)>>(16*c)))
+		data = data[c:]
 	}
-	return out
+	return dst
+}
+
+// spread moves bit i of x to bit 2i.
+func spread(x uint32) uint64 {
+	v := uint64(x)
+	v = (v | v<<16) & 0x0000FFFF0000FFFF
+	v = (v | v<<8) & 0x00FF00FF00FF00FF
+	v = (v | v<<4) & 0x0F0F0F0F0F0F0F0F
+	v = (v | v<<2) & 0x3333333333333333
+	return (v | v<<1) & secondDots
+}
+
+// gather moves bit 2i of v to bit i, dropping the odd bits: the
+// inverse of spread.
+func gather(v uint64) uint32 {
+	v &= secondDots
+	v = (v | v>>1) & 0x3333333333333333
+	v = (v | v>>2) & 0x0F0F0F0F0F0F0F0F
+	v = (v | v>>4) & 0x00FF00FF00FF00FF
+	v = (v | v>>8) & 0x0000FFFF0000FFFF
+	return uint32(v | v>>16)
 }
 
 // Errors returned by Decode.
@@ -119,27 +169,31 @@ func (r DecodeReport) Clean() bool {
 	return len(r.Tampered) == 0 && len(r.Unused) == 0
 }
 
-// Decode reconstructs bytes from per-dot heat flags (as produced by
-// Encode). It never guesses: cells in state HH or UU are reported and
-// the corresponding bit is left zero.
-func Decode(flags []bool) (DecodeReport, error) {
-	if len(flags)%16 != 0 {
+// Decode reconstructs bytes from the first dots packed heat flags of
+// words (as produced by Encode); words must hold Words(dots) words. It
+// never guesses: cells in state HH or UU are reported, in ascending
+// cell order, and the corresponding bit is left zero. A word whose 32
+// cells all hold data decodes without visiting its cells.
+func Decode(words []uint64, dots int) (DecodeReport, error) {
+	if dots%16 != 0 {
 		return DecodeReport{}, ErrOddLength
 	}
-	rep := DecodeReport{Data: make([]byte, len(flags)/16)}
-	for cell := 0; cell*2 < len(flags); cell++ {
-		st := DecodeCell(flags[cell*2], flags[cell*2+1])
-		byteIdx, bitIdx := cell/8, 7-cell%8
-		switch st {
-		case CellOne:
-			rep.Data[byteIdx] |= 1 << bitIdx
-		case CellZero:
-			// bit already 0
-		case CellTampered:
-			rep.Tampered = append(rep.Tampered, cell)
-		case CellUnused:
-			rep.Unused = append(rep.Unused, cell)
+	rep := DecodeReport{Data: make([]byte, dots/16)}
+	for w := 0; w < Words(dots); w++ {
+		// cells masks the second dots of the cells in the run.
+		cells := uint64(secondDots)
+		if left := dots - 64*w; left < 64 {
+			cells &^= ^uint64(0) >> left
 		}
+		first, second := words[w]>>1&cells, words[w]&cells
+		if invalid := ^(first ^ second) & cells; invalid != 0 {
+			tampered := first & second
+			rep.Tampered = appendCells(rep.Tampered, 32*w, tampered)
+			rep.Unused = appendCells(rep.Unused, 32*w, invalid&^tampered)
+		}
+		var data [4]byte
+		binary.BigEndian.PutUint32(data[:], gather(second&^first))
+		copy(rep.Data[4*w:], data[:])
 	}
 	var err error
 	if len(rep.Tampered) > 0 {
@@ -150,23 +204,32 @@ func Decode(flags []bool) (DecodeReport, error) {
 	return rep, err
 }
 
+// appendCells appends to list, in ascending order, cell base+c for
+// every cell c whose second dot is set in mask.
+func appendCells(list []int, base int, mask uint64) []int {
+	for mask != 0 {
+		b := bits.LeadingZeros64(mask)
+		list = append(list, base+b/2)
+		mask &^= 1 << (63 - b)
+	}
+	return list
+}
+
 // EncodedDots returns the number of dots needed to Manchester-encode n
 // bytes.
 func EncodedDots(n int) int { return n * 16 }
 
 // MaxNeighbouringHeats verifies the reliability property of §3: within
-// the encoded flags, the longest run of consecutive heated dots. For
-// valid Manchester data this is at most 2 (an H at the end of one cell
-// followed by an H at the start of the next), so each heated dot has at
-// most one heated neighbour.
-func MaxNeighbouringHeats(flags []bool) int {
+// the first dots packed flags of words, the longest run of consecutive
+// heated dots. For valid Manchester data this is at most 2 (an H at the
+// end of one cell followed by an H at the start of the next), so each
+// heated dot has at most one heated neighbour.
+func MaxNeighbouringHeats(words []uint64, dots int) int {
 	best, run := 0, 0
-	for _, f := range flags {
-		if f {
+	for k := 0; k < dots; k++ {
+		if words[k>>6]&(1<<(63-k&63)) != 0 {
 			run++
-			if run > best {
-				best = run
-			}
+			best = max(best, run)
 		} else {
 			run = 0
 		}

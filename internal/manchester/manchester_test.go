@@ -49,12 +49,29 @@ func TestEncodeBitInverse(t *testing.T) {
 	}
 }
 
+// encode is Encode into a fresh slice, with the run's flag count.
+func encode(data []byte) ([]uint64, int) {
+	return Encode(nil, data), EncodedDots(len(data))
+}
+
+// setFlag sets packed flag k of words to heated.
+func setFlag(words []uint64, k int, heated bool) {
+	if heated {
+		words[k/64] |= 1 << (63 - k%64)
+	} else {
+		words[k/64] &^= 1 << (63 - k%64)
+	}
+}
+
+// flag reports packed flag k of words.
+func flag(words []uint64, k int) bool { return words[k/64]&(1<<(63-k%64)) != 0 }
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		if len(data) == 0 {
 			return true
 		}
-		rep, err := Decode(Encode(data))
+		rep, err := Decode(encode(data))
 		return err == nil && rep.Clean() && bytes.Equal(rep.Data, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -63,11 +80,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeDetectsTamper(t *testing.T) {
-	flags := Encode([]byte{0xA5})
+	flags, n := encode([]byte{0xA5})
 	// Heat the partner dot of cell 2: whatever its state, it becomes HH.
-	flags[4] = true
-	flags[5] = true
-	rep, err := Decode(flags)
+	setFlag(flags, 4, true)
+	setFlag(flags, 5, true)
+	rep, err := Decode(flags, n)
 	if !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v, want ErrTampered", err)
 	}
@@ -77,10 +94,10 @@ func TestDecodeDetectsTamper(t *testing.T) {
 }
 
 func TestDecodeDetectsUnused(t *testing.T) {
-	flags := Encode([]byte{0xFF})
-	flags[6] = false
-	flags[7] = false
-	rep, err := Decode(flags)
+	flags, n := encode([]byte{0xFF})
+	setFlag(flags, 6, false)
+	setFlag(flags, 7, false)
+	rep, err := Decode(flags, n)
 	if !errors.Is(err, ErrUnused) {
 		t.Fatalf("err = %v, want ErrUnused", err)
 	}
@@ -90,16 +107,18 @@ func TestDecodeDetectsUnused(t *testing.T) {
 }
 
 func TestDecodeOddLength(t *testing.T) {
-	if _, err := Decode(make([]bool, 15)); !errors.Is(err, ErrOddLength) {
+	if _, err := Decode(make([]uint64, 1), 15); !errors.Is(err, ErrOddLength) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestTamperPrecedesUnusedInError(t *testing.T) {
-	flags := Encode([]byte{0x0F})
-	flags[0], flags[1] = true, true   // HH
-	flags[2], flags[3] = false, false // UU
-	_, err := Decode(flags)
+	flags, n := encode([]byte{0x0F})
+	setFlag(flags, 0, true) // HH
+	setFlag(flags, 1, true)
+	setFlag(flags, 2, false) // UU
+	setFlag(flags, 3, false)
+	_, err := Decode(flags, n)
 	if !errors.Is(err, ErrTampered) {
 		t.Fatalf("tamper must dominate: %v", err)
 	}
@@ -113,7 +132,7 @@ func TestMaxNeighbouringHeats(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		return MaxNeighbouringHeats(Encode(data)) <= 2
+		return MaxNeighbouringHeats(encode(data)) <= 2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -123,8 +142,8 @@ func TestMaxNeighbouringHeats(t *testing.T) {
 func TestMaxNeighbouringHeatsWorstCase(t *testing.T) {
 	// 0 then 1: HU UH has the two middle dots... actually HU.UH gives
 	// U,H,U,H — no adjacency. 1 then 0: UH HU → U,H,H,U: exactly 2.
-	flags := Encode([]byte{0xBF}) // 1011_1111: bit pattern containing "10"
-	if got := MaxNeighbouringHeats(flags); got != 2 {
+	flags, n := encode([]byte{0xBF}) // 1011_1111: bit pattern containing "10"
+	if got := MaxNeighbouringHeats(flags, n); got != 2 {
 		t.Fatalf("worst case adjacency %d, want 2", got)
 	}
 }
@@ -136,12 +155,12 @@ func TestEncodedDots(t *testing.T) {
 }
 
 func TestEncodeBytesMSBFirst(t *testing.T) {
-	flags := Encode([]byte{0x80})
+	flags, _ := encode([]byte{0x80})
 	// First cell must be UH (logical 1).
-	if DecodeCell(flags[0], flags[1]) != CellOne {
+	if DecodeCell(flag(flags, 0), flag(flags, 1)) != CellOne {
 		t.Fatal("MSB not first")
 	}
-	if DecodeCell(flags[2], flags[3]) != CellZero {
+	if DecodeCell(flag(flags, 2), flag(flags, 3)) != CellZero {
 		t.Fatal("bit 6 should be 0")
 	}
 }

@@ -150,43 +150,92 @@ func DotsPerBit(useWOM bool) float64 {
 // (4 cells of 3 dots per byte).
 func WOMEncodedDots(n int) int { return n * 12 }
 
-// WOMEncode expands data into per-dot heat flags using first-generation
-// Rivest-Shamir codewords: each byte becomes 4 cells of 3 dots,
-// MSB-first. Compared with Encode this saves 25 % of the dots — the
-// §8 "more efficient coding technique" — at a price the caller must
-// understand: every 3-dot pattern is a valid codeword, so tampering is
-// NOT locally evident (no HH analogue); detection falls back to the
-// record parse and the line hash.
-func WOMEncode(data []byte) []bool {
-	out := make([]bool, 0, WOMEncodedDots(len(data)))
-	for _, b := range data {
+// womCodes maps a byte to the 12 packed flags WOMEncode writes for it:
+// four first-generation cells, MSB-first.
+var womCodes = func() (t [256]uint16) {
+	for b := range t {
 		for p := 0; p < 4; p++ {
-			val := (b >> (6 - 2*p)) & 3
-			cw := wom.gen1[val]
-			out = append(out, cw[0], cw[1], cw[2])
+			cw := wom.gen1[b>>(6-2*p)&3]
+			t[b] = t[b]<<3 | uint16(packDots(cw))
 		}
 	}
-	return out
+	return t
+}()
+
+// womValues maps a cell's packed 3-dot pattern (first dot in bit 2) to
+// the 2-bit value it reads as, or -1 for a pattern that is no codeword.
+var womValues = func() (t [8]int8) {
+	for p := range t {
+		c := WOMCell{dots: [3]bool{p&4 != 0, p&2 != 0, p&1 != 0}}
+		if v, err := c.Read(); err != nil {
+			t[p] = -1
+		} else {
+			t[p] = int8(v)
+		}
+	}
+	return t
+}()
+
+// packDots packs a cell's dots with the first in bit 2.
+func packDots(d [3]bool) int {
+	p := 0
+	for _, h := range d {
+		p <<= 1
+		if h {
+			p |= 1
+		}
+	}
+	return p
 }
 
-// WOMDecode reconstructs bytes from per-dot heat flags written by
-// WOMEncode (or advanced to second-generation codewords by a rewrite).
-// Structurally every pattern decodes; ErrOddLength-style framing is
-// the only failure.
-func WOMDecode(flags []bool) ([]byte, error) {
-	if len(flags)%12 != 0 {
-		return nil, fmt.Errorf("manchester: WOM flag count %d not a multiple of 12", len(flags))
-	}
-	out := make([]byte, len(flags)/12)
-	for cell := 0; cell*3 < len(flags); cell++ {
-		var c WOMCell
-		c.SetDots([3]bool{flags[cell*3], flags[cell*3+1], flags[cell*3+2]})
-		v, err := c.Read()
-		if err != nil {
-			return nil, err
+// WOMEncode appends the packed heat flags of data to dst using
+// first-generation Rivest-Shamir codewords and returns the extended
+// slice: each byte becomes 4 cells of 3 dots, MSB-first, so
+// WOMEncodedDots(len(data)) flags in Words of that many words, the bits
+// past the last cell zero. Compared with Encode this saves 25 % of the
+// dots — the §8 "more efficient coding technique" — at a price the
+// caller must understand: every 3-dot pattern is a valid codeword, so
+// tampering is NOT locally evident (no HH analogue); detection falls
+// back to the record parse and the line hash.
+func WOMEncode(dst []uint64, data []byte) []uint64 {
+	start := len(dst)
+	dst = append(dst, make([]uint64, Words(WOMEncodedDots(len(data))))...)
+	out := dst[start:]
+	for i, b := range data {
+		// A byte's 12 flags start at bit 12i and cross into the next
+		// word when fewer than 12 bits of the current one remain.
+		k, code := 12*i, uint64(womCodes[b])<<52
+		out[k>>6] |= code >> (k & 63)
+		if k&63 > 52 {
+			out[k>>6+1] |= code << (64 - k&63)
 		}
-		byteIdx, pos := cell/4, cell%4
-		out[byteIdx] |= v << (6 - 2*pos)
+	}
+	return dst
+}
+
+// WOMDecode reconstructs bytes from the first dots packed heat flags of
+// words, written by WOMEncode (or advanced to second-generation
+// codewords by a rewrite); words must hold Words(dots) words.
+// Structurally every pattern decodes; ErrOddLength-style framing is the
+// only failure.
+func WOMDecode(words []uint64, dots int) ([]byte, error) {
+	if dots%12 != 0 {
+		return nil, fmt.Errorf("manchester: WOM flag count %d not a multiple of 12", dots)
+	}
+	out := make([]byte, dots/12)
+	for i := range out {
+		k := 12 * i
+		code := words[k>>6] << (k & 63)
+		if k&63 > 52 {
+			code |= words[k>>6+1] >> (64 - k&63)
+		}
+		for p := 0; p < 4; p++ {
+			v := womValues[code>>(61-3*p)&7]
+			if v < 0 {
+				return nil, ErrWOMInvalid
+			}
+			out[i] |= byte(v) << (6 - 2*p)
+		}
 	}
 	return out, nil
 }

@@ -38,10 +38,20 @@ func BenchmarkERBHealthy(b *testing.B) {
 	}
 }
 
+// BenchmarkEWB heats one dot per op, always a dot no earlier op heated:
+// the dots of a 64×4,096 medium in index order, then those of a fresh
+// one. Each op therefore pulses its dot across the threshold and draws
+// its in-plane orientation.
 func BenchmarkEWB(b *testing.B) {
-	m := New(DefaultParams(4, 4096))
+	m := New(DefaultParams(64, 4096))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%m.Dots() == 0 {
+			b.StopTimer()
+			m = New(DefaultParams(64, 4096))
+			b.StartTimer()
+		}
 		m.EWB(i % m.Dots())
 	}
 }
@@ -119,10 +129,11 @@ func BenchmarkERBRangeSealedRecord(b *testing.B) {
 	for _, c := range sealedParams {
 		b.Run(c.name, func(b *testing.B) {
 			m := sealedRows(c.p)
-			flags := make([]bool, 2048)
+			var verdicts [2048 / 64]uint64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.ERBRange(m.Index(1, 128), 8, flags)
+				m.ERBRange(m.Index(1, 128), 2048, 8, verdicts[:])
 			}
 		})
 	}

@@ -19,10 +19,13 @@
 // sparse per-row overlay, allocated the first time a row needs one,
 // covering only the prefix of the row up to its last such dot (grown a
 // quarter row at a time), and dropped when ReplaceRegion leaves it
-// empty. Each row also counts its dots that do not read at full
-// amplitude (heated or stuck), so asking whether a row piece reads at
-// full amplitude costs O(1) on a row with none. MRBImage and MWBImage
-// move an MSB-first block image word by word.
+// empty. An overlaid row also counts its dots that do not read at full
+// amplitude (heated or stuck) and, of those, the stuck ones that are
+// not heated, and once it holds a heated dot it keeps a heated bitset
+// packed like its magnetisation. So asking whether a row piece reads at
+// full amplitude costs O(1) on a row with none, and a noiseless
+// electrical read of a row with no cool stuck dot copies the bitset.
+// MRBImage and MWBImage move an MSB-first block image word by word.
 //
 // Heat. A medium pulses at two temperatures only, PulseTempC at the
 // target and NeighborTempFactor of it at the four neighbours; New
@@ -38,9 +41,10 @@
 // stored words, and ERBRange settles each such dot's erb attempts the
 // same way; heated and stuck dots, and every dot of a noisier medium,
 // go through the per-dot body, except that on a noiseless medium a
-// heated dot's erb verdict is known without running the protocol.
-// Either way the decoded bits, the stored state and the stream's
-// position match per-dot MRB/MWB calls draw for draw. A ranged read
+// heated dot's erb verdict is known without running the protocol, so
+// a piece of a row whose irregular dots are all heated reads as the
+// row's heated bitset. Either way the decoded bits, the stored state
+// and the stream's position match per-dot MRB/MWB calls draw for draw. A ranged read
 // holds the stream's lock for its whole range, so concurrent readers
 // of disjoint rows interleave their draws one range at a time, not one
 // dot at a time.
@@ -53,6 +57,7 @@ package medium
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"sero/internal/physics"
@@ -114,6 +119,74 @@ func (d *overlayDot) heated() bool {
 // Partial damage below the heat threshold leaves the level unchanged.
 func (d *overlayDot) fullAmplitude() bool {
 	return d.stuck == StuckNone && !d.heated()
+}
+
+// rowOverlay is the state of one row beyond its magnetisation.
+// SetStuck, ReplaceRegion and RestoreSnapshot keep its counts and
+// bitset through untally and tally, and pulse through crossed.
+type rowOverlay struct {
+	// dots holds the records of a prefix of the row; a dot past its end
+	// is healthy.
+	dots []overlayDot
+	// heated is the row's heated bitset, packed like the medium's
+	// magnetisation: bit 63-col%64 of heated[col/64] is set exactly when
+	// dot col is heated. It is nil until the row holds a heated dot.
+	heated []uint64
+	// irregular counts the records that do not read at full amplitude:
+	// heated or stuck. Partial damage is not counted.
+	irregular uint32
+	// coolStuck counts the stuck records that are not heated: the
+	// irregular dots whose erb verdict the heated bitset does not give.
+	coolStuck uint32
+}
+
+// untally removes record col from ov's counts and heated bitset before
+// the record changes; tally adds it back after.
+func (ov *rowOverlay) untally(col int) { ov.count(col, ^uint32(0)) }
+
+// tally adds record col to ov's counts and heated bitset. wordsPerRow
+// sizes the bitset the first time the row holds a heated dot.
+func (ov *rowOverlay) tally(col, wordsPerRow int) {
+	if ov.heated == nil && ov.dots[col].heated() {
+		ov.heated = make([]uint64, wordsPerRow)
+	}
+	ov.count(col, 1)
+}
+
+// crossed tallies record col, heated now and not before, as heated:
+// the one change a pulse makes to the counts, kept apart from
+// untally/tally because every pulse of EWB's neighbour spill would
+// otherwise pay for both.
+func (ov *rowOverlay) crossed(col, wordsPerRow int) {
+	if ov.dots[col].stuck == StuckNone {
+		ov.irregular++
+	} else {
+		ov.coolStuck--
+	}
+	if ov.heated == nil {
+		ov.heated = make([]uint64, wordsPerRow)
+	}
+	ov.heated[col>>6] |= 1 << (63 - col&63)
+}
+
+// count adds delta (1 or -1 as a uint32) to the counts record col
+// belongs to and sets or clears its heated bit.
+func (ov *rowOverlay) count(col int, delta uint32) {
+	e := &ov.dots[col]
+	if e.fullAmplitude() {
+		return
+	}
+	ov.irregular += delta
+	if !e.heated() {
+		ov.coolStuck += delta
+		return
+	}
+	bit := uint64(1) << (63 - col&63)
+	if delta == 1 {
+		ov.heated[col>>6] |= bit
+	} else {
+		ov.heated[col>>6] &^= bit
+	}
 }
 
 // Params collects the physical parameters of a medium.
@@ -211,14 +284,10 @@ type Medium struct {
 	// bits holds the magnetisation (1 = up) of dot (row, col) at bit
 	// 63-col%64 of bits[row*wordsPerRow+col/64].
 	bits []uint64
-	// overlay[row] holds the records of a prefix of a row with any
-	// damaged or defective dot, and is nil for a healthy row. A dot past
-	// the end of its row's overlay is healthy.
-	overlay [][]overlayDot
-	// irregular[row] counts the row's overlay records that do not read
-	// at full amplitude: heated or stuck. pulse, SetStuck, ReplaceRegion
-	// and RestoreSnapshot keep it; partial damage is not counted.
-	irregular []uint32
+	// overlay[row] holds the state beyond magnetisation of a row with
+	// any damaged or defective dot, and is nil for a healthy row, so a
+	// healthy row costs one pointer beyond its words.
+	overlay []*rowOverlay
 	// heat and spill are the pulse at PulseTempC a heated dot receives
 	// and the attenuated one each of its neighbours receives. They are
 	// fixed by New: rows on other goroutines share them.
@@ -248,8 +317,7 @@ func New(p Params) *Medium {
 		p:           p,
 		wordsPerRow: wpr,
 		bits:        make([]uint64, p.Rows*wpr),
-		overlay:     make([][]overlayDot, p.Rows),
-		irregular:   make([]uint32, p.Rows),
+		overlay:     make([]*rowOverlay, p.Rows),
 		heat:        physics.NewPulse(p.PulseTempC, p.PulseSeconds),
 		spill:       physics.NewPulse(p.PulseTempC*p.NeighborTempFactor, p.PulseSeconds),
 		skipNoise:   p.ReadNoiseSigma*sim.NormBound < p.SignalAmplitude,
@@ -315,8 +383,8 @@ func (m *Medium) setUp(row, col int, up bool) {
 // extra returns dot (row, col)'s overlay record, or nil for a healthy
 // dot past the end of its row's overlay.
 func (m *Medium) extra(row, col int) *overlayDot {
-	if ov := m.overlay[row]; col < len(ov) {
-		return &ov[col]
+	if ov := m.overlay[row]; ov != nil && col < len(ov.dots) {
+		return &ov.dots[col]
 	}
 	return nil
 }
@@ -327,13 +395,17 @@ func (m *Medium) extra(row, col int) *overlayDot {
 // rows, damaged over the first half of the row, hold half a row.
 func (m *Medium) extraFor(row, col int) *overlayDot {
 	ov := m.overlay[row]
-	if col >= len(ov) {
+	if ov == nil {
+		ov = &rowOverlay{}
+		m.overlay[row] = ov
+	}
+	if col >= len(ov.dots) {
 		q := (m.p.Cols + 3) / 4
 		grown := make([]overlayDot, min(m.p.Cols, (col/q+1)*q))
-		copy(grown, ov)
-		m.overlay[row], ov = grown, grown
+		copy(grown, ov.dots)
+		ov.dots = grown
 	}
-	return &ov[col]
+	return &ov.dots[col]
 }
 
 // heatedAt reports whether dot (row, col)'s multilayer is destroyed.
@@ -452,32 +524,44 @@ func (m *Medium) segments(base, n int, f func(row, col, k, cnt int)) {
 // at a healthy dot's level (see overlayDot.fullAmplitude). A row with
 // no heated or stuck dot answers without looking at its overlay.
 func (m *Medium) fullAmplitude(row, col, cnt int) bool {
-	if m.irregular[row] == 0 {
+	ov := m.overlay[row]
+	if ov == nil || ov.irregular == 0 {
 		return true
 	}
-	ov := m.overlay[row]
-	for j := col; j < min(col+cnt, len(ov)); j++ {
-		if !ov[j].fullAmplitude() {
+	for j := col; j < min(col+cnt, len(ov.dots)); j++ {
+		if !ov.dots[j].fullAmplitude() {
 			return false
 		}
 	}
 	return true
 }
 
-// anyHeated reports whether any dot col..col+cnt-1 of row is heated.
-// Heated dots are counted in irregular, so a row counting none has
-// none.
+// anyHeated reports whether any dot col..col+cnt-1 of row is heated,
+// from the row's heated bitset.
 func (m *Medium) anyHeated(row, col, cnt int) bool {
-	if m.irregular[row] == 0 {
+	ov := m.overlay[row]
+	if ov == nil || ov.heated == nil {
 		return false
 	}
-	ov := m.overlay[row]
-	for j := col; j < min(col+cnt, len(ov)); j++ {
-		if ov[j].heated() {
+	for w := col >> 6; w <= (col+cnt-1)>>6; w++ {
+		if ov.heated[w]&spanMask(w, col, cnt) != 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// spanMask is the mask of the bits of word w that fall in columns
+// [col, col+cnt) of a row (cnt > 0).
+func spanMask(w, col, cnt int) uint64 {
+	mask := ^uint64(0)
+	if lo := col - w<<6; lo > 0 {
+		mask >>= lo
+	}
+	if hi := col + cnt - w<<6; hi < 64 {
+		mask &^= ^uint64(0) >> hi
+	}
+	return mask
 }
 
 // MRBImage magnetically reads dots [base, base+8·len(dst)) into dst as
@@ -563,9 +647,31 @@ func (m *Medium) MWBImage(base int, src []byte) {
 // absolute pulse temperature), accumulating their own damage, and
 // with probability ThermalCrosstalk their *magnetisation* is disturbed
 // by the heat spill (§7: "the magnetic state, or even the
-// write-ability of the adjacent dot could be affected").
+// write-ability of the adjacent dot could be affected"). EWB is the
+// one-dot case of EWBRange.
 func (m *Medium) EWB(i int) {
-	row, col := m.loc(i)
+	m.EWBRange(i, []uint64{1 << 63})
+}
+
+// EWBRange heats dot base+k for every set bit k of heat (bit 63-k%64 of
+// heat[k/64], the packing of ERBRange's verdicts), in index order and
+// under one hold of the noise lock: the stored state and the noise
+// stream's position afterwards are exactly those of EWB on each such
+// dot in turn. It panics on a set bit past the medium's last dot.
+func (m *Medium) EWBRange(base int, heat []uint64) {
+	m.rngMu.Lock()
+	defer m.rngMu.Unlock()
+	for w, word := range heat {
+		for word != 0 {
+			b := bits.LeadingZeros64(word)
+			word &^= 1 << (63 - b)
+			m.ewb(m.loc(base + w<<6 + b))
+		}
+	}
+}
+
+// ewb is EWB of dot (row, col). Caller holds rngMu.
+func (m *Medium) ewb(row, col int) {
 	m.pulse(row, col, m.heat)
 
 	for _, delta := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
@@ -576,7 +682,7 @@ func (m *Medium) EWB(i int) {
 		if m.p.NeighborTempFactor > 0 {
 			m.pulse(nr, nc, m.spill)
 		}
-		if m.p.ThermalCrosstalk > 0 && m.randFloat() < m.p.ThermalCrosstalk {
+		if m.p.ThermalCrosstalk > 0 && m.rng.Float64() < m.p.ThermalCrosstalk {
 			if !m.heatedAt(nr, nc) {
 				m.setUp(nr, nc, !m.up(nr, nc))
 			}
@@ -584,25 +690,11 @@ func (m *Medium) EWB(i int) {
 	}
 }
 
-// randFloat draws from the shared noise stream under the rng lock.
-func (m *Medium) randFloat() float64 {
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-	return m.rng.Float64()
-}
-
-// randBool draws from the shared noise stream under the rng lock.
-func (m *Medium) randBool() bool {
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-	return m.rng.Bool()
-}
-
 // pulse applies heat pulse p to dot (row, col), accumulating
-// interface-mixing damage. Crossing the destruction threshold counts
-// the dot as irregular (unless a defect already did) and fixes the
-// in-plane orientation the magnetisation falls into. A pulse that
-// leaves the stored damage unchanged creates no overlay.
+// interface-mixing damage. Crossing the destruction threshold tallies
+// the dot as heated and fixes the in-plane orientation the
+// magnetisation falls into. A pulse that leaves the stored damage
+// unchanged creates no overlay. Caller holds rngMu.
 func (m *Medium) pulse(row, col int, p physics.Pulse) {
 	var cur float32
 	e := m.extra(row, col)
@@ -621,10 +713,8 @@ func (m *Medium) pulse(row, col int, p physics.Pulse) {
 	}
 	e.damage = float32(next)
 	if e.heated() {
-		if e.stuck == StuckNone {
-			m.irregular[row]++
-		}
-		if m.randBool() {
+		m.overlay[row].crossed(col, m.wordsPerRow)
+		if m.rng.Bool() {
 			e.inPlaneSign = 1
 		} else {
 			e.inPlaneSign = -1
@@ -651,17 +741,19 @@ func (m *Medium) Damage(i int) float64 {
 // device layer charges latency accordingly. ERB is the one-dot,
 // one-attempt case of ERBRange.
 func (m *Medium) ERB(i int) (heated bool) {
-	var h [1]bool
-	m.ERBRange(i, 1, h[:])
-	return h[0]
+	var h [1]uint64
+	m.ERBRange(i, 1, 1, h[:])
+	return h[0] != 0
 }
 
-// ERBRange electrically reads dots [base, base+len(dst)) in index
-// order: each dot gets up to retries attempts of the ERB protocol and
-// dst[k] reports dot base+k heated as soon as one attempt fails
-// verification. The verdicts, the stored state and the noise stream's
-// position afterwards are exactly those of calling ERB up to retries
-// times per dot in index order.
+// ERBRange electrically reads dots [base, base+n) in index order into
+// dst as packed verdicts: each dot gets up to retries attempts of the
+// ERB protocol, and bit 63-k%64 of dst[k/64] is set when dot base+k
+// reads heated, as soon as one attempt fails verification. The bits of
+// dst's first ceil(n/64) words past the range are cleared. The
+// verdicts, the stored state and the noise stream's position afterwards
+// are exactly those of calling ERB up to retries times per dot in index
+// order.
 //
 // The range is walked row by row under one hold of the noise lock. When
 // the noise cannot flip a healthy dot (ReadNoiseSigma·sim.NormBound <
@@ -673,9 +765,12 @@ func (m *Medium) ERB(i int) (heated bool) {
 // whole. Without read noise a heated dot's level is constant and writes
 // to it are no-ops, so its first attempt reads the original back as the
 // inverse and fails with no draw and no change: it is heated without
-// running the protocol. Stuck dots that are not heated, and every dot
-// of a noisier medium, run the protocol itself.
-func (m *Medium) ERBRange(base, retries int, dst []bool) {
+// running the protocol. A noiseless row piece whose row holds no stuck
+// dot that is not heated therefore reads as the row's heated bitset,
+// copied a word at a time. Stuck dots that are not heated, and every
+// dot of a noisier medium, run the protocol itself.
+func (m *Medium) ERBRange(base, n, retries int, dst []uint64) {
+	clear(dst[:(n+63)>>6])
 	sigma := m.p.ReadNoiseSigma
 	if sigma > 0 {
 		m.rngMu.Lock()
@@ -690,27 +785,57 @@ func (m *Medium) ERBRange(base, retries int, dst []bool) {
 		}
 		settled = 0
 	}
-	m.segments(base, len(dst), func(row, col, k, cnt int) {
-		if m.skipNoise && m.irregular[row] == 0 {
-			clear(dst[k : k+cnt])
+	m.segments(base, n, func(row, col, k, cnt int) {
+		ov := m.overlay[row]
+		switch {
+		case m.skipNoise && (ov == nil || ov.irregular == 0):
 			settled += cnt
+			return
+		case sigma == 0 && ov.coolStuck == 0:
+			orBits(dst, k, ov.heated, col, cnt)
 			return
 		}
 		for j := 0; j < cnt; j++ {
 			e := m.extra(row, col+j)
+			var heated bool
 			switch {
 			case m.skipNoise && (e == nil || e.fullAmplitude()):
-				dst[k+j] = false
 				settled++
+				continue
 			case sigma == 0 && e != nil && e.heated():
-				dst[k+j] = true
+				heated = true
 			default:
 				skip()
-				dst[k+j] = m.erb(row, col+j, retries)
+				heated = m.erb(row, col+j, retries)
+			}
+			if heated {
+				dst[(k+j)>>6] |= 1 << (63 - (k+j)&63)
 			}
 		}
 	})
 	skip()
+}
+
+// orBits ORs bits [s, s+n) of src into dst from bit d on, both packed
+// MSB-first (bit 63-i%64 of word i/64 is bit i). Whole words move at a
+// time; bits of src past its last word read as zero.
+func orBits(dst []uint64, d int, src []uint64, s, n int) {
+	for n > 0 {
+		c := min(n, 64)
+		var w uint64
+		if i := s >> 6; i < len(src) {
+			w = src[i] << (s & 63)
+			if i+1 < len(src) {
+				w |= src[i+1] >> (64 - s&63)
+			}
+		}
+		w &^= ^uint64(0) >> c
+		dst[d>>6] |= w >> (d & 63)
+		if d&63+c > 64 {
+			dst[d>>6+1] |= w << (64 - d&63)
+		}
+		s, d, n = s+c, d+c, n-c
+	}
 }
 
 // erb runs up to retries attempts of the 5-step protocol on dot
@@ -736,9 +861,9 @@ func (m *Medium) erb(row, col, retries int) bool {
 func (m *Medium) HeatedCount() int {
 	n := 0
 	for _, ov := range m.overlay {
-		for i := range ov {
-			if ov[i].heated() {
-				n++
+		if ov != nil {
+			for _, w := range ov.heated {
+				n += bits.OnesCount64(w)
 			}
 		}
 	}

@@ -40,14 +40,10 @@ func (m *Medium) SetStuck(i int, k StuckKind) {
 		}
 		e = m.extraFor(row, col)
 	}
-	was := e.fullAmplitude()
+	ov := m.overlay[row]
+	ov.untally(col)
 	e.stuck = k
-	switch now := e.fullAmplitude(); {
-	case was && !now:
-		m.irregular[row]++
-	case !was && now:
-		m.irregular[row]--
-	}
+	ov.tally(col, m.wordsPerRow)
 }
 
 // Stuck returns the defect status of dot i.
@@ -78,8 +74,8 @@ func (m *Medium) CorruptMagnetic(i int) {
 // demands (the old region's evidence is gone *with the old dots*, so
 // honest repair must re-establish the heat records on the new region,
 // and does — see the device's ReplaceLine). A row left with no damaged
-// or defective dot drops its overlay; any other touched row recounts
-// its heated and stuck dots.
+// or defective dot drops its overlay; any other touched row untallies
+// the records it clears.
 func (m *Medium) ReplaceRegion(lo, hi int) {
 	if lo < 0 || hi > m.Dots() || lo > hi {
 		panic(fmt.Sprintf("medium: replace region [%d,%d) outside %d dots", lo, hi, m.Dots()))
@@ -89,22 +85,18 @@ func (m *Medium) ReplaceRegion(lo, hi int) {
 			m.setUp(row, c, false)
 		}
 		ov := m.overlay[row]
-		if col >= len(ov) {
+		if ov == nil || col >= len(ov.dots) {
 			return
 		}
-		clear(ov[col:min(col+cnt, len(ov))])
-		empty, irregular := true, uint32(0)
-		for i := range ov {
-			if ov[i] != (overlayDot{}) {
-				empty = false
-			}
-			if !ov[i].fullAmplitude() {
-				irregular++
+		for c := col; c < min(col+cnt, len(ov.dots)); c++ {
+			ov.untally(c)
+			ov.dots[c] = overlayDot{}
+		}
+		for i := range ov.dots {
+			if ov.dots[i] != (overlayDot{}) {
+				return
 			}
 		}
-		if empty {
-			m.overlay[row] = nil
-		}
-		m.irregular[row] = irregular
+		m.overlay[row] = nil
 	})
 }

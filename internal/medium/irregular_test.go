@@ -4,29 +4,49 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sero/internal/physics"
 	"sero/internal/sim"
 )
 
-// checkIrregular fails t unless every row's irregular count equals a
-// scan of its overlay and no overlay is longer than its row.
+// checkIrregular fails t unless every row's irregular and cool stuck
+// counts and its heated bitset equal a scan of its overlay, no overlay
+// is longer than its row and a row with a heated dot has a whole-row
+// bitset.
 func checkIrregular(t *testing.T, m *Medium, step string) {
 	t.Helper()
 	for row, ov := range m.overlay {
-		if len(ov) > m.p.Cols {
-			t.Fatalf("after %s: row %d overlay holds %d records for %d dots", step, row, len(ov), m.p.Cols)
+		if ov == nil {
+			continue
 		}
-		var n uint32
-		for i := range ov {
-			if !ov[i].fullAmplitude() {
-				n++
+		if len(ov.dots) > m.p.Cols {
+			t.Fatalf("after %s: row %d overlay holds %d records for %d dots", step, row, len(ov.dots), m.p.Cols)
+		}
+		var irregular, cool uint32
+		heated := make([]uint64, m.wordsPerRow)
+		for i := range ov.dots {
+			e := &ov.dots[i]
+			if !e.fullAmplitude() {
+				irregular++
+			}
+			if e.heated() {
+				heated[i>>6] |= 1 << (63 - i&63)
+			} else if e.stuck != StuckNone {
+				cool++
 			}
 		}
-		if m.irregular[row] != n {
-			t.Fatalf("after %s: row %d counts %d irregular dots, its overlay holds %d",
-				step, row, m.irregular[row], n)
+		if ov.irregular != irregular || ov.coolStuck != cool {
+			t.Fatalf("after %s: row %d counts %d irregular and %d cool stuck dots, its overlay holds %d and %d",
+				step, row, ov.irregular, ov.coolStuck, irregular, cool)
+		}
+		got := ov.heated
+		if got == nil {
+			got = make([]uint64, m.wordsPerRow)
+		}
+		if !slices.Equal(got, heated) {
+			t.Fatalf("after %s: row %d heated bitset %x, its overlay's heated dots %x", step, row, got, heated)
 		}
 	}
 }
@@ -57,7 +77,8 @@ func restoreWithPulse(t *testing.T, m *Medium, tempC float64) *Medium {
 // including StuckNone, magnetic corruption, partial-row and whole-row
 // replacement, snapshot round trips (which switch between the two
 // pulse temperatures) and a bulk erase — and checks after every step
-// that each row's count of heated or stuck dots equals a scan of its
+// that each row's counts of heated or stuck dots and of stuck dots
+// that are not heated, and its heated bitset, equal a scan of its
 // overlay. The rows are 102 dots, not a whole number of words or of
 // quarter-row overlay steps (26 dots), so overlay growth stops short
 // at the row's end and replacement pieces straddle words.

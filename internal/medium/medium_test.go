@@ -331,7 +331,9 @@ func TestRowFootprint(t *testing.T) {
 func overlayBytes(m *Medium) int {
 	n := 0
 	for _, ov := range m.overlay {
-		n += cap(ov) * int(unsafe.Sizeof(overlayDot{}))
+		if ov != nil {
+			n += cap(ov.dots) * int(unsafe.Sizeof(overlayDot{}))
+		}
 	}
 	return n
 }
@@ -343,7 +345,8 @@ func overlayBytes(m *Medium) int {
 // 2,175, and a row's overlay covers only the prefix its damage reaches,
 // in whole quarter rows (1,184 dots): 2,368 records per row, so
 // 3 × 2,368 × 8 B, about 55 KiB in the standard geometry, half of
-// three whole rows.
+// three whole rows. Only the record's own row holds heated dots, so
+// only it adds a heated bitset (one row of words, 592 B).
 func TestSealedLineOverlayBound(t *testing.T) {
 	const rows, cols = 16, 4736
 	if got := unsafe.Sizeof(overlayDot{}); got != 8 {
@@ -357,6 +360,11 @@ func TestSealedLineOverlayBound(t *testing.T) {
 	}
 	if got, bound := overlayBytes(m), 3*2368*8; got > bound || got == 0 {
 		t.Fatalf("sealed line overlay %d B, want (0, %d]", got, bound)
+	}
+	for row := 7; row <= 9; row++ {
+		if has := m.overlay[row].heated != nil; has != (row == 8) {
+			t.Fatalf("row %d holds a heated bitset: %v", row, has)
+		}
 	}
 	for _, row := range []int{0, 6, 10, 15} {
 		if m.overlay[row] != nil {

@@ -144,9 +144,7 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 				e.inPlaneSign = -1
 			}
 			e.stuck = stuck
-			if !e.fullAmplitude() {
-				m.irregular[row]++
-			}
+			m.overlay[row].tally(col, m.wordsPerRow)
 		}
 	}
 	return m, nil

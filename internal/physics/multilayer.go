@@ -77,6 +77,7 @@ type Multilayer struct {
 
 // Anneal describes one heat treatment.
 type Anneal struct {
+	// TemperatureC is the anneal temperature in °C.
 	TemperatureC float64
 	Duration     float64 // seconds at temperature
 }

@@ -47,14 +47,20 @@ func NewDiffractometer(seed uint64) *Diffractometer {
 // Pattern is a diffraction pattern: intensity (arbitrary units, log
 // scale is conventional for low angle) versus 2θ in degrees.
 type Pattern struct {
+	// TwoThetaDeg holds the scan's diffraction angles 2θ in degrees,
+	// ascending.
 	TwoThetaDeg []float64
-	Intensity   []float64
+	// Intensity holds the measured intensity at each angle of
+	// TwoThetaDeg.
+	Intensity []float64
 }
 
 // Peak describes a local maximum found in a pattern.
 type Peak struct {
+	// TwoThetaDeg is the angle 2θ of the peak's maximum, in degrees.
 	TwoThetaDeg float64
-	Intensity   float64
+	// Intensity is the pattern's intensity at the maximum.
+	Intensity float64
 	// Prominence is the peak height over the local background.
 	Prominence float64
 }
@@ -221,7 +227,9 @@ func mad(v []float64) float64 {
 
 // Fig8Result holds the two low-angle scans of Fig 8.
 type Fig8Result struct {
-	AsGrown  Pattern
+	// AsGrown is the low-angle scan of the as-grown multilayer.
+	AsGrown Pattern
+	// Annealed is the low-angle scan of the 700 °C-annealed sample.
 	Annealed Pattern
 	// AsGrownPeak is the superlattice peak found in the as-grown scan.
 	AsGrownPeak Peak
@@ -251,7 +259,9 @@ func RunFig8(seed uint64) Fig8Result {
 
 // Fig9Result holds the two high-angle scans of Fig 9.
 type Fig9Result struct {
-	AsGrown  Pattern
+	// AsGrown is the high-angle scan of the as-grown multilayer.
+	AsGrown Pattern
+	// Annealed is the high-angle scan of the 700 °C-annealed sample.
 	Annealed Pattern
 	// AnnealedPeak is the CoPt(111) peak in the annealed scan.
 	AnnealedPeak Peak

@@ -95,7 +95,12 @@ func DefaultGeometry() Geometry {
 func (g Geometry) Probes() int { return g.ProbeRows * g.ProbeCols }
 
 // Position is a sled position in microns.
-type Position struct{ X, Y float64 }
+type Position struct {
+	// X is the position along the sled's first axis, in microns.
+	X float64
+	// Y is the position along the sled's second axis, in microns.
+	Y float64
+}
 
 // Actuator models the electrostatic stepper moving the media sled.
 type Actuator struct {
