@@ -670,22 +670,35 @@ func (m *Medium) EWBRange(base int, heat []uint64) {
 	}
 }
 
-// ewb is EWB of dot (row, col). Caller holds rngMu.
+// ewb is EWB of dot (row, col): the pulse, then the spill into the
+// neighbours above, below, left and right, in that order. Caller holds
+// rngMu.
 func (m *Medium) ewb(row, col int) {
 	m.pulse(row, col, m.heat)
+	if row > 0 {
+		m.spillInto(row-1, col)
+	}
+	if row+1 < m.p.Rows {
+		m.spillInto(row+1, col)
+	}
+	if col > 0 {
+		m.spillInto(row, col-1)
+	}
+	if col+1 < m.p.Cols {
+		m.spillInto(row, col+1)
+	}
+}
 
-	for _, delta := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-		nr, nc := row+delta[0], col+delta[1]
-		if nr < 0 || nr >= m.p.Rows || nc < 0 || nc >= m.p.Cols {
-			continue
-		}
-		if m.p.NeighborTempFactor > 0 {
-			m.pulse(nr, nc, m.spill)
-		}
-		if m.p.ThermalCrosstalk > 0 && m.rng.Float64() < m.p.ThermalCrosstalk {
-			if !m.heatedAt(nr, nc) {
-				m.setUp(nr, nc, !m.up(nr, nc))
-			}
+// spillInto applies a neighbour's heat to dot (row, col): the
+// attenuated pulse, then the crosstalk draw that may flip its
+// magnetisation. Caller holds rngMu.
+func (m *Medium) spillInto(row, col int) {
+	if m.p.NeighborTempFactor > 0 {
+		m.pulse(row, col, m.spill)
+	}
+	if m.p.ThermalCrosstalk > 0 && m.rng.Float64() < m.p.ThermalCrosstalk {
+		if !m.heatedAt(row, col) {
+			m.setUp(row, col, !m.up(row, col))
 		}
 	}
 }
