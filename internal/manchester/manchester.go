@@ -94,12 +94,9 @@ func EncodeBit(b bool) (firstHeated, secondHeated bool) {
 // Words returns the number of words n packed flags occupy.
 func Words(n int) int { return (n + 63) / 64 }
 
-// Masks of the first and the second dot of every cell in a packed word:
-// cell c of a word is its bits 63-2c (first) and 62-2c (second).
-const (
-	firstDots  = 0xAAAAAAAAAAAAAAAA
-	secondDots = 0x5555555555555555
-)
+// secondDots masks the second dot of every cell in a packed word: cell
+// c of a word is its bits 63-2c (first dot) and 62-2c (second dot).
+const secondDots = 0x5555555555555555
 
 // Encode appends the packed heat flags of data to dst and returns the
 // extended slice: two dots per bit, MSB-first within each byte, so
@@ -149,7 +146,7 @@ var (
 	ErrTampered = errors.New("manchester: tampered cell (HH)")
 	// ErrUnused reports at least one UU cell inside the decoded range.
 	ErrUnused = errors.New("manchester: unused cell (UU) inside data")
-	// ErrOddLength reports a dot-flag slice that does not divide into
+	// ErrOddLength reports a flag count that does not divide into
 	// cells and bytes.
 	ErrOddLength = errors.New("manchester: flag count not a multiple of 16")
 )
