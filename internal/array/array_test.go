@@ -481,3 +481,59 @@ func TestRefusedParityFlushIsAnError(t *testing.T) {
 		t.Fatalf("MoveGroups: %+v, want the refused parity flush and no completed move", res[0])
 	}
 }
+
+// TestFailedMemberLines pins what the array knows about the heated
+// lines of a failed member: the line stays listed and recovered (its
+// record unreadable until repair), every line operation on it is
+// refused, and RepairMember re-heats it from what the array knew.
+func TestFailedMemberLines(t *testing.T) {
+	a := mustBuild(t, 3, 1, 16, 128)
+	g0 := lineOnMember(t, a, 1, 3)
+	blocks := make([][]byte, 7)
+	for i := range blocks {
+		blocks[i] = payload(900 + uint64(i))
+	}
+	if err := a.WriteLineBatch(g0, 3, blocks); err != nil {
+		t.Fatal(err)
+	}
+	li, err := a.HeatLine(g0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FailMember(1); err != nil {
+		t.Fatal(err)
+	}
+	want := []device.LineInfo{{Start: g0, LogN: 3}}
+	if got := a.Lines(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Lines() with the member down = %+v, want %+v", got, want)
+	}
+	if _, err := a.VerifyLine(g0); !errors.Is(err, ErrMemberFailed) {
+		t.Fatalf("VerifyLine on the failed member: %v, want ErrMemberFailed", err)
+	}
+	if oc := a.VerifyLines([]uint64{g0}, 2); !errors.Is(oc[0].Err, ErrMemberFailed) {
+		t.Fatalf("VerifyLines on the failed member: %v, want ErrMemberFailed", oc[0].Err)
+	}
+	if _, err := a.ShredLine(g0); !errors.Is(err, ErrMemberFailed) {
+		t.Fatalf("ShredLine on the failed member: %v, want ErrMemberFailed", err)
+	}
+	rec, _, err := a.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rec) != fmt.Sprint(want) {
+		t.Fatalf("Scan() recovered %+v, want %+v", rec, want)
+	}
+	if err := a.RepairMember(1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.VerifyLine(g0)
+	if err != nil || !rep.OK {
+		t.Fatalf("verify after repair: %+v err=%v", rep, err)
+	}
+	if rep.Line.Record.Hash != li.Record.Hash {
+		t.Fatal("re-heated line hash differs from the original")
+	}
+	if _, err := a.RepairLine(g0 + 1); err == nil {
+		t.Fatal("RepairLine of an address that is not a line start was accepted")
+	}
+}
