@@ -113,15 +113,17 @@ attack-campaign:
 attack-soak:
 	SERO_ATTACK_SOAK_OPS=16384 $(GO) test -run TestFalsePositiveSoak -count=1 -timeout 30m ./internal/attack
 
-# The striped-array resilience suite under the race detector: crash
-# consistency at every replay boundary with and without a member loss,
-# cross-width mount-fingerprint equivalence, the auditor's
-# repair-from-parity arm, the striped serving runs (width scaling,
-# degraded reads, width-1 virtual-time identity), and the serofsck
-# array modes end to end — parity-group scan with per-member findings,
-# online self-healing over a 3/1 array, and online verification over a
-# degraded 4/1 array.
+# The striped-array resilience suite under the race detector: what the
+# array knows of a failed member's heated lines and the spare sled a
+# member rebuild commissions, crash consistency at every replay
+# boundary with and without a member loss, cross-width
+# mount-fingerprint equivalence, the auditor's repair-from-parity arm,
+# the striped serving runs (width scaling, degraded reads, width-1
+# virtual-time identity), and the serofsck array modes end to end —
+# parity-group scan with per-member findings, online self-healing over
+# a 3/1 array, and online verification over a degraded 4/1 array.
 degraded-campaign:
+	$(GO) test -race -run 'TestFailedMemberLines|TestFailedRebuildKeepsMemberLines|TestRepairedMemberKeepsTracerAndConcurrency' ./internal/array
 	$(GO) test -race -run 'TestCrashConsistencyStripedEveryBoundary|TestAuditorRepairsTamperFromParity|TestMountFingerprintEqualAcrossWidths' ./internal/lfs
 	$(GO) test -race -run 'TestRunStriped|TestRunWidth1MatchesRawDevice' ./internal/serve
 	$(GO) test -race -run 'TestRunArrayParityGroupScan|TestOnlineVerifyArray' ./cmd/serofsck
@@ -159,14 +161,13 @@ fuzz:
 # diffraction physics (internal/physics) and the probe-array model
 # (internal/probe) carries a doc comment, so `go doc` reads as a
 # complete reference.
-docs:
+docs: vet
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	$(GO) vet ./...
 	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/device ./internal/array ./internal/medium ./internal/ecc ./internal/manchester ./internal/workload ./internal/physics ./internal/probe
 
-# docs already runs vet, so ci doesn't list it twice. race runs the
-# full -race suite; attack-campaign and degraded-campaign narrow in on
-# the concurrent campaign and array-resilience tests so a failure
-# there is named in the CI log.
-ci: build test race docs benchcheck perfbench bench-serve-quick trace-smoke oracle attack-campaign degraded-campaign
+# vet is its own step (docs depends on it, so it runs once) so a vet
+# failure is named in the CI log. race runs the full -race suite;
+# attack-campaign and degraded-campaign narrow in on the concurrent
+# campaign and array-resilience tests for the same reason.
+ci: build vet test race docs benchcheck perfbench bench-serve-quick trace-smoke oracle attack-campaign degraded-campaign

@@ -38,6 +38,14 @@
 // logical write stream through a fresh array, regenerating parity
 // consistently (the md-style resync assumption; the lfs layer's acked
 // durability is unaffected because unacked tails roll back anyway).
+//
+// Lines. The array keeps no line registry of its own. A heated line
+// never crosses a stripe unit, so its placement is always the mapping
+// of its start; its size and record live in the owning member's line
+// registry, the one a medium scan rebuilds. A failed member's device
+// stays in the array until RepairMember replaces it, so its registry
+// still lists the lines the array reports for it and the rebuild
+// re-heats.
 package array
 
 import (
@@ -85,18 +93,10 @@ var (
 	ErrNotStripable = errors.New("array: line crosses a stripe-unit boundary")
 )
 
-// lineEntry is the array's registry view of one heated line.
-type lineEntry struct {
-	member int
-	local  uint64
-	logN   uint8
-}
-
 // Array is the striped composite. It implements device.Dev.
 type Array struct {
 	members []*device.Device
-	mp      []device.Params // member construction params, for rebuilds
-	su      int             // stripe unit in blocks
+	su      int // stripe unit in blocks
 	n, p, d int
 	rows    int // stripe rows per member
 	blocks  int // global capacity in blocks
@@ -107,14 +107,13 @@ type Array struct {
 	codec *ecc.Codec // nil when p == 0
 	coef  [][]byte   // coef[dcol][j]: data column dcol's weight in parity j
 
-	// mu guards mirror, written, pending, failed, lines and counters.
+	// mu guards mirror, written, pending, failed and counters.
 	// Rule: no member device I/O is ever issued under mu.
 	mu      sync.Mutex
 	mirror  [][][]byte // [member][local pba] → last committed payload (nil = never written)
 	written [][]bool
 	pending []map[uint64]bool // [member] → dirty parity blocks awaiting flush
 	failed  []bool
-	lines   map[uint64]lineEntry // global line start → placement
 	cnt     counters
 	// scanFindings are parity-territory anomalies from the last Scan.
 	scanFindings []ScanFinding
@@ -181,15 +180,10 @@ func New(members []*device.Device, p Params) (*Array, error) {
 		written: make([][]bool, n),
 		pending: make([]map[uint64]bool, n),
 		failed:  make([]bool, n),
-		lines:   make(map[uint64]lineEntry),
 		flushMu: make([]sync.Mutex, n),
 	}
 	a.blocks = a.rows * a.d * a.su
 	a.conc.Store(int32(members[0].Concurrency()))
-	a.mp = make([]device.Params, n)
-	for i, m := range members {
-		a.mp[i] = m.Params()
-	}
 	for i := range members {
 		a.mirror[i] = make([][]byte, mb)
 		a.written[i] = make([]bool, mb)
@@ -429,17 +423,7 @@ func (a *Array) Stats() device.OpStats {
 	var out device.OpStats
 	for _, m := range a.members {
 		st := m.Stats()
-		out.MagneticReads += st.MagneticReads
-		out.MagneticWrites += st.MagneticWrites
-		out.ElectricReads += st.ElectricReads
-		out.ElectricWrites += st.ElectricWrites
-		out.HeatLines += st.HeatLines
-		out.VerifyLines += st.VerifyLines
-		out.CorrectedBytes += st.CorrectedBytes
-		out.MagneticReadNS += st.MagneticReadNS
-		out.MagneticWriteNS += st.MagneticWriteNS
-		out.ElectricReadNS += st.ElectricReadNS
-		out.ElectricWriteNS += st.ElectricWriteNS
+		out.Add(&st)
 	}
 	return out
 }
@@ -460,11 +444,7 @@ func (a *Array) Tracer() *trace.Tracer { return a.tracer.Load() }
 // SetTracer installs t on the array and every member (members emit on
 // disjoint track ranges via their TrackOffset).
 func (a *Array) SetTracer(t *trace.Tracer) {
-	if t == nil {
-		a.tracer.Store(nil)
-	} else {
-		a.tracer.Store(t)
-	}
+	a.tracer.Store(t)
 	for _, m := range a.members {
 		m.SetTracer(t)
 	}
@@ -496,29 +476,17 @@ func (a *Array) SetReadObserver(fn device.ReadObserver) {
 
 // onMemberWrite is the array's member write observer: every committed
 // magnetic write on any member lands here, under that member's write
-// locks. Data-territory writes update the mirror, fold their delta
-// into the parity mirrors, and forward to the client observer; parity
-// territory is ignored (the parity mirror is maintained exclusively by
-// the delta path, so a flushed value can never stomp a newer delta).
+// locks. Data-territory writes go through commitData; parity territory
+// is only marked written (the parity mirror is maintained exclusively
+// by the delta path, so a flushed value can never stomp a newer delta).
 func (a *Array) onMemberWrite(m int, lpba uint64, data []byte) {
-	row := int(lpba / uint64(a.su))
-	if _, isP := a.parityMember(row, m); isP {
+	if _, isP := a.parityMember(int(lpba/uint64(a.su)), m); isP {
 		a.mu.Lock()
 		a.written[m][lpba] = true
 		a.mu.Unlock()
 		return
 	}
-	a.mu.Lock()
-	a.applyDataWriteLocked(m, lpba, row, data)
-	fn := a.wobs.Load()
-	var g uint64
-	if fn != nil {
-		g, _ = a.globalOf(m, lpba)
-	}
-	a.mu.Unlock()
-	if fn != nil {
-		(*fn)(g, data)
-	}
+	a.commitData(m, lpba, data)
 }
 
 // applyDataWriteLocked folds one committed data write into the mirror
@@ -562,11 +530,13 @@ func (a *Array) applyDataWriteLocked(m int, lpba uint64, row int, data []byte) {
 	a.written[m][lpba] = true
 }
 
-// applyFailedWrite records a data write targeted at a failed member:
-// no device I/O, but the mirror and parity absorb it (so the write is
-// reconstructable — zero acked-write loss through a degraded window)
-// and the client observer still sees it.
-func (a *Array) applyFailedWrite(m int, lpba uint64, data []byte) {
+// commitData folds one committed data write into the mirror and the
+// parity mirrors and forwards it to the client observer. A write aimed
+// at a failed member lands here with no device I/O: the mirror and
+// parity absorb it (so the write is reconstructable — zero acked-write
+// loss through a degraded window) and the client observer still sees
+// it.
+func (a *Array) commitData(m int, lpba uint64, data []byte) {
 	row := int(lpba / uint64(a.su))
 	a.mu.Lock()
 	a.applyDataWriteLocked(m, lpba, row, data)
@@ -582,10 +552,10 @@ func (a *Array) applyFailedWrite(m int, lpba uint64, data []byte) {
 }
 
 // applyFailedRun records a run targeted at failed member m, block by
-// block (see applyFailedWrite).
+// block (see commitData).
 func (a *Array) applyFailedRun(m int, r device.WriteRun) {
 	for i, b := range r.Blocks {
-		a.applyFailedWrite(m, r.Start+uint64(i), b)
+		a.commitData(m, r.Start+uint64(i), b)
 	}
 }
 
@@ -666,20 +636,25 @@ func (a *Array) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 		return nil, err
 	}
 	m, lpba, _, _ := a.locate(pba)
-	if !a.Failed(m) {
-		buf, err := a.members[m].MRSTraced(task, lpba)
-		if err == nil {
-			a.syncClock()
-			return buf, nil
-		}
-		if a.p == 0 {
-			a.syncClock()
-			return nil, err
-		}
-	}
-	buf, err := a.reconstructBlock(task, m, lpba)
+	buf, err := a.readMember(task, m, lpba, nil)
 	a.syncClock()
 	return buf, err
+}
+
+// readMember is the array's one degraded read: it reads member m's
+// block lpba, or reconstructs it from parity when m is failed or
+// refuses the read. read answers for the member; nil reads the one
+// block here, ReadBlocksFanned hands in its batched member read.
+func (a *Array) readMember(task *trace.Task, m int, lpba uint64, read func() ([]byte, error)) ([]byte, error) {
+	if !a.Failed(m) {
+		if read == nil {
+			read = func() ([]byte, error) { return a.members[m].MRSTraced(task, lpba) }
+		}
+		if buf, err := read(); err == nil || a.p == 0 {
+			return buf, err
+		}
+	}
+	return a.reconstructBlock(task, m, lpba)
 }
 
 // WriteBlocks writes a contiguous global run, splitting it at stripe
@@ -796,13 +771,10 @@ func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)
 		func(m int, idx []int, lp []uint64) {
 			mbufs, merrs := a.members[m].ReadBlocksFanned(lp, workers)
 			for k, i := range idx {
-				bufs[i], errs[i] = mbufs[k], merrs[k]
-				if errs[i] != nil && a.p > 0 {
-					bufs[i], errs[i] = a.reconstructBlock(nil, m, lp[k])
-				}
+				bufs[i], errs[i] = a.readMember(nil, m, lp[k], func() ([]byte, error) { return mbufs[k], merrs[k] })
 			}
 		},
-		func(m, i int, lpba uint64) { bufs[i], errs[i] = a.reconstructBlock(nil, m, lpba) })
+		func(m, i int, lpba uint64) { bufs[i], errs[i] = a.readMember(nil, m, lpba, nil) })
 	a.syncClock()
 	return bufs, errs
 }
@@ -841,34 +813,20 @@ func (a *Array) moveGroup(moves []device.BlockMove) device.MoveResult {
 		chunk := moves[i:j]
 		bufs := make([][]byte, len(chunk))
 		for k, mv := range chunk {
-			buf, err := a.readForMove(mv.Src)
+			err := a.checkRange(mv.Src, 1)
+			if err == nil {
+				m, lpba, _, _ := a.locate(mv.Src)
+				bufs[k], err = a.readMember(nil, m, lpba, nil)
+			}
 			if err != nil {
 				return device.MoveResult{Completed: i, Err: err}
 			}
-			bufs[k] = buf
 		}
 		if err := a.writeForMove(chunk[0].Dst, bufs); err != nil {
 			return device.MoveResult{Completed: i, Err: err}
 		}
 	}
 	return device.MoveResult{Completed: len(moves)}
-}
-
-// readForMove reads one global block for relocation (degrading to
-// reconstruction when needed).
-func (a *Array) readForMove(g uint64) ([]byte, error) {
-	if err := a.checkRange(g, 1); err != nil {
-		return nil, err
-	}
-	m, lpba, _, _ := a.locate(g)
-	if a.Failed(m) {
-		return a.reconstructBlock(nil, m, lpba)
-	}
-	buf, err := a.members[m].MRS(lpba)
-	if err != nil && a.p > 0 {
-		return a.reconstructBlock(nil, m, lpba)
-	}
-	return buf, err
 }
 
 // writeForMove commits one destination run through the split path
@@ -897,6 +855,23 @@ func (a *Array) lineSpan(g uint64, logN uint8) (m int, lpba uint64, err error) {
 	return m, lpba, nil
 }
 
+// liveLine is lineSpan for an operation that needs the line's member:
+// it refuses a line held by a failed member. Operations on an existing
+// line pass logN 0, which checks the start alone.
+func (a *Array) liveLine(start uint64, logN uint8) (int, uint64, error) {
+	m, lpba, err := a.lineSpan(start, logN)
+	if err == nil && a.Failed(m) {
+		err = lineOnFailed(m, start)
+	}
+	return m, lpba, err
+}
+
+// lineOnFailed is the refusal of a line operation whose member is
+// failed.
+func lineOnFailed(m int, start uint64) error {
+	return fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
+}
+
 // WriteLineBatch writes a future heated line's member blocks. On a
 // failed member the payloads land in the mirror and parity only; the
 // line becomes heatable after the member is repaired.
@@ -913,7 +888,7 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 			if int(i) < len(blocks) {
 				b = blocks[i]
 			}
-			a.applyFailedWrite(m, lpba+1+i, b)
+			a.commitData(m, lpba+1+i, b)
 		}
 	} else {
 		err = a.members[m].WriteLineBatch(lpba, logN, blocks)
@@ -929,22 +904,15 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 // member writes binds member-local addresses (LineInfo.Start is
 // translated back to the global space; Record stays the wire truth).
 func (a *Array) HeatLine(start uint64, logN uint8) (device.LineInfo, error) {
-	m, lpba, err := a.lineSpan(start, logN)
+	m, lpba, err := a.liveLine(start, logN)
 	if err != nil {
 		return device.LineInfo{}, err
 	}
-	if a.Failed(m) {
-		return device.LineInfo{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
-	}
-	li, herr := a.members[m].HeatLine(lpba, logN)
-	if herr != nil {
-		a.syncClock()
-		return device.LineInfo{}, herr
-	}
-	a.mu.Lock()
-	a.lines[start] = lineEntry{member: m, local: lpba, logN: logN}
-	a.mu.Unlock()
+	li, err := a.members[m].HeatLine(lpba, logN)
 	a.syncClock()
+	if err != nil {
+		return device.LineInfo{}, err
+	}
 	li.Start = start
 	return li, nil
 }
@@ -964,12 +932,9 @@ func (a *Array) translateReport(m int, rep device.VerifyReport) device.VerifyRep
 
 // VerifyLine checks the heated line at global start.
 func (a *Array) VerifyLine(start uint64) (device.VerifyReport, error) {
-	m, lpba, _, err := a.lineAt(start)
+	m, lpba, err := a.liveLine(start, 0)
 	if err != nil {
 		return device.VerifyReport{}, err
-	}
-	if a.Failed(m) {
-		return device.VerifyReport{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, verr := a.members[m].VerifyLine(lpba)
 	a.syncClock()
@@ -979,31 +944,12 @@ func (a *Array) VerifyLine(start uint64) (device.VerifyReport, error) {
 // VerifyLineOffClock verifies on a shadow plane (off the foreground
 // clock) — the incremental auditor's contract.
 func (a *Array) VerifyLineOffClock(start uint64) (device.VerifyReport, time.Duration, error) {
-	m, lpba, _, err := a.lineAt(start)
+	m, lpba, err := a.liveLine(start, 0)
 	if err != nil {
 		return device.VerifyReport{}, 0, err
 	}
-	if a.Failed(m) {
-		return device.VerifyReport{}, 0, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
-	}
 	rep, shadow, verr := a.members[m].VerifyLineOffClock(lpba)
 	return a.translateReport(m, rep), shadow, verr
-}
-
-// lineAt resolves a global line start to its member placement, via
-// the registry or (for lines recovered by member scans) the mapping.
-func (a *Array) lineAt(start uint64) (int, uint64, lineEntry, error) {
-	a.mu.Lock()
-	entry, ok := a.lines[start]
-	a.mu.Unlock()
-	if ok {
-		return entry.member, entry.local, entry, nil
-	}
-	if err := a.checkRange(start, 1); err != nil {
-		return 0, 0, lineEntry{}, err
-	}
-	m, lpba, _, _ := a.locate(start)
-	return m, lpba, lineEntry{member: m, local: lpba}, nil
 }
 
 // VerifyLines fans verification per member (each member fans further
@@ -1012,7 +958,7 @@ func (a *Array) VerifyLines(starts []uint64, workers int) []device.VerifyOutcome
 	out := make([]device.VerifyOutcome, len(starts))
 	scatter(a, len(starts),
 		func(i int, add func(int, uint64)) {
-			m, lpba, _, err := a.lineAt(starts[i])
+			m, lpba, err := a.lineSpan(starts[i], 0)
 			if err != nil {
 				out[i].Err = err
 				return
@@ -1025,38 +971,37 @@ func (a *Array) VerifyLines(starts []uint64, workers int) []device.VerifyOutcome
 				out[idx[k]] = oc
 			}
 		},
-		func(m, i int, _ uint64) {
-			out[i].Err = fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, starts[i])
-		})
+		func(m, i int, _ uint64) { out[i].Err = lineOnFailed(m, starts[i]) })
 	a.syncClock()
 	return out
 }
 
-// Lines returns the array's heated lines in global address order.
-// Lines on failed members are reported from the registry (zero-valued
-// records): the evidence is temporarily unreadable, not forgotten.
+// memberLines returns the data-territory lines in member m's registry,
+// at global addresses. A failed member's lines keep their place and
+// size but read with zero-valued records: the evidence is temporarily
+// unreadable, not forgotten.
+func (a *Array) memberLines(m int) []device.LineInfo {
+	failed := a.Failed(m)
+	var out []device.LineInfo
+	for _, li := range a.members[m].Lines() {
+		if g, ok := a.globalOf(m, li.Start); ok {
+			if failed {
+				li = device.LineInfo{LogN: li.LogN}
+			}
+			li.Start = g
+			out = append(out, li)
+		}
+	}
+	return out
+}
+
+// Lines returns the array's heated lines in global address order,
+// those of failed members included (see memberLines).
 func (a *Array) Lines() []device.LineInfo {
 	var out []device.LineInfo
-	seen := make(map[uint64]bool)
-	for m, dev := range a.members {
-		if a.Failed(m) {
-			continue
-		}
-		for _, li := range dev.Lines() {
-			if g, ok := a.globalOf(m, li.Start); ok {
-				li.Start = g
-				out = append(out, li)
-				seen[g] = true
-			}
-		}
+	for m := range a.members {
+		out = append(out, a.memberLines(m)...)
 	}
-	a.mu.Lock()
-	for g, e := range a.lines {
-		if !seen[g] && a.failed[e.member] {
-			out = append(out, device.LineInfo{Start: g, LogN: e.logN})
-		}
-	}
-	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
@@ -1073,17 +1018,17 @@ type ScanFinding struct {
 	Kind string
 }
 
-// Scan recovers the heated-line registry from every live member's
+// Scan recovers the heated-line registry of every live member from its
 // medium. Data-territory lines translate to global addresses;
 // electrical evidence on parity territory is reported per member via
-// ScanFindings. Lines previously registered on failed members are
-// retained (their media are unreadable until repair, their existence
-// is host knowledge worth keeping).
+// ScanFindings. A failed member is not scanned: the lines its registry
+// holds are reported as memberLines does (their media are unreadable
+// until repair, their existence is host knowledge worth keeping).
 func (a *Array) Scan() (recovered []device.LineInfo, unparseable []uint64, err error) {
-	newLines := make(map[uint64]lineEntry)
 	var findings []ScanFinding
 	for m, dev := range a.members {
 		if a.Failed(m) {
+			recovered = append(recovered, a.memberLines(m)...)
 			continue
 		}
 		rec, unp, serr := dev.Scan()
@@ -1092,10 +1037,8 @@ func (a *Array) Scan() (recovered []device.LineInfo, unparseable []uint64, err e
 		}
 		for _, li := range rec {
 			if g, ok := a.globalOf(m, li.Start); ok {
-				local := li.Start
 				li.Start = g
 				recovered = append(recovered, li)
-				newLines[g] = lineEntry{member: m, local: local, logN: li.LogN}
 			} else {
 				findings = append(findings, ScanFinding{Member: m, Local: li.Start, Kind: "line-on-parity-territory"})
 			}
@@ -1109,13 +1052,6 @@ func (a *Array) Scan() (recovered []device.LineInfo, unparseable []uint64, err e
 		}
 	}
 	a.mu.Lock()
-	for g, e := range a.lines {
-		if a.failed[e.member] {
-			newLines[g] = e
-			recovered = append(recovered, device.LineInfo{Start: g, LogN: e.logN})
-		}
-	}
-	a.lines = newLines
 	a.scanFindings = findings
 	a.mu.Unlock()
 	sort.Slice(recovered, func(i, j int) bool { return recovered[i].Start < recovered[j].Start })
@@ -1136,12 +1072,9 @@ func (a *Array) ScanFindings() []ScanFinding {
 // line is not reconstructable from the surviving members. The line's
 // record remains the tombstone.
 func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
-	m, lpba, entry, err := a.lineAt(start)
+	m, lpba, err := a.liveLine(start, 0)
 	if err != nil {
 		return device.ShredReport{}, err
-	}
-	if a.Failed(m) {
-		return device.ShredReport{}, fmt.Errorf("%w: member %d holds line %d", ErrMemberFailed, m, start)
 	}
 	rep, serr := a.members[m].ShredLine(lpba)
 	if serr != nil {
@@ -1152,11 +1085,10 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 	// block of the line, then drop the mirror copy. Reconstruction of
 	// the shredded blocks now yields zeros, not the expired data.
 	if a.p > 0 {
-		n := uint64(1) << entry.logNOr(rep.Line.LogN)
 		row := int(lpba / uint64(a.su))
 		zero := make([]byte, device.DataBytes)
 		a.mu.Lock()
-		for i := lpba + 1; i < lpba+n; i++ {
+		for i := lpba + 1; i < rep.Line.End(); i++ {
 			if a.mirror[m][i] != nil {
 				a.applyDataWriteLocked(m, i, row, zero)
 				a.mirror[m][i] = nil
@@ -1168,14 +1100,6 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 	a.syncClock()
 	rep.Line.Start = start
 	return rep, serr
-}
-
-// logNOr returns the entry's logN, falling back to the report's.
-func (e lineEntry) logNOr(logN uint8) uint8 {
-	if e.logN != 0 {
-		return e.logN
-	}
-	return logN
 }
 
 // SaveImage serialises every member's medium into one container

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sero/internal/device"
+	"sero/internal/trace"
 )
 
 // payload returns a deterministic 512-byte block derived from seed.
@@ -535,5 +536,57 @@ func TestFailedMemberLines(t *testing.T) {
 	}
 	if _, err := a.RepairLine(g0 + 1); err == nil {
 		t.Fatal("RepairLine of an address that is not a line start was accepted")
+	}
+}
+
+// TestRepairedMemberKeepsTracerAndConcurrency: the spare sled a member
+// rebuild commissions carries the array's tracer and current fan-out
+// width, so its rebuild and later I/O emit spans and fan out like its
+// peers.
+func TestRepairedMemberKeepsTracerAndConcurrency(t *testing.T) {
+	a := mustBuild(t, 3, 1, 8, 64)
+	fillArray(t, a, 7)
+	tr := trace.New(1 << 12)
+	a.SetTracer(tr)
+	a.SetConcurrency(3)
+	if err := a.FailMember(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RepairMember(1); err != nil {
+		t.Fatal(err)
+	}
+	dev := a.MemberDevice(1)
+	if dev.Tracer() != tr {
+		t.Fatal("repaired member lost the array's tracer")
+	}
+	if dev.Concurrency() != 3 {
+		t.Fatalf("repaired member fan-out width %d, want 3", dev.Concurrency())
+	}
+}
+
+// TestFailedRebuildKeepsMemberLines: a member rebuild whose
+// reconstruction fails leaves the lost sled in place, so the array
+// still knows the heated lines it carried.
+func TestFailedRebuildKeepsMemberLines(t *testing.T) {
+	a := mustBuild(t, 3, 1, 16, 128)
+	g0 := lineOnMember(t, a, 1, 3)
+	if err := a.WriteLineBatch(g0, 3, [][]byte{payload(1), payload(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.HeatLine(g0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FailMember(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FailMember(2); !errors.Is(err, ErrTooManyFailures) {
+		t.Fatalf("second failure: %v, want ErrTooManyFailures", err)
+	}
+	if err := a.RepairMember(1); !errors.Is(err, ErrTooManyFailures) {
+		t.Fatalf("rebuild with two members down: %v, want ErrTooManyFailures", err)
+	}
+	want := []device.LineInfo{{Start: g0, LogN: 3}}
+	if got := a.Lines(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Lines() after the failed rebuild = %+v, want %+v", got, want)
 	}
 }

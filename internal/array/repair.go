@@ -94,28 +94,14 @@ func (a *Array) RepairMember(m int) error {
 			parityVals[l] = append([]byte(nil), a.mirror[m][l]...)
 		}
 	}
-	var heats []lineEntry
-	for _, e := range a.lines {
-		if e.member == m {
-			heats = append(heats, e)
-		}
-	}
 	a.mu.Unlock()
+	// The lines to re-heat are in the lost sled's own registry, which
+	// outlives its media.
+	heats := a.memberLines(m)
 
-	// Commission the spare: same geometry, same trace tracks, clock
-	// raised to the array's present so the rebuild extends the
-	// timeline instead of rewriting history.
-	fresh := device.New(a.mp[m])
-	fresh.Clock().AdvanceTo(a.clock.Now())
-	a.members[m] = fresh
-	a.hookMember(m)
-
-	// Reconstruct and rewrite. Data blocks come from the survivors
-	// through the erasure decoder (m is still marked failed, so the
-	// reconstruction excludes the fresh sled); parity blocks come from
-	// the parity mirror. Writes land through the fresh member's fanned
-	// write path; its observer re-folds each data block against an
-	// identical mirror value — zero deltas, no parity churn.
+	// Reconstruct. Data blocks come from the survivors through the
+	// erasure decoder (m is marked failed, so it is never read); parity
+	// blocks come from the parity mirror.
 	vals := make(map[uint64][]byte, len(lpbas))
 	for _, lpba := range lpbas {
 		if pv, ok := parityVals[lpba]; ok {
@@ -128,6 +114,21 @@ func (a *Array) RepairMember(m int) error {
 		}
 		vals[lpba] = buf
 	}
+
+	// Commission the spare only now, so a failed reconstruction leaves
+	// the lost sled and its line registry in place for a retry: same
+	// geometry, same trace tracks, the array's tracer and fan-out
+	// width, clock raised to the array's present so the rebuild extends
+	// the timeline instead of rewriting history. The rewrite lands
+	// through the fresh member's fanned write path; its observer
+	// re-folds each data block against an identical mirror value —
+	// zero deltas, no parity churn.
+	fresh := device.New(a.members[m].Params())
+	fresh.SetTracer(a.Tracer())
+	fresh.SetConcurrency(a.Concurrency())
+	fresh.Clock().AdvanceTo(a.clock.Now())
+	a.members[m] = fresh
+	a.hookMember(m)
 	sort.Slice(lpbas, func(i, j int) bool { return lpbas[i] < lpbas[j] })
 	var runs []device.WriteRun
 	for i, j := range device.ConsecutiveRuns(len(lpbas), func(k int) uint64 { return lpbas[k] }) {
@@ -144,10 +145,10 @@ func (a *Array) RepairMember(m int) error {
 	}
 
 	// Re-establish the evidence: heat every line the member carried.
-	sort.Slice(heats, func(i, j int) bool { return heats[i].local < heats[j].local })
-	for _, e := range heats {
-		if _, err := fresh.HeatLine(e.local, e.logN); err != nil {
-			return fmt.Errorf("array: re-heating line at member %d block %d: %w", m, e.local, err)
+	for _, li := range heats {
+		_, lpba, _, _ := a.locate(li.Start)
+		if _, err := fresh.HeatLine(lpba, li.LogN); err != nil {
+			return fmt.Errorf("array: re-heating line at member %d block %d: %w", m, lpba, err)
 		}
 	}
 
@@ -166,23 +167,23 @@ func (a *Array) RepairMember(m int) error {
 // the hook the incremental auditor's repair arm calls on a verify
 // failure.
 func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
-	a.mu.Lock()
-	entry, ok := a.lines[start]
-	a.mu.Unlock()
-	if !ok {
+	m, local, err := a.liveLine(start, 0)
+	if err != nil {
+		return device.LineInfo{}, err
+	}
+	lines := a.members[m].Lines()
+	k := sort.Search(len(lines), func(k int) bool { return lines[k].Start >= local })
+	if k == len(lines) || lines[k].Start != local {
 		return device.LineInfo{}, fmt.Errorf("array: no heated line registered at %d", start)
 	}
-	m := entry.member
-	if a.Failed(m) {
-		return device.LineInfo{}, fmt.Errorf("%w: member %d holds line %d (repair the member)", ErrMemberFailed, m, start)
-	}
+	line := lines[k]
 	if a.p == 0 {
 		return device.LineInfo{}, fmt.Errorf("%w: cannot reconstruct line %d", ErrTooManyFailures, start)
 	}
-	n := uint64(1) << entry.logN
+	n := line.Blocks()
 	payloads := make([][]byte, n-1)
 	for i := uint64(0); i < n-1; i++ {
-		lpba := entry.local + 1 + i
+		lpba := local + 1 + i
 		a.mu.Lock()
 		committed := a.written[m][lpba]
 		a.mu.Unlock()
@@ -195,7 +196,7 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 		}
 		payloads[i] = buf
 	}
-	li, err := a.members[m].ReplaceLine(entry.local, entry.logN, payloads)
+	li, err := a.members[m].ReplaceLine(local, line.LogN, payloads)
 	if err != nil {
 		a.syncClock()
 		return device.LineInfo{}, err

@@ -352,8 +352,8 @@ type OpStats struct {
 	ElectricWriteNS time.Duration // virtual time charged to ews
 }
 
-// add accumulates other into s.
-func (s *OpStats) add(other *OpStats) {
+// Add accumulates other into s.
+func (s *OpStats) Add(other *OpStats) {
 	s.MagneticReads += other.MagneticReads
 	s.MagneticWrites += other.MagneticWrites
 	s.ElectricReads += other.ElectricReads
@@ -527,7 +527,7 @@ func (d *Device) ResetStats() {
 func (d *Device) mergeStats(other *OpStats) {
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
-	d.stats.add(other)
+	d.stats.Add(other)
 }
 
 // dotBase returns the first dot index of block pba.
