@@ -552,7 +552,7 @@ func TestCrashMidBackgroundClean(t *testing.T) {
 // benchmarkAppendDuringClean measures a foreground append stream while
 // one large cleaning pass over the fragmented population is in flight.
 // In the exclusive baseline the pass holds fs.mu throughout (the
-// monolithic cleanLocked), so the first append waits for the entire
+// inline cleanLocked), so the first append waits for the entire
 // pass — the pre-phased behaviour. In the phased variant the same pass
 // runs through Clean, which releases fs.mu for its copy windows, so
 // the appends interleave with the relocation and pay at most the brief

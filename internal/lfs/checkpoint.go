@@ -323,20 +323,12 @@ func (fs *FS) writeCheckpointLocked() error {
 	// after the checkpoint write succeeds, so a failed or torn
 	// checkpoint leaves the previous chain fully intact for fallback.
 	var jstart uint64
-	seg := fs.active[0]
-	if seg != nil && seg.next >= fs.p.SegmentBlocks {
-		if err := fs.sealSegment(seg); err != nil {
-			return err
-		}
-		seg = nil
-	}
-	if seg == nil {
-		if seg = fs.sm.allocSegment(0); seg != nil {
-			fs.active[0] = seg
-		}
-	}
-	if seg != nil {
+	seg, err := fs.activeLocked(0, 1, false)
+	switch {
+	case err == nil:
 		jstart = seg.start + uint64(seg.next)
+	case err != ErrFull:
+		return err
 	}
 	// jstart == 0 means no free segment was left to anchor a chain:
 	// the log base is never 0, so replay reads it as "no chain" and

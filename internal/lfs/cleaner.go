@@ -37,16 +37,18 @@ import (
 //     once per copied block), emptied victims enter SegFreeing, and
 //     the clean-pins come off.
 //
-// The monolithic variant (cleanLocked) runs all three phases while
-// holding fs.mu — it is the inline fallback on the append path, where
-// the lock is already held, and the exclusive-lock baseline the
-// benchmarks compare against. Both variants share planVictimsLocked
-// and commitVictimsLocked; each is deterministic and worker-count-
-// independent, but the two need not produce byte-identical layouts
-// for the same inputs — the phased loop re-plans every
-// cleanBatchSegments victims (interleaving its inode rewrites and
-// re-scoring the remaining candidates between rounds), while the
-// monolithic loop takes the whole deficit per round.
+// Every pass is a loop of cleanRoundLocked rounds, each running all
+// three phases over one batch of victims, in one of two forms. A
+// phased round (Clean, CleanStep, the background cleaner) releases
+// fs.mu for the copy, emits a span per phase and takes at most
+// cleanBatchSegments victims, re-scoring the remaining candidates
+// between rounds. An inline round (cleanLocked) keeps fs.mu held —
+// it is the fallback on the allocation paths, where the lock is
+// already held, and the exclusive-lock baseline the benchmarks compare
+// against — and takes the whole deficit as its batch; the inline pass
+// emits one clean-inline span. Both forms are deterministic and
+// worker-count-independent, but they need not produce byte-identical
+// layouts for the same inputs, because their batches differ.
 //
 // Safety of the unlocked copy window rests on three invariants:
 //   - source blocks live in SegFull victims, which no foreground path
@@ -70,8 +72,8 @@ type CleanStats struct {
 	PinnedSkipped int
 	// MovesInvalidated counts planned moves dropped at commit because
 	// a concurrent foreground write invalidated the source block while
-	// the copy phase ran off the lock. Always zero for the monolithic
-	// (exclusive-lock) variant.
+	// the copy phase ran off the lock. Always zero for the inline
+	// (exclusive-lock) pass.
 	MovesInvalidated int
 	// Workers is the fan-out width the copy phase ran at.
 	Workers int
@@ -116,7 +118,7 @@ type cleanPlan struct {
 // is fully deterministic, and its layout is a function of the
 // workload alone — identical for any Concurrency — though, being
 // batched per round, not necessarily byte-identical to what the
-// monolithic inline pass would produce for the same inputs. If
+// inline pass would produce for the same inputs. If
 // another pass is already in flight, Clean returns zero stats
 // immediately.
 func (fs *FS) Clean(targetFree int) CleanStats {
@@ -150,88 +152,102 @@ func (fs *FS) Clean(targetFree int) CleanStats {
 // covering point on the medium; embedders that want the space
 // released promptly should Sync after stepping.
 func (fs *FS) CleanStep(targetFree int) (cs CleanStats, more bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.cleaning || fs.sm.reclaimable() >= targetFree {
-		return cs, false
-	}
-	fs.stats.CleanerPasses++
-	return cs, fs.cleanRoundLocked(targetFree, &cs)
+	more = fs.cleanStep(targetFree, true, &cs)
+	return cs, more
 }
 
 // cleanPhased is the incremental cleaning loop shared by Clean and the
-// background cleaner: plan under the lock, copy off it, commit under
-// it, repeat while passes still make net progress toward targetFree
-// reclaimable segments.
+// background cleaner: phased rounds, counted as one pass, repeated
+// while they still make net progress toward targetFree reclaimable
+// segments.
 func (fs *FS) cleanPhased(targetFree int) CleanStats {
 	var cs CleanStats
-	counted := false
-	for {
-		fs.mu.Lock()
-		if fs.cleaning || fs.sm.reclaimable() >= targetFree {
-			fs.mu.Unlock()
-			break
-		}
-		if !counted {
-			fs.stats.CleanerPasses++
-			counted = true
-		}
-		progress := fs.cleanRoundLocked(targetFree, &cs)
-		fs.mu.Unlock()
-		if !progress {
-			break
-		}
+	for first := true; fs.cleanStep(targetFree, first, &cs); first = false {
 	}
 	return cs
 }
 
-// cleanRoundLocked runs one plan/copy/commit round and reports whether
-// it made net progress (a false return also covers "nothing plannable"
-// and commit failures — the caller should stop rather than thrash).
-// The caller holds fs.mu with fs.cleaning clear and reclaimable() <
-// targetFree; the round releases fs.mu for its copy phase and returns
-// with it re-held and fs.cleaning clear again.
-func (fs *FS) cleanRoundLocked(targetFree int, cs *CleanStats) bool {
-	fs.setCleaningLocked(true)
+// cleanStep takes fs.mu for one phased round — released for the copy,
+// at most cleanBatchSegments victims — toward targetFree reclaimable
+// segments, counting a cleaner pass when count is set. It reports
+// false without cleaning when the pool already meets targetFree or
+// another pass is in flight, and otherwise whether the round made net
+// progress.
+func (fs *FS) cleanStep(targetFree int, count bool, cs *CleanStats) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.cleaning || fs.sm.reclaimable() >= targetFree {
+		return false
+	}
+	if count {
+		fs.stats.CleanerPasses++
+	}
+	return fs.cleanRoundLocked(min(targetFree-fs.sm.reclaimable(), cleanBatchSegments), true, cs)
+}
+
+// cleanLocked is the inline cleaning loop: rounds that never release
+// fs.mu, each taking the whole remaining deficit as its batch, counted
+// as one pass under one clean-inline span. It is the fallback for
+// paths that discover they are out of space while already holding the
+// lock (appendBlock, line allocation, sync space accounting) — and the
+// exclusive-lock baseline that BenchmarkAppendDuringCleanForeground
+// measures.
+func (fs *FS) cleanLocked(targetFree int) CleanStats {
+	var cs CleanStats
+	if fs.cleaning {
+		return cs // re-entrant trigger from the cleaner's own appends
+	}
+	fs.stats.CleanerPasses++
 	tr := fs.dev.Tracer()
+	t0 := fs.now()
+	// Emptied segments sit in SegFreeing until the next checkpoint, so
+	// progress is measured in reclaimable (free + freeing) segments.
+	for fs.sm.reclaimable() < targetFree && fs.cleanRoundLocked(targetFree-fs.sm.reclaimable(), false, &cs) {
+	}
+	fs.emitSpan(tr, "clean-inline", t0, int64(cs.BlocksCopied), 0)
+	return cs
+}
+
+// cleanRoundLocked runs one plan/copy/commit round over at most batch
+// victims and reports whether it made net progress (a false return
+// also covers "nothing plannable" and commit failures — the caller
+// should stop rather than thrash). The caller holds fs.mu with
+// fs.cleaning clear. With release set the round drops fs.mu for its
+// copy phase and emits the clean-plan, clean-copy and clean-commit
+// spans; either way it returns with fs.mu held and fs.cleaning clear.
+func (fs *FS) cleanRoundLocked(batch int, release bool, cs *CleanStats) bool {
+	fs.setCleaningLocked(true)
+	defer fs.setCleaningLocked(false)
+	tr := fs.dev.Tracer()
+	if !release {
+		tr = nil
+	}
 	tPlan := fs.now()
 	before := fs.sm.reclaimable()
-	// Incremental batching: a phased round takes at most
-	// cleanBatchSegments victims, then re-locks, commits and
-	// re-plans. Small rounds keep both the plan/commit lock windows
-	// and each copy drain short — a foreground operation never
-	// waits behind more than one round's worth of cleaning — at the
-	// price of re-scoring victims between rounds. The batch size is
-	// a constant, NOT a function of the worker count: victim
-	// re-scoring between rounds depends on how the pass was
-	// batched, so a worker-dependent batch would break the
-	// layout-independence contract.
-	k := targetFree - before
-	if k > cleanBatchSegments {
-		k = cleanBatchSegments
+	victims := fs.pickVictims(batch, cs)
+	if len(victims) == 0 {
+		return false
 	}
-	victims := fs.pickVictims(k, cs)
-	var plan *cleanPlan
-	if len(victims) > 0 {
-		plan = fs.planVictimsLocked(victims, cs)
-	}
+	plan := fs.planVictimsLocked(victims, cs)
 	if plan == nil {
-		fs.setCleaningLocked(false)
 		return false
 	}
 	fs.emitSpan(tr, "clean-plan", tPlan, int64(len(plan.groups)), 0)
-	fs.mu.Unlock()
 
-	// Copy phase: fs.mu is released; foreground appends, reads and
+	// Copy phase: on a released round foreground appends, reads and
 	// syncs interleave with the fanned-out relocation.
+	if release {
+		fs.mu.Unlock()
+	}
 	tCopy := fs.now()
 	results := fs.dev.MoveGroups(plan.groups, plan.workers)
 	fs.emitSpan(tr, "clean-copy", tCopy, int64(len(plan.groups)), int64(plan.workers))
+	if release {
+		fs.mu.Lock()
+	}
 
-	fs.mu.Lock()
 	tCommit := fs.now()
-	prevCopied := cs.BlocksCopied
-	prevStale := cs.MovesInvalidated
+	prevCopied, prevStale := cs.BlocksCopied, cs.MovesInvalidated
 	ok := fs.commitVictimsLocked(plan, results, cs)
 	fs.stats.CleanerCopied += uint64(cs.BlocksCopied - prevCopied)
 	fs.emitSpan(tr, "clean-commit", tCommit,
@@ -239,49 +255,7 @@ func (fs *FS) cleanRoundLocked(targetFree int, cs *CleanStats) bool {
 	// Gross progress without net gain — the round consumed as many
 	// segments for copies and inode rewrites as it reclaimed — or a
 	// commit failure stops the caller rather than letting it thrash.
-	progress := ok && fs.sm.reclaimable() > before
-	fs.setCleaningLocked(false)
-	return progress
-}
-
-// cleanLocked is the monolithic cleaning loop: all three phases run
-// while the caller holds fs.mu exclusively. It is the inline fallback
-// for paths that discover they are out of space while already holding
-// the lock (appendBlock, line allocation, sync space accounting) — and
-// the exclusive-lock baseline that BenchmarkAppendDuringCleanForeground
-// measures.
-func (fs *FS) cleanLocked(targetFree int) CleanStats {
-	var cs CleanStats
-	if fs.cleaning {
-		return cs // re-entrant trigger from the cleaner's own appends
-	}
-	fs.setCleaningLocked(true)
-	defer fs.setCleaningLocked(false)
-	fs.stats.CleanerPasses++
-	tr := fs.dev.Tracer()
-	t0 := fs.now()
-	defer func() { fs.emitSpan(tr, "clean-inline", t0, int64(cs.BlocksCopied), 0) }()
-	// Emptied segments sit in SegFreeing until the next checkpoint, so
-	// progress is measured in reclaimable (free + freeing) segments.
-	for fs.sm.reclaimable() < targetFree {
-		victims := fs.pickVictims(targetFree-fs.sm.reclaimable(), &cs)
-		if len(victims) == 0 {
-			break
-		}
-		before := fs.sm.reclaimable()
-		if !fs.cleanVictims(victims, &cs) {
-			break
-		}
-		if fs.sm.reclaimable() <= before {
-			// Gross progress (victims freed) but no net gain: the pass
-			// consumed as many segments for copies and inode rewrites
-			// as it reclaimed. An unreachable target would otherwise
-			// thrash forever on the cleaner's own churn.
-			break
-		}
-	}
-	fs.stats.CleanerCopied += uint64(cs.BlocksCopied)
-	return cs
+	return ok && fs.sm.reclaimable() > before
 }
 
 // pickVictims selects up to k full segments with the best cost-benefit
@@ -348,18 +322,6 @@ func (fs *FS) pickVictims(k int, cs *CleanStats) []*segment {
 		out[i] = c.seg
 	}
 	return out
-}
-
-// cleanVictims runs the plan/copy/commit pipeline over one set of
-// victims without releasing fs.mu. It reports whether the pass freed
-// at least one segment; false stops the cleaning loop.
-func (fs *FS) cleanVictims(victims []*segment, cs *CleanStats) bool {
-	plan := fs.planVictimsLocked(victims, cs)
-	if plan == nil {
-		return false
-	}
-	results := fs.dev.MoveGroups(plan.groups, plan.workers)
-	return fs.commitVictimsLocked(plan, results, cs)
 }
 
 // planVictimsLocked is phase 1: flush the active buffers (the copy
@@ -565,21 +527,9 @@ func (fs *FS) undoMovesLocked(plan *cleanPlan, inos []Ino, jFrom int) {
 // is carved out by bumping the frontier, appends issued while the copy
 // phase runs off the lock land strictly behind every reservation.
 func (fs *FS) reserveSlot(affinity uint8) (uint64, error) {
-	if !fs.p.HeatAware {
-		affinity = 0
-	}
-	seg := fs.active[affinity]
-	if seg == nil || seg.next >= fs.p.SegmentBlocks {
-		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
-				return 0, err
-			}
-		}
-		seg = fs.sm.allocSegment(affinity)
-		if seg == nil {
-			return 0, ErrFull
-		}
-		fs.active[affinity] = seg
+	seg, err := fs.activeLocked(affinity, 1, false)
+	if err != nil {
+		return 0, err
 	}
 	pba := seg.start + uint64(seg.next)
 	seg.next++

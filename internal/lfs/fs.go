@@ -193,9 +193,8 @@ type FS struct {
 	// active data segments per affinity class.
 	active map[uint8]*segment
 	// heatSeg is the current heated-line segment per affinity
-	// (heat-aware mode); heatCursor is the next free offset in it.
-	heatSeg    map[uint8]*segment
-	heatCursor map[uint8]int
+	// (heat-aware mode); its next is the next free offset in it.
+	heatSeg map[uint8]*segment
 
 	dirty map[Ino]map[int][]byte
 	// pendSize records byte sizes promised by unflushed writes. The
@@ -434,21 +433,20 @@ func New(dev device.Dev, p Params) (*FS, error) {
 			p.CleanWatermark, logBlocks/p.SegmentBlocks)
 	}
 	fs := &FS{
-		dev:        dev,
-		p:          p,
-		sm:         newSegmentManager(uint64(ckpt), logBlocks, p.SegmentBlocks),
-		imap:       make(map[Ino]uint64),
-		inodes:     make(map[Ino]*Inode),
-		dir:        make(map[string]Ino),
-		names:      make(map[Ino]string),
-		fresh:      make(map[Ino]struct{}),
-		next:       RootIno + 1,
-		active:     make(map[uint8]*segment),
-		heatSeg:    make(map[uint8]*segment),
-		heatCursor: make(map[uint8]int),
-		dirty:      make(map[Ino]map[int][]byte),
-		pendSize:   make(map[Ino]uint64),
-		jImap:      make(map[Ino]bool),
+		dev:      dev,
+		p:        p,
+		sm:       newSegmentManager(uint64(ckpt), logBlocks, p.SegmentBlocks),
+		imap:     make(map[Ino]uint64),
+		inodes:   make(map[Ino]*Inode),
+		dir:      make(map[string]Ino),
+		names:    make(map[Ino]string),
+		fresh:    make(map[Ino]struct{}),
+		next:     RootIno + 1,
+		active:   make(map[uint8]*segment),
+		heatSeg:  make(map[uint8]*segment),
+		dirty:    make(map[Ino]map[int][]byte),
+		pendSize: make(map[Ino]uint64),
+		jImap:    make(map[Ino]bool),
 	}
 	fs.cleanCond = sync.NewCond(&fs.mu)
 	return fs, nil
@@ -1039,6 +1037,37 @@ func (fs *FS) dirtyAffinitiesLocked() int {
 	return n
 }
 
+// activeLocked is the one way the log hands out space: it returns the
+// affinity's active segment once that segment has room free blocks
+// past its frontier. Otherwise it seals the segment, runs the low-space
+// cleaning policy when clean is set, and opens a free segment as the
+// class's new appender; ErrFull means none was free. A heat-oblivious
+// FS collapses every class onto the affinity-0 appender. When no
+// segment is free, the sealed segment stays the class's appender.
+// Caller holds fs.mu exclusively.
+func (fs *FS) activeLocked(affinity uint8, room int, clean bool) (*segment, error) {
+	if !fs.p.HeatAware {
+		affinity = 0
+	}
+	seg := fs.active[affinity]
+	if seg != nil && seg.next+room <= fs.p.SegmentBlocks {
+		return seg, nil
+	}
+	if seg != nil {
+		if err := fs.sealSegment(seg); err != nil {
+			return nil, err
+		}
+	}
+	if clean {
+		fs.lowSpaceCleanLocked()
+	}
+	if seg = fs.sm.allocSegment(affinity); seg == nil {
+		return nil, ErrFull
+	}
+	fs.active[affinity] = seg
+	return seg, nil
+}
+
 // appendBlock appends data to the log in the affinity's active
 // segment and returns its PBA, cleaning first when free space is low.
 // The block is buffered in memory and group-committed with its
@@ -1049,22 +1078,9 @@ func (fs *FS) dirtyAffinitiesLocked() int {
 // one appender — that is the "clustering off" half of the §4.1
 // ablation.
 func (fs *FS) appendBlock(data []byte, affinity uint8) (uint64, error) {
-	if !fs.p.HeatAware {
-		affinity = 0
-	}
-	seg := fs.active[affinity]
-	if seg == nil || seg.next >= fs.p.SegmentBlocks {
-		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
-				return 0, err
-			}
-		}
-		fs.lowSpaceCleanLocked()
-		seg = fs.sm.allocSegment(affinity)
-		if seg == nil {
-			return 0, ErrFull
-		}
-		fs.active[affinity] = seg
+	seg, err := fs.activeLocked(affinity, 1, true)
+	if err != nil {
+		return 0, err
 	}
 	pba := seg.start + uint64(seg.next)
 	seg.next++

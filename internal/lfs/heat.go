@@ -174,9 +174,7 @@ func (fs *FS) allocLineSpace(logN uint8, affinity uint8) (uint64, error) {
 func (fs *FS) allocLineClustered(logN uint8, affinity uint8) (uint64, error) {
 	size := 1 << logN
 	seg := fs.heatSeg[affinity]
-	cursor := fs.heatCursor[affinity]
-	cursor = alignUp(cursor, size)
-	if seg == nil || cursor+size > fs.p.SegmentBlocks {
+	if seg == nil || alignUp(seg.next, size)+size > fs.p.SegmentBlocks {
 		fs.lowSpaceCleanLocked()
 		seg = fs.sm.allocSegment(affinity)
 		if seg == nil {
@@ -184,31 +182,22 @@ func (fs *FS) allocLineClustered(logN uint8, affinity uint8) (uint64, error) {
 		}
 		seg.state = SegPinned // dedicated to heated lines from birth
 		fs.heatSeg[affinity] = seg
-		cursor = 0
 	}
-	start := seg.start + uint64(cursor)
-	fs.heatCursor[affinity] = cursor + size
+	seg.next = alignUp(seg.next, size)
+	start := seg.start + uint64(seg.next)
+	seg.next += size
 	return start, nil
 }
 
 // allocLineInPlace carves the line out of the current data segment
-// (heat-oblivious baseline; affinity-blind like appendBlock).
+// (heat-oblivious baseline; affinity-blind like appendBlock). The line
+// size divides the segment size, so room for it past the frontier is
+// also room for it at the next aligned offset.
 func (fs *FS) allocLineInPlace(logN uint8, affinity uint8) (uint64, error) {
-	affinity = 0
 	size := 1 << logN
-	seg := fs.active[affinity]
-	if seg == nil || alignUp(seg.next, size)+size > fs.p.SegmentBlocks {
-		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
-				return 0, err
-			}
-		}
-		fs.lowSpaceCleanLocked()
-		seg = fs.sm.allocSegment(affinity)
-		if seg == nil {
-			return 0, ErrFull
-		}
-		fs.active[affinity] = seg
+	seg, err := fs.activeLocked(affinity, size, true)
+	if err != nil {
+		return 0, err
 	}
 	// The line is written device-direct; group-commit the buffered
 	// tail first so the pending run stays contiguous at seg.next.

@@ -389,19 +389,14 @@ func (fs *FS) appendRecordLocked(payload []byte) error {
 	if nb+2 > fs.p.SegmentBlocks {
 		return errJournalFull // record + promise can never fit one segment
 	}
-	seg := fs.active[0]
 	// The record and the next promise slot must fit the current
 	// segment; otherwise retire it and start a fresh one.
-	if seg == nil || seg.next+nb+1 > fs.p.SegmentBlocks {
-		if seg != nil {
-			if err := fs.sealSegment(seg); err != nil {
-				return err
-			}
-		}
-		if seg = fs.sm.allocSegment(0); seg == nil {
-			return errJournalFull
-		}
-		fs.active[0] = seg
+	seg, err := fs.activeLocked(0, nb+1, false)
+	if err == ErrFull {
+		return errJournalFull
+	}
+	if err != nil {
+		return err
 	}
 	pseg := fs.sm.segOf(fs.jpromise)
 	promiseOff := -1
