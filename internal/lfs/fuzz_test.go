@@ -8,16 +8,21 @@ import (
 	"sero/internal/device"
 )
 
-// FuzzFSOps drives random create/write/sync/clean/mount sequences
-// against the file system and checks the two durability invariants of
-// the write path: the checkpoint must never become unreadable, and no
-// data acked by a successful Sync may be lost — across group commits,
-// cleaning passes and remounts alike.
+// FuzzFSOps drives random create/write/sync/clean/mount/heat
+// sequences against the file system and checks the two durability
+// invariants of the write path: the checkpoint must never become
+// unreadable, and no data acked by a successful Sync may be lost —
+// across group commits, cleaning passes, heated lines and remounts
+// alike. A heated file must refuse writes with ErrFileHeated. The
+// input's length parity picks heat-aware (clustered heat segments) or
+// heat-oblivious (in-place lines) placement.
 func FuzzFSOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2})                                  // create, write, sync, clean
 	f.Add([]byte{0, 1, 1, 2, 3, 0, 4, 1, 1, 1, 2, 3})          // mixed with writes after sync
 	f.Add([]byte{0, 64, 1, 65, 130, 2, 3, 0, 16, 1, 81, 2, 3}) // two files, remounts
 	f.Add([]byte{0, 1, 2, 2, 2, 3, 3, 3, 1, 40, 2, 3})         // clean/mount heavy
+	f.Add([]byte{0, 1, 5, 1, 4, 1, 0, 8, 9, 13, 5, 9})         // heat, write refused, remount
+	f.Add([]byte{0, 1, 5, 8, 9, 65, 13, 3, 1, 4, 1})           // heat-oblivious heats and a clean
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -27,7 +32,7 @@ func FuzzFSOps(f *testing.F) {
 			SegmentBlocks:    16,
 			CheckpointBlocks: 16,
 			WritebackBlocks:  0, // whole-segment group commit
-			HeatAware:        true,
+			HeatAware:        len(ops)%2 == 0,
 			ReserveSegments:  2,
 			Concurrency:      2,
 		}
@@ -39,7 +44,55 @@ func FuzzFSOps(f *testing.F) {
 		names := []string{"a", "b", "c", "d"}
 		model := make(map[string][]byte) // current expected contents
 		acked := make(map[string][]byte) // contents as of the last checkpoint
+		heated := make(map[string]bool)  // files heated, durably or not
+		// unsure holds files heated since the last ack whose heat may
+		// or may not have reached a checkpoint: a remount may show the
+		// acked file or the heated one, and the model adopts what it
+		// shows.
+		unsure := make(map[string]bool)
 		synced := false
+		ack := func() {
+			synced = true
+			acked = make(map[string][]byte, len(model))
+			for n, c := range model {
+				acked[n] = append([]byte(nil), c...)
+			}
+			clear(unsure)
+		}
+		// checkpointed records a checkpoint the model did not ask for:
+		// it persisted bare inodes of files created since the last
+		// sync — their existence (with empty durable content) survives
+		// a remount even though their buffered data does not — and
+		// every heated file's frozen inode.
+		checkpointed := func() {
+			synced = true
+			for n := range model {
+				if _, ok := acked[n]; !ok {
+					acked[n] = nil
+				}
+			}
+			for n := range heated {
+				acked[n] = append([]byte(nil), model[n]...)
+				delete(unsure, n)
+			}
+		}
+		// sync acks everything current on success. A Sync that fails
+		// with ErrFull may still have checkpointed while securing
+		// space, before it flushed anything.
+		sync := func(what string) {
+			before := fs.Stats().Checkpoints
+			serr := fs.Sync()
+			switch {
+			case serr == nil:
+				ack()
+			case errors.Is(serr, ErrFull):
+				if fs.Stats().Checkpoints != before {
+					checkpointed()
+				}
+			default:
+				t.Fatalf("%s: %v", what, serr)
+			}
+		}
 
 		extend := func(buf []byte, n int) []byte {
 			for len(buf) < n {
@@ -50,7 +103,7 @@ func FuzzFSOps(f *testing.F) {
 		for i := 0; i < len(ops); i++ {
 			b := ops[i]
 			name := names[(b>>3)%4]
-			switch b % 5 {
+			switch b % 6 {
 			case 0: // create
 				_, cerr := fs.Create(name, b%3)
 				if _, exists := model[name]; exists {
@@ -73,6 +126,12 @@ func FuzzFSOps(f *testing.F) {
 				blk := int(b>>5) % 6
 				data := payload(b^0x5A, device.DataBytes)
 				werr := fs.Write(ino, uint64(blk)*device.DataBytes, data)
+				if heated[name] {
+					if !errors.Is(werr, ErrFileHeated) {
+						t.Fatalf("write to heated %s: %v", name, werr)
+					}
+					continue
+				}
 				if errors.Is(werr, ErrFull) {
 					continue
 				}
@@ -82,32 +141,12 @@ func FuzzFSOps(f *testing.F) {
 				buf := extend(model[name], (blk+1)*device.DataBytes)
 				copy(buf[blk*device.DataBytes:], data)
 				model[name] = buf
-			case 2: // sync: on success, everything current becomes acked
-				serr := fs.Sync()
-				if errors.Is(serr, ErrFull) {
-					continue
-				}
-				if serr != nil {
-					t.Fatalf("sync: %v", serr)
-				}
-				synced = true
-				acked = make(map[string][]byte, len(model))
-				for n, c := range model {
-					acked[n] = append([]byte(nil), c...)
-				}
+			case 2:
+				sync("sync")
 			case 3: // clean
 				cs := fs.Clean(fs.FreeSegments() + 1 + int(b>>6))
-				// A pass that checkpointed also persisted bare inodes
-				// of files created since the last sync: their
-				// existence (with empty durable content) survives a
-				// remount even though their buffered data does not.
 				if cs.Checkpointed {
-					synced = true
-					for n := range model {
-						if _, ok := acked[n]; !ok {
-							acked[n] = nil
-						}
-					}
+					checkpointed()
 				}
 			case 4: // remount: unsynced data may die, acked data may not
 				if !synced {
@@ -118,18 +157,58 @@ func FuzzFSOps(f *testing.F) {
 					t.Fatalf("checkpoint corrupt after ops %v: %v", ops[:i+1], merr)
 				}
 				fs = fs2
-				model = make(map[string][]byte, len(acked))
+				next := make(map[string][]byte, len(acked))
 				for n, c := range acked {
-					model[n] = append([]byte(nil), c...)
 					ino, lerr := fs.Lookup(n)
 					if lerr != nil {
 						t.Fatalf("acked file %s lost across mount: %v", n, lerr)
 					}
+					in, serr := fs.Stat(ino)
 					got, rerr := fs.ReadFile(ino)
-					if rerr != nil || !bytes.Equal(got, c) {
-						t.Fatalf("acked data of %s lost across mount: %v", n, rerr)
+					if serr != nil || rerr != nil {
+						t.Fatalf("acked file %s unreadable across mount: %v %v", n, serr, rerr)
+					}
+					if unsure[n] && in.Heated() && bytes.Equal(got, model[n]) {
+						next[n] = got // the heat reached a checkpoint
+						continue
+					}
+					if in.Heated() != heated[n] && !unsure[n] || !bytes.Equal(got, c) {
+						t.Fatalf("acked state of %s lost across mount", n)
+					}
+					if !in.Heated() {
+						delete(heated, n)
+					}
+					next[n] = append([]byte(nil), c...)
+				}
+				for n := range heated {
+					if _, ok := next[n]; !ok {
+						delete(heated, n)
 					}
 				}
+				model = next
+				ack()
+			case 5: // heat, then sync so the frozen file is acked
+				before := fs.Stats().Checkpoints
+				_, herr := fs.HeatFile(name)
+				if fs.Stats().Checkpoints != before {
+					checkpointed() // before this heat: it is not in it
+				}
+				switch _, exists := model[name]; {
+				case !exists:
+					if !errors.Is(herr, ErrNotFound) {
+						t.Fatalf("heat of missing %s: %v", name, herr)
+					}
+				case heated[name]:
+					if !errors.Is(herr, ErrFileHeated) {
+						t.Fatalf("second heat of %s: %v", name, herr)
+					}
+				case herr == nil:
+					heated[name] = true
+					unsure[name] = true
+				case !errors.Is(herr, ErrFull):
+					t.Fatalf("heat %s: %v", name, herr)
+				}
+				sync("sync after heat")
 			}
 		}
 		// Whatever survived the op stream must read back exactly.
