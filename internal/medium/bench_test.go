@@ -74,8 +74,20 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // sealedRows returns a three-row medium of standard 4,736-dot rows
 // holding random bits, with row 1 sealed as a heat record is: one dot
 // of each of the 1,024 Manchester cells after the 128-dot frame header
-// heated, its heat spilling into rows 0 and 2.
+// heated in one ranged write, its heat spilling into rows 0 and 2.
 func sealedRows(p Params) *Medium {
+	m := randomRows(p)
+	var heat [2048 / 64]uint64
+	for cell := 0; cell < 1024; cell++ {
+		k := 2*cell + cell%2
+		heat[k/64] |= 1 << (63 - k%64)
+	}
+	m.EWBRange(m.Index(1, 128), heat[:])
+	return m
+}
+
+// randomRows returns sealedRows' medium before the seal.
+func randomRows(p Params) *Medium {
 	const cols = 4736
 	p.Rows, p.Cols = 3, cols
 	m := New(p)
@@ -87,10 +99,21 @@ func sealedRows(p Params) *Medium {
 		}
 		m.MWBImage(m.Index(row, 0), img)
 	}
-	for cell := 0; cell < 1024; cell++ {
-		m.EWB(m.Index(1, 128+2*cell+cell%2))
-	}
 	return m
+}
+
+// TestEWBRangeSizesEachRowOnce pins what sealing a record allocates:
+// an overlay and one run of records for each of the three rows its
+// pulses reach, and the sealed row's heated bitset. A row's records
+// are sized once, for the whole range, rather than grown a quarter
+// row at a time.
+func TestEWBRangeSizesEachRowOnce(t *testing.T) {
+	p := DefaultParams(0, 0).Quiet()
+	unsealed := testing.AllocsPerRun(10, func() { randomRows(p) })
+	sealed := testing.AllocsPerRun(10, func() { sealedRows(p) })
+	if got := sealed - unsealed; got > 7 {
+		t.Fatalf("sealing a record: %v allocations, want <= 7", got)
+	}
 }
 
 // sealedParams are the media the sealed-row benchmarks run on: the
@@ -140,9 +163,9 @@ func BenchmarkERBRangeSealedRecord(b *testing.B) {
 }
 
 // BenchmarkEWBSealRecord seals a heat record onto three fresh standard
-// rows per op (sealedRows' 1,024 heats on the quiet medium), so B/op
-// shows the overlay rows a seal allocates for its row and the two rows
-// its heat spills into.
+// rows per op (sealedRows' 1,024 heats in one EWBRange on the quiet
+// medium), so B/op shows the overlay rows a seal allocates for its row
+// and the two rows its heat spills into.
 func BenchmarkEWBSealRecord(b *testing.B) {
 	p := DefaultParams(0, 0).Quiet()
 	b.ReportAllocs()

@@ -390,10 +390,11 @@ func (m *Medium) extra(row, col int) *overlayDot {
 }
 
 // extraFor returns dot (row, col)'s overlay record, creating or growing
-// the row's overlay to cover it. The overlay grows to the next whole
-// quarter row, so a row grows at most four times; a sealed record's
-// rows, damaged over the first half of the row, hold half a row.
-func (m *Medium) extraFor(row, col int) *overlayDot {
+// the row's overlay to cover it and the row's first reach dots. The
+// overlay grows to the next whole quarter row, so a row grows at most
+// four times; a sealed record's rows, damaged over the first half of
+// the row, hold half a row, sized once from the record's reach.
+func (m *Medium) extraFor(row, col, reach int) *overlayDot {
 	ov := m.overlay[row]
 	if ov == nil {
 		ov = &rowOverlay{}
@@ -401,7 +402,7 @@ func (m *Medium) extraFor(row, col int) *overlayDot {
 	}
 	if col >= len(ov.dots) {
 		q := (m.p.Cols + 3) / 4
-		grown := make([]overlayDot, min(m.p.Cols, (col/q+1)*q))
+		grown := make([]overlayDot, min(m.p.Cols, (max(col, reach-1)/q+1)*q))
 		copy(grown, ov.dots)
 		ov.dots = grown
 	}
@@ -661,40 +662,88 @@ func (m *Medium) EWB(i int) {
 func (m *Medium) EWBRange(base int, heat []uint64) {
 	m.rngMu.Lock()
 	defer m.rngMu.Unlock()
+	var buf [4]int
+	r := m.reach(base, heat, buf[:0])
 	for w, word := range heat {
 		for word != 0 {
 			b := bits.LeadingZeros64(word)
 			word &^= 1 << (63 - b)
-			m.ewb(m.loc(base + w<<6 + b))
+			row, col := m.loc(base + w<<6 + b)
+			m.ewb(row, col, r)
 		}
 	}
 }
 
+// rowReach records how far into each row a ranged heat's pulses reach:
+// row top+i up to its first dots[i] dots, and rows outside the range
+// not at all. EWBRange knows its whole range before the first pulse, so
+// each row's overlay is sized for all of it at once (extraFor).
+type rowReach struct {
+	top  int
+	dots []int
+}
+
+// of returns how many leading dots of row the heat reaches.
+func (r rowReach) of(row int) int {
+	if i := row - r.top; i >= 0 && i < len(r.dots) {
+		return r.dots[i]
+	}
+	return 0
+}
+
+// reach returns the rowReach of heating dot base+k for every set bit k
+// of heat: each heated dot and its right neighbour, and the dots above
+// and below it. It appends to buf.
+func (m *Medium) reach(base int, heat []uint64, buf []int) rowReach {
+	r := rowReach{top: -1, dots: buf}
+	for w, word := range heat {
+		for word != 0 {
+			b := bits.LeadingZeros64(word)
+			word &^= 1 << (63 - b)
+			row, col := m.loc(base + w<<6 + b)
+			if r.top < 0 {
+				r.top = max(row-1, 0)
+			}
+			for len(r.dots) <= row+1-r.top {
+				r.dots = append(r.dots, 0)
+			}
+			i := row - r.top
+			r.dots[i] = max(r.dots[i], min(col+2, m.p.Cols))
+			if i > 0 {
+				r.dots[i-1] = max(r.dots[i-1], col+1)
+			}
+			r.dots[i+1] = max(r.dots[i+1], col+1)
+		}
+	}
+	return r
+}
+
 // ewb is EWB of dot (row, col): the pulse, then the spill into the
-// neighbours above, below, left and right, in that order. Caller holds
-// rngMu.
-func (m *Medium) ewb(row, col int) {
-	m.pulse(row, col, m.heat)
+// neighbours above, below, left and right, in that order. r sizes any
+// overlay the pulses create. Caller holds rngMu.
+func (m *Medium) ewb(row, col int, r rowReach) {
+	m.pulse(row, col, m.heat, r.of(row))
 	if row > 0 {
-		m.spillInto(row-1, col)
+		m.spillInto(row-1, col, r.of(row-1))
 	}
 	if row+1 < m.p.Rows {
-		m.spillInto(row+1, col)
+		m.spillInto(row+1, col, r.of(row+1))
 	}
 	if col > 0 {
-		m.spillInto(row, col-1)
+		m.spillInto(row, col-1, r.of(row))
 	}
 	if col+1 < m.p.Cols {
-		m.spillInto(row, col+1)
+		m.spillInto(row, col+1, r.of(row))
 	}
 }
 
 // spillInto applies a neighbour's heat to dot (row, col): the
 // attenuated pulse, then the crosstalk draw that may flip its
-// magnetisation. Caller holds rngMu.
-func (m *Medium) spillInto(row, col int) {
+// magnetisation. reach sizes an overlay the pulse creates. Caller
+// holds rngMu.
+func (m *Medium) spillInto(row, col, reach int) {
 	if m.p.NeighborTempFactor > 0 {
-		m.pulse(row, col, m.spill)
+		m.pulse(row, col, m.spill, reach)
 	}
 	if m.p.ThermalCrosstalk > 0 && m.rng.Float64() < m.p.ThermalCrosstalk {
 		if !m.heatedAt(row, col) {
@@ -707,8 +756,9 @@ func (m *Medium) spillInto(row, col int) {
 // interface-mixing damage. Crossing the destruction threshold tallies
 // the dot as heated and fixes the in-plane orientation the
 // magnetisation falls into. A pulse that leaves the stored damage
-// unchanged creates no overlay. Caller holds rngMu.
-func (m *Medium) pulse(row, col int, p physics.Pulse) {
+// unchanged creates no overlay; one that creates it sizes it to reach
+// dots. Caller holds rngMu.
+func (m *Medium) pulse(row, col int, p physics.Pulse, reach int) {
 	var cur float32
 	e := m.extra(row, col)
 	if e != nil {
@@ -722,7 +772,7 @@ func (m *Medium) pulse(row, col int, p physics.Pulse) {
 		return
 	}
 	if e == nil {
-		e = m.extraFor(row, col)
+		e = m.extraFor(row, col, reach)
 	}
 	e.damage = float32(next)
 	if e.heated() {

@@ -38,7 +38,7 @@ func (m *Medium) SetStuck(i int, k StuckKind) {
 		if k == StuckNone {
 			return
 		}
-		e = m.extraFor(row, col)
+		e = m.extraFor(row, col, 0)
 	}
 	ov := m.overlay[row]
 	ov.untally(col)

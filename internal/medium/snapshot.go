@@ -136,7 +136,7 @@ func RestoreSnapshot(buf []byte) (*Medium, error) {
 			if damage == 0 && flags&4 == 0 && stuck == StuckNone {
 				continue
 			}
-			e := m.extraFor(row, col)
+			e := m.extraFor(row, col, 0)
 			e.damage = byteDamage(damage)
 			if flags&4 != 0 {
 				e.inPlaneSign = 1
