@@ -85,8 +85,11 @@ trace-smoke:
 # each hashed and checked against testdata/oracle.sha256 (recorded on
 # linux/amd64). A change that moves them on purpose re-records the
 # digests from the same four outputs. ORACLE_DIR holds the outputs.
+# First, the per-layer byte pins (the Test*Oracle tests: the sector
+# code, the medium, electrical reads and the log layout) run uncached.
 ORACLE_DIR ?= /tmp/sero-oracle
 oracle:
+	$(GO) test -count=1 -run 'Oracle$$' ./internal/...
 	rm -rf $(ORACLE_DIR) && mkdir -p $(ORACLE_DIR)
 	$(GO) run ./cmd/serosim -seed 1 > $(ORACLE_DIR)/serosim.txt
 	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 1 -out $(ORACLE_DIR)/trace.json > /dev/null
