@@ -29,7 +29,8 @@
 // checkpoint write (V1 = blocks); "clean-plan" / "clean-copy" /
 // "clean-commit" phase one cleaner round (commit's V1 = blocks
 // committed, V2 = moves invalidated by concurrent writes);
-// "clean-inline" is the monolithic last-resort inline pass;
+// "clean-inline" is one last-resort inline pass, every round under
+// the held lock (V1 = blocks copied);
 // "mount-replay" (V1 = records, V2 = blocks replayed) and
 // "mount-table" / "mount-walk" (V1 = table refs adopted or inodes
 // read) phase a mount.
