@@ -662,78 +662,48 @@ func (m *Medium) EWB(i int) {
 func (m *Medium) EWBRange(base int, heat []uint64) {
 	m.rngMu.Lock()
 	defer m.rngMu.Unlock()
-	var buf [4]int
-	r := m.reach(base, heat, buf[:0])
+	// Size each row's overlay once for the whole range (extraFor): a
+	// row before the last set bit's is heated to its end, and the last
+	// row and its neighbours are reached up to the dot right of the
+	// last set bit.
+	last := len(heat) - 1
+	for last >= 0 && heat[last] == 0 {
+		last--
+	}
+	if last < 0 {
+		return
+	}
+	lastRow, lastCol := m.loc(base + last<<6 + 63 - bits.TrailingZeros64(heat[last]))
 	for w, word := range heat {
 		for word != 0 {
 			b := bits.LeadingZeros64(word)
 			word &^= 1 << (63 - b)
 			row, col := m.loc(base + w<<6 + b)
-			m.ewb(row, col, r)
+			reach := min(m.p.Cols, lastCol+2)
+			if row < lastRow {
+				reach = m.p.Cols
+			}
+			m.ewb(row, col, reach)
 		}
 	}
-}
-
-// rowReach records how far into each row a ranged heat's pulses reach:
-// row top+i up to its first dots[i] dots, and rows outside the range
-// not at all. EWBRange knows its whole range before the first pulse, so
-// each row's overlay is sized for all of it at once (extraFor).
-type rowReach struct {
-	top  int
-	dots []int
-}
-
-// of returns how many leading dots of row the heat reaches.
-func (r rowReach) of(row int) int {
-	if i := row - r.top; i >= 0 && i < len(r.dots) {
-		return r.dots[i]
-	}
-	return 0
-}
-
-// reach returns the rowReach of heating dot base+k for every set bit k
-// of heat: each heated dot and its right neighbour, and the dots above
-// and below it. It appends to buf.
-func (m *Medium) reach(base int, heat []uint64, buf []int) rowReach {
-	r := rowReach{top: -1, dots: buf}
-	for w, word := range heat {
-		for word != 0 {
-			b := bits.LeadingZeros64(word)
-			word &^= 1 << (63 - b)
-			row, col := m.loc(base + w<<6 + b)
-			if r.top < 0 {
-				r.top = max(row-1, 0)
-			}
-			for len(r.dots) <= row+1-r.top {
-				r.dots = append(r.dots, 0)
-			}
-			i := row - r.top
-			r.dots[i] = max(r.dots[i], min(col+2, m.p.Cols))
-			if i > 0 {
-				r.dots[i-1] = max(r.dots[i-1], col+1)
-			}
-			r.dots[i+1] = max(r.dots[i+1], col+1)
-		}
-	}
-	return r
 }
 
 // ewb is EWB of dot (row, col): the pulse, then the spill into the
-// neighbours above, below, left and right, in that order. r sizes any
-// overlay the pulses create. Caller holds rngMu.
-func (m *Medium) ewb(row, col int, r rowReach) {
-	m.pulse(row, col, m.heat, r.of(row))
+// neighbours above, below, left and right, in that order. reach sizes
+// any overlay the pulses create. Caller holds rngMu.
+func (m *Medium) ewb(row, col, reach int) {
+	m.pulse(row, col, m.heat, reach)
 	if row > 0 {
-		m.spillInto(row-1, col, r.of(row-1))
+		m.spillInto(row-1, col, reach)
 	}
 	if row+1 < m.p.Rows {
-		m.spillInto(row+1, col, r.of(row+1))
+		m.spillInto(row+1, col, reach)
 	}
 	if col > 0 {
-		m.spillInto(row, col-1, r.of(row))
+		m.spillInto(row, col-1, reach)
 	}
 	if col+1 < m.p.Cols {
-		m.spillInto(row, col+1, r.of(row))
+		m.spillInto(row, col+1, reach)
 	}
 }
 
