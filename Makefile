@@ -132,9 +132,11 @@ degraded-campaign:
 	$(GO) test -race -run 'TestRunArrayParityGroupScan|TestOnlineVerifyArray' ./cmd/serofsck
 
 # Short fuzz passes over the image loader (the §5.2 trust boundary),
-# the file-system op stream (checkpoint/acked-data durability), the
-# roll-forward recovery path (random ops + random crash points; mount
-# must never error on a torn summary tail), and the striped variant of
+# the file-system op stream (checkpoint/acked-data durability) and
+# its variant with heated files on heat-aware and heat-oblivious
+# placement, the roll-forward recovery path (random ops + random crash
+# points; mount must never error on a torn summary tail), and the
+# striped variant of
 # the replay fuzzer (same grammar over 1/2/4-member arrays, plus a
 # member loss after every crash when parity covers it), plus the
 # sector code against its byte-wise reference (every parity 1–64 and
@@ -146,6 +148,7 @@ degraded-campaign:
 fuzz:
 	$(GO) test -run FuzzLoadImage -fuzz FuzzLoadImage -fuzztime 20s .
 	$(GO) test -run FuzzFSOps -fuzz FuzzFSOps -fuzztime 20s ./internal/lfs
+	$(GO) test -run FuzzFSHeatOps -fuzz FuzzFSHeatOps -fuzztime 20s ./internal/lfs
 	$(GO) test -run 'FuzzReplay$$' -fuzz 'FuzzReplay$$' -fuzztime 20s ./internal/lfs
 	$(GO) test -run FuzzReplayStriped -fuzz FuzzReplayStriped -fuzztime 20s ./internal/lfs
 	$(GO) test -run FuzzCodecMatchesReference -fuzz FuzzCodecMatchesReference -fuzztime 20s ./internal/ecc
