@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -501,6 +502,94 @@ func TestSyncUnwedgesGatedSegments(t *testing.T) {
 		got, rerr := fs.ReadFile(ino)
 		if rerr != nil || !bytes.Equal(got, payload(byte(11*i), 8*device.DataBytes)) {
 			t.Fatalf("file %d corrupted after churn: %v", i, rerr)
+		}
+	}
+}
+
+// TestInlineCleanInRotationKeepsBufferedBlocks fills a heat-oblivious
+// FS to ErrFull after churn, so a segment rotation runs the inline
+// cleaner, whose inode rewrites rotate the same (single) appender
+// again and buffer themselves there. The outer rotation must keep that
+// appender rather than open another segment over it: the rewrites
+// would otherwise never reach the medium, and the mount would meet
+// inode pointers to unwritten blocks. Every acked file must read back.
+func TestInlineCleanInRotationKeepsBufferedBlocks(t *testing.T) {
+	for _, conc := range []int{1, 4} {
+		p := Params{
+			SegmentBlocks:    16,
+			CheckpointBlocks: 64,
+			WritebackBlocks:  4,
+			CheckpointEvery:  96,
+			ReserveSegments:  2,
+			Concurrency:      conc,
+		}
+		dev := quietDev(1024)
+		fs, err := New(dev, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := make(map[string][]byte)
+		acked := make(map[string][]byte)
+		ack := func() error {
+			err := fs.Sync()
+			if err == nil {
+				clear(acked)
+				maps.Copy(acked, model)
+			}
+			return err
+		}
+		inos := make([]Ino, 12)
+		for i := range inos {
+			if inos[i], err = fs.Create(fmt.Sprintf("f%02d", i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 20; round++ {
+			for i, ino := range inos {
+				data := payload(byte(round+i), (1+(round+i)%4)*device.DataBytes)
+				if err := fs.WriteFile(ino, data); err != nil {
+					t.Fatal(err)
+				}
+				// WriteFile overwrites from offset 0 and never truncates.
+				name := fmt.Sprintf("f%02d", i)
+				model[name] = append(data, model[name][min(len(data), len(model[name])):]...)
+			}
+			if err := ack(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; ; i++ {
+			name := fmt.Sprintf("g%03d", i)
+			ino, err := fs.Create(name, 0)
+			if err == nil {
+				data := payload(byte(i), 4*device.DataBytes)
+				if err = fs.WriteFile(ino, data); err == nil {
+					model[name] = data
+					err = ack()
+				}
+			}
+			if errors.Is(err, ErrFull) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("conc %d fill %d: %v", conc, i, err)
+			}
+		}
+		if fs.Stats().CleanerPasses == 0 {
+			t.Fatalf("conc %d: the fill never cleaned inline", conc)
+		}
+		m, err := Mount(dev, p)
+		if err != nil {
+			t.Fatalf("conc %d: mount after the fill: %v", conc, err)
+		}
+		for name, want := range acked {
+			ino, err := m.Lookup(name)
+			if err != nil {
+				t.Fatalf("conc %d: acked %s: %v", conc, name, err)
+			}
+			if got, err := m.ReadFile(ino); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("conc %d: acked %s does not read back: %v", conc, name, err)
+			}
 		}
 	}
 }
