@@ -1060,6 +1060,12 @@ func (fs *FS) activeLocked(affinity uint8, room int, clean bool) (*segment, erro
 	}
 	if clean {
 		fs.lowSpaceCleanLocked()
+		// The clean's own appends may have rotated this class already,
+		// leaving blocks buffered in the new appender: keep it (or seal
+		// it when full) rather than open another segment over it.
+		if cur := fs.active[affinity]; cur != seg {
+			return fs.activeLocked(affinity, room, false)
+		}
 	}
 	if seg = fs.sm.allocSegment(affinity); seg == nil {
 		return nil, ErrFull

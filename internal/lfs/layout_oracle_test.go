@@ -24,7 +24,7 @@ import (
 // the medium image, Stats, Segments, MountReport, the canonical span
 // stream and the virtual clock, so any change to a block's position, a
 // segment's state, a counter, a span or a virtual time moves it.
-const logLayoutHash = "99422c367236a693a767fb4192ce9b16286ae5f2969f9f6c05ecd1726eb2880d"
+const logLayoutHash = "ad09dbd3a35c613b2a38ee79f676b12a9aa447f1078ec8c3a99aedbf3dcef2d3"
 
 func TestLogLayoutOracle(t *testing.T) {
 	digest := func() string {
@@ -204,11 +204,7 @@ func layoutOracleRun(t *testing.T, heatAware bool, conc int, h hash.Hash) {
 	layoutOracleFold(fs, "full", h)
 	h.Write(dev.SaveImage())
 
-	// The remount's outcome is part of the digest, an error included:
-	// heat-oblivious, it currently refuses with a malformed inode,
-	// because an inline clean inside appendBlock's segment rotation can
-	// leave inode rewrites buffered in a segment that is no longer any
-	// class's appender, so they never reach the medium.
+	// The remount's outcome is part of the digest, an error included.
 	m, err := Mount(dev, p)
 	fmt.Fprintf(h, "mount %v\n", err)
 	if err == nil {
