@@ -349,7 +349,7 @@ func (fs *FS) writeCheckpointLocked() error {
 	}
 	fs.ckptBlocks = blocks
 	base := uint64((epoch - 1) % 2 * uint64(fs.slotBlocks()))
-	if err := fs.dev.WriteBlocksTraced(fs.curTask, base, blocks); err != nil {
+	if err := fs.writeSlotLocked(base, blocks); err != nil {
 		// Nothing was reserved and the chain state is untouched: the
 		// previous checkpoint and its chain remain authoritative.
 		return fmt.Errorf("lfs: writing checkpoint: %w", err)
@@ -373,6 +373,35 @@ func (fs *FS) writeCheckpointLocked() error {
 	fs.clearDeltasLocked()
 	fs.stats.Checkpoints++
 	fs.emitSpan(tr, "checkpoint", t0, int64(len(blocks)), int64(epoch))
+	return nil
+}
+
+// writeSlotLocked writes a checkpoint slot image at base. A wide image
+// is fanned over worker planes in the contiguous shares the mount's
+// slot read uses (slotShares), one batched command per plane; a narrow
+// one, or Concurrency 1, is one serial command on the foreground
+// plane. The bytes and blocks written are the same either way; only
+// the virtual time differs. Any share's error fails the write, which
+// may then leave the slot torn with a hole (a later share on the
+// medium, an earlier one not): the slot's checksums reject it, as they
+// reject a torn serial write.
+func (fs *FS) writeSlotLocked(base uint64, blocks [][]byte) error {
+	per, planes := slotShares(len(blocks), fs.p.Concurrency)
+	if planes <= 1 {
+		return fs.dev.WriteBlocksTraced(fs.curTask, base, blocks)
+	}
+	runs := make([]device.WriteRun, 0, planes)
+	for off := 0; off < len(blocks); off += per {
+		runs = append(runs, device.WriteRun{
+			Start:  base + uint64(off),
+			Blocks: blocks[off:min(off+per, len(blocks))],
+		})
+	}
+	for _, err := range fs.dev.WriteRunsFannedTraced(fs.curTask, runs, planes) {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -553,11 +582,28 @@ func (fs *FS) readSlotTable(ck *ckptImage, base, total uint64, readTo func(uint6
 	ck.table = refs
 }
 
-// fanReadMinShare is the smallest per-plane share worth a private
-// worker plane: a plane pays its own positioning seek before it
-// streams, so below this many blocks per worker the fan-out costs
-// more virtual time than the serial read it replaces.
-const fanReadMinShare = 16
+// slotFanMinShare is the smallest per-plane share of a fanned
+// checkpoint-slot pass, read or write: a plane pays its own positioning
+// seek before it streams, so below this many blocks per plane the
+// fan-out costs more virtual time than the serial pass it replaces.
+const slotFanMinShare = 16
+
+// slotShares splits a checkpoint-slot pass over blocks blocks into
+// contiguous per-plane shares of per blocks (the last may be shorter)
+// on planes worker planes: at most workers, and one per started
+// slotFanMinShare blocks. planes <= 1 means the pass stays serial on
+// the foreground plane. The shares are the device's contiguous fan-out
+// split over planes workers, so the mount's fanned slot read
+// (ReadablePrefix) and the checkpoint's fanned slot write
+// (writeSlotLocked) partition a slot alike.
+func slotShares(blocks, workers int) (per, planes int) {
+	planes = min(workers, (blocks+slotFanMinShare-1)/slotFanMinShare)
+	if planes <= 1 {
+		return blocks, 1
+	}
+	per = (blocks + planes - 1) / planes
+	return per, (blocks + per - 1) / per
+}
 
 // ReadablePrefix magnetically reads the block range [base,
 // base+blocks) and returns the concatenated payloads up to (not
@@ -566,16 +612,14 @@ const fanReadMinShare = 16
 // mount path's checkpoint-slot reads and serofsck's damage probes —
 // both need "give me as much of this region as the medium still
 // yields" semantics. Wide ranges are fanned over up to workers device
-// planes (clamped so every plane streams at least fanReadMinShare
-// blocks); narrow ranges and workers <= 1 read serially on the
-// foreground probe, which pays no per-plane positioning seek.
+// planes in slotShares' contiguous shares; narrow ranges and workers
+// <= 1 read serially on the foreground probe, which pays no per-plane
+// positioning seek.
 func ReadablePrefix(dev device.Dev, base uint64, blocks, workers int) ([]byte, bool) {
 	if blocks <= 0 {
 		return nil, true
 	}
-	if maxw := (blocks + fanReadMinShare - 1) / fanReadMinShare; workers > maxw {
-		workers = maxw
-	}
+	_, workers = slotShares(blocks, workers)
 	if workers <= 1 {
 		out := make([]byte, 0, blocks*device.DataBytes)
 		for i := 0; i < blocks; i++ {

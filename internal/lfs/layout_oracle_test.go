@@ -24,7 +24,7 @@ import (
 // the medium image, Stats, Segments, MountReport, the canonical span
 // stream and the virtual clock, so any change to a block's position, a
 // segment's state, a counter, a span or a virtual time moves it.
-const logLayoutHash = "ad09dbd3a35c613b2a38ee79f676b12a9aa447f1078ec8c3a99aedbf3dcef2d3"
+const logLayoutHash = "c73c96a01c01ff9fb0f55cc5c999a620797df5e06199b53eae5b9548c42481b0"
 
 func TestLogLayoutOracle(t *testing.T) {
 	digest := func() string {
