@@ -381,10 +381,17 @@ func (fs *FS) writeCheckpointLocked() error {
 // slot read uses (slotShares), one batched command per plane; a narrow
 // one, or Concurrency 1, is one serial command on the foreground
 // plane. The bytes and blocks written are the same either way; only
-// the virtual time differs. Any share's error fails the write, which
-// may then leave the slot torn with a hole (a later share on the
-// medium, an earlier one not): the slot's checksums reject it, as they
-// reject a torn serial write.
+// the virtual time differs.
+//
+// Any share's error fails the write. A refused command writes nothing,
+// but the other shares land, so the slot may be left torn with a hole
+// (a later share on the medium, an earlier one not); the checksums
+// reject such a slot, as they reject a torn serial write. The one
+// tear they cannot reject is a whole core frame beside a refused
+// table share, and a mount would prefer that epoch to the chain the
+// failure leaves authoritative. So when the header's share landed and
+// another did not, the header block is blanked: a zero first block
+// reads as a slot that holds no checkpoint.
 func (fs *FS) writeSlotLocked(base uint64, blocks [][]byte) error {
 	per, planes := slotShares(len(blocks), fs.p.Concurrency)
 	if planes <= 1 {
@@ -397,10 +404,18 @@ func (fs *FS) writeSlotLocked(base uint64, blocks [][]byte) error {
 			Blocks: blocks[off:min(off+per, len(blocks))],
 		})
 	}
-	for _, err := range fs.dev.WriteRunsFannedTraced(fs.curTask, runs, planes) {
-		if err != nil {
-			return err
+	errs := fs.dev.WriteRunsFannedTraced(fs.curTask, runs, planes)
+	for _, err := range errs {
+		if err == nil {
+			continue
 		}
+		if errs[0] == nil {
+			blank := [][]byte{make([]byte, device.DataBytes)}
+			if berr := fs.dev.WriteBlocksTraced(fs.curTask, base, blank); berr != nil {
+				return errors.Join(err, fmt.Errorf("blanking the slot header: %w", berr))
+			}
+		}
+		return err
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -223,5 +224,76 @@ func BenchmarkCheckpoint(b *testing.B) {
 			}
 			b.ReportMetric(float64(live), "live-blocks")
 		})
+	}
+}
+
+// TestFailedFannedCheckpointKeepsChain pins the failure rule of the
+// fanned slot write: a refused run fails the checkpoint although the
+// other runs landed, and the previous checkpoint and its chain stay
+// authoritative. A bad block is put in each plane's share of the next
+// slot in turn (the header's share, a core share, and shares wholly in
+// the liveness table, past an intact core frame). After the failed
+// checkpoint, a journaled Sync must ack on the old chain, and a
+// remount must pick the old epoch and read that write back.
+func TestFailedFannedCheckpointKeepsChain(t *testing.T) {
+	p := Params{
+		SegmentBlocks:    64,
+		CheckpointBlocks: 256,
+		WritebackBlocks:  64,
+		CheckpointEvery:  1 << 20,
+		HeatAware:        true,
+		ReserveSegments:  2,
+		Concurrency:      4,
+	}
+	for _, bad := range []uint64{0, 20, 40, 60} {
+		dev := quietDev(4096)
+		fs, err := New(dev, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 600; i++ {
+			ino, err := fs.Create(fmt.Sprintf("f%03d", i), uint8(i%4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(ino, payload(byte(i), device.DataBytes)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Sync(); err != nil { // epoch 1, slot 0
+			t.Fatal(err)
+		}
+		if err := dev.MarkBad(uint64(fs.slotBlocks()) + bad); err != nil {
+			t.Fatal(err)
+		}
+		before := fs.Stats().Checkpoints
+		if err := fs.Checkpoint(); !errors.Is(err, device.ErrBadBlock) {
+			t.Fatalf("bad block %d: checkpoint returned %v, want ErrBadBlock", bad, err)
+		}
+		if fs.ckptEpoch != 1 || fs.Stats().Checkpoints != before {
+			t.Fatalf("bad block %d: failed checkpoint moved the epoch to %d", bad, fs.ckptEpoch)
+		}
+		ino, _ := fs.Lookup("f007")
+		want := payload(0xEE, device.DataBytes)
+		if err := fs.WriteFile(ino, want); err != nil {
+			t.Fatal(err)
+		}
+		records := fs.Stats().JournalRecords
+		if err := fs.Sync(); err != nil {
+			t.Fatalf("bad block %d: sync after the failed checkpoint: %v", bad, err)
+		}
+		if fs.Stats().JournalRecords != records+1 {
+			t.Fatalf("bad block %d: the sync did not journal", bad)
+		}
+		m, err := Mount(dev, p)
+		if err != nil {
+			t.Fatalf("bad block %d: mount: %v", bad, err)
+		}
+		if m.ckptEpoch != 1 {
+			t.Fatalf("bad block %d: mounted epoch %d, want 1", bad, m.ckptEpoch)
+		}
+		if got, err := m.ReadFile(ino); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("bad block %d: the write acked after the failed checkpoint is lost: %v", bad, err)
+		}
 	}
 }
