@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"sero/internal/device"
 )
@@ -179,51 +180,111 @@ func TestStatUnknownIno(t *testing.T) {
 	}
 }
 
+// checkpointFS builds an FS holding files two-block files on a quiet
+// device and checkpoints it once, ready for the checkpoints under test.
+func checkpointFS(tb testing.TB, files, blocks, ckpt, conc int) *FS {
+	tb.Helper()
+	fs := testFS(tb, blocks, Params{
+		SegmentBlocks:    256,
+		CheckpointBlocks: ckpt,
+		WritebackBlocks:  64,
+		CheckpointEvery:  1 << 30,
+		HeatAware:        true,
+		ReserveSegments:  2,
+		Concurrency:      conc,
+	})
+	for i := range files {
+		ino, err := fs.Create(fmt.Sprintf("f%04d", i), 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := fs.WriteFile(ino, payload(byte(i), 2*device.DataBytes)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := fs.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	return fs
+}
+
+// TestCheckpointSlotIdenticalAcrossConcurrency pins contract 2 for the
+// fanned checkpoint-slot write: the same 1,024-file FS checkpointed at
+// Concurrency 1, 2 and 4 puts the same bytes in the slot and mounts to
+// the same state. Only the virtual time differs, and at 4 the
+// checkpoint costs at most half of what it costs at 1. Each FS is
+// built at Concurrency 1 and widened just for the checkpoint under
+// test, so the histories, and the write time the slot records, agree.
+func TestCheckpointSlotIdenticalAcrossConcurrency(t *testing.T) {
+	var slot []byte
+	var state string
+	var serial time.Duration
+	for _, j := range []int{1, 2, 4} {
+		fs := checkpointFS(t, 1024, 16384, 512, 1)
+		fs.p.Concurrency = j
+		t0 := fs.now()
+		if err := fs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cost := fs.now() - t0
+		base := uint64((fs.ckptEpoch - 1) % 2 * uint64(fs.slotBlocks()))
+		got := slotImageBytes(fs.Device(), base, fs.slotBlocks())
+		if _, planes := slotShares(len(got)/device.DataBytes, j); planes != j {
+			t.Fatalf("j=%d: a %d-byte slot image fans over %d planes", j, len(got), planes)
+		}
+		m, err := Mount(fs.Device(), fs.Params())
+		if err != nil {
+			t.Fatalf("j=%d: mount: %v", j, err)
+		}
+		if j == 1 {
+			slot, state, serial = got, mountFingerprint(m), cost
+			continue
+		}
+		if !bytes.Equal(got, slot) {
+			t.Fatalf("j=%d: slot bytes differ from j=1's", j)
+		}
+		if mountFingerprint(m) != state {
+			t.Fatalf("j=%d: mounted state differs from j=1's", j)
+		}
+		if j == 4 && 2*cost > serial {
+			t.Fatalf("j=4 checkpoint took %v, more than half of j=1's %v", cost, serial)
+		}
+	}
+}
+
 // BenchmarkCheckpoint writes one checkpoint per op of a namespace in
 // which every file has two data blocks and its inode, so every
 // checkpoint serializes a liveness table of ~3 entries per file beside
 // the imap and directory: 1,024 files in a 512-block checkpoint
 // region, and 100,000 files in the serving trajectory's 32,768-block
-// region.
+// region. Each runs at Concurrency 1 and 4 (at 4 the slot write fans
+// over the worker planes) and reports the virtual cost of one
+// checkpoint as virt-ms/checkpoint.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, c := range []struct{ files, blocks, ckpt int }{
 		{1024, 16384, 512},
 		{100000, 524288, 32768},
 	} {
-		b.Run(fmt.Sprint("files=", c.files), func(b *testing.B) {
-			fs := testFS(b, c.blocks, Params{
-				SegmentBlocks:    256,
-				CheckpointBlocks: c.ckpt,
-				WritebackBlocks:  64,
-				CheckpointEvery:  1 << 30,
-				HeatAware:        true,
-				ReserveSegments:  2,
+		for _, j := range []int{1, 4} {
+			b.Run(fmt.Sprintf("files=%d/j=%d", c.files, j), func(b *testing.B) {
+				fs := checkpointFS(b, c.files, c.blocks, c.ckpt, j)
+				live := 0
+				for _, s := range fs.Segments() {
+					live += s.LiveBlocks
+				}
+				b.ReportAllocs()
+				t0 := fs.now()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := fs.Checkpoint(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(live), "live-blocks")
+				b.ReportMetric(float64(fs.now()-t0)/float64(time.Millisecond)/float64(b.N), "virt-ms/checkpoint")
 			})
-			for i := range c.files {
-				ino, err := fs.Create(fmt.Sprintf("f%04d", i), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := fs.WriteFile(ino, payload(byte(i), 2*device.DataBytes)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := fs.Checkpoint(); err != nil {
-				b.Fatal(err)
-			}
-			live := 0
-			for _, s := range fs.Segments() {
-				live += s.LiveBlocks
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := fs.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(live), "live-blocks")
-		})
+		}
 	}
 }
 

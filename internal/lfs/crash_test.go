@@ -2,11 +2,13 @@ package lfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 
 	"sero/internal/device"
+	"sero/internal/medium"
 )
 
 // The crash-injection harness. The device exposes the exact stream of
@@ -314,5 +316,185 @@ func TestCrashMidCheckpointFallsBack(t *testing.T) {
 		if rerr != nil || !bytes.Equal(got, want) {
 			t.Fatalf("crash at write %d during checkpoint: acked data lost: %v", k, rerr)
 		}
+	}
+}
+
+// TestCrashMidFannedCheckpoint tears a checkpoint whose slot write
+// fans over four worker planes. The fanned runs commit with no order
+// between them, so a crash can leave any prefix of each run on the
+// medium, a hole included (a later run landed, an earlier one not).
+// The crash images are built directly from every combination of
+// per-run prefixes (none, one block, half, all), over a slot used for
+// the first time (unwritten blocks) and over one still holding epoch
+// N-2's bytes. Every image must mount; the mount must pick epoch N
+// exactly when N's core frame is intact, trust N's liveness table
+// exactly when the table frame is intact too (otherwise walk, as
+// MountReport says), and read every acked write back.
+func TestCrashMidFannedCheckpoint(t *testing.T) {
+	const devBlocks = 4096
+	p := Params{
+		SegmentBlocks:    64,
+		CheckpointBlocks: 256,
+		WritebackBlocks:  64,
+		CheckpointEvery:  1 << 20, // only explicit checkpoints
+		HeatAware:        true,
+		ReserveSegments:  2,
+		Concurrency:      4,
+	}
+	for _, reused := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reused=%v", reused), func(t *testing.T) {
+			dev := quietDev(devBlocks)
+			fs, err := New(dev, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := make(map[string][]byte)
+			for i := 0; i < 600; i++ {
+				name := fmt.Sprintf("f%03d", i)
+				ino, err := fs.Create(name, uint8(i%4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				model[name] = payload(byte(i), device.DataBytes)
+				if err := fs.WriteFile(ino, model[name]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Sync(); err != nil { // epoch 1, slot 0
+				t.Fatal(err)
+			}
+			if reused {
+				if err := fs.Checkpoint(); err != nil { // epoch 2, slot 1
+					t.Fatal(err)
+				}
+			}
+			// An acked journal record on top of the last checkpoint: a
+			// fall back must replay it.
+			for i := 0; i < 600; i += 61 {
+				name := fmt.Sprintf("f%03d", i)
+				ino, _ := fs.Lookup(name)
+				model[name] = payload(byte(0x80+i), device.DataBytes)
+				if err := fs.WriteFile(ino, model[name]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Delete("f001"); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, "f001")
+			if err := fs.Rename("f002", "g002"); err != nil {
+				t.Fatal(err)
+			}
+			model["g002"] = model["f002"]
+			delete(model, "f002")
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if fs.Stats().JournalRecords == 0 {
+				t.Fatal("the last sync did not journal")
+			}
+			acked := snapshotModel(model, 0)
+
+			epoch := fs.ckptEpoch + 1
+			base := uint64((epoch - 1) % 2 * uint64(fs.slotBlocks()))
+			end := base + uint64(fs.slotBlocks())
+			old := make([][]byte, fs.slotBlocks()) // the slot before epoch N; nil = unwritten
+			for i := range old {
+				old[i], _ = dev.MRS(base + uint64(i))
+			}
+			// Each crash image is this device with the slot's raw dots put
+			// back as they were before epoch N and a combination written
+			// over them: far cheaper than restoring a whole image.
+			raw := make([]byte, fs.slotBlocks()*device.DotsPerBlock/8)
+			dev.TamperRaw(base, end, func(m *medium.Medium) { m.MRBImage(int(base)*device.DotsPerBlock, raw) })
+			restore := func() {
+				dev.TamperRaw(base, end, func(m *medium.Medium) { m.MWBImage(int(base)*device.DotsPerBlock, raw) })
+			}
+			if !reused && old[0] != nil {
+				t.Fatal("the first-use slot holds data")
+			}
+			if reused && old[0] == nil {
+				t.Fatal("the reused slot is unwritten")
+			}
+			rec := recordWrites(dev)
+			if err := fs.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			dev.SetWriteObserver(nil)
+			img := make([][]byte, rec.count())
+			for _, w := range rec.writes {
+				off := w.pba - base
+				if w.pba < base || off >= uint64(len(img)) || img[off] != nil {
+					t.Fatalf("checkpoint wrote block %d outside its %d-block image at %d", w.pba, len(img), base)
+				}
+				img[off] = w.data
+			}
+			per, planes := slotShares(len(img), p.Concurrency)
+			if len(img) < 64 || planes != 4 {
+				t.Fatalf("slot image of %d blocks fans over %d planes, want >= 64 blocks on 4", len(img), planes)
+			}
+			flat := bytes.Join(img, nil)
+			coreEnd := 16 + binary.BigEndian.Uint64(flat)
+			tableEnd := coreEnd + 16 + binary.BigEndian.Uint64(flat[coreEnd:])
+			intact := func(have []bool, end uint64) bool {
+				for b := uint64(0); b*device.DataBytes < end; b++ {
+					if !have[b] && !bytes.Equal(old[b], img[b]) {
+						return false
+					}
+				}
+				return true
+			}
+
+			// Under -short or the race detector every third combination,
+			// from the whole image down, still covers all three outcomes.
+			step := 1
+			if testing.Short() || raceDetector {
+				step = 3
+			}
+			var picked, walked, held int
+			for c := 1<<(2*planes) - 1; c >= 0; c -= step {
+				restore()
+				have := make([]bool, len(img))
+				for r := 0; r < planes; r++ {
+					start, end := r*per, min((r+1)*per, len(img))
+					n := []int{0, 1, (end - start) / 2, end - start}[c>>(2*r)&3]
+					if n == 0 {
+						continue
+					}
+					if err := dev.WriteBlocks(base+uint64(start), img[start:start+n]); err != nil {
+						t.Fatal(err)
+					}
+					for i := start; i < start+n; i++ {
+						have[i] = true
+					}
+				}
+				m, err := Mount(dev, p)
+				if err != nil {
+					t.Fatalf("combination %d: mount failed: %v", c, err)
+				}
+				wantN := intact(have, coreEnd)
+				wantTable := !wantN || intact(have, tableEnd)
+				if got := m.ckptEpoch == epoch; got != wantN {
+					t.Fatalf("combination %d: mounted epoch %d, want epoch %d = %v (core intact)", c, m.ckptEpoch, epoch, wantN)
+				}
+				if rep := m.MountReport(); rep.TableMount != wantTable || rep.TableMount != (rep.Fallback == "") {
+					t.Fatalf("combination %d: epoch %d mount report %+v, want table mount %v", c, m.ckptEpoch, rep, wantTable)
+				}
+				if !matchesSnapshot(m, acked) {
+					t.Fatalf("combination %d: epoch %d mount lost an acked write", c, m.ckptEpoch)
+				}
+				switch {
+				case !wantN:
+					held++
+				case !wantTable:
+					walked++
+				default:
+					picked++
+				}
+			}
+			if picked == 0 || walked == 0 || held == 0 {
+				t.Fatalf("combinations gave %d epoch-N table mounts, %d epoch-N walks, %d fall backs; want each", picked, walked, held)
+			}
+		})
 	}
 }
