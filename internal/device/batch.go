@@ -140,11 +140,12 @@ func ConsecutiveRuns(n int, addr func(k int) uint64) iter.Seq2[int, int] {
 // WriteRunsFanned commits independent contiguous write runs on a pool
 // of worker planes — the foreground write path's fan-out engine, used
 // by the lfs Sync path to flush per-affinity-class group-commit
-// buffers in one pass. Runs are split strided over the worker planes
-// ("write-fanout"; see fanOut for the slowest-worker virtual-time
-// contract). Every run's destination is the caller's (preassigned
-// frontiers), so the post-flush medium layout is identical for any
-// worker count; only the virtual time changes.
+// buffers in one pass and by the lfs checkpoint to write a wide slot
+// image one share per plane. Runs are split strided over the worker
+// planes ("write-fanout"; see fanOut for the slowest-worker
+// virtual-time contract). Every run's destination is the caller's
+// (preassigned frontiers), so the post-flush medium layout is
+// identical for any worker count; only the virtual time changes.
 //
 // Each run carries WriteBlocks' exact per-run contract: every payload
 // and target block is checked before the first bit of that run is

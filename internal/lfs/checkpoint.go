@@ -15,7 +15,9 @@ import (
 // split into two alternating slots; epoch N lands in slot (N-1)%2, so
 // a crash tearing the slot being written always leaves the previous
 // checkpoint intact — Mount picks the newest valid slot and rolls
-// forward through that epoch's summary chain (replay.go). Each slot
+// forward through that epoch's summary chain (replay.go). A wide slot
+// is written and read fanned over the worker planes, in the same
+// contiguous per-plane shares (slotShares). Each slot
 // holds the serialized imap and directory plus the journal anchor
 // (epoch, virtual write time, chain start), followed by an optional
 // *liveness table*: the per-segment usage summary (every live block's
@@ -310,10 +312,11 @@ func (fs *FS) encodeSlotLocked(epoch, jstart uint64) (img []byte, tableOmitted b
 }
 
 // writeCheckpointLocked writes imap+directory (and the liveness
-// table, when it fits the slot) into the next checkpoint slot and
-// re-anchors the summary chain at the affinity-0 write frontier, where
-// the slot's jstart names the promise block the first record of the
-// new epoch must land in.
+// table, when it fits the slot) into the next checkpoint slot
+// (writeSlotLocked, fanned when the image is wide) and re-anchors the
+// summary chain at the affinity-0 write frontier, where the slot's
+// jstart names the promise block the first record of the new epoch
+// must land in.
 func (fs *FS) writeCheckpointLocked() error {
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
