@@ -389,9 +389,9 @@ func (fs *FS) writeCheckpointLocked() error {
 // Any share's error fails the write. A refused command writes nothing,
 // but the other shares land, so the slot may be left torn with a hole
 // (a later share on the medium, an earlier one not); the checksums
-// reject such a slot, as they reject a torn serial write. The one
-// tear they cannot reject is a whole core frame beside a refused
-// table share, and a mount would prefer that epoch to the chain the
+// reject such a slot, as they reject a torn serial write. They cannot
+// reject a slot whose refused share lies past the core frame: it holds
+// epoch N's whole core, and a mount would prefer it to the chain the
 // failure leaves authoritative. So when the header's share landed and
 // another did not, the header block is blanked: a zero first block
 // reads as a slot that holds no checkpoint.
@@ -600,10 +600,10 @@ func (fs *FS) readSlotTable(ck *ckptImage, base, total uint64, readTo func(uint6
 	ck.table = refs
 }
 
-// slotFanMinShare is the smallest per-plane share of a fanned
-// checkpoint-slot pass, read or write: a plane pays its own positioning
-// seek before it streams, so below this many blocks per plane the
-// fan-out costs more virtual time than the serial pass it replaces.
+// slotFanMinShare sets how wide a checkpoint-slot pass, read or write,
+// must be to fan: one plane per started slotFanMinShare blocks. A
+// plane pays its own positioning seek before it streams, so a narrow
+// pass stays serial on the foreground plane.
 const slotFanMinShare = 16
 
 // slotShares splits a checkpoint-slot pass over blocks blocks into
