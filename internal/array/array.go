@@ -329,7 +329,7 @@ func (a *Array) splitRun(start uint64, blocks [][]byte) []memberRun {
 }
 
 // scatter is the array's one member fan-out: the per-member grouping
-// behind WriteRunsFanned, ReadBlocksFanned and VerifyLines. place maps
+// behind WriteRunsFannedTraced, ReadBlocksFanned and VerifyLines. place maps
 // item i (of n) to its member-local pieces, calling add(m, v) once per
 // piece; an item that places nothing is skipped. Each member's pieces
 // keep input order and are dispatched member by member: to live(m,
@@ -378,9 +378,6 @@ func (a *Array) Blocks() int { return a.blocks }
 // Members returns the member count.
 func (a *Array) Members() int { return a.n }
 
-// StripeBlocks returns the stripe unit.
-func (a *Array) StripeBlocks() int { return a.su }
-
 // MemberDevice exposes member m's raw device (adversary access in
 // campaigns, per-member findings in serofsck). The returned device's
 // addresses are member-local.
@@ -426,16 +423,6 @@ func (a *Array) Stats() device.OpStats {
 		out.Add(&st)
 	}
 	return out
-}
-
-// ResetStats clears member operation stats and the array counters.
-func (a *Array) ResetStats() {
-	for _, m := range a.members {
-		m.ResetStats()
-	}
-	a.mu.Lock()
-	a.cnt = counters{}
-	a.mu.Unlock()
 }
 
 // Tracer returns the installed tracer.
@@ -626,11 +613,8 @@ func (a *Array) flushMember(task *trace.Task, pm int) error {
 // ---------------------------------------------------------------------
 // Magnetic block I/O.
 
-// MRS reads one global block, reconstructing from parity when the
-// member is failed or unreadable.
-func (a *Array) MRS(pba uint64) ([]byte, error) { return a.MRSTraced(nil, pba) }
-
-// MRSTraced is MRS with trace attribution.
+// MRSTraced reads one global block with trace attribution,
+// reconstructing from parity when the member is failed or unreadable.
 func (a *Array) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 	if err := a.checkRange(pba, 1); err != nil {
 		return nil, err
@@ -657,16 +641,10 @@ func (a *Array) readMember(task *trace.Task, m int, lpba uint64, read func() ([]
 	return a.reconstructBlock(task, m, lpba)
 }
 
-// WriteBlocks writes a contiguous global run, splitting it at stripe
-// boundaries.
-func (a *Array) WriteBlocks(start uint64, blocks [][]byte) error {
-	return a.WriteBlocksTraced(nil, start, blocks)
-}
-
-// WriteBlocksTraced is WriteBlocks with trace attribution. A run that
-// spans members commits per member (each sub-run atomic on its sled);
-// runs within one stripe unit keep the raw device's whole-run
-// atomicity.
+// WriteBlocksTraced writes a contiguous global run with trace
+// attribution, splitting it at stripe boundaries. A run that spans
+// members commits per member (each sub-run atomic on its sled); runs
+// within one stripe unit keep the raw device's whole-run atomicity.
 func (a *Array) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error {
 	if err := a.checkRange(start, len(blocks)); err != nil {
 		return err
@@ -703,17 +681,13 @@ func (a *Array) writeSplit(task *trace.Task, start uint64, blocks [][]byte) erro
 	return nil
 }
 
-// WriteRunsFanned commits independent write runs across members.
-func (a *Array) WriteRunsFanned(runs []device.WriteRun, workers int) []error {
-	return a.WriteRunsFannedTraced(nil, runs, workers)
-}
-
-// WriteRunsFannedTraced fans the runs twice: across members (distinct
-// sleds overlap on their own clocks) and, per member, across its
-// worker planes. Run order is preserved within each member, so the
-// width-1 array delegates the exact call. A refused parity flush is
-// reported on every run without an error of its own: none of them is
-// covered until parity lands.
+// WriteRunsFannedTraced commits independent write runs across
+// members with trace attribution. It fans the runs twice: across
+// members (distinct sleds overlap on their own clocks) and, per
+// member, across its worker planes. Run order is preserved within each
+// member, so the width-1 array delegates the exact call. A refused
+// parity flush is reported on every run without an error of its own:
+// none of them is covered until parity lands.
 func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, workers int) []error {
 	if a.n == 1 {
 		// Identity mapping: the member must see the exact run list so

@@ -78,10 +78,10 @@ func driveScript(t *testing.T, d device.Dev) {
 		}
 		return out
 	}
-	if err := d.WriteBlocks(60, mk(1000, 10)); err != nil { // crosses the 64-block stripe unit
+	if err := d.WriteBlocksTraced(nil, 60, mk(1000, 10)); err != nil { // crosses the 64-block stripe unit
 		t.Fatal(err)
 	}
-	errs := d.WriteRunsFanned([]device.WriteRun{
+	errs := d.WriteRunsFannedTraced(nil, []device.WriteRun{
 		{Start: 100, Blocks: mk(2000, 5)},
 		{Start: 200, Blocks: mk(3000, 3)},
 		{Start: 126, Blocks: mk(4000, 4)}, // crosses the boundary at 128
@@ -92,7 +92,7 @@ func driveScript(t *testing.T, d device.Dev) {
 		}
 	}
 	for _, pba := range []uint64{60, 69, 102, 127} {
-		if _, err := d.MRS(pba); err != nil {
+		if _, err := d.MRSTraced(nil, pba); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func fillArray(t *testing.T, a *Array, run int) {
 		for i := range blocks {
 			blocks[i] = payload(uint64(g + i))
 		}
-		if err := a.WriteBlocks(uint64(g), blocks); err != nil {
+		if err := a.WriteBlocksTraced(nil, uint64(g), blocks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestReconstructionAfterMemberLoss(t *testing.T) {
 				}
 			}
 			for gpba := uint64(0); gpba < uint64(a.Blocks()); gpba++ {
-				buf, err := a.MRS(gpba)
+				buf, err := a.MRSTraced(nil, gpba)
 				if err != nil {
 					t.Fatalf("block %d: %v", gpba, err)
 				}
@@ -213,12 +213,12 @@ func TestDegradedWritesSurviveRepair(t *testing.T) {
 	}
 	// Overwrite everything with a shifted pattern while degraded.
 	for g := 0; g < a.Blocks(); g++ {
-		if err := a.WriteBlocks(uint64(g), [][]byte{payload(uint64(g) + 9000)}); err != nil {
+		if err := a.WriteBlocksTraced(nil, uint64(g), [][]byte{payload(uint64(g) + 9000)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for g := uint64(0); g < uint64(a.Blocks()); g++ {
-		buf, err := a.MRS(g)
+		buf, err := a.MRSTraced(nil, g)
 		if err != nil || !bytes.Equal(buf, payload(g+9000)) {
 			t.Fatalf("degraded read of %d wrong (err=%v)", g, err)
 		}
@@ -342,7 +342,7 @@ func TestRepairLineAfterTamper(t *testing.T) {
 	if err != nil || !rep.OK {
 		t.Fatalf("verify after line repair: %+v err=%v", rep, err)
 	}
-	buf, err := a.MRS(g0 + 2)
+	buf, err := a.MRSTraced(nil, g0+2)
 	if err != nil || !bytes.Equal(buf, payload(801)) {
 		t.Fatalf("healed block wrong (err=%v)", err)
 	}
@@ -387,14 +387,14 @@ func TestShredScrubsParity(t *testing.T) {
 // timeline, so ops on distinct members overlap in virtual time.
 func TestClockIsSlowestMember(t *testing.T) {
 	a := mustBuild(t, 2, 0, 8, 64)
-	if err := a.WriteBlocks(0, [][]byte{payload(1), payload(2)}); err != nil { // member 0
+	if err := a.WriteBlocksTraced(nil, 0, [][]byte{payload(1), payload(2)}); err != nil { // member 0
 		t.Fatal(err)
 	}
 	t0 := a.MemberDevice(0).Clock().Now()
 	if a.Clock().Now() != t0 {
 		t.Fatalf("array clock %v, member 0 at %v", a.Clock().Now(), t0)
 	}
-	if err := a.WriteBlocks(8, [][]byte{payload(3)}); err != nil { // member 1
+	if err := a.WriteBlocksTraced(nil, 8, [][]byte{payload(3)}); err != nil { // member 1
 		t.Fatal(err)
 	}
 	t1 := a.MemberDevice(1).Clock().Now()
@@ -454,27 +454,27 @@ func TestRefusedParityFlushIsAnError(t *testing.T) {
 	}
 	// Global blocks 0..15 are row 0's data; 16.. are row 1's.
 	a := build()
-	if err := a.WriteBlocks(0, [][]byte{payload(1)}); !errors.Is(err, device.ErrBadBlock) {
-		t.Fatalf("WriteBlocks: err %v, want the refused parity flush", err)
+	if err := a.WriteBlocksTraced(nil, 0, [][]byte{payload(1)}); !errors.Is(err, device.ErrBadBlock) {
+		t.Fatalf("WriteBlocksTraced: err %v, want the refused parity flush", err)
 	}
 
 	a = build()
-	errs := a.WriteRunsFanned([]device.WriteRun{
+	errs := a.WriteRunsFannedTraced(nil, []device.WriteRun{
 		{Start: 0, Blocks: [][]byte{payload(2)}},
 		{Start: 16, Blocks: [][]byte{payload(3)}},
 		{Start: uint64(a.Blocks()), Blocks: [][]byte{payload(4)}},
 	}, 2)
 	for i := 0; i < 2; i++ {
 		if !errors.Is(errs[i], device.ErrBadBlock) {
-			t.Fatalf("WriteRunsFanned run %d: err %v, want the refused parity flush", i, errs[i])
+			t.Fatalf("WriteRunsFannedTraced run %d: err %v, want the refused parity flush", i, errs[i])
 		}
 	}
 	if errs[2] == nil || errors.Is(errs[2], device.ErrBadBlock) {
-		t.Fatalf("WriteRunsFanned out-of-range run: err %v, want its own range error", errs[2])
+		t.Fatalf("WriteRunsFannedTraced out-of-range run: err %v, want its own range error", errs[2])
 	}
 
 	a = build()
-	if err := a.WriteBlocks(16, [][]byte{payload(5)}); err != nil {
+	if err := a.WriteBlocksTraced(nil, 16, [][]byte{payload(5)}); err != nil {
 		t.Fatal(err)
 	}
 	res := a.MoveGroups([][]device.BlockMove{{{Src: 16, Dst: 0}}}, 1)

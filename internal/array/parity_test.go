@@ -29,7 +29,7 @@ func TestMirroredParityMatchesMul(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			// A small window so most writes overwrite a block.
 			gpba := uint64(rng.Intn(48))
-			if err := a.WriteBlocks(gpba, [][]byte{payload(rng.Uint64())}); err != nil {
+			if err := a.WriteBlocksTraced(nil, gpba, [][]byte{payload(rng.Uint64())}); err != nil {
 				t.Fatal(err)
 			}
 		}

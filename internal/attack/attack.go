@@ -104,9 +104,6 @@ func NewHarness(fs *lfs.FS, seed uint64) (*Harness, error) {
 // Victim returns the heated file's name.
 func (h *Harness) Victim() string { return h.victim }
 
-// Line returns the victim's heated line.
-func (h *Harness) Line() device.LineInfo { return h.line }
-
 // FS returns the file system under attack, for campaigns that drive
 // live traffic and audits around the attacks.
 func (h *Harness) FS() *lfs.FS { return h.fs }

@@ -479,7 +479,7 @@ func TestCampaignCrashSurvival(t *testing.T) {
 		}
 		rec.mu.Lock()
 		for _, w := range rec.writes[:k] {
-			if werr := crashed.WriteBlocks(w.pba, [][]byte{w.data}); werr != nil {
+			if werr := crashed.WriteBlocksTraced(nil, w.pba, [][]byte{w.data}); werr != nil {
 				rec.mu.Unlock()
 				t.Fatalf("replaying write to %d: %v", w.pba, werr)
 			}

@@ -53,10 +53,6 @@ func NewStore(dev device.Dev) *Store {
 // Device exposes the underlying device (read-only use: clocks, stats).
 func (s *Store) Device() device.Dev { return s.dev }
 
-// Concurrency returns the device's configured fan-out width, which
-// Audit and Recover use by default.
-func (s *Store) Concurrency() int { return s.dev.Concurrency() }
-
 // Alloc reserves n blocks with the given alignment and returns the
 // first PBA.
 func (s *Store) Alloc(n, align int) (uint64, error) {
@@ -90,12 +86,12 @@ func (s *Store) Release(start uint64, n int) error {
 // Write writes one data block through the device's batched write path
 // (a one-block run: one command, one settle).
 func (s *Store) Write(pba uint64, data []byte) error {
-	return s.dev.WriteBlocks(pba, [][]byte{data})
+	return s.dev.WriteBlocksTraced(nil, pba, [][]byte{data})
 }
 
 // Read reads one data block.
 func (s *Store) Read(pba uint64) ([]byte, error) {
-	return s.dev.MRS(pba)
+	return s.dev.MRSTraced(nil, pba)
 }
 
 // WriteLine allocates a line big enough for the given blocks (plus

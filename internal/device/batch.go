@@ -8,11 +8,11 @@ import (
 )
 
 // Batched write-path operations: the write-side counterpart of the
-// fanned-out verification engine. WriteBlocks (device.go) commits a
-// contiguous run as one command; WriteLineBatch specialises that to a
-// future heated line; MoveGroups is the cleaner's engine, relocating
-// groups of blocks on concurrent worker planes through the one
-// fan-out engine (fanOut).
+// fanned-out verification engine. WriteBlocksTraced (device.go)
+// commits a contiguous run as one command; WriteLineBatch specialises
+// that to a future heated line; MoveGroups is the cleaner's engine,
+// relocating groups of blocks on concurrent worker planes through the
+// one fan-out engine (fanOut).
 
 // WriteLineBatch writes the member blocks of a future heated line in
 // one batched command: blocks[i] lands at start+1+i and the slack up
@@ -40,7 +40,7 @@ func (d *Device) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error
 			run = append(run, zero)
 		}
 	}
-	return d.WriteBlocks(start+1, run)
+	return d.WriteBlocksTraced(nil, start+1, run)
 }
 
 // BlockMove relocates the payload of one block to another address.
@@ -109,7 +109,7 @@ func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
 }
 
 // WriteRun is one contiguous batched write command: Blocks land at
-// Start, Start+1, …, exactly as WriteBlocks would commit them — the
+// Start, Start+1, …, exactly as WriteBlocksTraced would commit them — the
 // stripe locks covering the run taken once, seek and settle charged
 // once, frames streamed.
 type WriteRun struct {
@@ -137,32 +137,27 @@ func ConsecutiveRuns(n int, addr func(k int) uint64) iter.Seq2[int, int] {
 	}
 }
 
-// WriteRunsFanned commits independent contiguous write runs on a pool
-// of worker planes — the foreground write path's fan-out engine, used
-// by the lfs Sync path to flush per-affinity-class group-commit
-// buffers in one pass and by the lfs checkpoint to write a wide slot
-// image one share per plane. Runs are split strided over the worker
+// WriteRunsFannedTraced commits independent contiguous write runs on
+// a pool of worker planes — the foreground write path's fan-out
+// engine, used by the lfs Sync path to flush per-affinity-class
+// group-commit buffers in one pass and by the lfs checkpoint to write
+// a wide slot image one share per plane. Runs are split strided over the worker
 // planes ("write-fanout"; see fanOut for the slowest-worker
 // virtual-time contract). Every run's destination is the caller's
 // (preassigned frontiers), so the post-flush medium layout is
 // identical for any worker count; only the virtual time changes.
 //
-// Each run carries WriteBlocks' exact per-run contract: every payload
-// and target block is checked before the first bit of that run is
-// written, so a refused run writes nothing (errs[i] reports run i's
+// Each run carries WriteBlocksTraced's exact per-run contract: every
+// payload and target block is checked before the first bit of that run
+// is written, so a refused run writes nothing (errs[i] reports run i's
 // outcome; other runs proceed). Callers must present runs with
 // disjoint block ranges — they are committed concurrently under their
 // own stripe locks with no cross-run ordering. workers <= 0 means the
 // device's configured Concurrency.
-func (d *Device) WriteRunsFanned(runs []WriteRun, workers int) []error {
-	return d.WriteRunsFannedTraced(nil, runs, workers)
-}
-
-// WriteRunsFannedTraced is WriteRunsFanned with the pass's cost — the
-// slowest worker's elapsed virtual time, exactly the shared-clock
-// advance — attributed to task (nil behaves exactly like
-// WriteRunsFanned). The traced lfs Sync path uses it so a sync op's
-// own device time includes its fanned flush.
+//
+// The pass's cost — the slowest worker's elapsed virtual time, exactly
+// the shared-clock advance — is attributed to task (nil attributes it
+// to no one), so a sync op's own device time includes its fanned flush.
 func (d *Device) WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, workers int) []error {
 	errs := make([]error, len(runs))
 	d.gate.RLock()

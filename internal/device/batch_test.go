@@ -9,7 +9,7 @@ import (
 func TestWriteBlocksRoundTrip(t *testing.T) {
 	d := testDevice(t, 64)
 	blocks := [][]byte{pattern(1), pattern(2), pattern(3), pattern(4)}
-	if err := d.WriteBlocks(8, blocks); err != nil {
+	if err := d.WriteBlocksTraced(nil, 8, blocks); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range blocks {
@@ -26,13 +26,13 @@ func TestWriteBlocksRoundTrip(t *testing.T) {
 		t.Fatalf("MagneticWrites %d, want 4", st.MagneticWrites)
 	}
 	// Bad payload size and out-of-range runs are refused.
-	if err := d.WriteBlocks(0, [][]byte{make([]byte, 10)}); err == nil {
+	if err := d.WriteBlocksTraced(nil, 0, [][]byte{make([]byte, 10)}); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	if err := d.WriteBlocks(62, blocks); err == nil {
+	if err := d.WriteBlocksTraced(nil, 62, blocks); err == nil {
 		t.Fatal("run beyond device accepted")
 	}
-	if err := d.WriteBlocks(0, nil); err != nil {
+	if err := d.WriteBlocksTraced(nil, 0, nil); err != nil {
 		t.Fatalf("empty run: %v", err)
 	}
 }
@@ -44,10 +44,10 @@ func TestWriteBlocksRoundTrip(t *testing.T) {
 func refusalDevice(t *testing.T) *Device {
 	t.Helper()
 	d := testDevice(t, 64)
-	if err := d.WriteBlocks(8, [][]byte{pattern(1), pattern(2), pattern(3), pattern(4)}); err != nil {
+	if err := d.WriteBlocksTraced(nil, 8, [][]byte{pattern(1), pattern(2), pattern(3), pattern(4)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteBlocks(40, [][]byte{pattern(5), pattern(6), pattern(7)}); err != nil {
+	if err := d.WriteBlocksTraced(nil, 40, [][]byte{pattern(5), pattern(6), pattern(7)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteLineBatch(16, 2, [][]byte{pattern(8), pattern(9), pattern(10)}); err != nil {
@@ -116,10 +116,10 @@ func TestWriteBlocksRefusalWritesNothing(t *testing.T) {
 			return d.MWS(pba, data)
 		}},
 		{name: "WriteBlocks", write: func(d *Device, r refusal) error {
-			return d.WriteBlocks(r.start, run(r))
+			return d.WriteBlocksTraced(nil, r.start, run(r))
 		}},
 		{name: "WriteRunsFanned", write: func(d *Device, r refusal) error {
-			return d.WriteRunsFanned([]WriteRun{{Start: r.start, Blocks: run(r)}}, 2)[0]
+			return d.WriteRunsFannedTraced(nil, []WriteRun{{Start: r.start, Blocks: run(r)}}, 2)[0]
 		}},
 		{name: "MoveGroups", moves: true, write: func(d *Device, r refusal) error {
 			var group []BlockMove
@@ -225,7 +225,7 @@ func TestWriteBlocksBatchedCheaper(t *testing.T) {
 
 	batched := testDevice(t, 64)
 	t0 = batched.Clock().Now()
-	if err := batched.WriteBlocks(0, blocks); err != nil {
+	if err := batched.WriteBlocksTraced(nil, 0, blocks); err != nil {
 		t.Fatal(err)
 	}
 	batchedNS := batched.Clock().Now() - t0
@@ -343,9 +343,10 @@ func TestMoveGroupsRefusesBadDestination(t *testing.T) {
 }
 
 // TestWriteRunsFannedMatchesSerial pins the fanned group-commit
-// engine's contract: the same runs written serially via WriteBlocks
-// and fanned over worker planes leave identical bits, and the fanned
-// virtual cost never exceeds serial (slowest-worker clock advance).
+// engine's contract: the same runs written serially via
+// WriteBlocksTraced and fanned over worker planes leave identical
+// bits, and the fanned virtual cost never exceeds serial
+// (slowest-worker clock advance).
 func TestWriteRunsFannedMatchesSerial(t *testing.T) {
 	mkRuns := func() []WriteRun {
 		runs := make([]WriteRun, 6)
@@ -362,7 +363,7 @@ func TestWriteRunsFannedMatchesSerial(t *testing.T) {
 	serial := testDevice(t, 128)
 	t0 := serial.Clock().Now()
 	for _, run := range mkRuns() {
-		if err := serial.WriteBlocks(run.Start, run.Blocks); err != nil {
+		if err := serial.WriteBlocksTraced(nil, run.Start, run.Blocks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +372,7 @@ func TestWriteRunsFannedMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		d := testDevice(t, 128)
 		t0 := d.Clock().Now()
-		for i, err := range d.WriteRunsFanned(mkRuns(), workers) {
+		for i, err := range d.WriteRunsFannedTraced(nil, mkRuns(), workers) {
 			if err != nil {
 				t.Fatalf("workers=%d: run %d: %v", workers, i, err)
 			}
@@ -408,7 +409,7 @@ func TestWriteRunsFannedRefusalIsPerRun(t *testing.T) {
 		{Start: 40, Blocks: [][]byte{pattern(14)}},
 		{Start: 63, Blocks: [][]byte{pattern(15), pattern(16)}}, // out of range
 	}
-	errs := d.WriteRunsFanned(runs, 2)
+	errs := d.WriteRunsFannedTraced(nil, runs, 2)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("good runs failed: %v / %v", errs[0], errs[2])
 	}

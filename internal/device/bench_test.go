@@ -64,7 +64,7 @@ func benchWriteBlocks(b *testing.B, d *Device) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.WriteBlocks(uint64(i%(blocks/run)*run), bufs); err != nil {
+		if err := d.WriteBlocksTraced(nil, uint64(i%(blocks/run)*run), bufs); err != nil {
 			b.Fatal(err)
 		}
 	}

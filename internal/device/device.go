@@ -516,13 +516,6 @@ func (d *Device) Stats() OpStats {
 	return d.stats
 }
 
-// ResetStats zeroes the counters.
-func (d *Device) ResetStats() {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	d.stats = OpStats{}
-}
-
 // mergeStats folds a private plane's counters into the device stats.
 func (d *Device) mergeStats(other *OpStats) {
 	d.statsMu.Lock()
@@ -741,19 +734,14 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
 	}
 }
 
-// WriteBlocks magnetically writes len(blocks) consecutive sectors
-// starting at start as one batched command: the stripe locks covering
-// the run are taken once, seek and settle are charged once for the
-// whole run, and the frames then stream. Every target block is checked
-// before the first bit is written, so a refused run writes nothing.
-func (d *Device) WriteBlocks(start uint64, blocks [][]byte) error {
-	return d.WriteBlocksTraced(nil, start, blocks)
-}
-
-// WriteBlocksTraced is WriteBlocks with the command's device charges
-// attributed to task (nil behaves exactly like WriteBlocks) — the
-// entry point the traced lfs paths use so per-op own-device time can
-// be split from queueing.
+// WriteBlocksTraced magnetically writes len(blocks) consecutive
+// sectors starting at start as one batched command: the stripe locks
+// covering the run are taken once, seek and settle are charged once
+// for the whole run, and the frames then stream. Every target block is
+// checked before the first bit is written, so a refused run writes
+// nothing. The command's device charges are attributed to task, so
+// per-op own-device time can be split from queueing; a nil task
+// charges the shared foreground plane alone.
 func (d *Device) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
@@ -770,8 +758,8 @@ func (d *Device) MRS(pba uint64) ([]byte, error) {
 }
 
 // MRSTraced is MRS with the read's device charge attributed to task
-// (nil behaves exactly like MRS) — the entry point the traced lfs read
-// path uses so per-op own-device time can be split from queueing.
+// (nil behaves exactly like MRS) — the Dev entry point, so per-op
+// own-device time can be split from queueing.
 func (d *Device) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 	d.gate.RLock()
 	defer d.gate.RUnlock()

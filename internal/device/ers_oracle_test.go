@@ -58,7 +58,7 @@ func ersOracleSled(t *testing.T, h hash.Hash, sigma, pulse float64, seed uint64)
 	}
 	d := oracleDevice(blocks, mp)
 	med := d.Medium()
-	if err := d.WriteBlocks(0, oraclePayloads(blocks, byte(seed))); err != nil {
+	if err := d.WriteBlocksTraced(nil, 0, oraclePayloads(blocks, byte(seed))); err != nil {
 		t.Fatal(err)
 	}
 	record := func(pba int) int { return pba*DotsPerBlock + headerDotOffset() }

@@ -40,7 +40,7 @@ func fanDevice(t *testing.T, blocks int) *Device {
 			for i := range run {
 				run[i] = pattern(byte(s*8 + i))
 			}
-			if err := d.WriteBlocks(base+16, run); err != nil {
+			if err := d.WriteBlocksTraced(nil, base+16, run); err != nil {
 				t.Fatal(err)
 			}
 		}

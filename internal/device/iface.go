@@ -32,7 +32,6 @@ type Dev interface {
 	Concurrency() int     // default fan-out width
 	SetConcurrency(k int) // sets the default fan-out width
 	Stats() OpStats       // cumulative operation counters
-	ResetStats()          // zeroes the operation counters
 
 	// Observability.
 	Tracer() *trace.Tracer
@@ -41,12 +40,9 @@ type Dev interface {
 	SetReadObserver(fn ReadObserver)   // installs (nil removes) the read hook
 
 	// Magnetic block I/O.
-	MRS(pba uint64) ([]byte, error)
-	MRSTraced(task *trace.Task, pba uint64) ([]byte, error)                       // MRS attributed to task
-	WriteBlocks(start uint64, blocks [][]byte) error                              // one batched contiguous write
-	WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error      // WriteBlocks attributed to task
-	WriteRunsFanned(runs []WriteRun, workers int) []error                         // independent runs on worker planes
-	WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, workers int) []error // WriteRunsFanned attributed to task
+	MRSTraced(task *trace.Task, pba uint64) ([]byte, error)                       // one block read
+	WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error      // one batched contiguous write
+	WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, workers int) []error // independent runs on worker planes
 	ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)              // scattered reads on worker planes
 	MoveGroups(groups [][]BlockMove, workers int) []MoveResult                    // cleaner relocation groups
 

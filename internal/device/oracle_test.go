@@ -65,7 +65,7 @@ func oracleDefaultSled(t *testing.T, h hash.Hash) {
 	mp.Seed = 11
 	d := oracleDevice(blocks, mp)
 	med := d.Medium()
-	if err := d.WriteBlocks(0, oraclePayloads(blocks, 3)); err != nil {
+	if err := d.WriteBlocksTraced(nil, 0, oraclePayloads(blocks, 3)); err != nil {
 		t.Fatal(err)
 	}
 	li, err := d.HeatLine(4, 2)
@@ -98,13 +98,13 @@ func oracleNoisySled(t *testing.T, h hash.Hash) {
 	mp.PulseTempC = 700      // one pulse damages a dot only partially
 	d := oracleDevice(blocks, mp)
 	med := d.Medium()
-	if err := d.WriteBlocks(0, oraclePayloads(blocks, 41)); err != nil {
+	if err := d.WriteBlocksTraced(nil, 0, oraclePayloads(blocks, 41)); err != nil {
 		t.Fatal(err)
 	}
 	med.EWB(2*DotsPerBlock + 1000)
 	fmt.Fprintf(h, "partial %v %v\n", med.Damage(2*DotsPerBlock+1000), med.State(2*DotsPerBlock+1000))
 	oracleReadAll(d, h)
-	if err := d.WriteBlocks(1, oraclePayloads(3, 77)); err != nil {
+	if err := d.WriteBlocksTraced(nil, 1, oraclePayloads(3, 77)); err != nil {
 		t.Fatal(err)
 	}
 	oracleReadAll(d, h)

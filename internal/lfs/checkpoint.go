@@ -458,7 +458,7 @@ const (
 // slotEmpty, that nothing was ever written there. The caller decides
 // what is fatal.
 func (fs *FS) readSlot(base uint64) (*ckptImage, slotStatus) {
-	first, err := fs.dev.MRS(base)
+	first, err := fs.dev.MRSTraced(nil, base)
 	if err != nil {
 		// An unreadable first block is the unwritten shape: the medium
 		// frames every written block, so a torn slot write still leaves
@@ -641,7 +641,7 @@ func ReadablePrefix(dev device.Dev, base uint64, blocks, workers int) ([]byte, b
 	if workers <= 1 {
 		out := make([]byte, 0, blocks*device.DataBytes)
 		for i := 0; i < blocks; i++ {
-			b, err := dev.MRS(base + uint64(i))
+			b, err := dev.MRSTraced(nil, base+uint64(i))
 			if err != nil {
 				return out, false
 			}
@@ -670,7 +670,7 @@ func ReadablePrefix(dev device.Dev, base uint64, blocks, workers int) ([]byte, b
 // the newer slot is intact — costs one slot read, not two; a lying
 // epoch in a torn slot only reorders the fallback, never the outcome.
 func (fs *FS) peekSlotEpoch(base uint64) (epoch uint64, nonEmpty bool) {
-	first, err := fs.dev.MRS(base)
+	first, err := fs.dev.MRSTraced(nil, base)
 	if err != nil {
 		return 0, false
 	}

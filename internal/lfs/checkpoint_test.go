@@ -106,11 +106,11 @@ func TestCheckpointDeterministic(t *testing.T) {
 		return fs
 	}
 	a, b := build(), build()
-	ba, err := a.Device().MRS(0)
+	ba, err := a.Device().MRSTraced(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := b.Device().MRS(0)
+	bb, err := b.Device().MRSTraced(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

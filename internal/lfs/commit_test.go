@@ -108,7 +108,7 @@ func (c *commitChecker) step(fs *FS, what string) {
 		c.t.Fatalf("%s: name order %q, sorted keys %q", what, got, want)
 	}
 	base := (fs.ckptEpoch - 1) % 2 * uint64(fs.slotBlocks())
-	first, err := fs.dev.MRS(base)
+	first, err := fs.dev.MRSTraced(nil, base)
 	if err != nil {
 		c.t.Fatalf("%s: reading slot: %v", what, err)
 	}

@@ -34,7 +34,7 @@ func imageAt(t testing.TB, rec *crashRecorder, img []byte, k int) *device.Device
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	for _, w := range rec.writes[:k] {
-		if err := dev.WriteBlocks(w.pba, [][]byte{w.data}); err != nil {
+		if err := dev.WriteBlocksTraced(nil, w.pba, [][]byte{w.data}); err != nil {
 			t.Fatalf("replaying write %d to crash image: %v", w.pba, err)
 		}
 	}

@@ -72,7 +72,7 @@ func (r *crashRecorder) deviceAt(t testing.TB, blocks, k int) *device.Device {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range r.writes[:k] {
-		if err := dev.WriteBlocks(w.pba, [][]byte{w.data}); err != nil {
+		if err := dev.WriteBlocksTraced(nil, w.pba, [][]byte{w.data}); err != nil {
 			t.Fatalf("replaying write %d to crash image: %v", w.pba, err)
 		}
 	}
@@ -461,7 +461,7 @@ func TestCrashMidFannedCheckpoint(t *testing.T) {
 					if n == 0 {
 						continue
 					}
-					if err := dev.WriteBlocks(base+uint64(start), img[start:start+n]); err != nil {
+					if err := dev.WriteBlocksTraced(nil, base+uint64(start), img[start:start+n]); err != nil {
 						t.Fatal(err)
 					}
 					for i := start; i < start+n; i++ {

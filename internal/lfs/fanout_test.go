@@ -356,7 +356,7 @@ func TestReadablePrefixSerialFannedEquivalence(t *testing.T) {
 	for i := range run {
 		run[i] = payload(byte(i), device.DataBytes)
 	}
-	if err := dev.WriteBlocks(base, run); err != nil {
+	if err := dev.WriteBlocksTraced(nil, base, run); err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Join(run, nil)

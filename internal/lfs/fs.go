@@ -967,7 +967,7 @@ func (fs *FS) flushSegment(seg *segment) error {
 // affinity order for determinism, optionally skipping affinity 0.
 // With Concurrency > 1 and two or more non-empty buffers, the
 // per-class runs are committed concurrently on worker planes
-// (device.WriteRunsFanned, one batched command per class): every
+// (device.WriteRunsFannedTraced, one batched command per class): every
 // class's destination run was preassigned at buffering time from its
 // own private frontier, so the on-medium layout is identical for any
 // worker count and only the virtual time changes — the fanned flush

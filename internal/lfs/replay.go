@@ -325,7 +325,7 @@ func (fs *FS) replayChain(ck *ckptImage) *replayTrace {
 	for !visited[pos] {
 		visited[pos] = true
 		off := int(pos - seg.start)
-		first, err := fs.dev.MRS(pos)
+		first, err := fs.dev.MRSTraced(nil, pos)
 		if err != nil {
 			t.stop = "end of chain (unreadable block)"
 			break
@@ -347,7 +347,7 @@ func (fs *FS) replayChain(ck *ckptImage) *replayTrace {
 		payload = append(payload, first[sumHdrBytes:]...)
 		torn := false
 		for b := 1; b < h.nblocks; b++ {
-			data, rerr := fs.dev.MRS(pos + uint64(b))
+			data, rerr := fs.dev.MRSTraced(nil, pos+uint64(b))
 			if rerr != nil {
 				torn = true
 				break
@@ -558,7 +558,7 @@ func CheckJournal(dev device.Dev, p Params) (JournalReport, error) {
 	}
 	inodes := make(map[Ino]*Inode, len(fs.imap))
 	for ino, pba := range fs.imap {
-		data, rerr := dev.MRS(pba)
+		data, rerr := dev.MRSTraced(nil, pba)
 		if rerr != nil {
 			r.ImapMismatches++
 			continue

@@ -32,7 +32,7 @@ func TestJournalSyncLeavesCheckpointAlone(t *testing.T) {
 	slot := fs.slotBlocks()
 	before := make([][]byte, slot)
 	for i := 0; i < slot; i++ {
-		before[i], _ = fs.Device().MRS(uint64(i))
+		before[i], _ = fs.Device().MRSTraced(nil, uint64(i))
 	}
 	for round := 0; round < 3; round++ {
 		if err := fs.WriteFile(ino, payload(byte(10+round), 2*device.DataBytes)); err != nil {
@@ -43,7 +43,7 @@ func TestJournalSyncLeavesCheckpointAlone(t *testing.T) {
 		}
 	}
 	for i := 0; i < slot; i++ {
-		after, _ := fs.Device().MRS(uint64(i))
+		after, _ := fs.Device().MRSTraced(nil, uint64(i))
 		if !bytes.Equal(before[i], after) {
 			t.Fatalf("journaled sync rewrote checkpoint block %d", i)
 		}
@@ -449,7 +449,7 @@ func TestTornTailRecoversCleanly(t *testing.T) {
 	// Tear the newest record: it sits immediately in front of the
 	// reserved promise slot. Zero its block.
 	tear := fs.jpromise - 1
-	if err := fs.Device().WriteBlocks(tear, [][]byte{make([]byte, device.DataBytes)}); err != nil {
+	if err := fs.Device().WriteBlocksTraced(nil, tear, [][]byte{make([]byte, device.DataBytes)}); err != nil {
 		t.Fatal(err)
 	}
 	fs2, err := Mount(fs.Device(), fs.Params())
@@ -490,7 +490,7 @@ func TestStaleSlotFallback(t *testing.T) {
 	for i := range garbage {
 		garbage[i] = 0xFF
 	}
-	if err := fs.Device().WriteBlocks(uint64(slot), [][]byte{garbage}); err != nil {
+	if err := fs.Device().WriteBlocksTraced(nil, uint64(slot), [][]byte{garbage}); err != nil {
 		t.Fatal(err)
 	}
 	fs2, err := Mount(fs.Device(), fs.Params())

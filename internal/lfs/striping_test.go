@@ -46,7 +46,7 @@ func (r *crashRecorder) arrayAt(t testing.TB, n, parity, su, memberBlocks, k int
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range r.writes[:k] {
-		if err := arr.WriteBlocks(w.pba, [][]byte{w.data}); err != nil {
+		if err := arr.WriteBlocksTraced(nil, w.pba, [][]byte{w.data}); err != nil {
 			t.Fatalf("replaying write %d to striped crash image: %v", w.pba, err)
 		}
 	}

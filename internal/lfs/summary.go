@@ -33,9 +33,9 @@ import (
 //     skip. When data has landed since the last record, Sync writes a
 //     jump into the promise slot pointing at the new record behind
 //     that data — composed, whenever the run is contiguous, into ONE
-//     batched device.WriteBlocks command: [jump][buffered data][record].
-//     The record trails the data it acks, so a prefix-torn command can
-//     never ack missing blocks.
+//     batched device.WriteBlocksTraced command: [jump][buffered
+//     data][record]. The record trails the data it acks, so a
+//     prefix-torn command can never ack missing blocks.
 //
 // Segments holding chain blocks are flagged (segment.journal) and
 // refused by the cleaner until the next checkpoint obsoletes the

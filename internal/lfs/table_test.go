@@ -213,7 +213,7 @@ func TestTableMountDeterministicAcrossConcurrency(t *testing.T) {
 func slotImageBytes(dev device.Dev, base uint64, blocks int) []byte {
 	var out []byte
 	for i := 0; i < blocks; i++ {
-		data, err := dev.MRS(base + uint64(i))
+		data, err := dev.MRSTraced(nil, base+uint64(i))
 		if err != nil {
 			break
 		}
@@ -249,7 +249,7 @@ func corruptTableByte(t testing.TB, dev device.Dev, p Params, pick uint64) bool 
 	blk := off / device.DataBytes
 	block := append([]byte(nil), img[blk*device.DataBytes:(blk+1)*device.DataBytes]...)
 	block[off%device.DataBytes] ^= 0xFF
-	if err := dev.WriteBlocks(base+blk, [][]byte{block}); err != nil {
+	if err := dev.WriteBlocksTraced(nil, base+blk, [][]byte{block}); err != nil {
 		t.Fatalf("rewriting slot block: %v", err)
 	}
 	return true
@@ -379,7 +379,7 @@ func TestForgedTableCountsMismatches(t *testing.T) {
 		copy(blk, img2[i*device.DataBytes:end])
 		blocks = append(blocks, blk)
 	}
-	if err := fs.Device().WriteBlocks(base, blocks); err != nil {
+	if err := fs.Device().WriteBlocksTraced(nil, base, blocks); err != nil {
 		t.Fatal(err)
 	}
 	jr, err := CheckJournal(fs.Device(), p)
@@ -462,7 +462,7 @@ func TestCorruptTableLengthFallsBack(t *testing.T) {
 	// Rewrite every block the length field touches (it may straddle a
 	// boundary).
 	for blk := (total + 16) / device.DataBytes; blk <= (total+23)/device.DataBytes; blk++ {
-		if err := fs.Device().WriteBlocks(base+blk, [][]byte{img[blk*device.DataBytes : (blk+1)*device.DataBytes]}); err != nil {
+		if err := fs.Device().WriteBlocksTraced(nil, base+blk, [][]byte{img[blk*device.DataBytes : (blk+1)*device.DataBytes]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -505,7 +505,7 @@ func TestMountDoubleTornSlots(t *testing.T) {
 		garbage[i] = 0xEE
 	}
 	for _, base := range []uint64{0, uint64(slot)} {
-		if err := fs.Device().WriteBlocks(base, [][]byte{garbage}); err != nil {
+		if err := fs.Device().WriteBlocksTraced(nil, base, [][]byte{garbage}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -530,7 +530,7 @@ func TestMountDoubleTornSlots(t *testing.T) {
 	if err := fs2.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs2.Device().WriteBlocks(uint64(fs2.slotBlocks()), [][]byte{garbage}); err != nil {
+	if err := fs2.Device().WriteBlocksTraced(nil, uint64(fs2.slotBlocks()), [][]byte{garbage}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Mount(fs2.Device(), p); err != nil {

@@ -122,9 +122,6 @@ func NewActuator(t Timing, g Geometry, c *sim.Clock) *Actuator {
 	return &Actuator{timing: t, geo: g, clock: c}
 }
 
-// Position returns the current sled position.
-func (a *Actuator) Position() Position { return a.pos }
-
 // SeekTo moves the sled to p, advancing the clock by the travel time of
 // the longer axis plus settle. Seeking to the current position is free:
 // the device exploits this for sequential access.
@@ -190,15 +187,6 @@ func NewArray(t Timing, g Geometry, pitchNM float64, c *sim.Clock) *Array {
 		dotsSide: side,
 	}
 }
-
-// Clock returns the array's virtual clock.
-func (a *Array) Clock() *sim.Clock { return a.clock }
-
-// Timing returns the latency model.
-func (a *Array) Timing() Timing { return a.timing }
-
-// Geometry returns the probe-array geometry.
-func (a *Array) Geometry() Geometry { return a.geo }
 
 // Capacity returns the number of dots addressable by the array.
 func (a *Array) Capacity() int {

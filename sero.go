@@ -50,8 +50,8 @@
 // pulse) needs the sled settled over the target dots, so every write
 // command charges one servo settle before its first bit; reads track
 // on the fly and pay none. A contiguous multi-block run issued as one
-// command (Device.WriteBlocks, the line-granular WriteLineBatch, or a
-// file-system group commit) therefore settles once and streams,
+// command (Device.WriteBlocksTraced, the line-granular WriteLineBatch,
+// or a file-system group commit) therefore settles once and streams,
 // where the same run written sector-at-a-time settles once per
 // sector. The file system exposes this as FSOptions.WritebackBlocks:
 // appends buffer in the active segment in memory and go to the device
