@@ -116,6 +116,65 @@ func TestPartialOverwrite(t *testing.T) {
 	}
 }
 
+// TestPartialOverwriteUnreadableBlockFails pins the read-modify-write
+// read: a partial overwrite of a block whose old copy cannot be read
+// must fail with the device's error instead of buffering a zero-filled
+// block that the next Sync would make durable. The refused write
+// leaves no dirty buffer, pending size or BytesWritten change behind,
+// also when the unreadable block is not the write's first.
+func TestPartialOverwriteUnreadableBlockFails(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		bad     int    // file block whose copy is marked bad
+		off     uint64 // the refused write's offset
+		n       int    // and its length
+		cleanTo int    // bytes still readable afterwards
+	}{
+		{"single block", 0, 100, 10, 0},
+		{"second of two blocks", 1, 100, device.DataBytes + 200, device.DataBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := device.New(device.QuietParams(512))
+			fs, err := New(dev, smallParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ino, _ := fs.Create("f", 0)
+			old := payload(1, device.DataBytes+200)
+			if err := fs.WriteFile(ino, old); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			in, err := fs.Stat(ino)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.MarkBad(in.Blocks[tc.bad]); err != nil {
+				t.Fatal(err)
+			}
+			written := fs.Stats().BytesWritten
+			if err := fs.Write(ino, tc.off, payload(0xFF, tc.n)); !errors.Is(err, device.ErrBadBlock) {
+				t.Fatalf("write over unreadable block %d: err %v, want ErrBadBlock", tc.bad, err)
+			}
+			if n := len(fs.dirty[ino]); n != 0 {
+				t.Fatalf("refused write left %d dirty blocks", n)
+			}
+			if ps, ok := fs.pendSize[ino]; ok {
+				t.Fatalf("refused write left pending size %d", ps)
+			}
+			if got := fs.Stats().BytesWritten; got != written {
+				t.Fatalf("refused write moved BytesWritten %d -> %d", written, got)
+			}
+			got := make([]byte, tc.cleanTo)
+			if _, err := fs.Read(ino, 0, got); err != nil || !bytes.Equal(got, old[:tc.cleanTo]) {
+				t.Fatalf("readable prefix changed (err %v)", err)
+			}
+		})
+	}
+}
+
 func TestSparseFileReadsZero(t *testing.T) {
 	fs := testFS(t, 512, smallParams())
 	ino, _ := fs.Create("sparse", 0)
