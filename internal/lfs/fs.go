@@ -767,6 +767,23 @@ func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) er
 	if end > MaxFileBytes {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, end)
 	}
+	// Only a write's first and last blocks can be partial. Their old
+	// contents are read before anything is buffered, so a refused read
+	// leaves no dirty buffer, pending size or stats change behind.
+	first := int(off / device.DataBytes)
+	last := first
+	var firstOld, lastOld []byte
+	if len(data) > 0 {
+		last = int((end - 1) / device.DataBytes)
+		if firstOld, err = fs.rmwBase(ino, in, first, off, end); err != nil {
+			return err
+		}
+		if last != first {
+			if lastOld, err = fs.rmwBase(ino, in, last, off, end); err != nil {
+				return err
+			}
+		}
+	}
 	if fs.dirty[ino] == nil {
 		fs.dirty[ino] = make(map[int][]byte)
 	}
@@ -781,15 +798,11 @@ func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) er
 		buf := fs.dirty[ino][blk]
 		if buf == nil {
 			buf = make([]byte, device.DataBytes)
-			// Read-modify-write for partial overwrites of existing
-			// blocks (which may still sit in a group-commit buffer).
-			// PBA 0 is the hole sentinel — block 0 is always the
-			// checkpoint, so no file block ever lives there.
-			if blk < len(in.Blocks) && in.Blocks[blk] != 0 && (inner != 0 || n != device.DataBytes) {
-				old, rerr := fs.readPBATaskLocked(fs.curTask, in.Blocks[blk])
-				if rerr == nil {
-					copy(buf, old)
-				}
+			switch blk {
+			case first:
+				copy(buf, firstOld)
+			case last:
+				copy(buf, lastOld)
 			}
 			fs.dirty[ino][blk] = buf
 		}
@@ -802,6 +815,27 @@ func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) er
 	}
 	in.MTime = fs.now()
 	return nil
+}
+
+// rmwBase returns the old contents a partial overwrite of file block
+// blk starts from: nil when [off, end) covers the whole block, when the
+// block is already dirty, or when it is a hole or lies past the file's
+// blocks. The old copy may still sit in a group-commit buffer. PBA 0 is
+// the hole sentinel — block 0 is always the checkpoint, so no file
+// block ever lives there. Caller holds fs.mu exclusively.
+func (fs *FS) rmwBase(ino Ino, in *Inode, blk int, off, end uint64) ([]byte, error) {
+	lo := uint64(blk) * device.DataBytes
+	if off <= lo && end >= lo+device.DataBytes {
+		return nil, nil
+	}
+	if fs.dirty[ino][blk] != nil || blk >= len(in.Blocks) || in.Blocks[blk] == 0 {
+		return nil, nil
+	}
+	old, err := fs.readPBATaskLocked(fs.curTask, in.Blocks[blk])
+	if err != nil {
+		return nil, fmt.Errorf("lfs: read-modify-write of ino %d block %d: %w", ino, blk, err)
+	}
+	return old, nil
 }
 
 // effectiveSize is the file size readers observe: the durable inode
