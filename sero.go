@@ -539,8 +539,9 @@ type FSOptions struct {
 	// non-empty Sync (the pre-journal behaviour); 0 defaults to four
 	// segments' worth; negative values are rejected.
 	CheckpointEvery int
-	// HeatAware toggles the §4.1 clustering and cleaning policies
-	// (default true).
+	// HeatAware toggles the §4.1 clustering and cleaning policies.
+	// The zero value is false, so FSOptions{} formats a heat-oblivious
+	// file system; set it to true for the paper's heat-aware layout.
 	HeatAware bool
 	// Concurrency is the FS worker-plane fan-out width: cleaning
 	// passes relocate victim blocks, Sync flushes the
