@@ -64,9 +64,23 @@ benchcheck:
 # The repository benchmark (perfbench/, BENCHMARK.json) is a nested
 # module, so `go build ./...` never compiles it: vet and build it here
 # so a signature change in device, lfs or workload cannot break the
-# benchmark unnoticed.
+# benchmark unnoticed. Then run each workload once, briefly and traced
+# (the per-layer decorators included), and fail on a non-zero exit or
+# a result line without "correct":true. PERFBENCH_DIR holds the build
+# cache, each workload's result line and its report.
+PERFBENCH_DIR ?= /tmp/sero-perfbench
+PERFBENCH_WORKLOADS = serve-zipf-2s churn-clean-1s seal-audit-array4
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
+	mkdir -p $(PERFBENCH_DIR)
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench --workload $$w --seed 1 --seconds 1 --trace 1"; \
+		CARGO_TARGET_DIR=$(PERFBENCH_DIR) bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 \
+			> $(PERFBENCH_DIR)/$$w.out 2> $(PERFBENCH_DIR)/$$w.log \
+			|| { cat $(PERFBENCH_DIR)/$$w.log; echo "perfbench $$w: non-zero exit"; exit 1; }; \
+		tail -n 1 $(PERFBENCH_DIR)/$$w.out | grep -q '"correct":true' \
+			|| { cat $(PERFBENCH_DIR)/$$w.log; echo "perfbench $$w: not correct"; exit 1; }; \
+	done
 
 # Observability smoke: a small traced serving run exported as Chrome
 # trace_event JSON, validated by tracecheck (Perfetto-loadable shape,

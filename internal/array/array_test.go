@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"sero/internal/device"
 	"sero/internal/trace"
@@ -588,5 +589,75 @@ func TestFailedRebuildKeepsMemberLines(t *testing.T) {
 	want := []device.LineInfo{{Start: g0, LogN: 3}}
 	if got := a.Lines(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Lines() after the failed rebuild = %+v, want %+v", got, want)
+	}
+}
+
+// TestEveryCommandChargesItsTask runs each task-carrying Dev command
+// with a fresh task on a raw device, a width-1 array and a width-4,
+// parity-1 array. Every command charges its task. On the raw device
+// and at width 1 the charge is exactly the shared clock's advance, and
+// the two clocks advance alike (width-1 identity). Width 4's charge is
+// only checked to be positive: it sums member commands that overlap in
+// virtual time.
+func TestEveryCommandChargesItsTask(t *testing.T) {
+	run := func(base uint64, n int) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = payload(base + uint64(i))
+		}
+		return out
+	}
+	commands := []struct {
+		name string
+		do   func(d device.Dev, task *trace.Task) error
+	}{
+		{"MRSTraced", func(d device.Dev, task *trace.Task) error {
+			_, err := d.MRSTraced(task, 6)
+			return err
+		}},
+		{"WriteBlocksTraced", func(d device.Dev, task *trace.Task) error {
+			return d.WriteBlocksTraced(task, 6, run(100, 4))
+		}},
+		{"WriteRunsFannedTraced", func(d device.Dev, task *trace.Task) error {
+			runs := []device.WriteRun{{Start: 2, Blocks: run(200, 3)}, {Start: 20, Blocks: run(300, 5)}}
+			return errors.Join(d.WriteRunsFannedTraced(task, runs, 2)...)
+		}},
+	}
+	for _, cmd := range commands {
+		t.Run(cmd.name, func(t *testing.T) {
+			devs := []struct {
+				name  string
+				d     device.Dev
+				exact bool
+			}{
+				{"raw", device.New(device.QuietParams(256)), true},
+				{"width 1", mustBuild(t, 1, 0, 8, 256), true},
+				{"width 4 parity 1", mustBuild(t, 4, 1, 8, 256), false},
+			}
+			var advances []time.Duration
+			for _, dv := range devs {
+				if err := dv.d.WriteBlocksTraced(nil, 0, run(0, 32)); err != nil {
+					t.Fatalf("%s: setup write: %v", dv.name, err)
+				}
+				task := &trace.Task{}
+				c0 := dv.d.Clock().Now()
+				if err := cmd.do(dv.d, task); err != nil {
+					t.Fatalf("%s: %v", dv.name, err)
+				}
+				adv := dv.d.Clock().Now() - c0
+				if task.DeviceNS() <= 0 {
+					t.Fatalf("%s: task charged %d ns", dv.name, task.DeviceNS())
+				}
+				if dv.exact {
+					if task.DeviceNS() != int64(adv) {
+						t.Fatalf("%s: task charged %d ns, shared clock advanced %d ns", dv.name, task.DeviceNS(), adv)
+					}
+					advances = append(advances, adv)
+				}
+			}
+			if advances[0] != advances[1] {
+				t.Fatalf("raw clock advanced %v, width-1 array %v", advances[0], advances[1])
+			}
+		})
 	}
 }
