@@ -69,11 +69,10 @@ benchcheck:
 # a result line without "correct":true. PERFBENCH_DIR holds the build
 # cache, each workload's result line and its report.
 PERFBENCH_DIR ?= /tmp/sero-perfbench
-PERFBENCH_WORKLOADS = serve-zipf-2s churn-clean-1s seal-audit-array4
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 	mkdir -p $(PERFBENCH_DIR)
-	@for w in $(PERFBENCH_WORKLOADS); do \
+	@for w in serve-zipf-2s churn-clean-1s seal-audit-array4; do \
 		echo "perfbench --workload $$w --seed 1 --seconds 1 --trace 1"; \
 		CARGO_TARGET_DIR=$(PERFBENCH_DIR) bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 \
 			> $(PERFBENCH_DIR)/$$w.out 2> $(PERFBENCH_DIR)/$$w.log \

@@ -329,13 +329,13 @@ func (a *Array) splitRun(start uint64, blocks [][]byte) []memberRun {
 }
 
 // scatter is the array's one member fan-out: the per-member grouping
-// behind WriteRunsFannedTraced, ReadBlocksFanned and VerifyLines. place maps
-// item i (of n) to its member-local pieces, calling add(m, v) once per
-// piece; an item that places nothing is skipped. Each member's pieces
-// keep input order and are dispatched member by member: to live(m,
-// idx, vs), one batched member call over vs where idx[k] is the item
-// piece vs[k] came from, or — when m is marked failed — piece by piece
-// to failed(m, i, v).
+// behind WriteRunsFannedTraced, ReadBlocksFanned and VerifyLines.
+// place maps item i (of n) to its member-local pieces, calling
+// add(m, v) once per piece; an item that places nothing is skipped.
+// Each member's pieces keep input order and are dispatched member by
+// member: to live(m, idx, vs), one batched member call over vs where
+// idx[k] is the item piece vs[k] came from, or — when m is marked
+// failed — piece by piece to failed(m, i, v).
 func scatter[T any](a *Array, n int,
 	place func(i int, add func(m int, v T)),
 	live func(m int, idx []int, vs []T),

@@ -25,6 +25,11 @@ import (
 // the shared clock to the slowest member after each operation
 // (sim.Clock.AdvanceTo), so fanned work across members overlaps
 // exactly like worker planes overlap inside one device.
+//
+// One method per command: the block read and the two batched writes
+// take the caller's *trace.Task and charge their own device time to
+// it, so a traced operation can split that time from queueing. A
+// caller with no task (mount, tools, tests) passes nil.
 type Dev interface {
 	// Geometry and shared state.
 	Blocks() int
