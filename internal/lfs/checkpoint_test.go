@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -355,6 +356,47 @@ func TestFailedFannedCheckpointKeepsChain(t *testing.T) {
 		}
 		if got, err := m.ReadFile(ino); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("bad block %d: the write acked after the failed checkpoint is lost: %v", bad, err)
+		}
+	}
+}
+
+// TestMountReadsSlotBaseOnce counts the reads of the two checkpoint
+// slots' first blocks during a Mount whose newer slot is valid: the
+// mount orders the slots by the epoch each first block claims and
+// hands that block on, so each base is read exactly once.
+func TestMountReadsSlotBaseOnce(t *testing.T) {
+	p := journalParams()
+	fs := testFS(t, 1024, p)
+	ino, _ := fs.Create("a", 0)
+	if err := fs.WriteFile(ino, payload(1, device.DataBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil { // epoch 1, slot 0
+		t.Fatal(err)
+	}
+	if err := fs.Checkpoint(); err != nil { // epoch 2, slot 1: the newer
+		t.Fatal(err)
+	}
+	dev := fs.Device()
+	bases := []uint64{0, uint64(fs.slotBlocks())}
+	var mu sync.Mutex
+	reads := map[uint64]int{}
+	dev.SetReadObserver(func(pba uint64) {
+		mu.Lock()
+		reads[pba]++
+		mu.Unlock()
+	})
+	m, err := Mount(dev, p)
+	dev.SetReadObserver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ckptEpoch != 2 {
+		t.Fatalf("mounted epoch %d, want 2", m.ckptEpoch)
+	}
+	for _, base := range bases {
+		if reads[base] != 1 {
+			t.Fatalf("mount read slot base %d %d times, want once (reads %v)", base, reads[base], reads)
 		}
 	}
 }

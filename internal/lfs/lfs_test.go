@@ -756,3 +756,37 @@ func BenchmarkLFSHeatFile(b *testing.B) {
 		}
 	}
 }
+
+// TestZeroLengthWriteChangesNothing writes no bytes at an offset past
+// the end of an empty file: the file must stay empty, nothing may be
+// buffered, and the next Sync must append no block.
+func TestZeroLengthWriteChangesNothing(t *testing.T) {
+	fs := testFS(t, 512, smallParams())
+	ino, err := fs.Create("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appended := fs.Stats().BlocksAppended
+	if err := fs.Write(ino, 5000, nil); err != nil {
+		t.Fatal(err)
+	}
+	in, err := fs.Stat(ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Size != 0 {
+		t.Fatalf("size after a zero-length write at 5000: %d, want 0", in.Size)
+	}
+	if _, ok := fs.dirty[ino]; ok {
+		t.Fatal("a zero-length write left a dirty entry")
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().BlocksAppended; got != appended {
+		t.Fatalf("the Sync after a zero-length write appended %d blocks", got-appended)
+	}
+}

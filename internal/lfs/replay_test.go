@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"sero/internal/device"
 )
@@ -669,3 +670,41 @@ func BenchmarkMountReplayWide(b *testing.B) { benchmarkMountNamespace(b, 480, 4)
 // BenchmarkMountReplayDeep is the long-tail regime: few files, a long
 // journal tail — replay dominates and both mounts converge.
 func BenchmarkMountReplayDeep(b *testing.B) { benchmarkMountNamespace(b, 12, 96) }
+
+// TestCheckJournalDeterministic runs CheckJournal over identical
+// images built afresh: its inode cross-check must read in a fixed
+// order, so every run advances the clock by the same amount.
+func TestCheckJournalDeterministic(t *testing.T) {
+	p := journalParams()
+	var want time.Duration
+	for run := 0; run < 8; run++ {
+		fs := testFS(t, 2048, p)
+		for i := 0; i < 60; i++ {
+			ino, err := fs.Create(fmt.Sprintf("f%02d", i), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(ino, payload(byte(i), device.DataBytes)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		clock := fs.Device().Clock()
+		t0 := clock.Now()
+		rep, err := CheckJournal(fs.Device(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Files != 60 || !rep.Healthy() {
+			t.Fatalf("run %d: %+v", run, rep)
+		}
+		got := clock.Now() - t0
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: CheckJournal advanced the clock %v, run 0 %v", run, got, want)
+		}
+	}
+}

@@ -196,3 +196,40 @@ func TestTraceCrashSweepNoRolledBackBlocks(t *testing.T) {
 		crashed.SetTracer(nil)
 	}
 }
+
+// TestHeatFileTracedChargesItsTask heats a synced file whose inode a
+// fresh mount has not cached: the inode read and the relocation reads
+// are the heat's own device time, so its task is charged more than
+// zero and no more than the clock advanced. (The line write and the
+// heat itself take no task, so the charge is below the advance.)
+func TestHeatFileTracedChargesItsTask(t *testing.T) {
+	p := journalParams()
+	fs := testFS(t, 1024, p)
+	ino, err := fs.Create("evidence", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(ino, payload(7, 3*device.DataBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Mount(fs.Device(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, cached := m.cachedInode(ino); cached {
+		t.Fatal("the mount cached the inode; the heat would read nothing")
+	}
+	clock := m.Device().Clock()
+	task := &trace.Task{}
+	t0 := clock.Now()
+	if _, err := m.HeatFileTraced(task, "evidence"); err != nil {
+		t.Fatal(err)
+	}
+	advance := int64(clock.Now() - t0)
+	if got := task.DeviceNS(); got <= 0 || got > advance {
+		t.Fatalf("heat charged its task %d ns of a %d ns clock advance, want (0, %d]", got, advance, advance)
+	}
+}
