@@ -767,21 +767,23 @@ func (fs *FS) WriteTraced(task *trace.Task, ino Ino, off uint64, data []byte) er
 	if end > MaxFileBytes {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, end)
 	}
+	// Writing no bytes changes nothing, wherever it points.
+	if len(data) == 0 {
+		return nil
+	}
 	// Only a write's first and last blocks can be partial. Their old
 	// contents are read before anything is buffered, so a refused read
 	// leaves no dirty buffer, pending size or stats change behind.
 	first := int(off / device.DataBytes)
-	last := first
-	var firstOld, lastOld []byte
-	if len(data) > 0 {
-		last = int((end - 1) / device.DataBytes)
-		if firstOld, err = fs.rmwBase(ino, in, first, off, end); err != nil {
+	last := int((end - 1) / device.DataBytes)
+	firstOld, err := fs.rmwBase(ino, in, first, off, end)
+	if err != nil {
+		return err
+	}
+	var lastOld []byte
+	if last != first {
+		if lastOld, err = fs.rmwBase(ino, in, last, off, end); err != nil {
 			return err
-		}
-		if last != first {
-			if lastOld, err = fs.rmwBase(ino, in, last, off, end); err != nil {
-				return err
-			}
 		}
 	}
 	if fs.dirty[ino] == nil {

@@ -55,7 +55,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 	if !ok {
 		return HeatResult{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	in, err := fs.inodeTask(nil, ino)
+	in, err := fs.inodeTask(fs.curTask, ino)
 	if err != nil {
 		return HeatResult{}, err
 	}
@@ -113,7 +113,7 @@ func (fs *FS) HeatFileTraced(task *trace.Task, name string) (HeatResult, error) 
 			image = append(image, make([]byte, device.DataBytes))
 			continue
 		}
-		data, rerr := fs.readPBATaskLocked(nil, old)
+		data, rerr := fs.readPBATaskLocked(fs.curTask, old)
 		if rerr != nil {
 			return HeatResult{}, fmt.Errorf("lfs: relocating block %d: %w", old, rerr)
 		}

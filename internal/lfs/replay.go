@@ -1,8 +1,10 @@
 package lfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -556,8 +558,14 @@ func CheckJournal(dev device.Dev, p Params) (JournalReport, error) {
 		TableStop:     t.tableStop,
 		TableRefs:     len(t.table),
 	}
+	// Read in ascending block-address order, as loadInodesFanned does,
+	// so the check's virtual time does not depend on map order.
+	inos := slices.SortedFunc(maps.Keys(fs.imap), func(a, b Ino) int {
+		return cmp.Compare(fs.imap[a], fs.imap[b])
+	})
 	inodes := make(map[Ino]*Inode, len(fs.imap))
-	for ino, pba := range fs.imap {
+	for _, ino := range inos {
+		pba := fs.imap[ino]
 		data, rerr := dev.MRSTraced(nil, pba)
 		if rerr != nil {
 			r.ImapMismatches++
