@@ -78,7 +78,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -88,6 +87,7 @@ import (
 	"sero"
 	"sero/internal/array"
 	"sero/internal/device"
+	"sero/internal/lfs"
 )
 
 // arrayStripe is the stripe unit every array-mode run uses — equal to
@@ -559,28 +559,19 @@ func injectDamage(dev *sero.Device, fs *sero.FS, inject string) error {
 		}
 	case "table":
 		fmt.Println("injecting: corrupting the checkpointed liveness table")
-		// Each slot frames [len][core][sum][table-len][table][table-sum];
-		// flip the first byte of the table payload in every written
+		// Flip the first byte of the table payload in every written
 		// slot, leaving the core frame — and so the checkpoint — intact.
 		corrupted := false
 		for _, base := range []uint64{0, uint64(slot)} {
 			img, _ := sero.ReadCheckpointPrefix(dev, base, slot)
-			if len(img) == 0 {
+			off, _, ok := lfs.SlotTable(img)
+			if !ok {
 				continue
 			}
-			total := binary.BigEndian.Uint64(img[:8])
-			if total == 0 || total+24 >= uint64(len(img)) {
-				continue
-			}
-			tlen := binary.BigEndian.Uint64(img[total+16 : total+24])
-			if tlen == 0 {
-				continue
-			}
-			off := total + 24 // first byte of the table payload
-			blk := off / uint64(sero.BlockSize)
-			data := img[blk*uint64(sero.BlockSize) : (blk+1)*uint64(sero.BlockSize)]
-			data[off%uint64(sero.BlockSize)] ^= 0xFF
-			if err := dev.Write(base+blk, data); err != nil {
+			blk := off / sero.BlockSize
+			data := img[blk*sero.BlockSize : (blk+1)*sero.BlockSize]
+			data[off%sero.BlockSize] ^= 0xFF
+			if err := dev.Write(base+uint64(blk), data); err != nil {
 				return err
 			}
 			corrupted = true

@@ -241,14 +241,14 @@ func (o *keyOrder[K, V]) merge(m map[K]V, emit func(K, V)) {
 // anchor jstart into fs.ckptBuf, which is reused across checkpoints:
 // the core payload (journal anchor, imap, directory) framed by its
 // length and checksum, then the liveness table under its own
-// length+checksum framing (length 0 when disabled or when it does not
-// fit the slot), zero-padded to whole blocks. Both frames are patched
-// in place, so the image is built in one pass with no copies. The
-// imap and directory are emitted in ascending key order, merged from
-// the previous checkpoint's order (keyOrder), so a checkpoint sorts
-// only the keys inserted since the last one. tableOmitted reports that
-// tables are enabled but this one was left out. Caller holds fs.mu
-// exclusively; the image is valid until the next call.
+// length+checksum framing (length 0 when it does not fit the slot),
+// zero-padded to whole blocks. Both frames are patched in place, so
+// the image is built in one pass with no copies. The imap and
+// directory are emitted in ascending key order, merged from the
+// previous checkpoint's order (keyOrder), so a checkpoint sorts only
+// the keys inserted since the last one. tableOmitted reports that the
+// table was left out. Caller holds fs.mu exclusively; the image is
+// valid until the next call.
 func (fs *FS) encodeSlotLocked(epoch, jstart uint64) (img []byte, tableOmitted bool, err error) {
 	buf := append(fs.ckptBuf[:0], make([]byte, 8)...) // core length, patched below
 	buf = append(buf, ckptMagic...)
@@ -284,8 +284,8 @@ func (fs *FS) encodeSlotLocked(epoch, jstart uint64) (img []byte, tableOmitted b
 	slotBytes := fs.slotBlocks() * device.DataBytes
 	tlenAt := len(buf)
 	buf = append(buf, make([]byte, 8)...) // table length, patched below
-	tableOmitted = !fs.p.NoLivenessTable
-	if !fs.p.NoLivenessTable && fs.p.SegmentBlocks <= 0xFFFF {
+	tableOmitted = true
+	if fs.p.SegmentBlocks <= 0xFFFF {
 		buf = fs.appendTableLocked(buf)
 		tlen := len(buf) - (tlenAt + 8)
 		if len(buf)+8 <= slotBytes {
@@ -351,8 +351,7 @@ func (fs *FS) writeCheckpointLocked() error {
 		blocks = append(blocks, img[off:off+device.DataBytes:off+device.DataBytes])
 	}
 	fs.ckptBlocks = blocks
-	base := uint64((epoch - 1) % 2 * uint64(fs.slotBlocks()))
-	if err := fs.writeSlotLocked(base, blocks); err != nil {
+	if err := fs.writeSlotLocked(fs.slotBase(epoch), blocks); err != nil {
 		// Nothing was reserved and the chain state is untouched: the
 		// previous checkpoint and its chain remain authoritative.
 		return fmt.Errorf("lfs: writing checkpoint: %w", err)
@@ -423,7 +422,8 @@ func (fs *FS) writeSlotLocked(base uint64, blocks [][]byte) error {
 	return nil
 }
 
-// ckptImage is one parsed checkpoint slot.
+// ckptImage is one parsed checkpoint slot. A mount adopts its imap
+// and dir as the FS's own maps.
 type ckptImage struct {
 	epoch     uint64
 	writtenAt uint64
@@ -439,73 +439,151 @@ type ckptImage struct {
 	tableStop    string
 }
 
-// slotStatus classifies one checkpoint slot.
-type slotStatus int
+// Slot frames. A checkpoint slot image is two frames back to back,
+// zero-padded to whole blocks:
+//
+//	[len u64][core payload][sum u64][tlen u64][table payload][sum u64]
+//
+// Each length counts its payload and each sum is the ckptSum of its
+// payload. A table length of 0 stands alone: the slot holds no table.
+// frameAt, framePayload and claimedEpoch are the only decoders of this
+// layout, as encodeSlotLocked is its only encoder.
 
-const (
-	// slotEmpty: the slot was never written (or holds only zeros) — the
-	// shape of a pristine medium.
-	slotEmpty slotStatus = iota
-	// slotValid: the slot parses and its checksum agrees.
-	slotValid
-	// slotTorn: the slot holds data that fails validation — a torn
-	// checkpoint write, or corruption.
-	slotTorn
-)
-
-// readSlot parses the checkpoint slot at the given base block. A nil
-// image with slotTorn means the slot holds damaged data; with
-// slotEmpty, that nothing was ever written there. The caller decides
-// what is fatal.
-func (fs *FS) readSlot(base uint64) (*ckptImage, slotStatus) {
-	first, err := fs.dev.MRSTraced(nil, base)
-	if err != nil {
-		// An unreadable first block is the unwritten shape: the medium
-		// frames every written block, so a torn slot write still leaves
-		// readable blocks behind.
-		return nil, slotEmpty
+// frameAt decodes the length field at byte offset at of a slot image:
+// the frame's payload length n and its end, the offset just past its
+// sum (just past the length field when n is 0). ok is false when the
+// length field is not in img or the frame does not end within limit
+// bytes.
+func frameAt(img []byte, at, limit int) (n, end int, ok bool) {
+	if at+8 > len(img) {
+		return 0, 0, false
 	}
-	empty := true
-	for _, b := range first {
-		if b != 0 {
-			empty = false
-			break
+	l := binary.BigEndian.Uint64(img[at:])
+	if l == 0 {
+		return 0, at + 8, at+8 <= limit
+	}
+	// No checksum covers the length field, so bound it before any
+	// arithmetic: a corrupt value near 2^64 would otherwise wrap.
+	if l > uint64(limit) || at+16+int(l) > limit {
+		return 0, 0, false
+	}
+	return int(l), at + 16 + int(l), true
+}
+
+// framePayload returns the n-byte payload of the frame at byte offset
+// at when img holds the whole frame and its sum agrees, nil otherwise.
+func framePayload(img []byte, at, n int) []byte {
+	if at+16+n > len(img) {
+		return nil
+	}
+	payload := img[at+8 : at+8+n]
+	if ckptSum(payload) != binary.BigEndian.Uint64(img[at+8+n:]) {
+		return nil
+	}
+	return payload
+}
+
+// claimedEpoch returns the epoch a slot's first block claims,
+// unvalidated: the core payload's epoch field, behind the frame length
+// and the magic.
+func claimedEpoch(first []byte) uint64 {
+	return binary.BigEndian.Uint64(first[12:20])
+}
+
+// SlotTable locates the liveness table in a checkpoint slot image,
+// given as the slot's readable prefix (ReadablePrefix over the slot):
+// it returns the table payload's byte offset and length. The 8-byte
+// table length sits just before the payload and its 8-byte checksum
+// just after. ok is false when img holds no intact core frame, or no
+// table frame whole within img. Tools that damage the table on purpose
+// locate it here, so the slot layout is decoded only in this package.
+func SlotTable(img []byte) (off, n int, ok bool) {
+	cn, coreEnd, ok := frameAt(img, 0, len(img)-8)
+	if !ok || cn == 0 || framePayload(img, 0, cn) == nil {
+		return 0, 0, false
+	}
+	tn, _, ok := frameAt(img, coreEnd, len(img))
+	if !ok || tn == 0 {
+		return 0, 0, false
+	}
+	return coreEnd + 8, tn, true
+}
+
+// slotBase is the first block of the slot that epoch's checkpoint
+// lands in.
+func (fs *FS) slotBase(epoch uint64) uint64 {
+	return (epoch - 1) % 2 * uint64(fs.slotBlocks())
+}
+
+// readSlot validates the checkpoint slot at base, whose first block,
+// already read and not all zeros, is first. A nil image means the slot
+// holds damaged data: a torn checkpoint write, or corruption. A
+// damaged liveness table rejects only the table (ck.table nil,
+// ck.tableStop set): the slot stays valid and the mount degrades to
+// the full inode walk. Past the first block the slot costs two reads,
+// each fanned over worker planes when wide: the core frame with the
+// table length behind it, then the table frame.
+func (fs *FS) readSlot(base uint64, first []byte) *ckptImage {
+	slotBytes := fs.slotBlocks() * device.DataBytes
+	// The core frame must leave room for the table length behind it.
+	cn, coreEnd, ok := frameAt(first, 0, slotBytes-8)
+	if !ok || cn == 0 {
+		return nil
+	}
+	img := fs.readSlotTo(base, first, coreEnd+8)
+	ck := decodeCore(framePayload(img, 0, cn))
+	if ck == nil {
+		return nil
+	}
+	tn, tableEnd, ok := frameAt(img, coreEnd, slotBytes)
+	switch {
+	case coreEnd+8 > len(img):
+		ck.tableStop = "table length unreadable"
+		return ck
+	case ok && tn == 0:
+		ck.tableStop = "no table in slot"
+		return ck
+	}
+	ck.tablePresent = true
+	if !ok {
+		ck.tableStop = "table length exceeds slot"
+		return ck
+	}
+	img = fs.readSlotTo(base, img, tableEnd)
+	table := framePayload(img, coreEnd, tn)
+	switch {
+	case tableEnd > len(img):
+		ck.tableStop = "table torn (unreadable blocks)"
+	case table == nil:
+		ck.tableStop = "table checksum mismatch"
+	default:
+		refs, reason := fs.parseTable(table, ck.imap)
+		if reason != "" {
+			ck.tableStop = "table cross-check failed: " + reason
+		} else {
+			ck.table = refs
 		}
 	}
-	if empty {
-		return nil, slotEmpty
-	}
-	total := binary.BigEndian.Uint64(first[:8])
-	slotBytes := uint64(fs.slotBlocks() * device.DataBytes)
-	if total == 0 || total > slotBytes-16 {
-		return nil, slotTorn
-	}
-	framed := append([]byte(nil), first...)
-	// Extending the frame is batched: each readTo call fans the whole
-	// still-needed block range out over worker planes in one
-	// ReadBlocksFanned pass (this was the last serial block-at-a-time
-	// mount path). framed always ends on a block boundary, and an
-	// unreadable block degrades exactly as the serial loop did — the
-	// readable prefix is kept, the extension reports failure.
-	readTo := func(n uint64) bool {
-		have := uint64(len(framed))
-		if n <= have {
-			return true
-		}
-		count := int((n - have + device.DataBytes - 1) / device.DataBytes)
-		data, complete := ReadablePrefix(fs.dev, base+have/device.DataBytes, count, fs.p.Concurrency)
-		framed = append(framed, data...)
-		return complete
-	}
-	if !readTo(total + 16) {
-		return nil, slotTorn
-	}
-	buf := framed[8 : 8+total]
-	if ckptSum(buf) != binary.BigEndian.Uint64(framed[8+total:16+total]) {
-		return nil, slotTorn
-	}
+	return ck
+}
+
+// readSlotTo extends img, the slot at base's first whole blocks, to
+// the blocks covering its first n bytes in one ReadablePrefix pass,
+// fanned over worker planes when wide. An unreadable block ends the
+// image there: the readable prefix is kept.
+func (fs *FS) readSlotTo(base uint64, img []byte, n int) []byte {
+	have := len(img) / device.DataBytes
+	need := (n + device.DataBytes - 1) / device.DataBytes
+	data, _ := ReadablePrefix(fs.dev, base+uint64(have), need-have, fs.p.Concurrency)
+	return append(img, data...)
+}
+
+// decodeCore parses a checkpoint's core payload (nil when its frame
+// was missing or failed its checksum); nil means the payload is
+// malformed.
+func decodeCore(buf []byte) *ckptImage {
 	if len(buf) < 40 || string(buf[:4]) != ckptMagic {
-		return nil, slotTorn
+		return nil
 	}
 	ck := &ckptImage{
 		epoch:     binary.BigEndian.Uint64(buf[4:12]),
@@ -516,13 +594,13 @@ func (fs *FS) readSlot(base uint64) (*ckptImage, slotStatus) {
 		dir:       make(map[string]Ino),
 	}
 	if ck.epoch == 0 {
-		return nil, slotTorn
+		return nil
 	}
 	off := 36
 	nImap := int(binary.BigEndian.Uint32(buf[off:]))
 	off += 4
 	if off+16*nImap > len(buf) {
-		return nil, slotTorn
+		return nil
 	}
 	for i := 0; i < nImap; i++ {
 		ino := Ino(binary.BigEndian.Uint64(buf[off:]))
@@ -531,18 +609,18 @@ func (fs *FS) readSlot(base uint64) (*ckptImage, slotStatus) {
 		ck.imap[ino] = pba
 	}
 	if off+4 > len(buf) {
-		return nil, slotTorn
+		return nil
 	}
 	nDir := int(binary.BigEndian.Uint32(buf[off:]))
 	off += 4
 	for i := 0; i < nDir; i++ {
 		if off+1 > len(buf) {
-			return nil, slotTorn
+			return nil
 		}
 		nl := int(buf[off])
 		off++
 		if off+nl+8 > len(buf) {
-			return nil, slotTorn
+			return nil
 		}
 		name := string(buf[off : off+nl])
 		off += nl
@@ -550,54 +628,7 @@ func (fs *FS) readSlot(base uint64) (*ckptImage, slotStatus) {
 		off += 8
 		ck.dir[name] = ino
 	}
-	fs.readSlotTable(ck, base, total, readTo, &framed)
-	return ck, slotValid
-}
-
-// readSlotTable parses the optional liveness-table frame trailing the
-// core checkpoint payload. Any defect — unreadable blocks, a length
-// beyond the slot, a checksum or structural failure — only marks the
-// table rejected (ck.table nil, ck.tableStop set): the core slot stays
-// valid and the mount degrades to the full inode walk.
-func (fs *FS) readSlotTable(ck *ckptImage, base, total uint64, readTo func(uint64) bool, framed *[]byte) {
-	if fs.p.NoLivenessTable {
-		ck.tableStop = "liveness table disabled"
-		return
-	}
-	tlenAt := total + 16
-	if !readTo(tlenAt + 8) {
-		ck.tableStop = "table length unreadable"
-		return
-	}
-	tlen := binary.BigEndian.Uint64((*framed)[tlenAt : tlenAt+8])
-	if tlen == 0 {
-		ck.tableStop = "no table in slot"
-		return
-	}
-	ck.tablePresent = true
-	// The length field itself is covered by no checksum, so bound it
-	// before any arithmetic: a corrupt value near 2^64 would otherwise
-	// wrap the sum below and slice out of range instead of degrading.
-	slotBytes := uint64(fs.slotBlocks() * device.DataBytes)
-	if tlen > slotBytes || tlenAt+8+tlen+8 > slotBytes {
-		ck.tableStop = "table length exceeds slot"
-		return
-	}
-	if !readTo(tlenAt + 8 + tlen + 8) {
-		ck.tableStop = "table torn (unreadable blocks)"
-		return
-	}
-	tbuf := (*framed)[tlenAt+8 : tlenAt+8+tlen]
-	if ckptSum(tbuf) != binary.BigEndian.Uint64((*framed)[tlenAt+8+tlen:]) {
-		ck.tableStop = "table checksum mismatch"
-		return
-	}
-	refs, reason := fs.parseTable(tbuf, ck.imap)
-	if reason != "" {
-		ck.tableStop = "table cross-check failed: " + reason
-		return
-	}
-	ck.table = refs
+	return ck
 }
 
 // slotFanMinShare sets how wide a checkpoint-slot pass, read or write,
@@ -627,9 +658,9 @@ func slotShares(blocks, workers int) (per, planes int) {
 // base+blocks) and returns the concatenated payloads up to (not
 // including) the first unreadable block, plus whether the whole range
 // was readable. It is the one readable-prefix primitive shared by the
-// mount path's checkpoint-slot reads and serofsck's damage probes —
-// both need "give me as much of this region as the medium still
-// yields" semantics. Wide ranges are fanned over up to workers device
+// mount path's checkpoint-slot and summary-record reads and
+// serofsck's damage probes — all need "give me as much of this region
+// as the medium still yields" semantics. Wide ranges are fanned over up to workers device
 // planes in slotShares' contiguous shares; narrow ranges and workers
 // <= 1 read serially on the foreground probe, which pays no per-plane
 // positioning seek.
@@ -664,43 +695,36 @@ func ReadablePrefix(dev device.Dev, base uint64, blocks, workers int) ([]byte, b
 	return out, true
 }
 
-// peekSlotEpoch reads only a slot's first block and returns the
-// (unvalidated) epoch it claims, plus whether the slot holds any data
-// at all. The claim orders the full validations so the common case —
-// the newer slot is intact — costs one slot read, not two; a lying
-// epoch in a torn slot only reorders the fallback, never the outcome.
-func (fs *FS) peekSlotEpoch(base uint64) (epoch uint64, nonEmpty bool) {
-	first, err := fs.dev.MRSTraced(nil, base)
-	if err != nil {
-		return 0, false
-	}
-	for _, b := range first {
-		if b != 0 {
-			// Bytes 8..12 are the core magic, 12..20 the epoch.
-			return binary.BigEndian.Uint64(first[12:20]), true
-		}
-	}
-	return 0, false
-}
-
 // loadBestCheckpoint returns the valid checkpoint slot with the
-// highest epoch, validating the slot that claims the newer epoch first
-// and touching the other only when the first fails — so a healthy
-// mount pays for one slot, not two. A nil image with torn=true means
-// at least one slot holds damaged data and none validates — the
-// double-torn condition Mount must refuse; nil with torn=false means
-// the medium was never checkpointed at all.
+// highest epoch. It reads each slot's first block once, then validates
+// the slot whose first block claims the newer epoch, touching the
+// other only when that one fails, so a healthy mount pays for one slot,
+// not two. A lying epoch in a torn slot only reorders the fallback,
+// never the outcome. A nil image with torn=true means at least one slot
+// holds data and none validates: the double-torn condition Mount must
+// refuse. Nil with torn=false means the medium was never checkpointed.
 func (fs *FS) loadBestCheckpoint() (ck *ckptImage, torn bool) {
-	bases := []uint64{0, uint64(fs.slotBlocks())}
-	ea, na := fs.peekSlotEpoch(bases[0])
-	eb, nb := fs.peekSlotEpoch(bases[1])
-	if eb > ea {
-		bases[0], bases[1] = bases[1], bases[0]
+	type slot struct {
+		base  uint64
+		first []byte
 	}
-	for _, base := range bases {
-		if c, st := fs.readSlot(base); st == slotValid {
-			return c, false
+	var written []slot
+	for _, base := range []uint64{0, uint64(fs.slotBlocks())} {
+		// An unreadable or all-zero first block is the unwritten shape:
+		// the medium frames every written block, so a torn slot write
+		// still leaves readable blocks behind.
+		first, err := fs.dev.MRSTraced(nil, base)
+		if err == nil && slices.ContainsFunc(first, func(b byte) bool { return b != 0 }) {
+			written = append(written, slot{base, first})
 		}
 	}
-	return nil, na || nb
+	if len(written) == 2 && claimedEpoch(written[1].first) > claimedEpoch(written[0].first) {
+		written[0], written[1] = written[1], written[0]
+	}
+	for _, s := range written {
+		if ck := fs.readSlot(s.base, s.first); ck != nil {
+			return ck, false
+		}
+	}
+	return nil, len(written) > 0
 }

@@ -228,8 +228,7 @@ func TestCheckpointSlotIdenticalAcrossConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		cost := fs.now() - t0
-		base := uint64((fs.ckptEpoch - 1) % 2 * uint64(fs.slotBlocks()))
-		got := slotImageBytes(fs.Device(), base, fs.slotBlocks())
+		got, _ := ReadablePrefix(fs.Device(), fs.slotBase(fs.ckptEpoch), fs.slotBlocks(), 1)
 		if _, planes := slotShares(len(got)/device.DataBytes, j); planes != j {
 			t.Fatalf("j=%d: a %d-byte slot image fans over %d planes", j, len(got), planes)
 		}

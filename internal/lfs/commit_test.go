@@ -66,7 +66,7 @@ func refSlotImage(fs *FS, epoch, writtenAt, jstart uint64) []byte {
 	framed = append(framed, buf...)
 	framed = binary.BigEndian.AppendUint64(framed, ckptSum(buf))
 	var table []byte
-	if !fs.p.NoLivenessTable && fs.p.SegmentBlocks <= 0xFFFF {
+	if fs.p.SegmentBlocks <= 0xFFFF {
 		table = fs.appendTableLocked(nil)
 	}
 	if len(table) > 0 && len(framed)+8+len(table)+8 <= fs.slotBlocks()*device.DataBytes {
@@ -107,14 +107,16 @@ func (c *commitChecker) step(fs *FS, what string) {
 	if got, want := fs.nameOrder.sorted, slices.Sorted(maps.Keys(fs.dir)); !slices.Equal(got, want) {
 		c.t.Fatalf("%s: name order %q, sorted keys %q", what, got, want)
 	}
-	base := (fs.ckptEpoch - 1) % 2 * uint64(fs.slotBlocks())
+	base := fs.slotBase(fs.ckptEpoch)
 	first, err := fs.dev.MRSTraced(nil, base)
 	if err != nil {
 		c.t.Fatalf("%s: reading slot: %v", what, err)
 	}
-	writtenAt := binary.BigEndian.Uint64(first[20:28])
-	jstart := binary.BigEndian.Uint64(first[36:44])
-	want := refSlotImage(fs, fs.ckptEpoch, writtenAt, jstart)
+	ck := fs.readSlot(base, first)
+	if ck == nil {
+		c.t.Fatalf("%s: epoch %d slot does not validate", what, fs.ckptEpoch)
+	}
+	want := refSlotImage(fs, fs.ckptEpoch, ck.writtenAt, ck.jstart)
 	got, ok := ReadablePrefix(fs.dev, base, len(want)/device.DataBytes, 1)
 	if !ok || !bytes.Equal(got, want) {
 		c.t.Fatalf("%s: epoch %d slot differs from the full-sort encoding", what, fs.ckptEpoch)
@@ -249,64 +251,53 @@ func TestMetadataCommitIndexesProperty(t *testing.T) {
 // TestCheckpointTableOmittedCounted checks the oversized-table
 // fallback is counted: once the liveness table no longer fits its
 // slot, every checkpoint increments CheckpointTableOmitted, and a
-// mount of such a slot walks with Fallback "no table in slot". With
-// tables disabled, nothing is counted.
+// mount of such a slot walks with Fallback "no table in slot".
 func TestCheckpointTableOmittedCounted(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
-		p := smallParams() // 8-block (4 KiB) slots
-		p.NoLivenessTable = disabled
-		fs := testFS(t, 2048, p)
-		ino, err := fs.Create("small", 0)
+	p := smallParams() // 8-block (4 KiB) slots
+	fs := testFS(t, 2048, p)
+	ino, err := fs.Create("small", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(ino, payload(1, device.DataBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().CheckpointTableOmitted; got != 0 {
+		t.Fatalf("%d tables omitted while the table fits", got)
+	}
+	// 32 files of 8 data blocks: ~290 live blocks, a ~4 KiB table
+	// beside a ~1 KiB core payload.
+	for i := range 32 {
+		ino, err := fs.Create(fmt.Sprintf("f%03d", i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.WriteFile(ino, payload(1, device.DataBytes)); err != nil {
+		if err := fs.WriteFile(ino, payload(byte(i), 8*device.DataBytes)); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if got := fs.Stats().CheckpointTableOmitted; got != 0 {
-			t.Fatalf("disabled=%v: %d tables omitted while the table fits", disabled, got)
-		}
-		// 32 files of 8 data blocks: ~290 live blocks, a ~4 KiB table
-		// beside a ~1 KiB core payload.
-		for i := range 32 {
-			ino, err := fs.Create(fmt.Sprintf("f%03d", i), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.WriteFile(ino, payload(byte(i), 8*device.DataBytes)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := fs.Stats()
-		if err := fs.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		after := fs.Stats()
-		want := after.Checkpoints - before.Checkpoints
-		if disabled {
-			want = 0
-		}
-		if got := after.CheckpointTableOmitted; got != want || (!disabled && got == 0) {
-			t.Fatalf("disabled=%v: CheckpointTableOmitted %d, want %d", disabled, got, want)
-		}
-		m, err := Mount(fs.Device(), fs.Params())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := m.MountReport()
-		wantFallback := "no table in slot"
-		if disabled {
-			wantFallback = "liveness table disabled"
-		}
-		if rep.TableMount || rep.Fallback != wantFallback {
-			t.Fatalf("disabled=%v: mount report %+v, want fallback %q", disabled, rep, wantFallback)
-		}
-		if len(m.Names()) != 33 {
-			t.Fatalf("disabled=%v: %d names after mount", disabled, len(m.Names()))
-		}
+	}
+	before := fs.Stats()
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := fs.Stats()
+	want := after.Checkpoints - before.Checkpoints
+	if got := after.CheckpointTableOmitted; got != want || got == 0 {
+		t.Fatalf("CheckpointTableOmitted %d, want %d", got, want)
+	}
+	m, err := Mount(fs.Device(), fs.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := m.MountReport()
+	if rep.TableMount || rep.Fallback != "no table in slot" {
+		t.Fatalf("mount report %+v, want fallback %q", rep, "no table in slot")
+	}
+	if len(m.Names()) != 33 {
+		t.Fatalf("%d names after mount", len(m.Names()))
 	}
 }
 

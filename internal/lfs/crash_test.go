@@ -250,9 +250,7 @@ func TestCrashConsistencyEveryBoundary(t *testing.T) {
 		// table-driven mount and the full-walk fallback must recover
 		// byte-identical state from the same crash image.
 		if k%7 == 0 {
-			pw := p
-			pw.NoLivenessTable = true
-			walked, werr := Mount(rec.deviceAt(t, devBlocks, k), pw)
+			walked, werr := mount(rec.deviceAt(t, devBlocks, k), p, false)
 			if werr != nil {
 				t.Fatalf("crash at write %d/%d: walk mount failed: %v", k, total, werr)
 			}

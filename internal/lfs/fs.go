@@ -67,14 +67,6 @@ type Params struct {
 	// runs while the appending thread holds the lock.
 	ReserveSegments int
 
-	// NoLivenessTable disables the checkpointed liveness table: a
-	// checkpoint then carries only imap+directory (the pre-table
-	// format) and Mount always rebuilds liveness with the full inode
-	// walk. It exists as the ablation baseline for the mount-scale
-	// tests and benchmarks (BenchmarkMountReplay{Wide,Deep});
-	// production configurations should leave it false.
-	NoLivenessTable bool
-
 	// CleanWatermark enables background incremental cleaning: when the
 	// free pool dips to this many segments or fewer at an allocation,
 	// a background goroutine is kicked to run phased cleaning passes

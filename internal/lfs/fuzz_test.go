@@ -361,9 +361,7 @@ func FuzzReplay(f *testing.F) {
 		}
 		// The full-walk fallback must recover byte-identical state from
 		// the same crash image.
-		pw := p
-		pw.NoLivenessTable = true
-		walked, werr := Mount(crashed, pw)
+		walked, werr := mount(crashed, p, false)
 		if werr != nil {
 			t.Fatalf("crash at write %d/%d: walk mount failed: %v", k, total, werr)
 		}

@@ -42,15 +42,16 @@ import (
 // replayTrace records what the roll-forward pass saw, for diagnostics
 // and serofsck.
 type replayTrace struct {
-	epoch     uint64
-	writtenAt time.Duration
-	jstart    uint64
-	records   int // delta records applied
-	jumps     int
-	blocks    int // total blocks the replayed tail occupies
-	appended  int // log blocks the replayed records cover (policy seed)
-	lastSeq   uint64
-	stop      string
+	// ck is the checkpoint slot the chain hangs off, with its parsed
+	// liveness table (ck.table nil when absent or rejected, ck.tableStop
+	// saying why) for the liveness rebuild.
+	ck       *ckptImage
+	records  int // delta records applied
+	jumps    int
+	blocks   int // total blocks the replayed tail occupies
+	appended int // log blocks the replayed records cover (policy seed)
+	lastSeq  uint64
+	stop     string
 	// latest holds the newest data back-pointer per (ino, idx) seen in
 	// the applied records, for the fsck imap cross-check.
 	latest map[blockKey]uint64
@@ -58,12 +59,6 @@ type replayTrace struct {
 	// changed (imap deltas and data back-pointers): a table-driven
 	// mount discards their table entries and re-reads their inodes.
 	touched map[Ino]bool
-	// table carries the checkpoint slot's parsed liveness table into
-	// the liveness rebuild (nil when absent or rejected), with
-	// tablePresent/tableStop describing why for diagnostics.
-	table        []liveRef
-	tablePresent bool
-	tableStop    string
 }
 
 type blockKey struct {
@@ -82,12 +77,22 @@ type blockKey struct {
 // whose checkpoint slots are both damaged refuses to mount
 // (ErrTornCheckpoint) rather than coming up empty.
 func Mount(dev device.Dev, p Params) (*FS, error) {
+	return mount(dev, p, true)
+}
+
+// mount is Mount with the liveness table's use as a parameter: with
+// useTable false it ignores a valid table and rebuilds liveness with
+// the full inode walk, the fallback a table-driven mount must match.
+func mount(dev device.Dev, p Params, useTable bool) (*FS, error) {
 	fs, err := New(dev, p)
 	if err != nil {
 		return nil, err
 	}
 	if err := fs.loadAndReplay(); err != nil {
 		return nil, err
+	}
+	if !useTable {
+		fs.jtrace.ck.table, fs.jtrace.ck.tableStop = nil, "liveness table not used"
 	}
 	if err := fs.rebuildLiveness(); err != nil {
 		return nil, err
@@ -125,8 +130,8 @@ func (fs *FS) rebuildLiveness() error {
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
 	fs.mstats = MountStats{Workers: fs.p.Concurrency}
-	if t.table == nil {
-		fs.mstats.Fallback = t.tableStop
+	if t.ck.table == nil {
+		fs.mstats.Fallback = t.ck.tableStop
 		if err := fs.walkLiveness(); err != nil {
 			return err
 		}
@@ -136,8 +141,8 @@ func (fs *FS) rebuildLiveness() error {
 	// Table-driven: entries of inos the replayed tail touched are
 	// stale — those inos' inodes are re-read from the medium (the
 	// O(replayed tail) part); everything else is adopted as written.
-	keep := make([]liveRef, 0, len(t.table))
-	for _, r := range t.table {
+	keep := make([]liveRef, 0, len(t.ck.table))
+	for _, r := range t.ck.table {
 		if !t.touched[r.ino] {
 			keep = append(keep, r)
 		}
@@ -265,11 +270,9 @@ func (fs *FS) loadAndReplay() error {
 	}
 	fs.next = ck.next
 	fs.ckptEpoch = ck.epoch
-	for ino, pba := range ck.imap {
-		fs.imap[ino] = pba
-	}
-	for name, ino := range ck.dir {
-		fs.dir[name] = ino
+	// The slot's maps become the FS's own; replay edits them in place.
+	fs.imap, fs.dir = ck.imap, ck.dir
+	for name, ino := range fs.dir {
 		fs.names[ino] = name
 	}
 	fs.jtrace = fs.replayChain(ck)
@@ -299,14 +302,9 @@ func (fs *FS) loadAndReplay() error {
 // reallocation.
 func (fs *FS) replayChain(ck *ckptImage) *replayTrace {
 	t := &replayTrace{
-		epoch:        ck.epoch,
-		writtenAt:    time.Duration(ck.writtenAt),
-		jstart:       ck.jstart,
-		latest:       make(map[blockKey]uint64),
-		touched:      make(map[Ino]bool),
-		table:        ck.table,
-		tablePresent: ck.tablePresent,
-		tableStop:    ck.tableStop,
+		ck:      ck,
+		latest:  make(map[blockKey]uint64),
+		touched: make(map[Ino]bool),
 	}
 	fs.jepoch = ck.epoch
 	fs.jseq = 1
@@ -345,22 +343,12 @@ func (fs *FS) replayChain(ck *ckptImage) *replayTrace {
 			t.stop = "record overflows its segment"
 			break
 		}
-		payload := make([]byte, 0, h.payloadLen)
-		payload = append(payload, first[sumHdrBytes:]...)
-		torn := false
-		for b := 1; b < h.nblocks; b++ {
-			data, rerr := fs.dev.MRSTraced(nil, pos+uint64(b))
-			if rerr != nil {
-				torn = true
-				break
-			}
-			payload = append(payload, data...)
-		}
-		if torn {
+		rest, whole := ReadablePrefix(fs.dev, pos+1, h.nblocks-1, 1)
+		if !whole {
 			t.stop = "torn record (unreadable tail)"
 			break
 		}
-		payload = payload[:h.payloadLen]
+		payload := append(first[sumHdrBytes:], rest...)[:h.payloadLen]
 		want := chainNext(fs.jchain, h.seq, h.kind, payload)
 		if want != h.chain {
 			t.stop = "checksum break (torn or stale record)"
@@ -544,8 +532,8 @@ func CheckJournal(dev device.Dev, p Params) (JournalReport, error) {
 	}
 	t := fs.jtrace
 	r := JournalReport{
-		Epoch:         t.epoch,
-		CheckpointAge: fs.now() - t.writtenAt,
+		Epoch:         t.ck.epoch,
+		CheckpointAge: fs.now() - time.Duration(t.ck.writtenAt),
 		Records:       t.records,
 		Jumps:         t.jumps,
 		TailBlocks:    t.blocks,
@@ -553,10 +541,10 @@ func CheckJournal(dev device.Dev, p Params) (JournalReport, error) {
 		Stop:          t.stop,
 		Files:         len(fs.imap),
 		DirEntries:    len(fs.dir),
-		TablePresent:  t.tablePresent,
-		TableValid:    t.table != nil,
-		TableStop:     t.tableStop,
-		TableRefs:     len(t.table),
+		TablePresent:  t.ck.tablePresent,
+		TableValid:    t.ck.table != nil,
+		TableStop:     t.ck.tableStop,
+		TableRefs:     len(t.ck.table),
 	}
 	// Read in ascending block-address order, as loadInodesFanned does,
 	// so the check's virtual time does not depend on map order.
@@ -587,7 +575,7 @@ func CheckJournal(dev device.Dev, p Params) (JournalReport, error) {
 			r.BackPtrMismatches++
 		}
 	}
-	if t.table != nil {
+	if t.ck.table != nil {
 		r.TableMismatches = crossCheckTable(fs, t, inodes)
 	}
 	return r, nil
@@ -613,8 +601,8 @@ func crossCheckTable(fs *FS, t *replayTrace, inodes map[Ino]*Inode) int {
 		}
 	}
 	mismatches := 0
-	got := make(map[uint64]blockRef, len(t.table))
-	for _, ref := range t.table {
+	got := make(map[uint64]blockRef, len(t.ck.table))
+	for _, ref := range t.ck.table {
 		if t.touched[ref.ino] {
 			continue
 		}

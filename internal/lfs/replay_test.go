@@ -648,10 +648,8 @@ func benchmarkMountNamespace(b *testing.B, files, tail int) {
 		if !tab.MountReport().TableMount {
 			b.Fatalf("mount fell back: %q", tab.MountReport().Fallback)
 		}
-		pw := p
-		pw.NoLivenessTable = true
 		t1 := dev.Clock().Now()
-		walk, err := Mount(dev, pw)
+		walk, err := mount(dev, p, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,14 +76,12 @@ func mountBothWays(t testing.TB, dev device.Dev, p Params) (tab, walk *FS) {
 	if !tab.MountReport().TableMount {
 		t.Fatalf("mount fell back to the walk: %q", tab.MountReport().Fallback)
 	}
-	pw := p
-	pw.NoLivenessTable = true
-	walk, err = Mount(dev, pw)
+	walk, err = mount(dev, p, false)
 	if err != nil {
 		t.Fatalf("walk mount: %v", err)
 	}
 	if walk.MountReport().TableMount {
-		t.Fatal("NoLivenessTable mount used the table")
+		t.Fatal("walk mount used the table")
 	}
 	return tab, walk
 }
@@ -188,13 +186,12 @@ func TestTableMountDeterministicAcrossConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, disable := range []bool{false, true} {
+	for _, useTable := range []bool{true, false} {
 		base := ""
 		for _, workers := range []int{1, 2, 3, 4} {
 			pc := p
 			pc.Concurrency = workers
-			pc.NoLivenessTable = disable
-			m, err := Mount(fs.Device(), pc)
+			m, err := mount(fs.Device(), pc, useTable)
 			if err != nil {
 				t.Fatalf("mount at concurrency %d: %v", workers, err)
 			}
@@ -202,24 +199,40 @@ func TestTableMountDeterministicAcrossConcurrency(t *testing.T) {
 			if base == "" {
 				base = fp
 			} else if fp != base {
-				t.Fatalf("mount state depends on concurrency %d (table disabled: %v)", workers, disable)
+				t.Fatalf("mount state depends on concurrency %d (table used: %v)", workers, useTable)
 			}
 		}
 	}
 }
 
-// slotImageBytes reads the readable prefix of a checkpoint slot as one
-// byte string.
-func slotImageBytes(dev device.Dev, base uint64, blocks int) []byte {
-	var out []byte
-	for i := 0; i < blocks; i++ {
-		data, err := dev.MRSTraced(nil, base+uint64(i))
-		if err != nil {
-			break
-		}
-		out = append(out, data...)
+// newestSlotImage returns the readable prefix of the checkpoint slot
+// a mount of dev would adopt, with its base block; nil when no slot
+// validates.
+func newestSlotImage(t testing.TB, dev device.Dev, p Params) (img []byte, base uint64) {
+	t.Helper()
+	probe, err := New(dev, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	ck, _ := probe.loadBestCheckpoint()
+	if ck == nil {
+		return nil, 0
+	}
+	base = probe.slotBase(ck.epoch)
+	img, _ = ReadablePrefix(dev, base, probe.slotBlocks(), 1)
+	return img, base
+}
+
+// rewriteSlotBytes writes back the blocks of a slot image at base
+// that hold its bytes [from, to).
+func rewriteSlotBytes(t testing.TB, dev device.Dev, base uint64, img []byte, from, to int) {
+	t.Helper()
+	for blk := from / device.DataBytes; blk*device.DataBytes < to; blk++ {
+		block := img[blk*device.DataBytes : (blk+1)*device.DataBytes]
+		if err := dev.WriteBlocksTraced(nil, base+uint64(blk), [][]byte{block}); err != nil {
+			t.Fatalf("rewriting slot block: %v", err)
+		}
+	}
 }
 
 // corruptTableByte locates the newest valid checkpoint slot's liveness
@@ -227,31 +240,14 @@ func slotImageBytes(dev device.Dev, base uint64, blocks int) []byte {
 // containing block. Returns false when no table is present to corrupt.
 func corruptTableByte(t testing.TB, dev device.Dev, p Params, pick uint64) bool {
 	t.Helper()
-	probe, err := New(dev, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := probe.slotBlocks()
-	var base uint64
-	var best *ckptImage
-	for _, b := range []uint64{0, uint64(slot)} {
-		if ck, st := probe.readSlot(b); st == slotValid && (best == nil || ck.epoch > best.epoch) {
-			best, base = ck, b
-		}
-	}
-	if best == nil || !best.tablePresent {
+	img, base := newestSlotImage(t, dev, p)
+	off, n, ok := SlotTable(img)
+	if !ok {
 		return false
 	}
-	img := slotImageBytes(dev, base, slot)
-	total := binary.BigEndian.Uint64(img[:8])
-	tlen := binary.BigEndian.Uint64(img[total+16 : total+24])
-	off := total + 24 + pick%tlen // a byte inside the table payload
-	blk := off / device.DataBytes
-	block := append([]byte(nil), img[blk*device.DataBytes:(blk+1)*device.DataBytes]...)
-	block[off%device.DataBytes] ^= 0xFF
-	if err := dev.WriteBlocksTraced(nil, base+blk, [][]byte{block}); err != nil {
-		t.Fatalf("rewriting slot block: %v", err)
-	}
+	at := off + int(pick%uint64(n)) // a byte inside the table payload
+	img[at] ^= 0xFF
+	rewriteSlotBytes(t, dev, base, img, at, at+1)
 	return true
 }
 
@@ -274,9 +270,7 @@ func TestTableCorruptionFallsBack(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	pw := p
-	pw.NoLivenessTable = true
-	before, err := Mount(fs.Device(), pw)
+	before, err := mount(fs.Device(), p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,62 +320,34 @@ func TestForgedTableCountsMismatches(t *testing.T) {
 	}
 	// Forge: swap the two files' data-block owners in the table, keep
 	// the framing and checksum valid.
-	probe, err := New(fs.Device(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := probe.slotBlocks()
-	var base uint64
-	var best *ckptImage
-	for _, bb := range []uint64{0, uint64(slot)} {
-		if ck, st := probe.readSlot(bb); st == slotValid && (best == nil || ck.epoch > best.epoch) {
-			best, base = ck, bb
-		}
-	}
-	if best == nil || len(best.table) == 0 {
+	img, base := newestSlotImage(t, fs.Device(), p)
+	off, n, ok := SlotTable(img)
+	if !ok {
 		t.Fatal("no table to forge")
 	}
-	img := slotImageBytes(fs.Device(), base, slot)
-	total := binary.BigEndian.Uint64(img[:8])
-	tlenAt := total + 16
-	tlen := binary.BigEndian.Uint64(img[tlenAt : tlenAt+8])
-	tbuf := append([]byte(nil), img[tlenAt+8:tlenAt+8+tlen]...)
+	tbuf := img[off : off+n]
 	// Entries are {off u16, ino u64, idx i32}; walk the groups and swap
 	// the ino of every data entry between a and b.
-	off := 8
+	at := 8
 	groups := int(binary.BigEndian.Uint32(tbuf[4:8]))
 	for g := 0; g < groups; g++ {
-		count := int(binary.BigEndian.Uint16(tbuf[off+4:]))
-		off += 6
+		count := int(binary.BigEndian.Uint16(tbuf[at+4:]))
+		at += 6
 		for i := 0; i < count; i++ {
-			ino := Ino(binary.BigEndian.Uint64(tbuf[off+2:]))
-			idx := int32(binary.BigEndian.Uint32(tbuf[off+10:]))
+			ino := Ino(binary.BigEndian.Uint64(tbuf[at+2:]))
+			idx := int32(binary.BigEndian.Uint32(tbuf[at+10:]))
 			if idx >= 0 {
 				swap := a
 				if ino == a {
 					swap = b
 				}
-				binary.BigEndian.PutUint64(tbuf[off+2:], uint64(swap))
+				binary.BigEndian.PutUint64(tbuf[at+2:], uint64(swap))
 			}
-			off += 14
+			at += 14
 		}
 	}
-	img2 := append([]byte(nil), img[:tlenAt+8]...)
-	img2 = append(img2, tbuf...)
-	img2 = binary.BigEndian.AppendUint64(img2, ckptSum(tbuf))
-	blocks := make([][]byte, 0)
-	for i := 0; i*device.DataBytes < len(img2); i++ {
-		end := (i + 1) * device.DataBytes
-		if end > len(img2) {
-			end = len(img2)
-		}
-		blk := make([]byte, device.DataBytes)
-		copy(blk, img2[i*device.DataBytes:end])
-		blocks = append(blocks, blk)
-	}
-	if err := fs.Device().WriteBlocksTraced(nil, base, blocks); err != nil {
-		t.Fatal(err)
-	}
+	binary.BigEndian.PutUint64(img[off+n:], ckptSum(tbuf))
+	rewriteSlotBytes(t, fs.Device(), base, img, off, off+n+8)
 	jr, err := CheckJournal(fs.Device(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -441,31 +407,15 @@ func TestCorruptTableLengthFallsBack(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	probe, err := New(fs.Device(), p)
-	if err != nil {
-		t.Fatal(err)
+	img, base := newestSlotImage(t, fs.Device(), p)
+	off, _, ok := SlotTable(img)
+	if !ok {
+		t.Fatal("no table in the valid slot")
 	}
-	slot := probe.slotBlocks()
-	var base uint64
-	found := false
-	for _, b := range []uint64{0, uint64(slot)} {
-		if _, st := probe.readSlot(b); st == slotValid {
-			base, found = b, true
-		}
-	}
-	if !found {
-		t.Fatal("no valid slot")
-	}
-	img := slotImageBytes(fs.Device(), base, slot)
-	total := binary.BigEndian.Uint64(img[:8])
-	binary.BigEndian.PutUint64(img[total+16:total+24], ^uint64(0)-17)
-	// Rewrite every block the length field touches (it may straddle a
-	// boundary).
-	for blk := (total + 16) / device.DataBytes; blk <= (total+23)/device.DataBytes; blk++ {
-		if err := fs.Device().WriteBlocksTraced(nil, base+blk, [][]byte{img[blk*device.DataBytes : (blk+1)*device.DataBytes]}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The length field sits just before the payload; it may straddle
+	// a block boundary.
+	binary.BigEndian.PutUint64(img[off-8:], ^uint64(0)-17)
+	rewriteSlotBytes(t, fs.Device(), base, img, off-8, off)
 	m, err := Mount(fs.Device(), p)
 	if err != nil {
 		t.Fatalf("mount errored on corrupt table length: %v", err)
@@ -586,10 +536,8 @@ func TestMountTableSpeedup(t *testing.T) {
 	if !rep.TableMount || rep.InodesRead != 0 {
 		t.Fatalf("wide mount did not ride the table: %+v", rep)
 	}
-	pw := p
-	pw.NoLivenessTable = true
 	t1 := dev.Clock().Now()
-	walk, err := Mount(dev, pw)
+	walk, err := mount(dev, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
