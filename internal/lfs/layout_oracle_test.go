@@ -24,7 +24,7 @@ import (
 // the medium image, Stats, Segments, MountReport, the canonical span
 // stream and the virtual clock, so any change to a block's position, a
 // segment's state, a counter, a span or a virtual time moves it.
-const logLayoutHash = "c73c96a01c01ff9fb0f55cc5c999a620797df5e06199b53eae5b9548c42481b0"
+const logLayoutHash = "a636d4171bff0d4d2b148da91bee73f704c44a54daf6d44d343bb5160d4e5581"
 
 func TestLogLayoutOracle(t *testing.T) {
 	digest := func() string {
