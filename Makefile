@@ -177,13 +177,16 @@ fuzz:
 # striped array (internal/array), the dot medium (internal/medium), the
 # sector code (internal/ecc), the bit codings (internal/manchester), the
 # op-stream generators (internal/workload), the multilayer and
-# diffraction physics (internal/physics) and the probe-array model
-# (internal/probe) carries a doc comment, so `go doc` reads as a
-# complete reference.
+# diffraction physics (internal/physics), the probe-array model
+# (internal/probe) and the paper's comparisons and applications (the
+# update-in-place FFS internal/ffs, the §2 WORM baselines
+# internal/worm, the §8 retention layer internal/retention, the Venti
+# archive internal/venti and the fossilized index internal/fossil)
+# carries a doc comment, so `go doc` reads as a complete reference.
 docs: vet
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/device ./internal/array ./internal/medium ./internal/ecc ./internal/manchester ./internal/workload ./internal/physics ./internal/probe
+	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/device ./internal/array ./internal/medium ./internal/ecc ./internal/manchester ./internal/workload ./internal/physics ./internal/probe ./internal/ffs ./internal/worm ./internal/retention ./internal/venti ./internal/fossil
 
 # vet is its own step (docs depends on it, so it runs once) so a vet
 # failure is named in the CI log. race runs the full -race suite;

@@ -84,9 +84,13 @@ type FS struct {
 
 // Stats counts activity.
 type Stats struct {
+	// BlocksAllocated counts blocks taken from the groups' free maps,
+	// heated lines included.
 	BlocksAllocated uint64
-	BlocksFreed     uint64
-	HeatedFiles     uint64
+	// BlocksFreed counts blocks returned to their group's free map.
+	BlocksFreed uint64
+	// HeatedFiles counts files frozen by HeatFile.
+	HeatedFiles uint64
 }
 
 // New formats an FFS onto dev.

@@ -21,7 +21,9 @@ import (
 
 // HeatResult describes a completed heat.
 type HeatResult struct {
+	// Name is the frozen file's name.
 	Name string
+	// Line is the device's record of the heated line.
 	Line device.LineInfo
 }
 
@@ -174,12 +176,18 @@ func (fs *FS) VerifyFile(name string) (device.VerifyReport, error) {
 
 // GroupInfo is the exported view of one cylinder group.
 type GroupInfo struct {
-	ID           int
-	FreeBlocks   int
-	LiveBlocks   int
+	// ID is the group's index, in device order.
+	ID int
+	// FreeBlocks counts the group's unallocated blocks.
+	FreeBlocks int
+	// LiveBlocks counts allocated blocks outside heated lines.
+	LiveBlocks int
+	// HeatedBlocks counts blocks inside heated lines.
 	HeatedBlocks int
-	Blocks       int
-	HeatGroup    bool
+	// Blocks is the group's size in blocks.
+	Blocks int
+	// HeatGroup marks a group dedicated to heated lines.
+	HeatGroup bool
 	// LargestFreeRun measures intra-group fragmentation.
 	LargestFreeRun int
 }

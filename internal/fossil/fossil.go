@@ -38,7 +38,9 @@ const (
 
 // Entry is one key→value binding.
 type Entry struct {
-	Key   [sha256.Size]byte
+	// Key is the binding's SHA-256 key.
+	Key [sha256.Size]byte
+	// Value is the value bound to Key.
 	Value uint64
 }
 
@@ -62,9 +64,12 @@ type Index struct {
 
 // Stats counts index activity.
 type Stats struct {
-	Inserts     uint64
+	// Inserts counts Insert calls.
+	Inserts uint64
+	// NodesHeated counts nodes frozen into heated lines.
 	NodesHeated uint64
-	NodesTotal  uint64
+	// NodesTotal counts the index's nodes.
+	NodesTotal uint64
 }
 
 // Index errors.

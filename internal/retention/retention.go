@@ -22,13 +22,17 @@ type Class string
 
 // Policy fixes a class's retention period in virtual time.
 type Policy struct {
-	Class  Class
+	// Class is the retention class the policy governs.
+	Class Class
+	// Period is how long a record of the class must be kept.
 	Period time.Duration
 }
 
 // Record is one retained object.
 type Record struct {
-	ID    string
+	// ID names the record.
+	ID string
+	// Class is the record's retention class.
 	Class Class
 	// Line is the heated line holding the record.
 	Line device.LineInfo

@@ -53,9 +53,13 @@ type Archive struct {
 
 // Stats counts archive activity.
 type Stats struct {
+	// BlocksWritten counts blocks stored by PutBlock.
 	BlocksWritten uint64
+	// BlocksDeduped counts PutBlock calls whose content was already
+	// stored.
 	BlocksDeduped uint64
-	Snapshots     uint64
+	// Snapshots counts heated snapshots.
+	Snapshots uint64
 }
 
 // Archive errors.

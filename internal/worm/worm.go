@@ -368,6 +368,7 @@ func (f *FuseWORM) Audit() AuditResult {
 // baseline: write a record, freeze it, raw-rewrite it, audit. It
 // returns what the attacker achieved and whether anyone can tell.
 type RewriteAttackResult struct {
+	// Technology names the attacked store (Store.Name).
 	Technology string
 	// FreezeScoped is true when the technology could freeze just the
 	// record (flexibility).
@@ -377,7 +378,8 @@ type RewriteAttackResult struct {
 	RewriteSucceeded bool
 	// Detected is true when the post-attack audit shows tampering.
 	Detected bool
-	Notes    string
+	// Notes explains the outcome in one line.
+	Notes string
 }
 
 // RunRewriteAttack executes the attack against s; totalBlocks is the
