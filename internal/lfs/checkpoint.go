@@ -281,20 +281,17 @@ func (fs *FS) encodeSlotLocked(epoch, jstart uint64) (img []byte, tableOmitted b
 	// Its offset and count fields are uint16: segments beyond 64Ki
 	// blocks cannot be represented, so the table is omitted (the mount
 	// then walks) rather than emitted to be rejected forever.
-	slotBytes := fs.slotBlocks() * device.DataBytes
 	tlenAt := len(buf)
 	buf = append(buf, make([]byte, 8)...) // table length, patched below
-	tableOmitted = true
 	if fs.p.SegmentBlocks <= 0xFFFF {
 		buf = fs.appendTableLocked(buf)
-		tlen := len(buf) - (tlenAt + 8)
-		if len(buf)+8 <= slotBytes {
-			binary.BigEndian.PutUint64(buf[tlenAt:], uint64(tlen))
-			buf = binary.BigEndian.AppendUint64(buf, ckptSum(buf[tlenAt+8:]))
-			tableOmitted = false
-		} else {
-			buf = buf[:tlenAt+8]
-		}
+	}
+	tableOmitted = len(buf) == tlenAt+8 || len(buf)+8 > fs.slotBlocks()*device.DataBytes
+	if tableOmitted {
+		buf = buf[:tlenAt+8]
+	} else {
+		binary.BigEndian.PutUint64(buf[tlenAt:], uint64(len(buf)-(tlenAt+8)))
+		buf = binary.BigEndian.AppendUint64(buf, ckptSum(buf[tlenAt+8:]))
 	}
 	// Without a table the length stays an explicit zero, so a reader
 	// never misparses stale residue from an earlier, larger checkpoint
@@ -439,21 +436,18 @@ type ckptImage struct {
 	tableStop    string
 }
 
-// Slot frames. A checkpoint slot image is two frames back to back,
-// zero-padded to whole blocks:
+// frameAt decodes the length field at byte offset at of a checkpoint
+// slot image, which is two frames back to back, zero-padded to whole
+// blocks:
 //
 //	[len u64][core payload][sum u64][tlen u64][table payload][sum u64]
 //
 // Each length counts its payload and each sum is the ckptSum of its
-// payload. A table length of 0 stands alone: the slot holds no table.
-// frameAt, framePayload and claimedEpoch are the only decoders of this
-// layout, as encodeSlotLocked is its only encoder.
-
-// frameAt decodes the length field at byte offset at of a slot image:
-// the frame's payload length n and its end, the offset just past its
-// sum (just past the length field when n is 0). ok is false when the
-// length field is not in img or the frame does not end within limit
-// bytes.
+// payload; a table length of 0 stands alone (no table). frameAt,
+// framePayload and claimedEpoch are the layout's only decoders. It
+// returns the payload length n and the frame's end, past its sum (past
+// the bare length when n is 0); ok is false when the length field is
+// not in img or the frame would end past limit.
 func frameAt(img []byte, at, limit int) (n, end int, ok bool) {
 	if at+8 > len(img) {
 		return 0, 0, false
@@ -483,20 +477,15 @@ func framePayload(img []byte, at, n int) []byte {
 	return payload
 }
 
-// claimedEpoch returns the epoch a slot's first block claims,
-// unvalidated: the core payload's epoch field, behind the frame length
-// and the magic.
-func claimedEpoch(first []byte) uint64 {
-	return binary.BigEndian.Uint64(first[12:20])
-}
+// claimedEpoch returns the core epoch a slot's first block claims,
+// unvalidated.
+func claimedEpoch(first []byte) uint64 { return binary.BigEndian.Uint64(first[12:20]) }
 
-// SlotTable locates the liveness table in a checkpoint slot image,
-// given as the slot's readable prefix (ReadablePrefix over the slot):
-// it returns the table payload's byte offset and length. The 8-byte
-// table length sits just before the payload and its 8-byte checksum
-// just after. ok is false when img holds no intact core frame, or no
-// table frame whole within img. Tools that damage the table on purpose
-// locate it here, so the slot layout is decoded only in this package.
+// SlotTable locates the liveness-table payload in a checkpoint slot's
+// readable prefix img: its byte offset and length, with the 8-byte
+// length field just before it and the 8-byte checksum just after. ok
+// is false when img holds no intact core frame or no whole table
+// frame. Tools that damage the table on purpose locate it here.
 func SlotTable(img []byte) (off, n int, ok bool) {
 	cn, coreEnd, ok := frameAt(img, 0, len(img)-8)
 	if !ok || cn == 0 || framePayload(img, 0, cn) == nil {
@@ -509,20 +498,16 @@ func SlotTable(img []byte) (off, n int, ok bool) {
 	return coreEnd + 8, tn, true
 }
 
-// slotBase is the first block of the slot that epoch's checkpoint
-// lands in.
-func (fs *FS) slotBase(epoch uint64) uint64 {
-	return (epoch - 1) % 2 * uint64(fs.slotBlocks())
-}
+// slotBase is the first block of the slot epoch's checkpoint lands in.
+func (fs *FS) slotBase(epoch uint64) uint64 { return (epoch - 1) % 2 * uint64(fs.slotBlocks()) }
 
 // readSlot validates the checkpoint slot at base, whose first block,
 // already read and not all zeros, is first. A nil image means the slot
 // holds damaged data: a torn checkpoint write, or corruption. A
 // damaged liveness table rejects only the table (ck.table nil,
-// ck.tableStop set): the slot stays valid and the mount degrades to
-// the full inode walk. Past the first block the slot costs two reads,
-// each fanned over worker planes when wide: the core frame with the
-// table length behind it, then the table frame.
+// ck.tableStop set), and the mount walks instead. Past the first
+// block the slot costs two reads, each fanned when wide: the core
+// frame with the table length behind it, then the table frame.
 func (fs *FS) readSlot(base uint64, first []byte) *ckptImage {
 	slotBytes := fs.slotBlocks() * device.DataBytes
 	// The core frame must leave room for the table length behind it.
@@ -536,41 +521,33 @@ func (fs *FS) readSlot(base uint64, first []byte) *ckptImage {
 		return nil
 	}
 	tn, tableEnd, ok := frameAt(img, coreEnd, slotBytes)
-	switch {
+	ck.tablePresent = coreEnd+8 <= len(img) && (tn > 0 || !ok)
+	if ck.tablePresent && ok {
+		img = fs.readSlotTo(base, img, tableEnd)
+	}
+	var reason string
+	switch table := framePayload(img, coreEnd, tn); {
 	case coreEnd+8 > len(img):
 		ck.tableStop = "table length unreadable"
-		return ck
-	case ok && tn == 0:
-		ck.tableStop = "no table in slot"
-		return ck
-	}
-	ck.tablePresent = true
-	if !ok {
+	case !ok:
 		ck.tableStop = "table length exceeds slot"
-		return ck
-	}
-	img = fs.readSlotTo(base, img, tableEnd)
-	table := framePayload(img, coreEnd, tn)
-	switch {
+	case tn == 0:
+		ck.tableStop = "no table in slot"
 	case tableEnd > len(img):
 		ck.tableStop = "table torn (unreadable blocks)"
 	case table == nil:
 		ck.tableStop = "table checksum mismatch"
 	default:
-		refs, reason := fs.parseTable(table, ck.imap)
-		if reason != "" {
+		if ck.table, reason = fs.parseTable(table, ck.imap); reason != "" {
 			ck.tableStop = "table cross-check failed: " + reason
-		} else {
-			ck.table = refs
 		}
 	}
 	return ck
 }
 
-// readSlotTo extends img, the slot at base's first whole blocks, to
-// the blocks covering its first n bytes in one ReadablePrefix pass,
-// fanned over worker planes when wide. An unreadable block ends the
-// image there: the readable prefix is kept.
+// readSlotTo extends img, the first whole blocks of the slot at base,
+// to the blocks holding its first n bytes in one ReadablePrefix pass;
+// the blocks from the first unreadable one on are left out.
 func (fs *FS) readSlotTo(base uint64, img []byte, n int) []byte {
 	have := len(img) / device.DataBytes
 	need := (n + device.DataBytes - 1) / device.DataBytes
@@ -578,9 +555,8 @@ func (fs *FS) readSlotTo(base uint64, img []byte, n int) []byte {
 	return append(img, data...)
 }
 
-// decodeCore parses a checkpoint's core payload (nil when its frame
-// was missing or failed its checksum); nil means the payload is
-// malformed.
+// decodeCore parses a checkpoint's core payload; nil when the payload
+// is missing or malformed.
 func decodeCore(buf []byte) *ckptImage {
 	if len(buf) < 40 || string(buf[:4]) != ckptMagic {
 		return nil
