@@ -84,13 +84,9 @@ type FS struct {
 
 // Stats counts activity.
 type Stats struct {
-	// BlocksAllocated counts blocks taken from the groups' free maps,
-	// heated lines included.
-	BlocksAllocated uint64
-	// BlocksFreed counts blocks returned to their group's free map.
-	BlocksFreed uint64
-	// HeatedFiles counts files frozen by HeatFile.
-	HeatedFiles uint64
+	BlocksAllocated uint64 // blocks taken from the free maps, heated lines included
+	BlocksFreed     uint64 // blocks returned to their group's free map
+	HeatedFiles     uint64 // files frozen by HeatFile
 }
 
 // New formats an FFS onto dev.

@@ -21,10 +21,8 @@ import (
 
 // HeatResult describes a completed heat.
 type HeatResult struct {
-	// Name is the frozen file's name.
-	Name string
-	// Line is the device's record of the heated line.
-	Line device.LineInfo
+	Name string          // the frozen file's name
+	Line device.LineInfo // the device's record of the heated line
 }
 
 // HeatFile freezes a file into one heated line.
@@ -176,18 +174,12 @@ func (fs *FS) VerifyFile(name string) (device.VerifyReport, error) {
 
 // GroupInfo is the exported view of one cylinder group.
 type GroupInfo struct {
-	// ID is the group's index, in device order.
-	ID int
-	// FreeBlocks counts the group's unallocated blocks.
-	FreeBlocks int
-	// LiveBlocks counts allocated blocks outside heated lines.
-	LiveBlocks int
-	// HeatedBlocks counts blocks inside heated lines.
-	HeatedBlocks int
-	// Blocks is the group's size in blocks.
-	Blocks int
-	// HeatGroup marks a group dedicated to heated lines.
-	HeatGroup bool
+	ID           int  // the group's index, in device order
+	FreeBlocks   int  // unallocated blocks
+	LiveBlocks   int  // allocated blocks outside heated lines
+	HeatedBlocks int  // blocks inside heated lines
+	Blocks       int  // the group's size in blocks
+	HeatGroup    bool // the group is dedicated to heated lines
 	// LargestFreeRun measures intra-group fragmentation.
 	LargestFreeRun int
 }

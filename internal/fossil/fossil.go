@@ -38,10 +38,8 @@ const (
 
 // Entry is one key→value binding.
 type Entry struct {
-	// Key is the binding's SHA-256 key.
-	Key [sha256.Size]byte
-	// Value is the value bound to Key.
-	Value uint64
+	Key   [sha256.Size]byte // the binding's SHA-256 key
+	Value uint64            // the value bound to Key
 }
 
 // node is the in-memory image of an index node.
@@ -64,12 +62,9 @@ type Index struct {
 
 // Stats counts index activity.
 type Stats struct {
-	// Inserts counts Insert calls.
-	Inserts uint64
-	// NodesHeated counts nodes frozen into heated lines.
-	NodesHeated uint64
-	// NodesTotal counts the index's nodes.
-	NodesTotal uint64
+	Inserts     uint64 // Insert calls
+	NodesHeated uint64 // nodes frozen into heated lines
+	NodesTotal  uint64 // the index's nodes
 }
 
 // Index errors.

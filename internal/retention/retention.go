@@ -22,10 +22,8 @@ type Class string
 
 // Policy fixes a class's retention period in virtual time.
 type Policy struct {
-	// Class is the retention class the policy governs.
-	Class Class
-	// Period is how long a record of the class must be kept.
-	Period time.Duration
+	Class  Class         // the retention class the policy governs
+	Period time.Duration // how long a record of the class must be kept
 }
 
 // Record is one retained object.

@@ -53,13 +53,9 @@ type Archive struct {
 
 // Stats counts archive activity.
 type Stats struct {
-	// BlocksWritten counts blocks stored by PutBlock.
-	BlocksWritten uint64
-	// BlocksDeduped counts PutBlock calls whose content was already
-	// stored.
-	BlocksDeduped uint64
-	// Snapshots counts heated snapshots.
-	Snapshots uint64
+	BlocksWritten uint64 // blocks stored by PutBlock
+	BlocksDeduped uint64 // PutBlock calls whose content was already stored
+	Snapshots     uint64 // heated snapshots
 }
 
 // Archive errors.
