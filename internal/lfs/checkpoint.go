@@ -636,10 +636,10 @@ func slotShares(blocks, workers int) (per, planes int) {
 // was readable. It is the one readable-prefix primitive shared by the
 // mount path's checkpoint-slot and summary-record reads and
 // serofsck's damage probes — all need "give me as much of this region
-// as the medium still yields" semantics. Wide ranges are fanned over up to workers device
-// planes in slotShares' contiguous shares; narrow ranges and workers
-// <= 1 read serially on the foreground probe, which pays no per-plane
-// positioning seek.
+// as the medium still yields" semantics. Wide ranges are fanned over
+// up to workers device planes in slotShares' contiguous shares; narrow
+// ranges and workers <= 1 read serially on the foreground probe, which
+// pays no per-plane positioning seek.
 func ReadablePrefix(dev device.Dev, base uint64, blocks, workers int) ([]byte, bool) {
 	if blocks <= 0 {
 		return nil, true
