@@ -206,7 +206,7 @@ func TestCommitDropsStaleMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results := fs.dev.MoveGroups(plan.groups, plan.workers)
+	results := fs.dev.MoveGroups(plan.groups, len(plan.groups))
 	fs.mu.Lock()
 	fs.commitVictimsLocked(plan, results, &cs)
 	fs.mu.Unlock()

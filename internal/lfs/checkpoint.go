@@ -17,7 +17,7 @@ import (
 // checkpoint intact — Mount picks the newest valid slot and rolls
 // forward through that epoch's summary chain (replay.go). A wide slot
 // is written and read fanned over the worker planes, in the same
-// contiguous per-plane shares (slotShares). Each slot
+// contiguous per-plane shares (planeShares). Each slot
 // holds the serialized imap and directory plus the journal anchor
 // (epoch, virtual write time, chain start), followed by an optional
 // *liveness table*: the per-segment usage summary (every live block's
@@ -377,7 +377,7 @@ func (fs *FS) writeCheckpointLocked() error {
 
 // writeSlotLocked writes a checkpoint slot image at base. A wide image
 // is fanned over worker planes in the contiguous shares the mount's
-// slot read uses (slotShares), one batched command per plane; a narrow
+// slot read uses (planeShares), one batched command per plane; a narrow
 // one, or Concurrency 1, is one serial command on the foreground
 // plane. The bytes and blocks written are the same either way; only
 // the virtual time differs.
@@ -392,7 +392,7 @@ func (fs *FS) writeCheckpointLocked() error {
 // another did not, the header block is blanked: a zero first block
 // reads as a slot that holds no checkpoint.
 func (fs *FS) writeSlotLocked(base uint64, blocks [][]byte) error {
-	per, planes := slotShares(len(blocks), fs.p.Concurrency)
+	per, planes := planeShares(len(blocks), fs.p.Concurrency)
 	if planes <= 1 {
 		return fs.dev.WriteBlocksTraced(fs.curTask, base, blocks)
 	}
@@ -607,29 +607,6 @@ func decodeCore(buf []byte) *ckptImage {
 	return ck
 }
 
-// slotFanMinShare sets how wide a checkpoint-slot pass, read or write,
-// must be to fan: one plane per started slotFanMinShare blocks. A
-// plane pays its own positioning seek before it streams, so a narrow
-// pass stays serial on the foreground plane.
-const slotFanMinShare = 16
-
-// slotShares splits a checkpoint-slot pass over blocks blocks into
-// contiguous per-plane shares of per blocks (the last may be shorter)
-// on planes worker planes: at most workers, and one per started
-// slotFanMinShare blocks. planes <= 1 means the pass stays serial on
-// the foreground plane. The shares are the device's contiguous fan-out
-// split over planes workers, so the mount's fanned slot read
-// (ReadablePrefix) and the checkpoint's fanned slot write
-// (writeSlotLocked) partition a slot alike.
-func slotShares(blocks, workers int) (per, planes int) {
-	planes = min(workers, (blocks+slotFanMinShare-1)/slotFanMinShare)
-	if planes <= 1 {
-		return blocks, 1
-	}
-	per = (blocks + planes - 1) / planes
-	return per, (blocks + per - 1) / per
-}
-
 // ReadablePrefix magnetically reads the block range [base,
 // base+blocks) and returns the concatenated payloads up to (not
 // including) the first unreadable block, plus whether the whole range
@@ -637,14 +614,14 @@ func slotShares(blocks, workers int) (per, planes int) {
 // mount path's checkpoint-slot and summary-record reads and
 // serofsck's damage probes — all need "give me as much of this region
 // as the medium still yields" semantics. Wide ranges are fanned over
-// up to workers device planes in slotShares' contiguous shares; narrow
+// up to workers device planes in planeShares' contiguous shares; narrow
 // ranges and workers <= 1 read serially on the foreground probe, which
 // pays no per-plane positioning seek.
 func ReadablePrefix(dev device.Dev, base uint64, blocks, workers int) ([]byte, bool) {
 	if blocks <= 0 {
 		return nil, true
 	}
-	_, workers = slotShares(blocks, workers)
+	_, workers = planeShares(blocks, workers)
 	if workers <= 1 {
 		out := make([]byte, 0, blocks*device.DataBytes)
 		for i := 0; i < blocks; i++ {

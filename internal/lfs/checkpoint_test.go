@@ -229,7 +229,7 @@ func TestCheckpointSlotIdenticalAcrossConcurrency(t *testing.T) {
 		}
 		cost := fs.now() - t0
 		got, _ := ReadablePrefix(fs.Device(), fs.slotBase(fs.ckptEpoch), fs.slotBlocks(), 1)
-		if _, planes := slotShares(len(got)/device.DataBytes, j); planes != j {
+		if _, planes := planeShares(len(got)/device.DataBytes, j); planes != j {
 			t.Fatalf("j=%d: a %d-byte slot image fans over %d planes", j, len(got), planes)
 		}
 		m, err := Mount(fs.Device(), fs.Params())

@@ -21,11 +21,15 @@ import (
 //     and reserve a destination slot in the log for every live data
 //     block, in log order — so the post-clean layout is a function of
 //     the workload alone, never of the worker count;
-//  2. copy (fs.mu RELEASED): relocate each victim's blocks on the
-//     device's fanned-out move engine, one worker plane per victim
-//     group, with contiguous destinations committed as single batched
-//     writes; the device clock advances by the *slowest worker's*
-//     elapsed virtual time, the same contract as a fanned-out Audit.
+//  2. copy (fs.mu RELEASED): relocate the round's live blocks on the
+//     device's fanned-out move engine. The moves of every victim, in
+//     plan order, are split into contiguous per-plane shares by the
+//     rule the checkpoint slot and the at-rest flush use (planeShares:
+//     at most Concurrency planes, one per started fanMinShare moves),
+//     and each share's contiguous destinations commit as single
+//     batched writes; the device clock advances by the *slowest
+//     worker's* elapsed virtual time, the same contract as a
+//     fanned-out Audit.
 //     Foreground appends, reads and syncs proceed concurrently; a
 //     foreground write that invalidates a block being moved only
 //     flips liveness bookkeeping, which the commit phase detects;
@@ -75,7 +79,9 @@ type CleanStats struct {
 	// the copy phase ran off the lock. Always zero for the inline
 	// (exclusive-lock) pass.
 	MovesInvalidated int
-	// Workers is the fan-out width the copy phase ran at.
+	// Workers is the widest fan-out the copy phase ran at: the most
+	// worker planes any round's moves were split over (0 when the
+	// pass copied nothing).
 	Workers int
 	// Checkpointed reports that the pass ended with a checkpoint on
 	// the medium (making the relocations durable and the emptied
@@ -95,15 +101,15 @@ const cleanBatchSegments = 4
 // without it.
 type cleanPlan struct {
 	victims []*segment
-	// groups holds the planned moves, one group per victim (the unit
-	// of copy fan-out); refs records who owned each move's source at
-	// plan time, for the commit phase's staleness check.
+	// groups holds the planned moves in plan order, split into
+	// contiguous per-plane shares (planeShares), one group per worker
+	// plane; refs records who owned each move's source at plan time,
+	// for the commit phase's staleness check.
 	groups [][]device.BlockMove
 	refs   [][]blockRef
 	// rewrite collects the inodes owning live blocks in the victims;
 	// commit rewrites each at most once.
 	rewrite map[Ino]bool
-	workers int
 }
 
 // Clean runs the cleaner until at least targetFree segments are
@@ -232,7 +238,7 @@ func (fs *FS) cleanRoundLocked(batch int, release bool, cs *CleanStats) bool {
 	if plan == nil {
 		return false
 	}
-	fs.emitSpan(tr, "clean-plan", tPlan, int64(len(plan.groups)), 0)
+	fs.emitSpan(tr, "clean-plan", tPlan, int64(len(plan.victims)), 0)
 
 	// Copy phase: on a released round foreground appends, reads and
 	// syncs interleave with the fanned-out relocation.
@@ -240,8 +246,8 @@ func (fs *FS) cleanRoundLocked(batch int, release bool, cs *CleanStats) bool {
 		fs.mu.Unlock()
 	}
 	tCopy := fs.now()
-	results := fs.dev.MoveGroups(plan.groups, plan.workers)
-	fs.emitSpan(tr, "clean-copy", tCopy, int64(len(plan.groups)), int64(plan.workers))
+	results := fs.dev.MoveGroups(plan.groups, len(plan.groups))
+	fs.emitSpan(tr, "clean-copy", tCopy, int64(plan.moves()), int64(len(plan.groups)))
 	if release {
 		fs.mu.Lock()
 	}
@@ -328,27 +334,22 @@ func (fs *FS) pickVictims(k int, cs *CleanStats) []*segment {
 // phase writes device-direct into reserved slots, so every buffered
 // append must be on the medium first), clean-pin the victims, and
 // reserve destinations in log order. Inode blocks are relocated by
-// rewriting (phase 3), not copying. Caller holds fs.mu exclusively; a
-// nil return means the pass cannot proceed (no pins are left behind).
+// rewriting (phase 3), not copying. The round's moves, in plan order,
+// are then split into the copy phase's per-plane shares. Caller holds
+// fs.mu exclusively; a nil return means the pass cannot proceed (no
+// pins are left behind).
 func (fs *FS) planVictimsLocked(victims []*segment, cs *CleanStats) *cleanPlan {
 	if fs.flushActiveLocked() != nil {
 		return nil
 	}
-	plan := &cleanPlan{
-		victims: victims,
-		groups:  make([][]device.BlockMove, len(victims)),
-		refs:    make([][]blockRef, len(victims)),
-		rewrite: make(map[Ino]bool),
-		workers: fs.p.Concurrency,
-	}
-	if plan.workers < 1 {
-		plan.workers = 1
-	}
+	plan := &cleanPlan{victims: victims, rewrite: make(map[Ino]bool)}
 	for _, v := range victims {
 		v.cleanPin = true
 	}
+	var moves []device.BlockMove
+	var refs []blockRef
 plan:
-	for vi, v := range victims {
+	for _, v := range victims {
 		for off, ref := range v.owners {
 			if ref.ino == 0 {
 				continue
@@ -368,11 +369,26 @@ plan:
 				// blocks left behind keep their victims full.
 				break plan
 			}
-			plan.groups[vi] = append(plan.groups[vi], device.BlockMove{Src: pba, Dst: dst})
-			plan.refs[vi] = append(plan.refs[vi], ref)
+			moves = append(moves, device.BlockMove{Src: pba, Dst: dst})
+			refs = append(refs, ref)
 		}
 	}
+	per, _ := planeShares(len(moves), fs.p.Concurrency)
+	for off := 0; off < len(moves); off += per {
+		end := min(off+per, len(moves))
+		plan.groups = append(plan.groups, moves[off:end])
+		plan.refs = append(plan.refs, refs[off:end])
+	}
 	return plan
+}
+
+// moves counts the round's planned moves over every share.
+func (plan *cleanPlan) moves() int {
+	n := 0
+	for _, g := range plan.groups {
+		n += len(g)
+	}
+	return n
 }
 
 // commitVictimsLocked is phase 3: re-validate and retarget the moved
@@ -382,7 +398,7 @@ plan:
 // rewrite. Caller holds fs.mu exclusively. Returns false on a commit
 // failure (a failed inode rewrite), which stops the loop.
 func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, cs *CleanStats) bool {
-	cs.Workers = plan.workers
+	cs.Workers = max(cs.Workers, len(plan.groups))
 	defer func() {
 		for _, v := range plan.victims {
 			v.cleanPin = false
@@ -397,9 +413,9 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 	// to the log below.
 	valid := make(map[Ino]bool)
 	jFrom := len(fs.jBlocks)
-	for vi := range plan.victims {
-		res := results[vi]
-		for i, mv := range plan.groups[vi] {
+	for gi, group := range plan.groups {
+		res := results[gi]
+		for i, mv := range group {
 			if i >= res.Completed {
 				// Never copied: the reserved slot holds nothing
 				// usable and stays unreclaimable until its segment is
@@ -410,7 +426,7 @@ func (fs *FS) commitVictimsLocked(plan *cleanPlan, results []device.MoveResult, 
 				continue
 			}
 			ref, ok := fs.sm.owner(mv.Src)
-			if !ok || ref != plan.refs[vi][i] {
+			if !ok || ref != plan.refs[gi][i] {
 				// The source was overwritten, deleted or heat-relocated
 				// while the copy ran off the lock: the foreground write
 				// wins, just this move is dropped, and the copied-to
@@ -496,9 +512,9 @@ func (fs *FS) undoMovesLocked(plan *cleanPlan, inos []Ino, jFrom int) {
 	for _, ino := range inos {
 		undo[ino] = true
 	}
-	for vi, group := range plan.groups {
+	for gi, group := range plan.groups {
 		for i, mv := range group {
-			ref := plan.refs[vi][i]
+			ref := plan.refs[gi][i]
 			if got, ok := fs.sm.owner(mv.Dst); !undo[ref.ino] || !ok || got != ref {
 				continue // not committed, or its inode was rewritten
 			}

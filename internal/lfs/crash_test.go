@@ -427,7 +427,7 @@ func TestCrashMidFannedCheckpoint(t *testing.T) {
 				}
 				img[off] = w.data
 			}
-			per, planes := slotShares(len(img), p.Concurrency)
+			per, planes := planeShares(len(img), p.Concurrency)
 			if len(img) < 64 || planes != 4 {
 				t.Fatalf("slot image of %d blocks fans over %d planes, want >= 64 blocks on 4", len(img), planes)
 			}

@@ -974,6 +974,32 @@ func (fs *FS) sealSegment(seg *segment) error {
 	return nil
 }
 
+// fanMinShare sets how wide a pass over a contiguous span of blocks —
+// a checkpoint-slot read or write, a cleaning round's moves, an
+// at-rest flush — must be to fan: one plane per started fanMinShare
+// blocks. A plane pays its own positioning seek before it streams, so
+// a narrow pass stays serial on one plane.
+const fanMinShare = 16
+
+// planeShares is the one rule by which the file system splits a pass
+// over blocks blocks (or moves) into contiguous per-plane shares of
+// per blocks (the last may be shorter) on planes worker planes: at
+// most workers, and one per started fanMinShare blocks. planes <= 1
+// means the pass stays serial. The shares are the device's contiguous
+// fan-out split over planes workers, so the mount's fanned slot read
+// (ReadablePrefix) and the checkpoint's fanned slot write
+// (writeSlotLocked) partition a slot alike, and the cleaner's copy
+// (planVictimsLocked) and the at-rest flush (flushSegment) split their
+// runs the same way.
+func planeShares(blocks, workers int) (per, planes int) {
+	planes = min(workers, (blocks+fanMinShare-1)/fanMinShare)
+	if planes <= 1 {
+		return blocks, 1
+	}
+	per = (blocks + planes - 1) / planes
+	return per, (blocks + per - 1) / per
+}
+
 // flushSegment group-commits the segment's pending run — the buffered
 // blocks at [next-len(pending), next) — as one batched multi-block
 // device write: the covering stripe locks are taken once and the

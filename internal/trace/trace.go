@@ -27,8 +27,9 @@
 // "sync-meta" phase the Sync path; "journal-record" is one summary
 // record append (V1 = payload bytes); "checkpoint" is one full
 // checkpoint write (V1 = blocks); "clean-plan" / "clean-copy" /
-// "clean-commit" phase one cleaner round (commit's V1 = blocks
-// committed, V2 = moves invalidated by concurrent writes);
+// "clean-commit" phase one cleaner round (plan's V1 = victims; copy's
+// V1 = moves, V2 = the worker planes they were split over; commit's
+// V1 = blocks committed, V2 = moves invalidated by concurrent writes);
 // "clean-inline" is one last-resort inline pass, every round under
 // the held lock (V1 = blocks copied);
 // "mount-replay" (V1 = records, V2 = blocks replayed) and
