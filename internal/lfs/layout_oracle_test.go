@@ -24,7 +24,7 @@ import (
 // the medium image, Stats, Segments, MountReport, the canonical span
 // stream and the virtual clock, so any change to a block's position, a
 // segment's state, a counter, a span or a virtual time moves it.
-const logLayoutHash = "a636d4171bff0d4d2b148da91bee73f704c44a54daf6d44d343bb5160d4e5581"
+const logLayoutHash = "1528d456e00bf21bbb093fc1f9f577586fbfcb7f98ce20f7d843f32b99bd0303"
 
 func TestLogLayoutOracle(t *testing.T) {
 	digest := func() string {
