@@ -392,18 +392,7 @@ func (fs *FS) writeCheckpointLocked() error {
 // another did not, the header block is blanked: a zero first block
 // reads as a slot that holds no checkpoint.
 func (fs *FS) writeSlotLocked(base uint64, blocks [][]byte) error {
-	per, planes := planeShares(len(blocks), fs.p.Concurrency)
-	if planes <= 1 {
-		return fs.dev.WriteBlocksTraced(fs.curTask, base, blocks)
-	}
-	runs := make([]device.WriteRun, 0, planes)
-	for off := 0; off < len(blocks); off += per {
-		runs = append(runs, device.WriteRun{
-			Start:  base + uint64(off),
-			Blocks: blocks[off:min(off+per, len(blocks))],
-		})
-	}
-	errs := fs.dev.WriteRunsFannedTraced(fs.curTask, runs, planes)
+	errs := fs.writeSharesLocked(base, blocks)
 	for _, err := range errs {
 		if err == nil {
 			continue

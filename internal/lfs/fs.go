@@ -1000,16 +1000,43 @@ func planeShares(blocks, workers int) (per, planes int) {
 	return per, (blocks + per - 1) / per
 }
 
+// writeSharesLocked writes blocks at base, base+1, … as planeShares'
+// contiguous shares: one batched command per worker plane through the
+// device's write fan-out, or one serial command on the foreground
+// plane when the run is narrow or Concurrency is 1. The blocks written
+// are the same either way; only the virtual time differs (the fan
+// costs its slowest share). errs[i] is share i's outcome: a refused
+// share writes nothing, but the others land, so a failed fanned write
+// may leave a hole. Caller holds fs.mu exclusively.
+func (fs *FS) writeSharesLocked(base uint64, blocks [][]byte) []error {
+	per, planes := planeShares(len(blocks), fs.p.Concurrency)
+	if planes <= 1 {
+		return []error{fs.dev.WriteBlocksTraced(fs.curTask, base, blocks)}
+	}
+	runs := make([]device.WriteRun, 0, planes)
+	for off := 0; off < len(blocks); off += per {
+		runs = append(runs, device.WriteRun{
+			Start:  base + uint64(off),
+			Blocks: blocks[off:min(off+per, len(blocks))],
+		})
+	}
+	return fs.dev.WriteRunsFannedTraced(fs.curTask, runs, planes)
+}
+
 // flushSegment group-commits the segment's pending run — the buffered
-// blocks at [next-len(pending), next) — as one batched multi-block
-// device write: the covering stripe locks are taken once and the
-// servo settles once, instead of once per block.
+// blocks at [next-len(pending), next) — as batched multi-block device
+// writes: the covering stripe locks are taken once and the servo
+// settles once per command, instead of once per block. A run longer
+// than one share fans over the worker planes (writeSharesLocked); the
+// flush returns only after every share has landed, so each caller's
+// ack (summary record, checkpoint or line heat) still follows all of
+// its data. On a refused share the run stays pending, unacked.
 func (fs *FS) flushSegment(seg *segment) error {
 	if seg == nil || len(seg.pending) == 0 {
 		return nil
 	}
 	start := seg.start + uint64(seg.next-len(seg.pending))
-	if err := fs.dev.WriteBlocksTraced(fs.curTask, start, seg.pending); err != nil {
+	if err := errors.Join(fs.writeSharesLocked(start, seg.pending)...); err != nil {
 		return fmt.Errorf("lfs: group commit of segment %d: %w", seg.id, err)
 	}
 	fs.stats.GroupCommits++
