@@ -244,9 +244,6 @@ type FS struct {
 	jDirOps []dirOp
 	jImap   map[Ino]bool
 	jBlocks []blockPtr
-	// jtrace records what a Mount's roll-forward pass saw (nil on a
-	// freshly formatted FS); CheckJournal reports from it.
-	jtrace *replayTrace
 	// mstats records how the last Mount rebuilt liveness (table-driven
 	// or full walk), for diagnostics, experiments and tests.
 	mstats MountStats
@@ -278,6 +275,9 @@ type MountStats struct {
 	// the whole namespace for a full walk, only the replay-touched
 	// inos for a table mount.
 	InodesRead int
+	// Records counts the summary records the mount replayed on top
+	// of its checkpoint.
+	Records int
 	// Workers is the fan-out width the inode reads ran at.
 	Workers int
 }

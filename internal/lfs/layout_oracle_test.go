@@ -24,7 +24,7 @@ import (
 // the medium image, Stats, Segments, MountReport, the canonical span
 // stream and the virtual clock, so any change to a block's position, a
 // segment's state, a counter, a span or a virtual time moves it.
-const logLayoutHash = "1528d456e00bf21bbb093fc1f9f577586fbfcb7f98ce20f7d843f32b99bd0303"
+const logLayoutHash = "92c68b6874f8fc648d1c7c46e9b53e87c1048a85f6534827c7a0d26666322916"
 
 func TestLogLayoutOracle(t *testing.T) {
 	digest := func() string {

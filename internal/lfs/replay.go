@@ -39,8 +39,9 @@ import (
 // the worker count, and a table mount is state-identical to a
 // walk mount of the same image.
 
-// replayTrace records what the roll-forward pass saw, for diagnostics
-// and serofsck.
+// replayTrace records what the roll-forward pass saw, for the
+// mount's liveness rebuild and CheckJournal's report; neither keeps it
+// past its own call.
 type replayTrace struct {
 	// ck is the checkpoint slot the chain hangs off, with its parsed
 	// liveness table (ck.table nil when absent or rejected, ck.tableStop
@@ -88,13 +89,16 @@ func mount(dev device.Dev, p Params, useTable bool) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fs.loadAndReplay(); err != nil {
+	t, err := fs.loadAndReplay()
+	if err != nil {
 		return nil, err
 	}
 	if !useTable {
-		fs.jtrace.ck.table, fs.jtrace.ck.tableStop = nil, "liveness table not used"
+		t.ck.table, t.ck.tableStop = nil, "liveness table not used"
 	}
-	if err := fs.rebuildLiveness(); err != nil {
+	// The trace (and the slot's parsed table with it) dies with the
+	// mount: only the liveness rebuild reads it.
+	if err := fs.rebuildLiveness(t); err != nil {
 		return nil, err
 	}
 	// Pin segments containing heated lines, per the device registry.
@@ -120,16 +124,15 @@ func mount(dev device.Dev, p Params, useTable bool) (*FS, error) {
 }
 
 // rebuildLiveness reconstructs the segments' owner tables and usage
-// from the checkpointed liveness table when one was adopted, and
-// from the full inode walk otherwise. All liveness is stamped with a
+// from the checkpointed liveness table when the replay trace t adopted
+// one, and from the full inode walk otherwise. All liveness is stamped with a
 // single timestamp taken after every device read, so the resulting
 // state is identical for any fan-out width and any map iteration
 // order.
-func (fs *FS) rebuildLiveness() error {
-	t := fs.jtrace
+func (fs *FS) rebuildLiveness(t *replayTrace) error {
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
-	fs.mstats = MountStats{Workers: fs.p.Concurrency}
+	fs.mstats = MountStats{Records: t.records, Workers: fs.p.Concurrency}
 	if t.ck.table == nil {
 		fs.mstats.Fallback = t.ck.tableStop
 		if err := fs.walkLiveness(); err != nil {
@@ -252,21 +255,22 @@ func (fs *FS) markInodesLive(inos []Ino, now time.Duration) {
 }
 
 // loadAndReplay loads the newest valid checkpoint slot into the
-// in-memory maps and rolls the summary chain forward. Shared by Mount
-// (which then rebuilds liveness, strictly) and CheckJournal (which
-// then cross-checks, tolerantly). A region where both slots hold
-// damaged data is refused as ErrTornCheckpoint — mounting it as a
-// pristine empty FS would silently discard the namespace.
-func (fs *FS) loadAndReplay() error {
+// in-memory maps, rolls the summary chain forward and returns what the
+// replay saw. Shared by Mount (which then rebuilds liveness, strictly)
+// and CheckJournal (which then cross-checks, tolerantly). A region
+// where both slots hold damaged data is refused as ErrTornCheckpoint —
+// mounting it as a pristine empty FS would silently discard the
+// namespace.
+func (fs *FS) loadAndReplay() (*replayTrace, error) {
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
 	ck, torn := fs.loadBestCheckpoint()
 	if ck == nil {
 		if torn {
-			return fmt.Errorf("%w (checkpoint region damaged, refusing to mount as empty)",
+			return nil, fmt.Errorf("%w (checkpoint region damaged, refusing to mount as empty)",
 				ErrTornCheckpoint)
 		}
-		return fmt.Errorf("%w: no valid checkpoint slot", ErrBadCheckpoint)
+		return nil, fmt.Errorf("%w: no valid checkpoint slot", ErrBadCheckpoint)
 	}
 	fs.next = ck.next
 	fs.ckptEpoch = ck.epoch
@@ -275,8 +279,8 @@ func (fs *FS) loadAndReplay() error {
 	for name, ino := range fs.dir {
 		fs.names[ino] = name
 	}
-	fs.jtrace = fs.replayChain(ck)
-	fs.appended = uint64(fs.jtrace.appended + fs.jtrace.blocks)
+	t := fs.replayChain(ck)
+	fs.appended = uint64(t.appended + t.blocks)
 	// Rebuild the maintained metadata indexes once from the replayed
 	// maps: the never-written files, and a checkpoint key order that
 	// makes the next checkpoint sort the namespace in full.
@@ -287,8 +291,8 @@ func (fs *FS) loadAndReplay() error {
 	}
 	fs.inoOrder.reset(fs.imap)
 	fs.nameOrder.reset(fs.dir)
-	fs.emitSpan(tr, "mount-replay", t0, int64(fs.jtrace.records), int64(fs.jtrace.blocks))
-	return nil
+	fs.emitSpan(tr, "mount-replay", t0, int64(t.records), int64(t.blocks))
+	return t, nil
 }
 
 // replayChain rolls the in-memory maps forward through the summary
@@ -527,10 +531,10 @@ func CheckJournal(dev device.Dev, p Params) (JournalReport, error) {
 	if err != nil {
 		return JournalReport{}, err
 	}
-	if err := fs.loadAndReplay(); err != nil {
+	t, err := fs.loadAndReplay()
+	if err != nil {
 		return JournalReport{}, err
 	}
-	t := fs.jtrace
 	r := JournalReport{
 		Epoch:         t.ck.epoch,
 		CheckpointAge: fs.now() - time.Duration(t.ck.writtenAt),

@@ -53,10 +53,14 @@ func TestJournalSyncLeavesCheckpointAlone(t *testing.T) {
 	if st.Checkpoints != 1 || st.JournalRecords != 3 {
 		t.Fatalf("stats %+v: want 1 checkpoint, 3 journal records", st)
 	}
-	// And the journaled syncs are still fully durable.
+	// And the journaled syncs are still fully durable, replayed from
+	// the three records.
 	fs2, err := Mount(fs.Device(), fs.Params())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fs2.MountReport().Records; got != 3 {
+		t.Fatalf("mount replayed %d records, want 3", got)
 	}
 	got, err := fs2.ReadFile(ino)
 	if err != nil || !bytes.Equal(got, payload(12, 2*device.DataBytes)) {
@@ -587,8 +591,8 @@ func benchmarkMountReplay(b *testing.B, tail int) {
 			b.Fatal(err)
 		}
 		virt := fs.Device().Clock().Now() - start
-		if fs2.jtrace.records != tail {
-			b.Fatalf("replayed %d records, want %d", fs2.jtrace.records, tail)
+		if got := fs2.MountReport().Records; got != tail {
+			b.Fatalf("replayed %d records, want %d", got, tail)
 		}
 		b.ReportMetric(float64(virt.Milliseconds()), "virt-ms/mount")
 		b.ReportMetric(float64(tail), "records")
