@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"sero/internal/device"
 	"sero/internal/trace"
@@ -260,10 +262,18 @@ func TestConcurrentFSStressCrashRecovery(t *testing.T) {
 
 // buildFragmentedFS fills a fresh FS with files and then invalidates
 // half of every file's blocks, producing a victim population at ~50 %
-// utilisation. Identical inputs produce identical state.
+// utilisation in 32-block segments. Identical inputs produce identical
+// state.
 func buildFragmentedFS(t testing.TB, conc int) *FS {
+	return buildFragmentedFSSeg(t, conc, 32)
+}
+
+// buildFragmentedFSSeg is buildFragmentedFS with segments of segBlocks
+// blocks: at 128, the oldest segment alone holds more than 48 live
+// data blocks, enough for a one-victim round to fan over four planes.
+func buildFragmentedFSSeg(t testing.TB, conc, segBlocks int) *FS {
 	p := Params{
-		SegmentBlocks:    32,
+		SegmentBlocks:    segBlocks,
 		CheckpointBlocks: 32,
 		HeatAware:        true,
 		ReserveSegments:  2,
@@ -306,7 +316,10 @@ func fragWant(i int) []byte {
 // quiet medium a Concurrency=4 cleaning pass must produce exactly the
 // post-clean state of the serial pass — same segment table, same block
 // pointers, same readable contents — while costing at most the serial
-// pass's virtual time (slowest worker, not sum).
+// pass's virtual time (slowest worker, not sum). A one-victim inline
+// pass, the cleaner's common shape under churn, must fan too: its
+// moves split into per-plane shares, so Concurrency 4 costs at most
+// half of Concurrency 1, and Workers reports the planes used.
 func TestParallelCleanerMatchesSerialLayout(t *testing.T) {
 	serial := buildFragmentedFS(t, 1)
 	parallel := buildFragmentedFS(t, 4)
@@ -371,6 +384,40 @@ func TestParallelCleanerMatchesSerialLayout(t *testing.T) {
 	}
 	if parallelCost >= serialCost*3/4 {
 		t.Fatalf("parallel pass cost %v vs serial %v — no real fan-out win", parallelCost, serialCost)
+	}
+
+	// One victim, cleaned inline: its 56 data moves fan over one plane
+	// per started 16 of them, up to Concurrency — so over 4 planes at
+	// most, even at Concurrency 8.
+	var ref *FS
+	var refCost time.Duration
+	for _, conc := range []int{1, 2, 4, 8} {
+		fs := buildFragmentedFSSeg(t, conc, 128)
+		fs.mu.Lock()
+		t0 := fs.now()
+		cs := fs.cleanLocked(fs.sm.reclaimable() + 1)
+		cost := fs.now() - t0
+		fs.mu.Unlock()
+		if planes := min(conc, 4); cs.SegmentsCleaned != 1 || cs.Workers != planes {
+			t.Fatalf("Concurrency %d: one-victim inline pass %+v, want 1 segment cleaned on %d planes", conc, cs, planes)
+		}
+		for i := 0; i < 24; i++ {
+			ino, _ := fs.Lookup(fmt.Sprintf("f%02d", i))
+			got, err := fs.ReadFile(ino)
+			if err != nil || !bytes.Equal(got, fragWant(i)) {
+				t.Fatalf("Concurrency %d: f%02d corrupted by the one-victim pass: %v", conc, i, err)
+			}
+		}
+		if ref == nil {
+			ref, refCost = fs, cost
+			continue
+		}
+		if !slices.Equal(fs.Segments(), ref.Segments()) {
+			t.Fatalf("Concurrency %d: one-victim segment table diverges from Concurrency 1", conc)
+		}
+		if conc == 4 && cost > refCost/2 {
+			t.Fatalf("one-victim pass cost %v at Concurrency 4, %v at 1: want at most half", cost, refCost)
+		}
 	}
 }
 
@@ -708,20 +755,43 @@ func BenchmarkFSAppendBatchedTraced(b *testing.B) {
 	}
 }
 
-// benchmarkClean measures one cleaning pass over the standard
-// fragmented population at the given fan-out width.
+// benchmarkClean measures one cleaning pass at the given fan-out
+// width, in virtual ms per pass: a phased Clean over the standard
+// fragmented population (32-block segments, several victims per
+// round), and a one-victim inline pass over 128-block segments, the
+// pass the allocation paths run under churn.
 func benchmarkClean(b *testing.B, workers int) {
-	for i := 0; i < b.N; i++ {
-		fs := buildFragmentedFS(b, workers)
-		start := fs.Device().Clock().Now()
-		cs := fs.Clean(fs.FreeSegments() + 4)
-		virt := fs.Device().Clock().Now() - start
-		if cs.SegmentsCleaned == 0 {
-			b.Fatalf("cleaner reclaimed nothing: %+v", cs)
+	b.Run("phased", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fs := buildFragmentedFS(b, workers)
+			b.StartTimer()
+			start := fs.Device().Clock().Now()
+			cs := fs.Clean(fs.FreeSegments() + 4)
+			virt := fs.Device().Clock().Now() - start
+			if cs.SegmentsCleaned == 0 {
+				b.Fatalf("cleaner reclaimed nothing: %+v", cs)
+			}
+			b.ReportMetric(float64(virt)/1e6, "virt-ms/pass")
+			b.ReportMetric(float64(cs.SegmentsCleaned), "segs")
 		}
-		b.ReportMetric(float64(virt.Milliseconds()), "virt-ms")
-		b.ReportMetric(float64(cs.SegmentsCleaned), "segs")
-	}
+	})
+	b.Run("one-victim", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fs := buildFragmentedFSSeg(b, workers, 128)
+			b.StartTimer()
+			fs.mu.Lock()
+			start := fs.now()
+			cs := fs.cleanLocked(fs.sm.reclaimable() + 1)
+			virt := fs.now() - start
+			fs.mu.Unlock()
+			if cs.SegmentsCleaned != 1 {
+				b.Fatalf("one-victim pass: %+v", cs)
+			}
+			b.ReportMetric(float64(virt)/1e6, "virt-ms/pass")
+		}
+	})
 }
 
 func BenchmarkCleanSerial(b *testing.B)    { benchmarkClean(b, 1) }
