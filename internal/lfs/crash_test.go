@@ -2,13 +2,16 @@ package lfs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"sero/internal/device"
 	"sero/internal/medium"
+	"sero/internal/trace"
 )
 
 // The crash-injection harness. The device exposes the exact stream of
@@ -71,12 +74,55 @@ func (r *crashRecorder) deviceAt(t testing.TB, blocks, k int) *device.Device {
 	dev := quietDev(blocks)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, w := range r.writes[:k] {
+	writeBlocks(t, dev, r.writes[:k])
+	return dev
+}
+
+// writeBlocks commits recorded block writes to dev, one command each.
+func writeBlocks(t testing.TB, dev device.Dev, ws []blockWrite) {
+	t.Helper()
+	for _, w := range ws {
 		if err := dev.WriteBlocksTraced(nil, w.pba, [][]byte{w.data}); err != nil {
 			t.Fatalf("replaying write %d to crash image: %v", w.pba, err)
 		}
 	}
-	return dev
+}
+
+// sharePrefixes enumerates the crash states of one fanned command.
+// Its shares commit on worker planes with no order between them, so a
+// crash can leave any prefix of each share on the medium, a hole
+// included (a later share landed, an earlier one not). For every
+// combination of per-share prefixes — none, one block, half or all of
+// each share — from the whole command down, it calls restore, writes
+// the prefixes to dev and calls check with the combination and the
+// prefix length of each share. Under -short or the race detector every
+// third combination runs; that still includes the whole command and
+// the empty one.
+func sharePrefixes(t *testing.T, dev device.Dev, shares [][]blockWrite, restore func(), check func(c int, n []int)) {
+	t.Helper()
+	step := 1
+	if testing.Short() || raceDetector {
+		step = 3
+	}
+	n := make([]int, len(shares))
+	for c := 1<<(2*len(shares)) - 1; c >= 0; c -= step {
+		restore()
+		for r, ws := range shares {
+			n[r] = []int{0, 1, len(ws) / 2, len(ws)}[c>>(2*r)&3]
+			writeBlocks(t, dev, ws[:n[r]])
+		}
+		check(c, n)
+	}
+}
+
+// snapshotDots captures the whole medium of dev, raw dots and all, and
+// returns a func that puts it back in place: far cheaper than
+// rebuilding each crash image from the recorded write stream.
+func snapshotDots(dev *device.Device) (restore func()) {
+	end := uint64(dev.Blocks())
+	raw := make([]byte, dev.Blocks()*device.DotsPerBlock/8)
+	dev.TamperRaw(0, end, func(m *medium.Medium) { m.MRBImage(0, raw) })
+	return func() { dev.TamperRaw(0, end, func(m *medium.Medium) { m.MWBImage(0, raw) }) }
 }
 
 // fsSnapshot is one acked state: the logical file map as of a
@@ -443,26 +489,17 @@ func TestCrashMidFannedCheckpoint(t *testing.T) {
 				return true
 			}
 
-			// Under -short or the race detector every third combination,
-			// from the whole image down, still covers all three outcomes.
-			step := 1
-			if testing.Short() || raceDetector {
-				step = 3
+			shares := make([][]blockWrite, planes)
+			for i, data := range img {
+				shares[i/per] = append(shares[i/per], blockWrite{pba: base + uint64(i), data: data})
 			}
+			// Every third combination (under -short or the race
+			// detector) still covers all three outcomes.
 			var picked, walked, held int
-			for c := 1<<(2*planes) - 1; c >= 0; c -= step {
-				restore()
+			sharePrefixes(t, dev, shares, restore, func(c int, n []int) {
 				have := make([]bool, len(img))
-				for r := 0; r < planes; r++ {
-					start, end := r*per, min((r+1)*per, len(img))
-					n := []int{0, 1, (end - start) / 2, end - start}[c>>(2*r)&3]
-					if n == 0 {
-						continue
-					}
-					if err := dev.WriteBlocksTraced(nil, base+uint64(start), img[start:start+n]); err != nil {
-						t.Fatal(err)
-					}
-					for i := start; i < start+n; i++ {
+				for r, k := range n {
+					for i := r * per; i < r*per+k; i++ {
 						have[i] = true
 					}
 				}
@@ -489,10 +526,206 @@ func TestCrashMidFannedCheckpoint(t *testing.T) {
 				default:
 					picked++
 				}
-			}
+			})
 			if picked == 0 || walked == 0 || held == 0 {
 				t.Fatalf("combinations gave %d epoch-N table mounts, %d epoch-N walks, %d fall backs; want each", picked, walked, held)
 			}
 		})
+	}
+}
+
+// TestCrashMidFannedCopy tears a one-victim cleaning round whose moves
+// fan over four worker planes, then the commit and checkpoint that
+// make the relocation durable. The copy writes only destinations
+// reserved past the log frontier, which nothing durable references
+// until the checkpoint; so every combination of per-share copy
+// prefixes, and every prefix of what follows a whole copy, must mount
+// and read every acked file back, and the whole pass must mount from
+// its new checkpoint.
+func TestCrashMidFannedCopy(t *testing.T) {
+	fs := buildFragmentedFSSeg(t, 4, 128)
+	dev := fs.dev.(*device.Device)
+	acked := make(map[string][]byte)
+	for i := 0; i < 24; i++ {
+		acked[fmt.Sprintf("f%02d", i)] = fragWant(i)
+	}
+	ack := snapshotModel(acked, 0)
+	restore := snapshotDots(dev)
+
+	var cs CleanStats
+	fs.mu.Lock()
+	fs.setCleaningLocked(true)
+	plan := fs.planVictimsLocked(fs.pickVictims(1, &cs), &cs)
+	fs.mu.Unlock()
+	if plan == nil || len(plan.groups) != 4 {
+		t.Fatalf("one-victim plan %+v, want its moves in 4 shares", plan)
+	}
+	rec := recordWrites(dev)
+	results := dev.MoveGroups(plan.groups, len(plan.groups))
+	copied := rec.count()
+	fs.mu.Lock()
+	ok := fs.commitVictimsLocked(plan, results, &cs)
+	fs.setCleaningLocked(false)
+	fs.mu.Unlock()
+	if !ok || cs.SegmentsCleaned != 1 {
+		t.Fatalf("round did not clean its victim: %+v", cs)
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetWriteObserver(nil)
+	if copied != plan.moves() {
+		t.Fatalf("copy wrote %d blocks for %d moves", copied, plan.moves())
+	}
+	landed := make(map[uint64][]byte, copied)
+	for _, w := range rec.writes[:copied] {
+		landed[w.pba] = w.data
+	}
+	shares := make([][]blockWrite, len(plan.groups))
+	for g, group := range plan.groups {
+		for _, mv := range group {
+			shares[g] = append(shares[g], blockWrite{pba: mv.Dst, data: landed[mv.Dst]})
+		}
+	}
+
+	sharePrefixes(t, dev, shares, restore, func(c int, _ []int) {
+		m, err := Mount(dev, fs.Params())
+		if err != nil {
+			t.Fatalf("copy combination %d: mount failed: %v", c, err)
+		}
+		if !matchesSnapshot(m, ack) {
+			t.Fatalf("copy combination %d: an acked write was lost", c)
+		}
+	})
+	tail := rec.writes[copied:]
+	for k := 0; k <= len(tail); k++ {
+		restore()
+		writeBlocks(t, dev, rec.writes[:copied+k])
+		m, err := Mount(dev, fs.Params())
+		if err != nil {
+			t.Fatalf("crash %d/%d writes after the copy: mount failed: %v", k, len(tail), err)
+		}
+		if !matchesSnapshot(m, ack) {
+			t.Fatalf("crash %d/%d writes after the copy: an acked write was lost", k, len(tail))
+		}
+		if k == len(tail) && m.ckptEpoch != fs.ckptEpoch {
+			t.Fatalf("whole pass mounted epoch %d, want the pass's checkpoint %d", m.ckptEpoch, fs.ckptEpoch)
+		}
+	}
+}
+
+// TestCrashMidFannedFlush tears a 64-block write-back flush that fans
+// over four worker planes, followed by the Sync whose summary record
+// acks it. The record is written only after every share has landed,
+// so each combination of per-share flush prefixes must mount the state
+// of the previous ack, as must every prefix of the Sync short of its
+// last write; the whole Sync must mount the new files.
+func TestCrashMidFannedFlush(t *testing.T) {
+	p := Params{
+		SegmentBlocks:    256,
+		CheckpointBlocks: 64,
+		WritebackBlocks:  64,
+		CheckpointEvery:  1 << 20, // only explicit checkpoints
+		HeatAware:        true,
+		ReserveSegments:  2,
+		Concurrency:      4,
+	}
+	dev := quietDev(2048)
+	fs, err := New(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make(map[string][]byte)
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("f%d", i)
+		ino, err := fs.Create(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[name] = payload(byte(i), device.DataBytes)
+		if err := fs.WriteFile(ino, model[name]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			if err := fs.Sync(); err != nil { // the anchoring checkpoint
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fs.Sync(); err != nil { // a journal record on top
+		t.Fatal(err)
+	}
+	old := snapshotModel(model, 0)
+	restore := snapshotDots(dev)
+
+	// Four 16-block files: the Sync appends their blocks to the log,
+	// and the 64th buffered block triggers the write-back flush.
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("big%d", i)
+		ino, err := fs.Create(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[name] = payload(byte(0x40+i), 16*device.DataBytes)
+		if err := fs.WriteFile(ino, model[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := recordWrites(dev)
+	tr := trace.New(trace.DefaultBuffer)
+	dev.SetTracer(tr)
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetWriteObserver(nil)
+	dev.SetTracer(nil)
+	acked := snapshotModel(model, 0)
+	const flushed = 64
+	per, planes := planeShares(flushed, p.Concurrency)
+	fans := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name == "write-fanout" && sp.V1 == int64(planes) {
+			fans++
+		}
+	}
+	if rec.count() <= flushed || planes != 4 || fans != 1 {
+		t.Fatalf("sync wrote %d blocks with %d fans over %d planes, want one %d-block flush over 4 planes, then its record",
+			rec.count(), fans, planes, flushed)
+	}
+	flush := slices.Clone(rec.writes[:flushed])
+	slices.SortFunc(flush, func(a, b blockWrite) int { return cmp.Compare(a.pba, b.pba) })
+	shares := make([][]blockWrite, planes)
+	for i, w := range flush {
+		if w.pba != flush[0].pba+uint64(i) {
+			t.Fatalf("write-back flush is not one contiguous run: block %d at %d", i, w.pba)
+		}
+		shares[i/per] = append(shares[i/per], w)
+	}
+
+	sharePrefixes(t, dev, shares, restore, func(c int, _ []int) {
+		m, err := Mount(dev, p)
+		if err != nil {
+			t.Fatalf("flush combination %d: mount failed: %v", c, err)
+		}
+		if !matchesSnapshot(m, old) {
+			t.Fatalf("flush combination %d: mounted state is not the last ack", c)
+		}
+	})
+	tail := rec.writes[flushed:]
+	for k := 0; k <= len(tail); k++ {
+		restore()
+		writeBlocks(t, dev, flush)
+		writeBlocks(t, dev, tail[:k])
+		m, err := Mount(dev, p)
+		if err != nil {
+			t.Fatalf("crash %d/%d writes into the sync: mount failed: %v", k, len(tail), err)
+		}
+		want := old
+		if k == len(tail) {
+			want = acked
+		}
+		if !matchesSnapshot(m, want) {
+			t.Fatalf("crash %d/%d writes into the sync: mounted the wrong ack", k, len(tail))
+		}
 	}
 }
