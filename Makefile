@@ -52,10 +52,13 @@ bench-serve:
 # discarded. Run by `make ci` so the whole bench-serve pipeline — mix
 # generation, session replay, amortized-sync accounting, report
 # validation — is exercised on every change without the minutes-long
-# full run.
+# full run. SMOKE_DIR holds this smoke's report and trace-smoke's
+# trace.
+SMOKE_DIR ?= /tmp/sero-smoke
 bench-serve-quick:
-	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1,4 -out /tmp/sero-bench-quick.json
-	$(GO) run ./tools/benchcheck /tmp/sero-bench-quick.json
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/serocli bench-serve -files 2048 -ops 4096 -sessions 1,4 -out $(SMOKE_DIR)/bench-quick.json
+	$(GO) run ./tools/benchcheck $(SMOKE_DIR)/bench-quick.json
 
 # Schema gate over the committed trajectory files.
 benchcheck:
@@ -87,8 +90,9 @@ perfbench:
 # buffer, session attribution, Chrome export — is exercised on every
 # change.
 trace-smoke:
-	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 2 -out /tmp/sero-trace-smoke.json
-	$(GO) run ./tools/tracecheck /tmp/sero-trace-smoke.json
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/serocli trace -files 256 -ops 1024 -sessions 2 -out $(SMOKE_DIR)/trace-smoke.json
+	$(GO) run ./tools/tracecheck $(SMOKE_DIR)/trace-smoke.json
 
 # The byte-for-byte oracle a refactor must keep: the paper's figures
 # and experiments (serosim -seed 1), a one-session trace, a small
