@@ -140,8 +140,9 @@ func ConsecutiveRuns(n int, addr func(k int) uint64) iter.Seq2[int, int] {
 // WriteRunsFannedTraced commits independent contiguous write runs on
 // a pool of worker planes — the foreground write path's fan-out
 // engine, used by the lfs Sync path to flush per-affinity-class
-// group-commit buffers in one pass and by the lfs checkpoint to write
-// a wide slot image one share per plane. Runs are split strided over the worker
+// group-commit buffers in one pass, and by the lfs group-commit flush
+// and checkpoint to write a long run or a wide slot image one share
+// per plane. Runs are split strided over the worker
 // planes ("write-fanout"; see fanOut for the slowest-worker
 // virtual-time contract). Every run's destination is the caller's
 // (preassigned frontiers), so the post-flush medium layout is

@@ -37,15 +37,17 @@ type Params struct {
 	WritebackBlocks int
 
 	// Concurrency is the worker-plane fan-out width for every fanned
-	// engine the FS drives: cleaning passes relocate victim blocks on
-	// this many concurrent device planes, Sync flushes the
-	// per-affinity-class group-commit buffers as concurrent runs (one
-	// batched command per class), and Mount batches its
-	// checkpoint-slot and inode reads over the same width — in every
-	// case the pass costs the slowest worker's virtual time (the
-	// Audit contract). 0 or 1 runs serially. The on-medium layout is
-	// identical for any value (frontiers and clean destinations are
-	// planned serially); only the virtual time changes.
+	// engine the FS drives: cleaning rounds relocate their moves, a
+	// long group-commit flush and the checkpoint slot write their
+	// blocks, in per-plane shares on up to this many concurrent device
+	// planes (planeShares); Sync flushes the per-affinity-class
+	// group-commit buffers as concurrent runs (one batched command per
+	// class), and Mount batches its checkpoint-slot and inode reads
+	// over the same width — in every case the pass costs the slowest
+	// worker's virtual time (the Audit contract). 0 or 1 runs
+	// serially. The on-medium layout is identical for any value
+	// (frontiers and clean destinations are planned serially); only
+	// the virtual time changes.
 	Concurrency int
 
 	// CheckpointEvery is the background checkpoint policy, in blocks
