@@ -206,8 +206,9 @@ func (fs *FS) cleanLocked(targetFree int) CleanStats {
 	fs.stats.CleanerPasses++
 	tr := fs.dev.Tracer()
 	t0 := fs.now()
-	// Emptied segments sit in SegFreeing until the next checkpoint, so
-	// progress is measured in reclaimable (free + freeing) segments.
+	// Emptied segments sit in SegFreeing until the next covering point
+	// (a summary record or a checkpoint), so progress is measured in
+	// reclaimable (free + freeing) segments.
 	for fs.sm.reclaimable() < targetFree && fs.cleanRoundLocked(targetFree-fs.sm.reclaimable(), false, &cs) {
 	}
 	fs.emitSpan(tr, "clean-inline", t0, int64(cs.BlocksCopied), 0)
@@ -283,8 +284,9 @@ func (fs *FS) pickVictims(k int, cs *CleanStats) []*segment {
 		if s.journal {
 			// The segment holds part of the current epoch's roll-forward
 			// chain: recycling it would sever the replay a crash-mount
-			// depends on. Like SegFreeing, it waits for the next
-			// checkpoint (which clears the flag).
+			// depends on. Unlike a SegFreeing segment, which a summary
+			// record releases, it waits for the next checkpoint (which
+			// clears the flag).
 			continue
 		}
 		if s.cleanPin {

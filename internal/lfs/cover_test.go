@@ -232,3 +232,80 @@ func TestSyncSpacePassAcksWithRecord(t *testing.T) {
 	}
 	linear(done, rec.count())
 }
+
+// TestSpacePassCheckpointsStarvedChain builds a summary chain that pins
+// every segment the cleaner could reclaim: one-file overwrites, each
+// acked by its own record, with checkpoints far apart. A Sync then
+// finds the log short; its record-acked cleaning round can pick no
+// victim and gains nothing, so the space pass checkpoints, which clears
+// the chain's pins, cleans again and succeeds without ErrFull. The
+// checkpoint is counted in CleanCheckpoints.
+func TestSpacePassCheckpointsStarvedChain(t *testing.T) {
+	p := Params{
+		SegmentBlocks:    16,
+		CheckpointBlocks: 16,
+		WritebackBlocks:  16,
+		CheckpointEvery:  1 << 20,
+		HeatAware:        true,
+		ReserveSegments:  2,
+	}
+	fs := testFS(t, 16+12*16, p)
+	model := make(map[string][]byte)
+	inos := make([]Ino, 4)
+	for i := range inos {
+		name := fmt.Sprintf("f%d", i)
+		var err error
+		if inos[i], err = fs.Create(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		model[name] = payload(byte(i), 2*device.DataBytes)
+		if err := fs.WriteFile(inos[i], model[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; ; r++ {
+		if r == 200 {
+			t.Fatal("no Sync's space pass checkpointed")
+		}
+		name := fmt.Sprintf("f%d", r%4)
+		model[name] = payload(byte(0x40+r), 2*device.DataBytes)
+		if err := fs.WriteFile(inos[r%4], model[name]); err != nil {
+			t.Fatal(err)
+		}
+		segs := fs.Segments()
+		before := fs.Stats()
+		if err := fs.Sync(); err != nil {
+			t.Fatalf("sync %d: %v", r, err)
+		}
+		after := fs.Stats()
+		if after.CleanCheckpoints == before.CleanCheckpoints {
+			if after.Checkpoints != before.Checkpoints {
+				t.Fatalf("sync %d checkpointed with the journal open and no starved round", r)
+			}
+			continue
+		}
+		for _, s := range segs {
+			if s.State == SegFull && s.DeadBlocks > 0 && !s.Journal {
+				t.Fatalf("sync %d: segment %d could be cleaned without clearing the chain: %+v", r, s.ID, s)
+			}
+		}
+		if after.CleanCheckpoints != before.CleanCheckpoints+1 || after.Checkpoints != before.Checkpoints+1 {
+			t.Fatalf("sync %d: %d checkpoints, %d of them for a starved round; want one of each",
+				r, after.Checkpoints-before.Checkpoints, after.CleanCheckpoints-before.CleanCheckpoints)
+		}
+		if after.CleanerPasses < before.CleanerPasses+2 {
+			t.Fatalf("sync %d cleaned %d times; want a second pass after the checkpoint", r, after.CleanerPasses-before.CleanerPasses)
+		}
+		break
+	}
+	m, err := Mount(fs.Device(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesSnapshot(m, snapshotModel(model, 0)) {
+		t.Fatal("the remount lost an acked write")
+	}
+}

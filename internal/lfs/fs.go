@@ -335,10 +335,18 @@ type Stats struct {
 	// flushed past it, or the tail sat in an earlier segment), so the
 	// chain re-anchored there with an explicit jump block.
 	JournalReanchors uint64
-	// CheckpointFallbacks counts Syncs that wanted a summary record but
-	// fell back to a full checkpoint because the delta could not be
-	// journaled (errJournalFull: no promise slot, or record too large).
+	// CheckpointFallbacks counts covering points (a Sync's ack, its
+	// space pass's, or an at-rest unwedge's) that wanted a summary
+	// record but fell back to a full checkpoint because the delta could
+	// not be journaled (errJournalFull: no promise slot, or record too
+	// large).
 	CheckpointFallbacks uint64
+	// CleanCheckpoints counts the checkpoints a Sync's space pass wrote
+	// because a record-acked cleaning round made no net gain: the
+	// checkpoint clears the summary chain's journal pins, which keep
+	// the cleaner off the segments holding the chain, so the next round
+	// may pick them. Each is also counted in Checkpoints.
+	CleanCheckpoints uint64
 	// AuditSteps counts incremental audit steps that verified at least
 	// one line (AuditStep calls and background auditor wakeups).
 	AuditSteps uint64
@@ -1230,26 +1238,72 @@ func (fs *FS) Checkpoint() error {
 
 // unwedgeFreeingLocked releases cleaner-gated segments when the FS is
 // at rest. Cleaning triggered from the append path gates its freed
-// segments (SegFreeing) without checkpointing — checkpointing
-// mid-flush would persist stale inode graphs. At rest no flush is in
-// flight, the metadata graph references only live blocks, and live
-// blocks are never in emptied victims, so a checkpoint here safely
-// stops referencing the gated segments and converts them.
+// segments (SegFreeing) without a covering point — acking mid-flush
+// would persist stale inode graphs. At rest no flush is in flight, the
+// metadata graph references only live blocks, and live blocks are never
+// in emptied victims, so a covering point here (coverLocked: a summary
+// record, or a checkpoint when one is due) safely stops referencing the
+// gated segments and converts them.
 func (fs *FS) unwedgeFreeingLocked() error {
 	if fs.sm.freeingSegments() == 0 {
 		return nil
 	}
-	return fs.syncMetaLocked()
+	_, err := fs.coverLocked()
+	return err
+}
+
+// coverKind says how coverLocked made the metadata graph durable.
+type coverKind int
+
+const (
+	// coverRecord: one summary record on the roll-forward journal.
+	coverRecord coverKind = iota
+	// coverCheckpoint: a full checkpoint, because the CheckpointEvery
+	// policy (or a missing chain) called for one.
+	coverCheckpoint
+	// coverFallback: a full checkpoint, because the delta could not be
+	// journaled (errJournalFull).
+	coverFallback
+)
+
+// coverLocked is the one rule for a covering point: it makes the
+// current metadata graph durable — everything appended, the cleaner's
+// buffered inode rewrites and relocations included — with one summary
+// record (syncJournalLocked), and writes a full checkpoint instead when
+// checkpointDueLocked says one is due or the record returns
+// errJournalFull (counted in CheckpointFallbacks). Either way the
+// cleaner's gated (SegFreeing) segments are released once the covering
+// point is on the medium. The Sync ack, the Sync space pass and the
+// at-rest unwedge all go through it. Caller holds fs.mu exclusively
+// and is at rest (not mid-flush).
+func (fs *FS) coverLocked() (coverKind, error) {
+	if fs.checkpointDueLocked() {
+		return coverCheckpoint, fs.syncMetaLocked()
+	}
+	err := fs.syncJournalLocked()
+	if !errors.Is(err, errJournalFull) {
+		return coverRecord, err
+	}
+	// The delta cannot be journaled (no space, or too large for one
+	// record); a checkpoint captures the same state directly.
+	fs.stats.CheckpointFallbacks++
+	return coverFallback, fs.syncMetaLocked()
 }
 
 // ensureSyncSpaceLocked secures enough SegFree segments to flush
 // everything currently buffered. Cleaning that triggers mid-flush can
-// only produce gated (SegFreeing) segments — converting them needs a
-// checkpoint, which is only safe at rest — so a whole sync's worth of
-// usable space must be carved out up front: clean, checkpoint,
-// convert, repeat until the estimate fits or cleaning stops making
-// net progress. Without this, a write-heavy workload near capacity
-// wedges into ErrFull with reclaimable space sitting idle.
+// only produce gated (SegFreeing) segments — releasing them needs a
+// covering point, which is only safe at rest — so a whole sync's worth
+// of usable space must be carved out up front: clean, cover (a summary
+// record, or a checkpoint when coverLocked's rule calls for one),
+// release, repeat until the estimate fits or cleaning stops making net
+// progress. A record-acked round that gains nothing may have been
+// starved by the summary chain's journal pins (pickVictims skips
+// chain segments until a checkpoint): a checkpoint clears them
+// (counted in CleanCheckpoints) and the loop cleans again; it stops
+// once a round whose clean ran without those pins, or whose cover was a
+// checkpoint, gains nothing. Without this, a write-heavy workload near
+// capacity wedges into ErrFull with reclaimable space sitting idle.
 func (fs *FS) ensureSyncSpaceLocked() error {
 	need := fs.syncSpaceNeedLocked()
 	// A background pass mid-copy owns the cleaner, so cleaning inline
@@ -1261,15 +1315,26 @@ func (fs *FS) ensureSyncSpaceLocked() error {
 		fs.waitCleanIdleLocked(need)
 		need = fs.syncSpaceNeedLocked()
 	}
+	unpinned := false // this round cleans right after a checkpoint
 	for tries := 0; fs.sm.freeSegments() < need && tries < len(fs.sm.segs); tries++ {
 		before := fs.sm.freeSegments()
 		fs.cleanLocked(need)
-		if err := fs.syncMetaLocked(); err != nil {
+		kind, err := fs.coverLocked()
+		if err != nil {
 			return err
 		}
+		ckpt := kind != coverRecord
 		if fs.sm.freeSegments() <= before {
-			break // no net gain; the flush will surface ErrFull if short
+			if ckpt || unpinned {
+				break // no net gain; the flush will surface ErrFull if short
+			}
+			fs.stats.CleanCheckpoints++
+			if err := fs.syncMetaLocked(); err != nil {
+				return err
+			}
+			ckpt = true
 		}
+		unpinned = ckpt
 	}
 	return nil
 }
@@ -1298,21 +1363,12 @@ func (fs *FS) syncLocked() error {
 	}
 	fs.emitSpan(tr, "sync-flush", t1, 0, 0)
 	t2 := fs.now()
-	if fs.checkpointDueLocked() {
-		err := fs.syncMetaLocked()
-		fs.emitSpan(tr, "sync-meta", t2, 0, 0)
-		return err
+	kind, err := fs.coverLocked()
+	if kind == coverRecord {
+		fs.emitSpan(tr, "sync-journal", t2, 0, 0)
+	} else {
+		fs.emitSpan(tr, "sync-meta", t2, 0, int64(kind-coverCheckpoint))
 	}
-	err := fs.syncJournalLocked()
-	if errors.Is(err, errJournalFull) {
-		// The delta cannot be journaled (no space, or too large for
-		// one record); a checkpoint captures the same state directly.
-		fs.stats.CheckpointFallbacks++
-		err = fs.syncMetaLocked()
-		fs.emitSpan(tr, "sync-meta", t2, 0, 1)
-		return err
-	}
-	fs.emitSpan(tr, "sync-journal", t2, 0, 0)
 	return err
 }
 

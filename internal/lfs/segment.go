@@ -89,7 +89,8 @@ type segment struct {
 	// roll-forward summary chain. The cleaner refuses such segments —
 	// recycling one would sever the replay a crash-mount depends on —
 	// until the next checkpoint makes the chain obsolete and clears
-	// every flag.
+	// every flag. A Sync whose space pass these pins starve writes that
+	// checkpoint early (ensureSyncSpaceLocked).
 	journal bool
 	// cleanPin marks a victim segment whose live blocks are being
 	// relocated by an in-flight cleaning pass (set during plan, cleared
@@ -173,7 +174,7 @@ func (sm *segmentManager) freeSegments() int {
 }
 
 // reclaimable counts segments that are free or will be at the next
-// checkpoint (SegFreeing) — the cleaner's notion of progress.
+// covering point (SegFreeing) — the cleaner's notion of progress.
 func (sm *segmentManager) reclaimable() int {
 	n := 0
 	for _, s := range sm.segs {
@@ -196,8 +197,9 @@ func (sm *segmentManager) freeingSegments() int {
 }
 
 // convertFreeing promotes every SegFreeing segment to SegFree. Called
-// right after a checkpoint reaches the medium: from that moment no
-// recovery path references their old contents.
+// right after a covering point — a summary record journaling the
+// relocations, or a checkpoint — reaches the medium: from that moment
+// no recovery path references their old contents.
 func (sm *segmentManager) convertFreeing() {
 	for _, s := range sm.segs {
 		if s.state == SegFreeing {

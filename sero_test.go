@@ -406,3 +406,31 @@ func TestMetricsCountsOmittedTable(t *testing.T) {
 		t.Fatalf("CheckpointTableOmitted %d of %d checkpoints", m.FS.CheckpointTableOmitted, m.FS.Checkpoints)
 	}
 }
+
+// TestMetricsCountsCleanCheckpoints: when the summary chain pins every
+// segment the cleaner could reclaim, a Sync's space pass checkpoints to
+// clear the pins, and the registry counts that checkpoint.
+func TestMetricsCountsCleanCheckpoints(t *testing.T) {
+	d := Open(Options{Blocks: 16 + 12*16, Quiet: true})
+	fs, err := NewFS(d, FSOptions{SegmentBlocks: 16, WritebackBlocks: 16, CheckpointEvery: 1 << 20, HeatAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inos := make([]Ino, 4)
+	for i := range inos {
+		if inos[i], err = fs.Create(fmt.Sprintf("f%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < 64; r++ {
+		if err := fs.WriteFile(inos[r%4], make([]byte, 2*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatalf("sync %d: %v", r, err)
+		}
+	}
+	if m := Metrics(d, fs); m.FS.CleanCheckpoints == 0 || m.FS.CleanCheckpoints > m.FS.Checkpoints {
+		t.Fatalf("CleanCheckpoints %d of %d checkpoints", m.FS.CleanCheckpoints, m.FS.Checkpoints)
+	}
+}
