@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"sero/internal/device"
 )
@@ -305,8 +306,10 @@ func TestCheckpointTableOmittedCounted(t *testing.T) {
 // block, its inode and a summary record each) over a namespace of
 // the given width on a quiet 524,288-block sled with 256-block
 // segments: a Sync's host work must grow with what is dirty, not with
-// the number of files.
+// the number of files. The clean sub-benchmark measures Syncs that
+// must clean first (benchmarkSyncClean).
 func BenchmarkSync(b *testing.B) {
+	b.Run("clean", benchmarkSyncClean)
 	for _, files := range []int{2048, 100000} {
 		b.Run(fmt.Sprint("files=", files), func(b *testing.B) {
 			fs := testFS(b, 524288, Params{
@@ -343,4 +346,67 @@ func BenchmarkSync(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchmarkSyncClean measures Syncs whose space pass must clean before
+// the flush fits: a quiet 4,096-block sled with 64-block segments and a
+// checkpoint region the liveness table fits, a 256-file population of
+// 8 blocks each, and per op 4 blocks of each of 32 files overwritten,
+// then one Sync, with the churn benchmark's checkpoint policy
+// (CheckpointEvery 65,536) and 4 worker planes.
+// Warm-up ops bring the log to the regime where every Sync cleans. It
+// reports the virtual time, the cleaning passes, the checkpoints and
+// the device blocks written per Sync.
+func benchmarkSyncClean(b *testing.B) {
+	p := Params{
+		SegmentBlocks:    64,
+		CheckpointBlocks: 256,
+		WritebackBlocks:  64,
+		CheckpointEvery:  1 << 16,
+		HeatAware:        true,
+		ReserveSegments:  2,
+		Concurrency:      4,
+	}
+	dev := device.New(device.QuietParams(4096))
+	fs, err := New(dev, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const files = 256
+	inos := make([]Ino, files)
+	for i := range inos {
+		if inos[i], err = fs.Create(fmt.Sprintf("f%03d", i), 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.WriteFile(inos[i], payload(byte(i), 8*device.DataBytes)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op := func(n int) {
+		for j := 0; j < 32; j++ {
+			off := uint64(n%2*4) * device.DataBytes
+			if err := fs.Write(inos[(n*32+j)%files], off, payload(byte(n+j), 4*device.DataBytes)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := fs.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for n := 0; n < 64; n++ {
+		op(n)
+	}
+	st, blocks, start := fs.Stats(), dev.Stats().MagneticWrites, dev.Clock().Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(64 + i)
+	}
+	b.StopTimer()
+	end := fs.Stats()
+	perOp := func(v uint64) float64 { return float64(v) / float64(b.N) }
+	b.ReportMetric(float64(dev.Clock().Now()-start)/float64(time.Millisecond)/float64(b.N), "virt-ms/op")
+	b.ReportMetric(perOp(end.CleanerPasses-st.CleanerPasses), "cleans/op")
+	b.ReportMetric(perOp(end.Checkpoints-st.Checkpoints), "ckpts/op")
+	b.ReportMetric(perOp(dev.Stats().MagneticWrites-blocks), "blocks/op")
 }
