@@ -185,12 +185,13 @@ fuzz:
 # (internal/probe) and the paper's comparisons and applications (the
 # update-in-place FFS internal/ffs, the §2 WORM baselines
 # internal/worm, the §8 retention layer internal/retention, the Venti
-# archive internal/venti and the fossilized index internal/fossil)
-# carries a doc comment, so `go doc` reads as a complete reference.
+# archive internal/venti and the fossilized index internal/fossil) and
+# the figure and experiment drivers (internal/experiments) carries a
+# doc comment, so `go doc` reads as a complete reference.
 docs: vet
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/device ./internal/array ./internal/medium ./internal/ecc ./internal/manchester ./internal/workload ./internal/physics ./internal/probe ./internal/ffs ./internal/worm ./internal/retention ./internal/venti ./internal/fossil
+	$(GO) run ./tools/doccheck . ./internal/lfs ./internal/serve ./internal/trace ./internal/core ./internal/attack ./internal/sim ./internal/device ./internal/array ./internal/medium ./internal/ecc ./internal/manchester ./internal/workload ./internal/physics ./internal/probe ./internal/ffs ./internal/worm ./internal/retention ./internal/venti ./internal/fossil ./internal/experiments
 
 # vet is its own step (docs depends on it, so it runs once) so a vet
 # failure is named in the CI log. race runs the full -race suite;

@@ -20,15 +20,21 @@ import (
 
 // E8Point samples the device state during its life.
 type E8Point struct {
+	// IngestedRecords counts records ingested when the sample was taken.
 	IngestedRecords int
-	ReadOnlyRatio   float64
-	FreeBlocks      int
-	Fragmentation   float64
-	VirtualTime     time.Duration
+	// ReadOnlyRatio is the share of the device inside heated lines.
+	ReadOnlyRatio float64
+	// FreeBlocks counts the blocks still allocatable.
+	FreeBlocks int
+	// Fragmentation is the allocator's fragmentation index.
+	Fragmentation float64
+	// VirtualTime is the device clock at the sample.
+	VirtualTime time.Duration
 }
 
 // E8Result is the ageing trace.
 type E8Result struct {
+	// Points samples the device from format to full, in ingest order.
 	Points []E8Point
 	// RecordsUntilFull counts ingests accepted before the device
 	// filled up.

@@ -15,7 +15,10 @@ import (
 )
 
 // E4Result is the §5 attack detection matrix.
-type E4Result struct{ Results []attack.Result }
+type E4Result struct {
+	// Results holds one outcome per attack.
+	Results []attack.Result
+}
 
 // RunE4 prepares a victim file system and executes the full attack
 // matrix.
@@ -53,16 +56,23 @@ func (r E4Result) Table() string {
 // E6Result measures the archival structures of §4.2 on SERO.
 type E6Result struct {
 	// Venti numbers.
-	VentiBlocks      uint64
+	VentiBlocks uint64
+	// VentiDeduped counts block writes the archive deduplicated.
 	VentiDeduped     uint64
 	VentiSnapshotGas time.Duration // heat cost per snapshot
-	VentiVerifyOK    bool
+	// VentiVerifyOK reports that the last snapshot verified.
+	VentiVerifyOK bool
 	// Fossil numbers.
-	FossilInserts    uint64
-	FossilNodes      uint64
-	FossilHeated     uint64
-	FossilLookupOK   bool
-	FossilVerifyOK   bool
+	FossilInserts uint64
+	// FossilNodes counts the index's nodes after the inserts.
+	FossilNodes uint64
+	// FossilHeated counts the nodes frozen into heated lines.
+	FossilHeated uint64
+	// FossilLookupOK reports that a lookup found an inserted record.
+	FossilLookupOK bool
+	// FossilVerifyOK reports that every heated node line verified.
+	FossilVerifyOK bool
+	// FossilInsertCost is the virtual time per insert.
 	FossilInsertCost time.Duration
 }
 

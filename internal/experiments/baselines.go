@@ -82,6 +82,7 @@ func (s *seroStore) Audit() worm.AuditResult {
 
 // E11Result is the baseline comparison.
 type E11Result struct {
+	// Results holds one rewrite attack per storage technology.
 	Results []worm.RewriteAttackResult
 }
 

@@ -19,8 +19,12 @@ import (
 
 // E12Row is one configuration's outcome.
 type E12Row struct {
-	Design     string
-	HeatAware  bool
+	// Design names the file system: "LFS" or "FFS".
+	Design string
+	// HeatAware reports whether the heat-aware placement policy ran.
+	HeatAware bool
+	// Bimodality is the share of segments (LFS) or cluster groups
+	// (FFS) that are almost all heated or almost all unheated.
 	Bimodality float64
 	// Fragmentation is design-specific: LFS reports stranded blocks in
 	// pinned segments; FFS reports the free-space fragmentation of
@@ -31,7 +35,10 @@ type E12Row struct {
 }
 
 // E12Result is the 2×2 comparison.
-type E12Result struct{ Rows []E12Row }
+type E12Result struct {
+	// Rows holds one row per design and policy.
+	Rows []E12Row
+}
 
 const (
 	e12Files      = 8

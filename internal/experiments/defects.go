@@ -32,7 +32,10 @@ type E9Point struct {
 }
 
 // E9Result is the defect sweep.
-type E9Result struct{ Points []E9Point }
+type E9Result struct {
+	// Points holds one row per defect density.
+	Points []E9Point
+}
 
 // RunE9 sweeps defect densities over a population of sectors.
 func RunE9(seed uint64) (E9Result, error) {

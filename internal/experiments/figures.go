@@ -26,9 +26,13 @@ type Fig2Result struct {
 
 // Fig2Transition is one observed state transition.
 type Fig2Transition struct {
-	From     medium.DotState
-	Op       string
-	To       medium.DotState
+	// From is the dot's state before the operation.
+	From medium.DotState
+	// Op names the operation applied to the dot.
+	Op string
+	// To is the state the simulated medium reached.
+	To medium.DotState
+	// Expected is the state Fig 2 gives for the transition.
 	Expected medium.DotState
 }
 
@@ -103,6 +107,7 @@ func (r Fig2Result) Table() string {
 
 // Fig3Result reproduces the heated-line medium layout of Fig 3.
 type Fig3Result struct {
+	// LogN is the line size exponent: the line spans 2^LogN blocks.
 	LogN uint8
 	// Block0Cells classifies the Manchester cells of block 0.
 	Block0HU, Block0UH, Block0UU int

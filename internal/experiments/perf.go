@@ -21,10 +21,15 @@ func quietDevice(blocks int) *device.Device {
 // E1Result measures the §3 operation-latency contract on the simulated
 // device.
 type E1Result struct {
+	// MRSPerBlock is the virtual time of one magnetic block read.
 	MRSPerBlock time.Duration
+	// MWSPerBlock is the virtual time of one magnetic block write.
 	MWSPerBlock time.Duration
-	ERSPerDot   time.Duration
-	MRSPerDot   time.Duration
+	// ERSPerDot is the virtual time of an electrical read per dot.
+	ERSPerDot time.Duration
+	// MRSPerDot is the virtual time of a magnetic read per dot.
+	MRSPerDot time.Duration
+	// EWSPerBlock is the virtual time of one electrical block write.
 	EWSPerBlock time.Duration
 	// ErbOverMrb is the per-dot ratio the paper bounds below by 5.
 	ErbOverMrb float64
@@ -96,7 +101,9 @@ func (r E1Result) Table() string {
 
 // E2Point is one row of the cleaner experiment.
 type E2Point struct {
-	HeatedFiles    int
+	// HeatedFiles counts the files frozen before the churn phase.
+	HeatedFiles int
+	// HeatedFraction is HeatedFiles over the file population.
 	HeatedFraction float64
 	// CopiedBlocks is the cleaner bandwidth spent.
 	CopiedBlocks uint64
@@ -114,7 +121,9 @@ type E2Point struct {
 // E2Result compares heat-aware and heat-oblivious cleaning as the
 // heated fraction grows.
 type E2Result struct {
-	Aware     []E2Point
+	// Aware holds the heat-aware file system's rows.
+	Aware []E2Point
+	// Oblivious holds the heat-oblivious file system's rows.
 	Oblivious []E2Point
 }
 
@@ -251,10 +260,16 @@ func (r E2Result) Table() string {
 
 // E3Result measures segment bimodality under the snapshot workload.
 type E3Result struct {
-	AwareBimodality     float64
+	// AwareBimodality is the heat-aware file system's bimodality.
+	AwareBimodality float64
+	// ObliviousBimodality is the heat-oblivious file system's.
 	ObliviousBimodality float64
-	AwareHistogram      [10]int
-	ObliviousHistogram  [10]int
+	// AwareHistogram counts the heat-aware file system's used
+	// segments by heated share of their used space, in ten equal
+	// buckets from 0 to 1.
+	AwareHistogram [10]int
+	// ObliviousHistogram is AwareHistogram for the heat-oblivious one.
+	ObliviousHistogram [10]int
 }
 
 // RunE3 runs the database-snapshot workload under both policies and
@@ -310,6 +325,7 @@ func (r E3Result) Table() string {
 
 // E5Point is one row of the hash-overhead experiment.
 type E5Point struct {
+	// LogN is the line size exponent: the line spans 2^LogN blocks.
 	LogN uint8
 	// OverheadFraction is hash blocks per line (1/2^N).
 	OverheadFraction float64
@@ -320,19 +336,28 @@ type E5Point struct {
 // E5Result sweeps line sizes, plus the Manchester/WOM coding
 // comparison of §8.
 type E5Result struct {
+	// Points holds one row per line size.
 	Points []E5Point
 	// ManchesterDotsPerBit and WOMDotsPerBit compare coding density.
 	ManchesterDotsPerBit float64
-	WOMDotsPerBit        float64
+	// WOMDotsPerBit is the WOM code's dots per bit.
+	WOMDotsPerBit float64
 	// Measured record footprints: dots actually heated for one heat
 	// record under each coding, and whether a cell-level tamper code
 	// (HH) exists.
-	ManchesterRecordDots  int
-	WOMRecordDots         int
-	ManchesterCellTamper  bool
-	WOMCellTamper         bool
+	ManchesterRecordDots int
+	// WOMRecordDots is the WOM-coded heat record's length in dots.
+	WOMRecordDots int
+	// ManchesterCellTamper reports that Manchester coding has a
+	// cell-level tamper code (HH).
+	ManchesterCellTamper bool
+	// WOMCellTamper reports the same for the WOM code (it has none).
+	WOMCellTamper bool
+	// ManchesterHeatedCount counts the dots one Manchester-coded heat
+	// record heated on the medium.
 	ManchesterHeatedCount int
-	WOMHeatedCount        int
+	// WOMHeatedCount counts the dots one WOM-coded heat record heated.
+	WOMHeatedCount int
 }
 
 // RunE5 measures space overhead and heat cost versus line size.
@@ -415,8 +440,11 @@ func (r E5Result) Table() string {
 
 // E7Point is one row of the erb-reliability experiment.
 type E7Point struct {
+	// NoiseSigma is the RMS read noise per sample (the medium's
+	// ReadNoiseSigma).
 	NoiseSigma float64
-	Retries    int
+	// Retries is the number of erb retries per dot.
+	Retries int
 	// MissRate is the fraction of heated dots read as un-heated.
 	MissRate float64
 	// FalseRate is the fraction of healthy dots read as heated.
@@ -424,7 +452,10 @@ type E7Point struct {
 }
 
 // E7Result sweeps read noise and erb retries.
-type E7Result struct{ Points []E7Point }
+type E7Result struct {
+	// Points holds one row per noise level and retry count.
+	Points []E7Point
+}
 
 // RunE7 measures erb misdetection rates.
 func RunE7(seed uint64) E7Result {

@@ -19,6 +19,7 @@ import (
 
 // E10Point is one pulse configuration.
 type E10Point struct {
+	// PulseTempC is the heat pulse's peak temperature in °C.
 	PulseTempC float64
 	// SingleMix is the interface mixing of one pulse on a pristine dot.
 	SingleMix float64
@@ -35,6 +36,7 @@ type E10Point struct {
 
 // E10Result is the sweep.
 type E10Result struct {
+	// Points holds one row per pulse temperature.
 	Points []E10Point
 	// AttenuationSweep: at a fixed 900 °C pulse, writes-to-kill-a-
 	// neighbour versus the neighbour attenuation factor.
@@ -43,7 +45,10 @@ type E10Result struct {
 
 // E10Attenuation is one heat-sinking configuration.
 type E10Attenuation struct {
-	Factor                  float64
+	// Factor scales the pulse temperature a neighbour dot sees.
+	Factor float64
+	// WritesUntilNeighborDead is how many adjacent writes destroy a
+	// neighbour dot (0 = never).
 	WritesUntilNeighborDead int
 }
 

@@ -19,6 +19,7 @@ import (
 
 // E13Point is one scrub-interval configuration.
 type E13Point struct {
+	// Interval is the virtual time between audit passes.
 	Interval time.Duration
 	// DetectionLatency is tamper-to-detection virtual time.
 	DetectionLatency time.Duration
@@ -31,6 +32,7 @@ type E13Point struct {
 
 // E13Result is the sweep.
 type E13Result struct {
+	// Points holds one row per scrub interval.
 	Points []E13Point
 	// Lines is the heated-line population size.
 	Lines int
