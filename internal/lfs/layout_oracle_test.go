@@ -24,7 +24,7 @@ import (
 // the medium image, Stats, Segments, MountReport, the canonical span
 // stream and the virtual clock, so any change to a block's position, a
 // segment's state, a counter, a span or a virtual time moves it.
-const logLayoutHash = "92c68b6874f8fc648d1c7c46e9b53e87c1048a85f6534827c7a0d26666322916"
+const logLayoutHash = "aed1374af6b6ca91d40134e7ca75fb1c541857a0b5c177c5fe2f43dcb0d9a4af"
 
 func TestLogLayoutOracle(t *testing.T) {
 	digest := func() string {
