@@ -161,7 +161,8 @@ degraded-campaign:
 # the syndromes, identical decodes), plus the medium's block image and
 # ranged electrical reads against their per-dot references (identical
 # bits, verdicts, stored state and next noise draw, with and without
-# the noise draws a healthy dot may skip).
+# the noise draws a healthy dot may skip), plus the device's proven
+# reads against a full decode of a raw image under every raw mutator.
 fuzz:
 	$(GO) test -run FuzzLoadImage -fuzz FuzzLoadImage -fuzztime 20s .
 	$(GO) test -run FuzzFSOps -fuzz FuzzFSOps -fuzztime 20s ./internal/lfs
@@ -171,6 +172,7 @@ fuzz:
 	$(GO) test -run FuzzCodecMatchesReference -fuzz FuzzCodecMatchesReference -fuzztime 20s ./internal/ecc
 	$(GO) test -run FuzzMRBImage -fuzz FuzzMRBImage -fuzztime 20s ./internal/medium
 	$(GO) test -run FuzzERBRange -fuzz FuzzERBRange -fuzztime 20s ./internal/medium
+	$(GO) test -run FuzzReadProof -fuzz FuzzReadProof -fuzztime 20s ./internal/device
 
 # Documentation gate: formatting, vet, and a mechanical check that
 # every exported identifier in the public API (package sero), the

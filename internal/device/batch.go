@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"sero/internal/trace"
 )
@@ -87,23 +88,37 @@ func (d *Device) MoveGroups(groups [][]BlockMove, workers int) []MoveResult {
 }
 
 // moveGroupOn relocates one group of moves on the given plane, one
-// destination run at a time: the run's sources are read, then written
-// as one command. Caller holds the gate read lock.
+// destination run at a time: the run's source frames are read (checked
+// or proven), rebound to their destinations (rebindFrame) and written
+// as one command. One frame buffer serves every run of the group, so
+// a move allocates no payload of its own. Caller holds the gate read
+// lock.
 func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
+	var frames []byte
+	var payloads [][]byte
 	for i, j := range ConsecutiveRuns(len(moves), func(k int) uint64 { return moves[k].Dst }) {
-		bufs := make([][]byte, j-i)
+		n := j - i
+		frames = slices.Grow(frames[:0], n*PhysicalBytes)[:n*PhysicalBytes]
+		payloads = slices.Grow(payloads[:0], n)[:n]
 		var err error
-		for k := range bufs {
-			if bufs[k], err = d.readBlock(pl, moves[i+k].Src); err != nil {
+		rebound := 0
+		for k := range n {
+			img := frames[k*PhysicalBytes : (k+1)*PhysicalBytes]
+			if err = d.readFrame(pl, moves[i+k].Src, img); err != nil {
 				break
 			}
+			if rebindFrame(img, moves[i].Dst+uint64(k)) {
+				rebound++
+			}
+			payloads[k] = img[HeaderBytes : HeaderBytes+DataBytes]
 		}
 		if err == nil {
-			err = d.writeRun(pl, moves[i].Dst, bufs)
+			err = d.writeRun(pl, moves[i].Dst, payloads, frames)
 		}
 		if err != nil {
 			return MoveResult{Completed: i, Err: fmt.Errorf("device: move: %w", err)}
 		}
+		pl.record(d, func(st *OpStats) { st.FramesRebound += uint64(rebound) })
 	}
 	return MoveResult{Completed: len(moves)}
 }
@@ -164,7 +179,7 @@ func (d *Device) WriteRunsFannedTraced(task *trace.Task, runs []WriteRun, worker
 	d.gate.RLock()
 	defer d.gate.RUnlock()
 	d.fanOut(len(runs), workers, strided, task, "write-fanout", func(pl *plane, _, i int) {
-		errs[i] = d.writeRun(pl, runs[i].Start, runs[i].Blocks)
+		errs[i] = d.writeRun(pl, runs[i].Start, runs[i].Blocks, nil)
 	})
 	return errs
 }

@@ -5,24 +5,47 @@ import (
 	"testing"
 )
 
-// BenchmarkMRS reads one block per op from a sled with the default
-// read noise, the serving tier's hot read path.
+// BenchmarkMRS reads one block per op, the serving tier's hot read
+// path: on a sled with the default read noise, and on the quiet one.
+// On both, a healthy dot's read cannot be flipped by the noise, so
+// every block written since its last change is proven and its frame
+// check skipped (skipped/op 1).
 func BenchmarkMRS(b *testing.B) {
 	const blocks = 64
-	d := noisyDevice(b, blocks, 1)
-	for pba := uint64(0); pba < blocks; pba++ {
-		if err := d.MWS(pba, pattern(byte(pba))); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"default", DefaultParams(blocks)},
+		{"quiet", QuietParams(blocks)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d := New(c.p)
+			for pba := uint64(0); pba < blocks; pba++ {
+				if err := d.MWS(pba, pattern(byte(pba))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(DataBytes)
+			b.ReportAllocs()
+			before := d.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.MRS(uint64(i % blocks)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportWork(b, d, before)
+		})
 	}
-	b.SetBytes(DataBytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.MRS(uint64(i % blocks)); err != nil {
-			b.Fatal(err)
-		}
-	}
+}
+
+// reportWork reports the host work d's proofs saved per op since
+// before: frame checks skipped and moved frames rebound by linearity.
+func reportWork(b *testing.B, d *Device, before OpStats) {
+	st := d.Stats()
+	b.ReportMetric(float64(st.FrameChecksSkipped-before.FrameChecksSkipped)/float64(b.N), "skipped/op")
+	b.ReportMetric(float64(st.FramesRebound-before.FramesRebound)/float64(b.N), "rebound/op")
 }
 
 // BenchmarkWriteBlocks writes a 16-block run per op and reports the
@@ -79,7 +102,8 @@ func benchWriteBlocks(b *testing.B, d *Device) {
 // the four contiguous 16-move shares the lfs cleaner now hands the
 // engine, one per plane. Host ns/op and allocations show what the
 // fan-out's goroutines and planes cost on the host; virt-ms shows the
-// virtual time a share split saves.
+// virtual time a share split saves. Every source read is proven and
+// every frame rebound by linearity (skipped/op and rebound/op 64).
 func BenchmarkMoveGroups(b *testing.B) {
 	const moves = 64
 	for _, shares := range []int{1, 4} {
@@ -95,6 +119,7 @@ func BenchmarkMoveGroups(b *testing.B) {
 				groups[g] = all[g*per : (g+1)*per]
 			}
 			b.ReportAllocs()
+			before := d.Stats()
 			b.ResetTimer()
 			start := d.Clock().Now()
 			for i := 0; i < b.N; i++ {
@@ -105,14 +130,16 @@ func BenchmarkMoveGroups(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(d.Clock().Now()-start)/1e6/float64(b.N), "virt-ms")
+			reportWork(b, d, before)
 		})
 	}
 }
 
 // TestFramePathAllocations guards the in-place frame path: a clean
 // frame's Marshal allocates only the image it returns and
-// UnmarshalFrame nothing, and a clean MRS allocates only the payload
-// it returns (plus one of slack).
+// UnmarshalFrame nothing, a clean MRS allocates only the payload it
+// returns (plus one of slack), and a move group's allocations do not
+// grow with its moves.
 func TestFramePathAllocations(t *testing.T) {
 	f := Frame{PBA: 3, Flags: FlagData}
 	copy(f.Data[:], pattern(9))
@@ -140,6 +167,28 @@ func TestFramePathAllocations(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("MRS of a clean block: %v allocations, want <= 2", n)
 	}
+
+	// A move allocates no payload of its own: a 16-move group, one
+	// destination run, costs what a 1-move group does.
+	moves := func(n int) float64 {
+		d := testDevice(t, 64)
+		group := make([]BlockMove, n)
+		for i := range group {
+			if err := d.MWS(uint64(i), pattern(byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			group[i] = BlockMove{Src: uint64(i), Dst: uint64(32 + i)}
+		}
+		groups := [][]BlockMove{group}
+		return testing.AllocsPerRun(50, func() {
+			if r := d.MoveGroups(groups, 1); r[0].Err != nil {
+				t.Fatal(r[0].Err)
+			}
+		})
+	}
+	if one, many := moves(1), moves(16); many > one {
+		t.Errorf("MoveGroups: %v allocations for 16 moves, %v for 1; want no more", many, one)
+	}
 }
 
 // quietDevice returns a device on perfbench's medium: no read noise,
@@ -157,12 +206,15 @@ func quietDevice(b *testing.B, blocks int) *Device {
 // BenchmarkVerifyLine verifies one heated 4-block line per op: the
 // electrical read of the heat record, the magnetic read of the three
 // members (the first a crosstalk neighbour of the record) and the hash.
+// The members' reads are proven (skipped/op 3): the first member's row
+// took the record's spill once, and its next clean decode re-proved it.
 func BenchmarkVerifyLine(b *testing.B) {
 	d := quietDevice(b, 8)
 	if _, err := d.HeatLine(0, 2); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	before := d.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := d.VerifyLine(0)
@@ -170,6 +222,7 @@ func BenchmarkVerifyLine(b *testing.B) {
 			b.Fatalf("verify %+v %v", rep, err)
 		}
 	}
+	reportWork(b, d, before)
 }
 
 // BenchmarkMRSCrosstalkNeighbour reads the block next to a heated

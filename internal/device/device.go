@@ -170,6 +170,17 @@ type Device struct {
 	// one-row-per-block layout).
 	xtalkSpan uint64
 
+	// proofs[pba], when non-zero, is the medium generation
+	// (medium.Generation) of block pba's rows at which the block was
+	// last proven to hold a clean frame: written by writeRunOn as the
+	// frame putFrame encodes for pba, or read and decoded with no error
+	// and no corrected byte, in either case when MRBImage takes its
+	// exact word-copy path. While the generation still matches, nothing
+	// has touched the rows, so mrsFrame reads the same image and skips
+	// the check. Read and written under pba's stripe lock. A device
+	// that adopts a restored medium (LoadImage) starts with none.
+	proofs []uint64
+
 	// arrMu guards the shared probe array: the actuator position is
 	// one piece of mechanical state, so latency charges against it are
 	// serialised even when the data-path work runs in parallel.
@@ -350,6 +361,14 @@ type OpStats struct {
 	MagneticWriteNS time.Duration // virtual time charged to mws
 	ElectricReadNS  time.Duration // virtual time charged to ers
 	ElectricWriteNS time.Duration // virtual time charged to ews
+
+	// FrameChecksSkipped counts magnetic reads whose frame check a
+	// proof answered (see Device.proofs): host work saved, not a
+	// virtual cost.
+	FrameChecksSkipped uint64
+	// FramesRebound counts moved frames whose header and parity were
+	// patched by linearity instead of re-encoded (rebindFrame).
+	FramesRebound uint64
 }
 
 // Add accumulates other into s.
@@ -365,6 +384,8 @@ func (s *OpStats) Add(other *OpStats) {
 	s.MagneticWriteNS += other.MagneticWriteNS
 	s.ElectricReadNS += other.ElectricReadNS
 	s.ElectricWriteNS += other.ElectricWriteNS
+	s.FrameChecksSkipped += other.FrameChecksSkipped
+	s.FramesRebound += other.FramesRebound
 }
 
 // Errors returned by Device operations.
@@ -417,6 +438,7 @@ func New(p Params) *Device {
 		heated: make(map[uint64]bool),
 		bad:    make(map[uint64]bool),
 		lines:  make(map[uint64]LineInfo),
+		proofs: make([]uint64, p.Blocks),
 	}
 	d.xtalkSpan = uint64((mp.Cols + DotsPerBlock - 1) / DotsPerBlock)
 	if d.xtalkSpan < 1 {
@@ -649,16 +671,17 @@ func (d *Device) magReadCheck(pba uint64) error {
 func (d *Device) MWS(pba uint64, data []byte) error {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	return d.writeRun(&d.fg, pba, [][]byte{data})
+	return d.writeRun(&d.fg, pba, [][]byte{data}, nil)
 }
 
 // writeRun is the one checked magnetic write command: it refuses a
 // payload that is not DataBytes long, a run reaching past the device,
 // and a run with any heated, bad or heated-line member — all before
 // the first bit is written, so a refused run writes nothing — and
-// otherwise commits the run on pl under its stripe locks. Caller holds
-// the gate read lock.
-func (d *Device) writeRun(pl *plane, start uint64, blocks [][]byte) error {
+// otherwise commits the run on pl under its stripe locks. frames is
+// nil, or the run's frame images back to back, as writeRunOn takes
+// them. Caller holds the gate read lock.
+func (d *Device) writeRun(pl *plane, start uint64, blocks [][]byte, frames []byte) error {
 	if len(blocks) == 0 {
 		return nil
 	}
@@ -683,17 +706,22 @@ func (d *Device) writeRun(pl *plane, start uint64, blocks [][]byte) error {
 			return err
 		}
 	}
-	d.writeRunOn(pl, start, blocks)
+	d.writeRunOn(pl, start, blocks, frames)
 	return nil
 }
 
 // writeRunOn magnetically writes a pre-validated contiguous run of
 // blocks on the given plane as one device command: the servo settles
 // once, then the frames stream dot-contiguously — the write-side
-// mirror of the contiguous line-image read pass. Caller holds the gate
-// read lock and the run's stripe locks and has passed magWriteCheck
-// for every block of the run.
-func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
+// mirror of the contiguous line-image read pass. Block i's frame is the
+// one putFrame encodes for blocks[i] at start+i; frames, when not nil,
+// already holds those frames back to back (a move's rebound images,
+// whose payloads blocks are), and they are written as they stand. A
+// written block whose read takes the medium's exact path is proven
+// (see Device.proofs). Caller holds the gate read lock and the run's
+// stripe locks and has passed magWriteCheck for every block of the
+// run.
+func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte, frames []byte) {
 	base := d.dotBase(start)
 	tr := d.tracer.Load()
 	var t0, t1 time.Duration
@@ -720,8 +748,17 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
 	defer frameImages.Put(img)
 	for i, data := range blocks {
 		pba := start + uint64(i)
-		putFrame(img[:], pba, FlagData, data)
-		d.med.MWBImage(d.dotBase(pba), img[:])
+		frame := img[:]
+		if frames != nil {
+			frame = frames[i*PhysicalBytes : (i+1)*PhysicalBytes]
+		} else {
+			putFrame(frame, pba, FlagData, data)
+		}
+		base := d.dotBase(pba)
+		d.med.MWBImage(base, frame)
+		if gen, exact := d.med.Generation(base, DotsPerBlock); exact {
+			d.proofs[pba] = gen
+		}
 	}
 	pl.record(d, func(st *OpStats) {
 		st.MagneticWrites += uint64(len(blocks))
@@ -745,7 +782,7 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte) {
 func (d *Device) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byte) error {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
-	return d.writeRun(d.fgFor(task), start, blocks)
+	return d.writeRun(d.fgFor(task), start, blocks, nil)
 }
 
 // MRS magnetically reads block pba (the paper's mrs), returning the
@@ -766,29 +803,58 @@ func (d *Device) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 	return d.readBlock(d.fgFor(task), pba)
 }
 
-// readBlock is the one checked magnetic block read: it refuses a block
-// out of range, heated or bad, and otherwise reads it on pl under its
-// stripe lock. Caller holds the gate read lock.
+// readBlock reads block pba through readFrame and returns a fresh copy
+// of its payload. Caller holds the gate read lock.
 func (d *Device) readBlock(pl *plane, pba uint64) ([]byte, error) {
-	if err := d.checkPBA(pba); err != nil {
+	img := frameImages.Get().(*[PhysicalBytes]byte)
+	defer frameImages.Put(img)
+	if err := d.readFrame(pl, pba, img[:]); err != nil {
 		return nil, err
+	}
+	return append([]byte(nil), img[HeaderBytes:HeaderBytes+DataBytes]...), nil
+}
+
+// readFrame is the one checked magnetic block read: it refuses a block
+// out of range, heated or bad, and otherwise reads its frame into img
+// (PhysicalBytes long) on pl under its stripe lock (mrsFrame). Caller
+// holds the gate read lock.
+func (d *Device) readFrame(pl *plane, pba uint64, img []byte) error {
+	if err := d.checkPBA(pba); err != nil {
+		return err
 	}
 	locked := d.lockBlock(pba)
 	defer d.unlockBlock(locked)
 	if err := d.magReadCheck(pba); err != nil {
-		return nil, err
+		return err
 	}
-	buf := make([]byte, DataBytes)
-	if err := d.mrsInto(pl, pba, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return d.mrsFrame(pl, pba, img)
 }
 
-// mrsInto magnetically reads block pba into dst (DataBytes long) on the
-// given plane. Caller holds the gate read lock and the block's stripe
-// lock and has passed magReadCheck.
+// mrsInto magnetically reads block pba's payload into dst (DataBytes
+// long) on the given plane (mrsFrame). Caller holds the gate read lock
+// and the block's stripe lock and has passed magReadCheck.
 func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) error {
+	img := frameImages.Get().(*[PhysicalBytes]byte)
+	defer frameImages.Put(img)
+	if err := d.mrsFrame(pl, pba, img[:]); err != nil {
+		return err
+	}
+	copy(dst, img[HeaderBytes:HeaderBytes+DataBytes])
+	return nil
+}
+
+// mrsFrame magnetically reads block pba's frame into img
+// (PhysicalBytes long) on the given plane and checks it. After a nil
+// error img holds the frame putFrame encodes for the payload at pba: a
+// codeword, corrected in place when it had to be. A block whose proof
+// still matches its rows' generation (see Device.proofs) reads the very
+// image that was proven, so its check is skipped
+// (OpStats.FrameChecksSkipped); a block that decodes with no error and
+// no corrected byte on the exact path is proven. Charges, stats, spans,
+// observers and the noise stream are the same either way. Caller holds
+// the gate read lock and the block's stripe lock and has passed
+// magReadCheck.
+func (d *Device) mrsFrame(pl *plane, pba uint64, img []byte) error {
 	base := d.dotBase(pba)
 	tr := d.tracer.Load()
 	var t0 time.Duration
@@ -802,23 +868,29 @@ func (d *Device) mrsInto(pl *plane, pba uint64, dst []byte) error {
 		tr.Emit(trace.Span{Name: "read", Cat: "device", Track: pl.track + d.p.TrackOffset, Session: -1,
 			Start: pl.base + int64(t0), Dur: int64(elapsed), V1: 1, V2: int64(pba)})
 	}
-	img := frameImages.Get().(*[PhysicalBytes]byte)
-	defer frameImages.Put(img)
-	d.med.MRBImage(base, img[:])
-	corrected, err := decodeFrame(img[:], pba)
+	gen, exact := d.med.Generation(base, DotsPerBlock)
+	d.med.MRBImage(base, img)
+	var corrected int
+	var err error
+	proven := gen != 0 && d.proofs[pba] == gen
+	if !proven {
+		corrected, err = decodeFrame(img, pba)
+		if exact && err == nil && corrected == 0 {
+			d.proofs[pba] = gen
+		}
+	}
 	pl.record(d, func(st *OpStats) {
 		st.MagneticReads++
 		st.MagneticReadNS += elapsed
 		st.CorrectedBytes += uint64(corrected)
+		if proven {
+			st.FrameChecksSkipped++
+		}
 	})
 	if fn := d.robs.Load(); fn != nil {
 		(*fn)(pba)
 	}
-	if err != nil {
-		return err
-	}
-	copy(dst, img[HeaderBytes:HeaderBytes+DataBytes])
-	return nil
+	return err
 }
 
 // EWS electrically writes payload into block pba's data region using

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"testing"
+	"time"
 
 	"sero/internal/medium"
 )
@@ -133,7 +134,38 @@ func ersOracleSled(t *testing.T, h hash.Hash, sigma, pulse float64, seed uint64)
 		fmt.Fprintf(h, "rescan verify %d %+v %v\n", pba, vr, err)
 	}
 
-	fmt.Fprintf(h, "clock %v stats %+v\n", d.Clock().Now(), d.Stats())
+	fmt.Fprintf(h, "clock %v stats %+v\n", d.Clock().Now(), oracleStats(d.Stats()))
 	h.Write(med.Snapshot())
 	oracleNextDraw(med, 30*DotsPerBlock+5, h)
+}
+
+// behaviourStats is OpStats without its host-work counters
+// (FrameChecksSkipped, FramesRebound): the operations and the virtual
+// time they were charged. The oracle pins these alone, so a change in
+// how much host work a read skips cannot move the digest, and a change
+// in what the device does still does.
+type behaviourStats struct {
+	MagneticReads   uint64
+	MagneticWrites  uint64
+	ElectricReads   uint64
+	ElectricWrites  uint64
+	HeatLines       uint64
+	VerifyLines     uint64
+	CorrectedBytes  uint64
+	MagneticReadNS  time.Duration
+	MagneticWriteNS time.Duration
+	ElectricReadNS  time.Duration
+	ElectricWriteNS time.Duration
+}
+
+// oracleStats drops st's host-work counters.
+func oracleStats(st OpStats) behaviourStats {
+	return behaviourStats{
+		MagneticReads: st.MagneticReads, MagneticWrites: st.MagneticWrites,
+		ElectricReads: st.ElectricReads, ElectricWrites: st.ElectricWrites,
+		HeatLines: st.HeatLines, VerifyLines: st.VerifyLines,
+		CorrectedBytes: st.CorrectedBytes,
+		MagneticReadNS: st.MagneticReadNS, MagneticWriteNS: st.MagneticWriteNS,
+		ElectricReadNS: st.ElectricReadNS, ElectricWriteNS: st.ElectricWriteNS,
+	}
 }

@@ -77,7 +77,7 @@ func (d *Device) ReplaceLine(start uint64, logN uint8, payloads [][]byte) (LineI
 	// device time. writeRunOn records stats and feeds the write
 	// observer, so a crash-reconstruction stream sees the repair as
 	// the honest rewrite it is.
-	d.writeRunOn(&d.fg, start+1, blocks)
+	d.writeRunOn(&d.fg, start+1, blocks, nil)
 	d.unlockRange(locked)
 	d.gate.RUnlock()
 

@@ -20,12 +20,21 @@
 // image the medium filled, in place (decodeFrame): the interleaved codec
 // recomputes every lane's parity in one strided pass and compares it
 // with the stored parity, which holds exactly when every syndrome is
-// zero, so a clean frame costs one encode and one CRC, and a clean MRS
-// allocates only the payload it returns. Only a lane that fails the
-// check runs the full correcting decoder. A frame rewritten magnetically
-// with consistent parity (a §5 forgery) is accepted exactly as before —
-// tamper evidence comes from the heated hashes — and any bit flip that
-// leaves an invalid codeword is still corrected or reported.
+// zero, so a checked clean frame costs one encode and one CRC, and a
+// clean MRS allocates only the payload it returns. Only a lane that
+// fails the check runs the full correcting decoder. Most clean reads
+// run no check at all: the device proves a block when it writes its
+// frame, or decodes it with no correction, on the medium's exact read
+// path, and keys the proof on the generation of the block's rows
+// (medium.Generation); a read whose proof still matches copies the
+// payload straight out of the image. A move rebinds its source frame
+// to the destination by linearity (rebindFrame): the header PBA is
+// rewritten and the parity takes the code's remainder of the change,
+// so a proven move costs no RS work beyond two table rows per lane.
+// A frame rewritten magnetically with consistent parity (a §5
+// forgery) is accepted exactly as before — tamper evidence comes from
+// the heated hashes — and any bit flip that leaves an invalid codeword
+// is still corrected or reported.
 //
 // The electrical path works on packed 64-dot words. ews codes its
 // payload (manchester.Encode or WOMEncode) into a data region's worth
@@ -121,6 +130,33 @@ func putFrame(img []byte, pba uint64, flags byte, data []byte) {
 	clear(payload[copy(payload, data):])
 	binary.BigEndian.PutUint32(img[12:16], crc32.Checksum(payload, crcTable))
 	codec.PutParity(img, HeaderBytes+DataBytes)
+}
+
+// headDelta patches a frame's parity when its header PBA, bytes 0–7,
+// changes (rebindFrame): those bytes sit at positions 0 and 1 of the
+// four lanes, so it holds two tables.
+var headDelta = codec.HeadDelta(HeaderBytes+DataBytes, 8)
+
+// rebindFrame turns img, the frame putFrame encodes for some payload at
+// the address in its header, into the frame putFrame encodes for the
+// same payload at dst, in place, and reports whether it did so by
+// linearity. img must be a codeword with a matching payload CRC, as
+// decodeFrame leaves it or a proof vouches for it. The CRC covers the
+// payload alone, so only the header address and the parity change:
+// the address is rewritten and the parity takes the remainder of the
+// address change (ecc.HeadDelta), the same bytes re-encoding gives. A
+// frame whose flag or reserved bytes are not putFrame's is re-encoded
+// with putFrame instead.
+func rebindFrame(img []byte, dst uint64) bool {
+	if img[8] != FlagData || img[9]|img[10]|img[11] != 0 {
+		putFrame(img, dst, FlagData, img[HeaderBytes:HeaderBytes+DataBytes])
+		return false
+	}
+	var delta [8]byte
+	binary.BigEndian.PutUint64(delta[:], binary.BigEndian.Uint64(img[0:8])^dst)
+	binary.BigEndian.PutUint64(img[0:8], dst)
+	headDelta.Patch(img, delta[:])
+	return true
 }
 
 // Unmarshal errors.

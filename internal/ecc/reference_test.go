@@ -170,7 +170,8 @@ func refCorrupt(cw, errs []byte) ([]byte, []int) {
 // syndromes on every corrupted word, decodes within capacity must
 // restore the data with the exact corrected count, and an interleaved
 // decode must return exactly what gathering and decoding every lane
-// returns.
+// returns, and a parity patched for a changed head (HeadDelta) must be
+// the changed message's encoding.
 func FuzzCodecMatchesReference(f *testing.F) {
 	f.Add([]byte("hello, reed-solomon"), uint8(15), uint8(3), []byte{3, 0x5a, 40, 0xff})
 	f.Add([]byte{0}, uint8(0), uint8(0), []byte{})
@@ -235,6 +236,21 @@ func FuzzCodecMatchesReference(f *testing.F) {
 		frame := il.Encode(imsg)
 		if want := refInterleavedEncode(gen, ways, imsg); !bytes.Equal(frame, want) {
 			t.Fatalf("parity %d ways %d: Encode %x, reference %x", parity, ways, frame, want)
+		}
+		// The head patch: the first n message bytes take errs' values,
+		// and patching the parity by linearity must give the reference
+		// encoding of the changed message.
+		if n := min(len(imsg), len(errs), 2*ways+1); n > 0 {
+			patched := append([]byte(nil), frame...)
+			delta := make([]byte, n)
+			for i := range delta {
+				delta[i] = patched[i] ^ errs[i]
+				patched[i] = errs[i]
+			}
+			il.HeadDelta(len(imsg), n).Patch(patched, delta)
+			if want := refInterleavedEncode(gen, ways, patched[:len(imsg)]); !bytes.Equal(patched, want) {
+				t.Fatalf("parity %d ways %d: head patch %x, reference %x", parity, ways, patched, want)
+			}
 		}
 		badFrame, _ := refCorrupt(frame, errs)
 		g1, n1, e1 := il.Decode(append([]byte(nil), badFrame...), len(imsg))

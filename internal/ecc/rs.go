@@ -552,3 +552,80 @@ func (il *Interleaved) Decode(buf []byte, dataLen int) (data []byte, corrected i
 	}
 	return buf[:dataLen], corrected, nil
 }
+
+// HeadDelta patches the parity of an interleaved codeword when only its
+// first bytes change. A systematic Reed–Solomon code is linear, so the
+// parity of the changed buffer is the old parity XOR the parity of the
+// change alone: for each changed head byte, f·x^e mod g(x) in its lane,
+// where f is the byte's change and e the power of x the byte carries
+// (the parity count plus the lane bytes after it). HeadDelta holds one
+// 256-row table of those remainders per distinct power among the head
+// bytes, parity bytes per row; for the device's 528-byte frames and an
+// 8-byte head that is two tables, 8 KiB.
+type HeadDelta struct {
+	dataLen, parity, ways int
+	// tabs[t][f·parity:(f+1)·parity] is f·x^e_t mod g(x), byte by byte.
+	tabs [][]byte
+	// tabOf[i] is the table of head byte i.
+	tabOf []int
+}
+
+// HeadDelta returns the patcher for the first n data bytes of codewords
+// with dataLen data bytes. It panics unless 0 < n <= dataLen and
+// dataLen is a valid interleaved data length.
+func (il *Interleaved) HeadDelta(dataLen, n int) *HeadDelta {
+	if dataLen <= 0 || dataLen > il.MaxData() || n <= 0 || n > dataLen {
+		panic(fmt.Sprintf("ecc: head of %d bytes of %d-byte data outside [1,%d]", n, dataLen, il.MaxData()))
+	}
+	c := il.codec
+	h := &HeadDelta{dataLen: dataLen, parity: c.parity, ways: il.ways, tabOf: make([]int, n)}
+	byLen := map[int]int{}
+	var st [maxWords]uint64
+	msg := make([]byte, c.MaxData())
+	for i := range h.tabOf {
+		lane := i % il.ways
+		// The lane's bytes from this one to its end: a message of that
+		// length with a leading 1 has remainder x^e mod g(x).
+		tail := (dataLen-lane+il.ways-1)/il.ways - i/il.ways
+		t, ok := byLen[tail]
+		if !ok {
+			t = len(h.tabs)
+			byLen[tail] = t
+			clear(msg)
+			msg[0] = 1
+			c.remainders(st[:c.words], msg[:tail], 1)
+			tab := make([]byte, 256*c.parity)
+			for f := 1; f < 256; f++ {
+				for k := range c.parity {
+					tab[f*c.parity+k] = Mul(byte(f), remainderByte(st[:], k))
+				}
+			}
+			h.tabs = append(h.tabs, tab)
+		}
+		h.tabOf[i] = t
+	}
+	return h
+}
+
+// Patch XORs into buf's parity (buf is data‖parity as Encode produces,
+// with the patcher's data length) the change that delta, the XOR of
+// the old and new values of the first len(delta) data bytes, makes.
+// Writing the new head bytes into buf is the caller's. A buf whose
+// parity was right for the old head then holds the parity Encode gives
+// for the new one.
+func (h *HeadDelta) Patch(buf []byte, delta []byte) {
+	if len(buf) != h.dataLen+h.ways*h.parity || len(delta) > len(h.tabOf) {
+		panic(fmt.Sprintf("ecc: patch of %d head bytes into a %d-byte buffer", len(delta), len(buf)))
+	}
+	for i, f := range delta {
+		if f == 0 {
+			continue
+		}
+		lane := i % h.ways
+		par := buf[h.dataLen+lane*h.parity : h.dataLen+(lane+1)*h.parity]
+		row := h.tabs[h.tabOf[i]][int(f)*h.parity : (int(f)+1)*h.parity]
+		for k := range par {
+			par[k] ^= row[k]
+		}
+	}
+}

@@ -181,6 +181,44 @@ func TestInterleavedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeadDeltaMatchesEncode changes the head of random messages and
+// patches the parity by linearity: the result must be the changed
+// message's encoding, for the device's sector geometry (528 data bytes,
+// four lanes, an 8-byte head in two tables) and for lanes of unequal
+// length.
+func TestHeadDeltaMatchesEncode(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for _, g := range []struct{ parity, ways, dataLen, n, tables int }{
+		{16, 4, 528, 8, 2},
+		{16, 4, 527, 8, 3},
+		{7, 3, 100, 5, 3},
+		{16, 1, 40, 3, 3},
+	} {
+		il := NewInterleaved(g.parity, g.ways)
+		h := il.HeadDelta(g.dataLen, g.n)
+		if len(h.tabs) != g.tables {
+			t.Errorf("%+v: %d tables, want %d", g, len(h.tabs), g.tables)
+		}
+		for range 50 {
+			data := make([]byte, g.dataLen)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			buf := il.Encode(data)
+			delta := make([]byte, g.n)
+			for i := range delta {
+				delta[i] = byte(rng.Uint64())
+				data[i] ^= delta[i]
+				buf[i] ^= delta[i]
+			}
+			h.Patch(buf, delta)
+			if want := il.Encode(data); !bytes.Equal(buf, want) {
+				t.Fatalf("%+v: patched %x, encode %x", g, buf[g.dataLen:], want[g.dataLen:])
+			}
+		}
+	}
+}
+
 func TestInterleavedCorrectsBurst(t *testing.T) {
 	il := NewInterleaved(16, 4)
 	rng := sim.NewRNG(6)

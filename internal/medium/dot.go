@@ -49,6 +49,17 @@
 // of disjoint rows interleave their draws one range at a time, not one
 // dot at a time.
 //
+// Generations. Every row carries a mutation generation that each
+// change to the row's state bumps: a stored bit (setUp, under MWB,
+// CorruptMagnetic, crosstalk flips, the erb protocol's writes,
+// ReplaceRegion, BulkErase and RestoreSnapshot), a written image piece
+// (MWBImage), a pulse that changes a dot's damage (EWB and its
+// neighbour spill) and a defect (SetStuck). A row's generation only
+// grows, so it never repeats within one medium, and Generation sums a
+// range's rows: while the sum is unchanged, so is every dot the range
+// touches, and so is what MRBImage reads from it. The device keys its
+// proofs of clean frames on that sum.
+//
 // Snapshots keep format v3 (two bytes per dot). A dot's damage byte is
 // the nearest 1/255 step on the same side of the heated threshold, so
 // a save and reload keeps every dot heated or not as it was.
@@ -277,6 +288,9 @@ func (p Params) Quiet() Params {
 // caller — the device layer's per-block locks enforce that (a block is
 // one row in the standard geometry, and the locks of electrical writes
 // extend over the thermal-crosstalk neighbourhood).
+//
+// Every row also carries its mutation generation (see the package
+// comment), one word per row, bumped under the same per-row discipline.
 type Medium struct {
 	p Params
 	// wordsPerRow is ceil(Cols/64): the padded row stride of bits.
@@ -288,6 +302,9 @@ type Medium struct {
 	// any damaged or defective dot, and is nil for a healthy row, so a
 	// healthy row costs one pointer beyond its words.
 	overlay []*rowOverlay
+	// gen[row] is the row's mutation generation: 0 for a row nothing
+	// has changed since New, bumped by every change to the row's state.
+	gen []uint64
 	// heat and spill are the pulse at PulseTempC a heated dot receives
 	// and the attenuated one each of its neighbours receives. They are
 	// fixed by New: rows on other goroutines share them.
@@ -318,6 +335,7 @@ func New(p Params) *Medium {
 		wordsPerRow: wpr,
 		bits:        make([]uint64, p.Rows*wpr),
 		overlay:     make([]*rowOverlay, p.Rows),
+		gen:         make([]uint64, p.Rows),
 		heat:        physics.NewPulse(p.PulseTempC, p.PulseSeconds),
 		spill:       physics.NewPulse(p.PulseTempC*p.NeighborTempFactor, p.PulseSeconds),
 		skipNoise:   p.ReadNoiseSigma*sim.NormBound < p.SignalAmplitude,
@@ -370,8 +388,10 @@ func (m *Medium) up(row, col int) bool {
 	return m.bits[row*m.wordsPerRow+col>>6]&(1<<(63-col&63)) != 0
 }
 
-// setUp stores the magnetisation of dot (row, col).
+// setUp stores the magnetisation of dot (row, col) and bumps the row's
+// generation.
 func (m *Medium) setUp(row, col int, up bool) {
+	m.gen[row]++
 	w := &m.bits[row*m.wordsPerRow+col>>6]
 	if up {
 		*w |= 1 << (63 - col&63)
@@ -565,6 +585,23 @@ func spanMask(w, col, cnt int) uint64 {
 	return mask
 }
 
+// Generation returns the sum of the generations of the rows that dots
+// [base, base+n) touch, and whether MRBImage of the range takes its
+// exact word-copy path: the noise cannot flip a healthy dot and every
+// dot of the range reads at full amplitude. Row generations only grow,
+// so the sum is unchanged exactly when no row of the range has
+// changed since it was taken; a range no mutator has touched since New
+// has generation 0. The caller serialises it against writers of those
+// rows, as for any other operation.
+func (m *Medium) Generation(base, n int) (gen uint64, exact bool) {
+	exact = m.skipNoise
+	m.segments(base, n, func(row, col, _, cnt int) {
+		gen += m.gen[row]
+		exact = exact && m.fullAmplitude(row, col, cnt)
+	})
+	return gen, exact
+}
+
 // MRBImage magnetically reads dots [base, base+8·len(dst)) into dst as
 // an MSB-first image: bit 7-j%8 of dst[j/8] is MRB(base+j). The result
 // and the noise stream's position afterwards are exactly those of the
@@ -620,9 +657,11 @@ func (m *Medium) MRBImage(base int, dst []byte) {
 // MWBImage magnetically writes the MSB-first image src to dots
 // [base, base+8·len(src)): dot base+j receives bit 7-j%8 of src[j/8],
 // exactly as MWB would, so heated dots keep their state. A row piece
-// holding no heated dot is written a word at a time.
+// holding no heated dot is written a word at a time. Every row it
+// touches gets a new generation.
 func (m *Medium) MWBImage(base int, src []byte) {
 	m.segments(base, 8*len(src), func(row, col, k, cnt int) {
+		m.gen[row]++
 		words := m.bits[row*m.wordsPerRow:]
 		j := 0
 		if col&63 == 0 && k&7 == 0 && !m.anyHeated(row, col, cnt) {
@@ -745,6 +784,7 @@ func (m *Medium) pulse(row, col int, p physics.Pulse, reach int) {
 		e = m.extraFor(row, col, reach)
 	}
 	e.damage = float32(next)
+	m.gen[row]++
 	if e.heated() {
 		m.overlay[row].crossed(col, m.wordsPerRow)
 		if m.rng.Bool() {

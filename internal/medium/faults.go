@@ -25,7 +25,8 @@ const (
 	StuckDead
 )
 
-// SetStuck injects a defect into dot i. Passing StuckNone clears it.
+// SetStuck injects a defect into dot i and bumps its row's generation.
+// Passing StuckNone clears it.
 func (m *Medium) SetStuck(i int, k StuckKind) {
 	switch k {
 	case StuckNone, StuckUp, StuckDown, StuckDead:
@@ -40,6 +41,7 @@ func (m *Medium) SetStuck(i int, k StuckKind) {
 		}
 		e = m.extraFor(row, col, 0)
 	}
+	m.gen[row]++
 	ov := m.overlay[row]
 	ov.untally(col)
 	e.stuck = k
