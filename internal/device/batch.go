@@ -101,15 +101,12 @@ func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
 		frames = slices.Grow(frames[:0], n*PhysicalBytes)[:n*PhysicalBytes]
 		payloads = slices.Grow(payloads[:0], n)[:n]
 		var err error
-		rebound := 0
 		for k := range n {
 			img := frames[k*PhysicalBytes : (k+1)*PhysicalBytes]
 			if err = d.readFrame(pl, moves[i+k].Src, img); err != nil {
 				break
 			}
-			if rebindFrame(img, moves[i].Dst+uint64(k)) {
-				rebound++
-			}
+			rebindFrame(img, moves[i].Dst+uint64(k))
 			payloads[k] = img[HeaderBytes : HeaderBytes+DataBytes]
 		}
 		if err == nil {
@@ -118,7 +115,7 @@ func (d *Device) moveGroupOn(pl *plane, moves []BlockMove) MoveResult {
 		if err != nil {
 			return MoveResult{Completed: i, Err: fmt.Errorf("device: move: %w", err)}
 		}
-		pl.record(d, func(st *OpStats) { st.FramesRebound += uint64(rebound) })
+		pl.record(d, func(st *OpStats) { st.FramesRebound += uint64(n) })
 	}
 	return MoveResult{Completed: len(moves)}
 }

@@ -366,8 +366,9 @@ type OpStats struct {
 	// proof answered (see Device.proofs): host work saved, not a
 	// virtual cost.
 	FrameChecksSkipped uint64
-	// FramesRebound counts moved frames whose header and parity were
-	// patched by linearity instead of re-encoded (rebindFrame).
+	// FramesRebound counts moved frames, each rebound to its
+	// destination by patching its header and parity by linearity
+	// instead of re-encoding it (rebindFrame).
 	FramesRebound uint64
 }
 
@@ -744,14 +745,18 @@ func (d *Device) writeRunOn(pl *plane, start uint64, blocks [][]byte, frames []b
 		tr.Emit(trace.Span{Name: "write", Cat: "device", Track: pl.track + d.p.TrackOffset, Session: -1,
 			Start: pl.base + int64(t1), Dur: int64(t0+elapsed) - int64(t1), V1: int64(len(blocks)), V2: int64(start)})
 	}
-	img := frameImages.Get().(*[PhysicalBytes]byte)
-	defer frameImages.Put(img)
+	var img *[PhysicalBytes]byte
+	if frames == nil {
+		img = frameImages.Get().(*[PhysicalBytes]byte)
+		defer frameImages.Put(img)
+	}
 	for i, data := range blocks {
 		pba := start + uint64(i)
-		frame := img[:]
+		var frame []byte
 		if frames != nil {
 			frame = frames[i*PhysicalBytes : (i+1)*PhysicalBytes]
 		} else {
+			frame = img[:]
 			putFrame(frame, pba, FlagData, data)
 		}
 		base := d.dotBase(pba)

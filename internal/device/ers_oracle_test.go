@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"reflect"
 	"testing"
 	"time"
 
@@ -167,5 +168,47 @@ func oracleStats(st OpStats) behaviourStats {
 		CorrectedBytes: st.CorrectedBytes,
 		MagneticReadNS: st.MagneticReadNS, MagneticWriteNS: st.MagneticWriteNS,
 		ElectricReadNS: st.ElectricReadNS, ElectricWriteNS: st.ElectricWriteNS,
+	}
+}
+
+// hostWorkStats names the OpStats fields oracleStats leaves out.
+var hostWorkStats = map[string]bool{"FrameChecksSkipped": true, "FramesRebound": true}
+
+// TestOracleStatsCoverOpStats keeps behaviourStats and oracleStats in
+// step with OpStats: every field but the host-work counters must appear
+// in behaviourStats, in order, with its type, and oracleStats must copy
+// its value. A behavioural field added to OpStats alone fails here
+// instead of silently leaving TestERSOracle's digest.
+func TestOracleStatsCoverOpStats(t *testing.T) {
+	var st OpStats
+	sv := reflect.ValueOf(&st).Elem()
+	bt := reflect.TypeOf(behaviourStats{})
+	var kept []reflect.StructField
+	for i := range sv.NumField() {
+		f := sv.Type().Field(i)
+		if hostWorkStats[f.Name] {
+			continue
+		}
+		kept = append(kept, f)
+		switch fv := sv.Field(i); fv.Kind() {
+		case reflect.Uint64:
+			fv.SetUint(uint64(i + 1))
+		case reflect.Int64: // time.Duration
+			fv.SetInt(int64(i + 1))
+		default:
+			t.Fatalf("OpStats.%s has kind %v", f.Name, fv.Kind())
+		}
+	}
+	if len(kept) != bt.NumField() {
+		t.Fatalf("OpStats has %d behavioural fields, behaviourStats %d", len(kept), bt.NumField())
+	}
+	bv := reflect.ValueOf(oracleStats(st))
+	for i, f := range kept {
+		if g := bt.Field(i); g.Name != f.Name || g.Type != f.Type {
+			t.Fatalf("behaviourStats field %d is %s %v, want %s %v", i, g.Name, g.Type, f.Name, f.Type)
+		}
+		if got, want := bv.Field(i).Interface(), sv.FieldByName(f.Name).Interface(); got != want {
+			t.Fatalf("oracleStats copies %s as %v, want %v", f.Name, got, want)
+		}
 	}
 }

@@ -228,9 +228,9 @@ func FuzzReadProof(f *testing.F) {
 
 // TestRebindMatchesPutFrame moves random payloads between random
 // addresses by linearity: the rebound image must be the frame putFrame
-// encodes for the payload at the destination, byte for byte. A frame
-// whose flag or reserved bytes are not putFrame's falls back to
-// putFrame, with FlagData, as the decode-and-encode move did.
+// encodes for the payload at the destination, byte for byte, also when
+// the source frame's flag or reserved bytes are not putFrame's (they
+// become FlagData and zero, as the decode-and-encode move made them).
 func TestRebindMatchesPutFrame(t *testing.T) {
 	rng := sim.NewRNG(21)
 	img, want := make([]byte, PhysicalBytes), make([]byte, PhysicalBytes)
@@ -243,26 +243,34 @@ func TestRebindMatchesPutFrame(t *testing.T) {
 		if i%3 == 0 {
 			src, dst = src%4096, dst%4096
 		}
-		putFrame(img, src, FlagData, payload)
-		fallback := i%10 == 0
-		if fallback {
-			img[8+i%4] = byte(1 + i)
+		flags, reserved := FlagData, [3]byte{}
+		foreign := i%10 == 0
+		if foreign {
+			flags = byte(rng.Uint64())
+			for j := range reserved {
+				reserved[j] = byte(rng.Uint64())
+			}
 		}
-		if got := rebindFrame(img, dst); got == fallback {
-			t.Fatalf("move %d: rebound by linearity %v, want %v", i, got, !fallback)
+		putFrame(img, src, flags, payload)
+		if foreign {
+			// A codeword with foreign reserved bytes, as a raw forgery
+			// could write.
+			copy(img[9:12], reserved[:])
+			codec.PutParity(img, HeaderBytes+DataBytes)
 		}
+		rebindFrame(img, dst)
 		putFrame(want, dst, FlagData, payload)
 		if !bytes.Equal(img, want) {
-			t.Fatalf("move %d (%d → %d, fallback %v): rebound image differs from putFrame", i, src, dst, fallback)
+			t.Fatalf("move %d (%d → %d, foreign header %v): rebound image differs from putFrame", i, src, dst, foreign)
 		}
 	}
 }
 
 // TestMoveRebindsCorrectedSource moves blocks whose frames the code
 // must first correct, in the header, the payload and the parity of
-// every lane, and blocks whose frames carry foreign flags: each
-// destination must hold exactly the frame putFrame encodes for the
-// payload there.
+// every lane, and blocks whose frames carry foreign flag and reserved
+// bytes: each destination must hold exactly the frame putFrame encodes
+// for the payload there.
 func TestMoveRebindsCorrectedSource(t *testing.T) {
 	const blocks = 16
 	d := testDevice(t, blocks)
@@ -277,10 +285,14 @@ func TestMoveRebindsCorrectedSource(t *testing.T) {
 		i := d.dotBase(1) + 8*b + 3
 		d.TamperRaw(1, 2, func(m *medium.Medium) { m.CorruptMagnetic(i) })
 	}
-	// Block 3: a valid frame whose flags are not FlagData.
+	// Block 3: a valid frame whose flag and reserved bytes are not
+	// putFrame's.
 	foreign := Frame{PBA: 3, Flags: 0x80}
 	copy(foreign.Data[:], pattern(43))
-	d.TamperRaw(3, 4, func(m *medium.Medium) { m.MWBImage(d.dotBase(3), foreign.Marshal()) })
+	fimg := foreign.Marshal()
+	copy(fimg[9:12], []byte{1, 2, 3})
+	codec.PutParity(fimg, HeaderBytes+DataBytes)
+	d.TamperRaw(3, 4, func(m *medium.Medium) { m.MWBImage(d.dotBase(3), fimg) })
 
 	before := d.Stats()
 	moves := []BlockMove{{Src: 0, Dst: 8}, {Src: 1, Dst: 9}, {Src: 2, Dst: 10}, {Src: 3, Dst: 11}}
@@ -293,8 +305,8 @@ func TestMoveRebindsCorrectedSource(t *testing.T) {
 	if got := st.CorrectedBytes - before.CorrectedBytes; got != 8 {
 		t.Fatalf("the moves corrected %d bytes, want 8", got)
 	}
-	if got := st.FramesRebound - before.FramesRebound; got != 3 {
-		t.Fatalf("%d frames rebound, want 3 (the foreign-flag frame is re-encoded)", got)
+	if got := st.FramesRebound - before.FramesRebound; got != 4 {
+		t.Fatalf("%d frames rebound, want 4", got)
 	}
 	img, want := make([]byte, PhysicalBytes), make([]byte, PhysicalBytes)
 	for _, mv := range moves {

@@ -28,9 +28,10 @@
 // path, and keys the proof on the generation of the block's rows
 // (medium.Generation); a read whose proof still matches copies the
 // payload straight out of the image. A move rebinds its source frame
-// to the destination by linearity (rebindFrame): the header PBA is
+// to the destination by linearity (rebindFrame): header bytes 0–11 are
 // rewritten and the parity takes the code's remainder of the change,
-// so a proven move costs no RS work beyond two table rows per lane.
+// so a move costs no RS work beyond one table row per changed header
+// byte.
 // A frame rewritten magnetically with consistent parity (a §5
 // forgery) is accepted exactly as before — tamper evidence comes from
 // the heated hashes — and any bit flip that leaves an invalid codeword
@@ -132,31 +133,28 @@ func putFrame(img []byte, pba uint64, flags byte, data []byte) {
 	codec.PutParity(img, HeaderBytes+DataBytes)
 }
 
-// headDelta patches a frame's parity when its header PBA, bytes 0–7,
-// changes (rebindFrame): those bytes sit at positions 0 and 1 of the
-// four lanes, so it holds two tables.
-var headDelta = codec.HeadDelta(HeaderBytes+DataBytes, 8)
+// headDelta patches a frame's parity when its header bytes 0–11 (the
+// PBA, the flag byte and the reserved bytes) change (rebindFrame):
+// those bytes sit at positions 0–2 of the four lanes, so it holds three
+// tables. The CRC in bytes 12–15 covers the payload alone, so no other
+// header byte changes with the address.
+var headDelta = codec.HeadDelta(HeaderBytes+DataBytes, 12)
 
-// rebindFrame turns img, the frame putFrame encodes for some payload at
-// the address in its header, into the frame putFrame encodes for the
-// same payload at dst, in place, and reports whether it did so by
-// linearity. img must be a codeword with a matching payload CRC, as
-// decodeFrame leaves it or a proof vouches for it. The CRC covers the
-// payload alone, so only the header address and the parity change:
-// the address is rewritten and the parity takes the remainder of the
-// address change (ecc.HeadDelta), the same bytes re-encoding gives. A
-// frame whose flag or reserved bytes are not putFrame's is re-encoded
-// with putFrame instead.
-func rebindFrame(img []byte, dst uint64) bool {
-	if img[8] != FlagData || img[9]|img[10]|img[11] != 0 {
-		putFrame(img, dst, FlagData, img[HeaderBytes:HeaderBytes+DataBytes])
-		return false
-	}
-	var delta [8]byte
-	binary.BigEndian.PutUint64(delta[:], binary.BigEndian.Uint64(img[0:8])^dst)
+// rebindFrame turns img, a frame codeword whose payload CRC matches, as
+// decodeFrame leaves it or a proof vouches for it, into the frame
+// putFrame encodes for the same payload at dst, in place: header bytes
+// 0–11 become dst, FlagData and zero reserved bytes, and the parity
+// takes the remainder of their change (ecc.HeadDelta), the same bytes
+// re-encoding gives. A header byte that does not change costs nothing.
+func rebindFrame(img []byte, dst uint64) {
+	var delta [12]byte
+	binary.BigEndian.PutUint64(delta[0:8], binary.BigEndian.Uint64(img[0:8])^dst)
+	delta[8] = img[8] ^ FlagData
+	copy(delta[9:12], img[9:12])
 	binary.BigEndian.PutUint64(img[0:8], dst)
+	img[8] = FlagData
+	clear(img[9:12])
 	headDelta.Patch(img, delta[:])
-	return true
 }
 
 // Unmarshal errors.

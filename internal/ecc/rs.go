@@ -560,8 +560,8 @@ func (il *Interleaved) Decode(buf []byte, dataLen int) (data []byte, corrected i
 // where f is the byte's change and e the power of x the byte carries
 // (the parity count plus the lane bytes after it). HeadDelta holds one
 // 256-row table of those remainders per distinct power among the head
-// bytes, parity bytes per row; for the device's 528-byte frames and an
-// 8-byte head that is two tables, 8 KiB.
+// bytes, parity bytes per row; for the device's 528-byte frames and a
+// 12-byte head that is three tables, 12 KiB.
 type HeadDelta struct {
 	dataLen, parity, ways int
 	// tabs[t][f·parity:(f+1)·parity] is f·x^e_t mod g(x), byte by byte.

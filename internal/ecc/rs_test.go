@@ -184,11 +184,12 @@ func TestInterleavedRoundTrip(t *testing.T) {
 // TestHeadDeltaMatchesEncode changes the head of random messages and
 // patches the parity by linearity: the result must be the changed
 // message's encoding, for the device's sector geometry (528 data bytes,
-// four lanes, an 8-byte head in two tables) and for lanes of unequal
-// length.
+// four lanes, a 12-byte head in three tables, and its 8-byte address
+// in two) and for lanes of unequal length.
 func TestHeadDeltaMatchesEncode(t *testing.T) {
 	rng := sim.NewRNG(11)
 	for _, g := range []struct{ parity, ways, dataLen, n, tables int }{
+		{16, 4, 528, 12, 3},
 		{16, 4, 528, 8, 2},
 		{16, 4, 527, 8, 3},
 		{7, 3, 100, 5, 3},
