@@ -163,16 +163,18 @@ degraded-campaign:
 # bits, verdicts, stored state and next noise draw, with and without
 # the noise draws a healthy dot may skip), plus the device's proven
 # reads against a full decode of a raw image under every raw mutator.
+# -fuzzminimizetime 100x caps the minimization of each new input, so
+# a target spends its 20 s fuzzing rather than minimizing.
 fuzz:
-	$(GO) test -run FuzzLoadImage -fuzz FuzzLoadImage -fuzztime 20s .
-	$(GO) test -run FuzzFSOps -fuzz FuzzFSOps -fuzztime 20s ./internal/lfs
-	$(GO) test -run FuzzFSHeatOps -fuzz FuzzFSHeatOps -fuzztime 20s ./internal/lfs
-	$(GO) test -run 'FuzzReplay$$' -fuzz 'FuzzReplay$$' -fuzztime 20s ./internal/lfs
-	$(GO) test -run FuzzReplayStriped -fuzz FuzzReplayStriped -fuzztime 20s ./internal/lfs
-	$(GO) test -run FuzzCodecMatchesReference -fuzz FuzzCodecMatchesReference -fuzztime 20s ./internal/ecc
-	$(GO) test -run FuzzMRBImage -fuzz FuzzMRBImage -fuzztime 20s ./internal/medium
-	$(GO) test -run FuzzERBRange -fuzz FuzzERBRange -fuzztime 20s ./internal/medium
-	$(GO) test -run FuzzReadProof -fuzz FuzzReadProof -fuzztime 20s ./internal/device
+	$(GO) test -run FuzzLoadImage -fuzz FuzzLoadImage -fuzztime 20s -fuzzminimizetime 100x .
+	$(GO) test -run FuzzFSOps -fuzz FuzzFSOps -fuzztime 20s -fuzzminimizetime 100x ./internal/lfs
+	$(GO) test -run FuzzFSHeatOps -fuzz FuzzFSHeatOps -fuzztime 20s -fuzzminimizetime 100x ./internal/lfs
+	$(GO) test -run 'FuzzReplay$$' -fuzz 'FuzzReplay$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/lfs
+	$(GO) test -run FuzzReplayStriped -fuzz FuzzReplayStriped -fuzztime 20s -fuzzminimizetime 100x ./internal/lfs
+	$(GO) test -run FuzzCodecMatchesReference -fuzz FuzzCodecMatchesReference -fuzztime 20s -fuzzminimizetime 100x ./internal/ecc
+	$(GO) test -run FuzzMRBImage -fuzz FuzzMRBImage -fuzztime 20s -fuzzminimizetime 100x ./internal/medium
+	$(GO) test -run FuzzERBRange -fuzz FuzzERBRange -fuzztime 20s -fuzzminimizetime 100x ./internal/medium
+	$(GO) test -run FuzzReadProof -fuzz FuzzReadProof -fuzztime 20s -fuzzminimizetime 100x ./internal/device
 
 # Documentation gate: formatting, vet, and a mechanical check that
 # every exported identifier in the public API (package sero), the

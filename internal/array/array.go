@@ -25,7 +25,10 @@
 // (sim.Clock.AdvanceTo). N sleds are N actuators: operations landing
 // on different members overlap, and an array operation costs its
 // slowest member — the same slowest-worker contract that governs
-// worker planes inside one device, lifted across devices.
+// worker planes inside one device, lifted across devices. A traced
+// command is charged what it costs on that shared clock, as on a raw
+// device: the advance its own raise applied. Member commands carry no
+// task, so parallel member time is never summed into a charge.
 //
 // Parity. Every magnetic payload the array commits is mirrored in
 // controller memory (the write-delta buffer), so a data write updates
@@ -394,11 +397,14 @@ func (a *Array) Locate(g uint64) (member int, lpba uint64) {
 // as of the last completed operation.
 func (a *Array) Clock() *sim.Clock { return a.clock }
 
-// syncClock raises the shared clock to the furthest member timeline.
-func (a *Array) syncClock() {
+// syncClock raises the shared clock to the furthest member timeline
+// and charges task the advance it applied.
+func (a *Array) syncClock(task *trace.Task) {
+	var adv time.Duration
 	for _, m := range a.members {
-		a.clock.AdvanceTo(m.Clock().Now())
+		adv += a.clock.AdvanceTo(m.Clock().Now())
 	}
+	task.AddDevice(adv)
 }
 
 // Concurrency returns the configured fan-out width.
@@ -552,7 +558,7 @@ func (a *Array) applyFailedRun(m int, r device.WriteRun) {
 // mirror order. Every member is flushed; the first refusal is
 // returned. A refused parity run leaves the parity mirror as the only
 // copy, so the caller must not acknowledge the data it covers.
-func (a *Array) flushParity(task *trace.Task) error {
+func (a *Array) flushParity() error {
 	if a.p == 0 {
 		return nil
 	}
@@ -564,7 +570,7 @@ func (a *Array) flushParity(task *trace.Task) error {
 		if !dirty {
 			continue
 		}
-		if err := a.flushMember(task, pm); err != nil && first == nil {
+		if err := a.flushMember(pm); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -573,7 +579,7 @@ func (a *Array) flushParity(task *trace.Task) error {
 
 // flushMember drains member pm's dirty parity blocks, returning the
 // first run the member refused.
-func (a *Array) flushMember(task *trace.Task, pm int) error {
+func (a *Array) flushMember(pm int) error {
 	a.flushMu[pm].Lock()
 	defer a.flushMu[pm].Unlock()
 	a.mu.Lock()
@@ -602,7 +608,7 @@ func (a *Array) flushMember(task *trace.Task, pm int) error {
 	for i, j := range device.ConsecutiveRuns(len(pbas), func(k int) uint64 { return pbas[k] }) {
 		runs = append(runs, device.WriteRun{Start: pbas[i], Blocks: vals[i:j]})
 	}
-	for _, err := range a.members[pm].WriteRunsFannedTraced(task, runs, a.Concurrency()) {
+	for _, err := range a.members[pm].WriteRunsFannedTraced(nil, runs, a.Concurrency()) {
 		if err != nil {
 			return fmt.Errorf("array: parity flush refused on member %d: %w", pm, err)
 		}
@@ -620,8 +626,8 @@ func (a *Array) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 		return nil, err
 	}
 	m, lpba, _, _ := a.locate(pba)
-	buf, err := a.readMember(task, m, lpba, nil)
-	a.syncClock()
+	buf, err := a.readMember(m, lpba, nil)
+	a.syncClock(task)
 	return buf, err
 }
 
@@ -629,16 +635,16 @@ func (a *Array) MRSTraced(task *trace.Task, pba uint64) ([]byte, error) {
 // block lpba, or reconstructs it from parity when m is failed or
 // refuses the read. read answers for the member; nil reads the one
 // block here, ReadBlocksFanned hands in its batched member read.
-func (a *Array) readMember(task *trace.Task, m int, lpba uint64, read func() ([]byte, error)) ([]byte, error) {
+func (a *Array) readMember(m int, lpba uint64, read func() ([]byte, error)) ([]byte, error) {
 	if !a.Failed(m) {
 		if read == nil {
-			read = func() ([]byte, error) { return a.members[m].MRSTraced(task, lpba) }
+			read = func() ([]byte, error) { return a.members[m].MRS(lpba) }
 		}
 		if buf, err := read(); err == nil || a.p == 0 {
 			return buf, err
 		}
 	}
-	return a.reconstructBlock(task, m, lpba)
+	return a.reconstructBlock(m, lpba)
 }
 
 // WriteBlocksTraced writes a contiguous global run with trace
@@ -653,28 +659,28 @@ func (a *Array) WriteBlocksTraced(task *trace.Task, start uint64, blocks [][]byt
 		// Width 1 is the identity mapping: delegate the whole call so
 		// the member sees the exact run (one settle, one stream) the
 		// raw device would — byte-identical layout and virtual time.
-		err := a.members[0].WriteBlocksTraced(task, start, blocks)
-		a.syncClock()
+		err := a.members[0].WriteBlocksTraced(nil, start, blocks)
+		a.syncClock(task)
 		return err
 	}
-	err := a.writeSplit(task, start, blocks)
-	if ferr := a.flushParity(task); err == nil {
+	err := a.writeSplit(start, blocks)
+	if ferr := a.flushParity(); err == nil {
 		err = ferr
 	}
-	a.syncClock()
+	a.syncClock(task)
 	return err
 }
 
 // writeSplit commits a global run member by member without flushing
 // parity: sub-runs on failed members land in the mirror and parity
 // only; the first member refusal stops the run.
-func (a *Array) writeSplit(task *trace.Task, start uint64, blocks [][]byte) error {
+func (a *Array) writeSplit(start uint64, blocks [][]byte) error {
 	for _, mr := range a.splitRun(start, blocks) {
 		if a.Failed(mr.member) {
 			a.applyFailedRun(mr.member, mr.run)
 			continue
 		}
-		if err := a.members[mr.member].WriteBlocksTraced(task, mr.run.Start, mr.run.Blocks); err != nil {
+		if err := a.members[mr.member].WriteBlocksTraced(nil, mr.run.Start, mr.run.Blocks); err != nil {
 			return err
 		}
 	}
@@ -692,8 +698,8 @@ func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, 
 	if a.n == 1 {
 		// Identity mapping: the member must see the exact run list so
 		// its worker-plane partition matches the raw device's.
-		errs := a.members[0].WriteRunsFannedTraced(task, runs, workers)
-		a.syncClock()
+		errs := a.members[0].WriteRunsFannedTraced(nil, runs, workers)
+		a.syncClock(task)
 		return errs
 	}
 	errs := make([]error, len(runs))
@@ -707,21 +713,21 @@ func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, 
 			}
 		},
 		func(m int, idx []int, rs []device.WriteRun) {
-			for k, err := range a.members[m].WriteRunsFannedTraced(task, rs, workers) {
+			for k, err := range a.members[m].WriteRunsFannedTraced(nil, rs, workers) {
 				if errs[idx[k]] == nil {
 					errs[idx[k]] = err
 				}
 			}
 		},
 		func(m, _ int, r device.WriteRun) { a.applyFailedRun(m, r) })
-	if ferr := a.flushParity(task); ferr != nil {
+	if ferr := a.flushParity(); ferr != nil {
 		for i := range errs {
 			if errs[i] == nil {
 				errs[i] = ferr
 			}
 		}
 	}
-	a.syncClock()
+	a.syncClock(task)
 	return errs
 }
 
@@ -730,7 +736,7 @@ func (a *Array) WriteRunsFannedTraced(task *trace.Task, runs []device.WriteRun, 
 func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error) {
 	if a.n == 1 {
 		bufs, errs := a.members[0].ReadBlocksFanned(pbas, workers)
-		a.syncClock()
+		a.syncClock(nil)
 		return bufs, errs
 	}
 	bufs := make([][]byte, len(pbas))
@@ -745,11 +751,11 @@ func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)
 		func(m int, idx []int, lp []uint64) {
 			mbufs, merrs := a.members[m].ReadBlocksFanned(lp, workers)
 			for k, i := range idx {
-				bufs[i], errs[i] = a.readMember(nil, m, lp[k], func() ([]byte, error) { return mbufs[k], merrs[k] })
+				bufs[i], errs[i] = a.readMember(m, lp[k], func() ([]byte, error) { return mbufs[k], merrs[k] })
 			}
 		},
-		func(m, i int, lpba uint64) { bufs[i], errs[i] = a.readMember(nil, m, lpba, nil) })
-	a.syncClock()
+		func(m, i int, lpba uint64) { bufs[i], errs[i] = a.readMember(m, lpba, nil) })
+	a.syncClock(nil)
 	return bufs, errs
 }
 
@@ -762,21 +768,21 @@ func (a *Array) ReadBlocksFanned(pbas []uint64, workers int) ([][]byte, []error)
 func (a *Array) MoveGroups(groups [][]device.BlockMove, workers int) []device.MoveResult {
 	if a.n == 1 {
 		res := a.members[0].MoveGroups(groups, workers)
-		a.syncClock()
+		a.syncClock(nil)
 		return res
 	}
 	out := make([]device.MoveResult, len(groups))
 	for gi, moves := range groups {
 		out[gi] = a.moveGroup(moves)
 	}
-	if ferr := a.flushParity(nil); ferr != nil {
+	if ferr := a.flushParity(); ferr != nil {
 		for gi := range out {
 			if out[gi].Err == nil {
 				out[gi] = device.MoveResult{Err: ferr}
 			}
 		}
 	}
-	a.syncClock()
+	a.syncClock(nil)
 	return out
 }
 
@@ -790,7 +796,7 @@ func (a *Array) moveGroup(moves []device.BlockMove) device.MoveResult {
 			err := a.checkRange(mv.Src, 1)
 			if err == nil {
 				m, lpba, _, _ := a.locate(mv.Src)
-				bufs[k], err = a.readMember(nil, m, lpba, nil)
+				bufs[k], err = a.readMember(m, lpba, nil)
 			}
 			if err != nil {
 				return device.MoveResult{Completed: i, Err: err}
@@ -809,7 +815,7 @@ func (a *Array) writeForMove(start uint64, blocks [][]byte) error {
 	if err := a.checkRange(start, len(blocks)); err != nil {
 		return err
 	}
-	return a.writeSplit(nil, start, blocks)
+	return a.writeSplit(start, blocks)
 }
 
 // ---------------------------------------------------------------------
@@ -867,10 +873,10 @@ func (a *Array) WriteLineBatch(start uint64, logN uint8, blocks [][]byte) error 
 	} else {
 		err = a.members[m].WriteLineBatch(lpba, logN, blocks)
 	}
-	if ferr := a.flushParity(nil); err == nil {
+	if ferr := a.flushParity(); err == nil {
 		err = ferr
 	}
-	a.syncClock()
+	a.syncClock(nil)
 	return err
 }
 
@@ -883,7 +889,7 @@ func (a *Array) HeatLine(start uint64, logN uint8) (device.LineInfo, error) {
 		return device.LineInfo{}, err
 	}
 	li, err := a.members[m].HeatLine(lpba, logN)
-	a.syncClock()
+	a.syncClock(nil)
 	if err != nil {
 		return device.LineInfo{}, err
 	}
@@ -911,7 +917,7 @@ func (a *Array) VerifyLine(start uint64) (device.VerifyReport, error) {
 		return device.VerifyReport{}, err
 	}
 	rep, verr := a.members[m].VerifyLine(lpba)
-	a.syncClock()
+	a.syncClock(nil)
 	return a.translateReport(m, rep), verr
 }
 
@@ -946,7 +952,7 @@ func (a *Array) VerifyLines(starts []uint64, workers int) []device.VerifyOutcome
 			}
 		},
 		func(m, i int, _ uint64) { out[i].Err = lineOnFailed(m, starts[i]) })
-	a.syncClock()
+	a.syncClock(nil)
 	return out
 }
 
@@ -1030,7 +1036,7 @@ func (a *Array) Scan() (recovered []device.LineInfo, unparseable []uint64, err e
 	a.mu.Unlock()
 	sort.Slice(recovered, func(i, j int) bool { return recovered[i].Start < recovered[j].Start })
 	sort.Slice(unparseable, func(i, j int) bool { return unparseable[i] < unparseable[j] })
-	a.syncClock()
+	a.syncClock(nil)
 	return recovered, unparseable, nil
 }
 
@@ -1052,7 +1058,7 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 	}
 	rep, serr := a.members[m].ShredLine(lpba)
 	if serr != nil {
-		a.syncClock()
+		a.syncClock(nil)
 		return rep, serr
 	}
 	// Scrub the parity shadow: fold a delta to zero for every data
@@ -1069,9 +1075,9 @@ func (a *Array) ShredLine(start uint64) (device.ShredReport, error) {
 			}
 		}
 		a.mu.Unlock()
-		serr = a.flushParity(nil)
+		serr = a.flushParity()
 	}
-	a.syncClock()
+	a.syncClock(nil)
 	rep.Line.Start = start
 	return rep, serr
 }

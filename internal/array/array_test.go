@@ -374,7 +374,7 @@ func TestShredScrubsParity(t *testing.T) {
 	// expired payloads.
 	zero := make([]byte, device.DataBytes)
 	for i := uint64(1); i < 8; i++ {
-		buf, err := a.reconstructBlock(nil, 1, func() uint64 { _, l, _, _ := a.locate(g0 + i); return l }())
+		buf, err := a.reconstructBlock(1, func() uint64 { _, l, _, _ := a.locate(g0 + i); return l }())
 		if err != nil {
 			t.Fatalf("reconstruct %d: %v", i, err)
 		}
@@ -593,12 +593,13 @@ func TestFailedRebuildKeepsMemberLines(t *testing.T) {
 }
 
 // TestEveryCommandChargesItsTask runs each task-carrying Dev command
-// with a fresh task on a raw device, a width-1 array and a width-4,
-// parity-1 array. Every command charges its task. On the raw device
-// and at width 1 the charge is exactly the shared clock's advance, and
-// the two clocks advance alike (width-1 identity). Width 4's charge is
-// only checked to be positive: it sums member commands that overlap in
-// virtual time.
+// with a fresh task on a raw device, a width-1 array, a width-4,
+// parity-1 array, and the same array with member 1 failed. Every
+// command charges its task exactly the shared clock's advance, and the
+// raw and width-1 clocks advance alike (width-1 identity). Member 1
+// holds global blocks 6 and 7, so on the degraded array the read is
+// reconstructed from parity and both writes land in the mirror and
+// flush parity to the survivors.
 func TestEveryCommandChargesItsTask(t *testing.T) {
 	run := func(base uint64, n int) [][]byte {
 		out := make([][]byte, n)
@@ -610,50 +611,58 @@ func TestEveryCommandChargesItsTask(t *testing.T) {
 	commands := []struct {
 		name string
 		do   func(d device.Dev, task *trace.Task) error
+		// degraded is the array counter the command must raise on the
+		// degraded array.
+		degraded func(Stats) uint64
 	}{
 		{"MRSTraced", func(d device.Dev, task *trace.Task) error {
 			_, err := d.MRSTraced(task, 6)
 			return err
-		}},
+		}, func(s Stats) uint64 { return s.DegradedReads }},
 		{"WriteBlocksTraced", func(d device.Dev, task *trace.Task) error {
 			return d.WriteBlocksTraced(task, 6, run(100, 4))
-		}},
+		}, func(s Stats) uint64 { return s.ParityBlockWrites }},
 		{"WriteRunsFannedTraced", func(d device.Dev, task *trace.Task) error {
 			runs := []device.WriteRun{{Start: 2, Blocks: run(200, 3)}, {Start: 20, Blocks: run(300, 5)}}
 			return errors.Join(d.WriteRunsFannedTraced(task, runs, 2)...)
-		}},
+		}, func(s Stats) uint64 { return s.ParityBlockWrites }},
 	}
 	for _, cmd := range commands {
 		t.Run(cmd.name, func(t *testing.T) {
+			degraded := mustBuild(t, 4, 1, 8, 256)
 			devs := []struct {
-				name  string
-				d     device.Dev
-				exact bool
+				name string
+				d    device.Dev
 			}{
-				{"raw", device.New(device.QuietParams(256)), true},
-				{"width 1", mustBuild(t, 1, 0, 8, 256), true},
-				{"width 4 parity 1", mustBuild(t, 4, 1, 8, 256), false},
+				{"raw", device.New(device.QuietParams(256))},
+				{"width 1", mustBuild(t, 1, 0, 8, 256)},
+				{"width 4 parity 1", mustBuild(t, 4, 1, 8, 256)},
+				{"width 4 parity 1, member 1 failed", degraded},
 			}
 			var advances []time.Duration
 			for _, dv := range devs {
 				if err := dv.d.WriteBlocksTraced(nil, 0, run(0, 32)); err != nil {
 					t.Fatalf("%s: setup write: %v", dv.name, err)
 				}
+				if dv.d == device.Dev(degraded) {
+					if err := degraded.FailMember(1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := cmd.degraded(degraded.ArrayStats())
 				task := &trace.Task{}
 				c0 := dv.d.Clock().Now()
 				if err := cmd.do(dv.d, task); err != nil {
 					t.Fatalf("%s: %v", dv.name, err)
 				}
 				adv := dv.d.Clock().Now() - c0
-				if task.DeviceNS() <= 0 {
-					t.Fatalf("%s: task charged %d ns", dv.name, task.DeviceNS())
+				if task.DeviceNS() <= 0 || task.DeviceNS() != int64(adv) {
+					t.Fatalf("%s: task charged %d ns, shared clock advanced %d ns", dv.name, task.DeviceNS(), adv)
 				}
-				if dv.exact {
-					if task.DeviceNS() != int64(adv) {
-						t.Fatalf("%s: task charged %d ns, shared clock advanced %d ns", dv.name, task.DeviceNS(), adv)
-					}
-					advances = append(advances, adv)
+				if dv.d == device.Dev(degraded) && cmd.degraded(degraded.ArrayStats()) == before {
+					t.Fatalf("%s: the command took no degraded path", dv.name)
 				}
+				advances = append(advances, adv)
 			}
 			if advances[0] != advances[1] {
 				t.Fatalf("raw clock advanced %v, width-1 array %v", advances[0], advances[1])

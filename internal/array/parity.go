@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sero/internal/device"
-	"sero/internal/trace"
 )
 
 // Reconstruction. A stripe row is, byte column by byte column, one
@@ -22,7 +21,7 @@ import (
 // reconstructBlock rebuilds member m's block at lpba from the other
 // members. m itself is always treated as an erasure (failed, or live
 // but suspect — RepairLine reconstructs *around* a tampered member).
-func (a *Array) reconstructBlock(task *trace.Task, m int, lpba uint64) ([]byte, error) {
+func (a *Array) reconstructBlock(m int, lpba uint64) ([]byte, error) {
 	if a.p == 0 {
 		return nil, fmt.Errorf("%w: no parity members", ErrTooManyFailures)
 	}
@@ -57,7 +56,7 @@ func (a *Array) reconstructBlock(task *trace.Task, m int, lpba uint64) ([]byte, 
 	}
 
 	for _, r := range reads {
-		buf, err := a.members[r.member].MRSTraced(task, lpba)
+		buf, err := a.members[r.member].MRS(lpba)
 		if err != nil {
 			erased = append(erased, r.pos)
 			if len(erased) > a.p {

@@ -108,7 +108,7 @@ func (a *Array) RepairMember(m int) error {
 			vals[lpba] = pv
 			continue
 		}
-		buf, err := a.reconstructBlock(nil, m, lpba)
+		buf, err := a.reconstructBlock(m, lpba)
 		if err != nil {
 			return fmt.Errorf("array: rebuilding member %d block %d: %w", m, lpba, err)
 		}
@@ -156,7 +156,7 @@ func (a *Array) RepairMember(m int) error {
 	a.failed[m] = false
 	a.cnt.repairedMember++
 	a.mu.Unlock()
-	a.syncClock()
+	a.syncClock(nil)
 	return nil
 }
 
@@ -190,7 +190,7 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 		if !committed {
 			continue // zero-filled by ReplaceLine
 		}
-		buf, err := a.reconstructBlock(nil, m, lpba)
+		buf, err := a.reconstructBlock(m, lpba)
 		if err != nil {
 			return device.LineInfo{}, fmt.Errorf("array: reconstructing line %d block %d: %w", start, lpba, err)
 		}
@@ -198,14 +198,14 @@ func (a *Array) RepairLine(start uint64) (device.LineInfo, error) {
 	}
 	li, err := a.members[m].ReplaceLine(local, line.LogN, payloads)
 	if err != nil {
-		a.syncClock()
+		a.syncClock(nil)
 		return device.LineInfo{}, err
 	}
 	a.mu.Lock()
 	a.cnt.repairedLines++
 	a.mu.Unlock()
-	err = a.flushParity(nil)
-	a.syncClock()
+	err = a.flushParity()
+	a.syncClock(nil)
 	li.Start = start
 	return li, err
 }

@@ -27,9 +27,10 @@ import (
 // exactly like worker planes overlap inside one device.
 //
 // One method per command: the block read and the two batched writes
-// take the caller's *trace.Task and charge their own device time to
-// it, so a traced operation can split that time from queueing. A
-// caller with no task (mount, tools, tests) passes nil.
+// take the caller's *trace.Task and charge it the shared-clock advance
+// the command caused (a composite charges its own raise, not its
+// members' sum), so a traced operation can split that time from
+// queueing. A caller with no task (mount, tools, tests) passes nil.
 type Dev interface {
 	// Geometry and shared state.
 	Blocks() int

@@ -111,17 +111,9 @@ func (r Report) Validate() error {
 			if ss.TotalNS < 0 || ss.DeviceNS < 0 || ss.LockWaitNS < 0 || ss.QueueNS < 0 {
 				return fmt.Errorf("serve: run %d: session %d has negative latency component", i, ss.Session)
 			}
-			// Over a striped array, DeviceNS sums member commands
-			// that ran in parallel in virtual time, so it can
-			// legitimately exceed the shared-clock total — but
-			// never by more than the member count.
-			devBound := ss.TotalNS
-			if c.Devices > 1 {
-				devBound = ss.TotalNS * int64(c.Devices)
-			}
-			if devBound < ss.DeviceNS || ss.TotalNS < ss.LockWaitNS {
-				return fmt.Errorf("serve: run %d: session %d decomposition exceeds total (total=%d device=%d lockwait=%d devices=%d)",
-					i, ss.Session, ss.TotalNS, ss.DeviceNS, ss.LockWaitNS, c.Devices)
+			if ss.DeviceNS+ss.LockWaitNS+ss.QueueNS != ss.TotalNS {
+				return fmt.Errorf("serve: run %d: session %d decomposition does not sum to its total (total=%d device=%d lockwait=%d queue=%d)",
+					i, ss.Session, ss.TotalNS, ss.DeviceNS, ss.LockWaitNS, ss.QueueNS)
 			}
 		}
 		if sessOps != run.TotalOps {

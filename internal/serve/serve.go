@@ -246,18 +246,17 @@ type OpStats struct {
 }
 
 // SessionStats decomposes one session's total measured latency into
-// where the virtual time went: DeviceNS is the session's own device
-// commands (charged to its ops as they ran), LockWaitNS is time spent
-// acquiring the FS metadata lock, and QueueNS is the remainder —
-// virtual time the shared clock advanced under *other* sessions' ops
-// while this one was mid-flight, i.e. queueing behind their device
-// work. Over one device TotalNS = DeviceNS + LockWaitNS + QueueNS
-// exactly: the three windows are disjoint by construction and virtual
-// time is integer nanoseconds, so an op whose queue term comes out
-// negative fails the run. Over a striped array DeviceNS sums member
-// commands that ran in parallel in virtual time, so it can exceed
-// TotalNS — by at most the member count — and the identity becomes an
-// inequality: a negative per-op queue term is clamped at 0 there.
+// where the virtual time went: DeviceNS is the shared-clock advance the
+// session's own device commands caused (charged to its ops as they
+// ran), LockWaitNS is time spent acquiring the FS metadata lock, and
+// QueueNS is the remainder — virtual time the shared clock advanced
+// under *other* sessions' ops while this one was mid-flight, i.e.
+// queueing behind their device work. TotalNS = DeviceNS + LockWaitNS +
+// QueueNS exactly, over a raw device and a striped array alike: an
+// op's own advances and its lock waits are disjoint stretches of the
+// shared clock inside its latency window, and virtual time is integer
+// nanoseconds, so an op whose queue term comes out negative fails the
+// run.
 type SessionStats struct {
 	// Session is the session id (shard index).
 	Session int `json:"session"`
@@ -545,12 +544,9 @@ func Run(cfg Config, tr *trace.Tracer) (Result, error) {
 				lw, devNS := task.LockWaitNS(), task.DeviceNS()
 				queue := int64(lat) - lw - devNS
 				if queue < 0 {
-					if cfg.Devices <= 1 {
-						s.err = fmt.Errorf("serve: session %d: %s: latency %d ns < lock wait %d ns + device %d ns",
-							s.id, op.Kind, lat, lw, devNS)
-						return
-					}
-					queue = 0 // parallel member commands overlap
+					s.err = fmt.Errorf("serve: session %d: %s: latency %d ns < lock wait %d ns + device %d ns",
+						s.id, op.Kind, lat, lw, devNS)
+					return
 				}
 				s.stats.Ops++
 				s.stats.TotalNS += int64(lat)

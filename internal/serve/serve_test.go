@@ -130,6 +130,16 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wideCfg := smallConfig(1)
+	wideCfg.Devices = 4
+	wideCfg.ParityDevices = 1
+	wide, err := Run(wideCfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewReport([]Result{good, wide}).Validate(); err != nil {
+		t.Fatalf("well-formed report rejected: %v", err)
+	}
 	cases := map[string]func(*Report){
 		"schema":     func(r *Report) { r.Schema = "bogus/v0" },
 		"schema-v1":  func(r *Report) { r.Schema = "sero-serving-bench/v1" },
@@ -140,15 +150,25 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"no-per-op":  func(r *Report) { r.Runs[0].PerOp = nil },
 		"count-drop": func(r *Report) { r.Runs[0].TotalOps++ },
 		"no-config":  func(r *Report) { r.Runs[0].Config.Seed = 0 },
+		// A width-4 session charged more device time than its total.
+		"wide-device-over-total": func(r *Report) {
+			ss := &r.Runs[1].PerSession[0]
+			ss.DeviceNS, ss.LockWaitNS, ss.QueueNS = 2*ss.TotalNS, 0, 0
+		},
+		"parts-off-total": func(r *Report) { r.Runs[0].PerSession[0].QueueNS++ },
 	}
 	for name, mutate := range cases {
-		rep := NewReport([]Result{good})
-		// Deep-enough copy: PerOp is shared, so rebuild it per case.
-		perOp := make(map[string]OpStats, len(good.PerOp))
-		for k, v := range good.PerOp {
-			perOp[k] = v
+		rep := NewReport([]Result{good, wide})
+		// Deep-enough copy: PerOp and PerSession are shared, so
+		// rebuild them per case.
+		for i := range rep.Runs {
+			perOp := make(map[string]OpStats, len(rep.Runs[i].PerOp))
+			for k, v := range rep.Runs[i].PerOp {
+				perOp[k] = v
+			}
+			rep.Runs[i].PerOp = perOp
+			rep.Runs[i].PerSession = append([]SessionStats(nil), rep.Runs[i].PerSession...)
 		}
-		rep.Runs[0].PerOp = perOp
 		mutate(&rep)
 		if err := rep.Validate(); err == nil {
 			t.Errorf("%s: malformed report accepted", name)
@@ -211,6 +231,12 @@ func TestRunStriped(t *testing.T) {
 	}
 	if speedup := stripedOne.ThroughputOpsPerSec / rawOne.ThroughputOpsPerSec; speedup < 1.5 {
 		t.Fatalf("width-4 single-session speedup %.2fx below the 1.5x bar", speedup)
+	}
+	// A lone session causes every shared-clock advance itself, at any
+	// width: its device time is its whole latency.
+	if ss := stripedOne.PerSession[0]; ss.DeviceNS != ss.TotalNS || ss.QueueNS != 0 {
+		t.Fatalf("width-4 single session: device %d ns, queue %d ns, total %d ns; want device = total, no queue",
+			ss.DeviceNS, ss.QueueNS, ss.TotalNS)
 	}
 
 	base := smallConfig(4)

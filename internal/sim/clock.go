@@ -41,21 +41,23 @@ func (c *Clock) Advance(d time.Duration) {
 // across benchmark iterations.
 func (c *Clock) Reset() { c.now.Store(0) }
 
-// AdvanceTo raises the clock to t if it is currently behind it; a t at
-// or before the current reading is a no-op. This is the slowest-worker
-// join for composites that keep one clock per member device and expose
-// the maximum as their own time: after an operation fans across
-// members, the composite raises its shared clock to the furthest
-// member clock. The raise is a CAS loop, so concurrent AdvanceTo and
-// Advance calls never move the clock backwards.
-func (c *Clock) AdvanceTo(t time.Duration) {
+// AdvanceTo raises the clock to t if it is currently behind it and
+// returns the advance it applied; a t at or before the current reading
+// is a no-op that returns 0. This is the slowest-worker join for
+// composites that keep one clock per member device and expose the
+// maximum as their own time: after an operation fans across members,
+// the composite raises its shared clock to the furthest member clock.
+// The raise is a CAS loop, so concurrent AdvanceTo and Advance calls
+// never move the clock backwards, and every nanosecond a raise covers
+// is returned to exactly one AdvanceTo caller.
+func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	for {
 		cur := c.now.Load()
 		if int64(t) <= cur {
-			return
+			return 0
 		}
 		if c.now.CompareAndSwap(cur, int64(t)) {
-			return
+			return t - time.Duration(cur)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +40,50 @@ func TestStopwatch(t *testing.T) {
 	c.Advance(time.Second)
 	if sw.Elapsed() != time.Second {
 		t.Fatalf("elapsed %v", sw.Elapsed())
+	}
+}
+
+// TestAdvanceToChargesEachNanosecondOnce: goroutines racing to raise
+// one clock to random targets are returned disjoint advances, so
+// their sum is the final reading — the property that lets a composite
+// charge each shared-clock advance to the one operation that applied
+// it.
+func TestAdvanceToChargesEachNanosecondOnce(t *testing.T) {
+	const workers, raises = 8, 2000
+	var c Clock
+	if got := c.AdvanceTo(-time.Second); got != 0 {
+		t.Fatalf("raise to a past target applied %v", got)
+	}
+	sums := make([]time.Duration, workers)
+	var wg sync.WaitGroup
+	for w := range sums {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := NewRNG(uint64(w) + 1)
+			for i := 0; i < raises; i++ {
+				adv := c.AdvanceTo(time.Duration(rng.Intn(1 << 30)))
+				if adv < 0 {
+					t.Errorf("negative advance %v", adv)
+				}
+				sums[w] += adv
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total time.Duration
+	for _, s := range sums {
+		total += s
+	}
+	if total != c.Now() {
+		t.Fatalf("advances sum to %v, clock reads %v", total, c.Now())
+	}
+	if got := c.AdvanceTo(c.Now()); got != 0 {
+		t.Fatalf("raise to the current reading applied %v", got)
+	}
+	c.Advance(time.Second)
+	if got := c.AdvanceTo(c.Now() + 5); got != 5 {
+		t.Fatalf("raise by 5 ns applied %v", got)
 	}
 }
 
